@@ -54,6 +54,7 @@ from .moments import (
     estimate_pareto_geo,
     estimate_parpar,
     estimate_weibull_geo,
+    fit,
     theoretical_moment_set,
     theoretical_moments,
     triangle_moments,

@@ -19,30 +19,12 @@ from .asymp import (
     general_moment_cov,
     geometric_moment_cov,
 )
-from .errors import (
-    ConvergenceError,
-    DegenerateSaddleError,
-    IncompatibleMomentsError,
-    InfiniteMeanError,
-    OutOfRangeError,
-    ParameterError,
-)
-from .harness import ExperimentConfig, emit_outputs, infer_family, mix_seed, run_campaign
+from .errors import COMPUTE_ERRORS, InfiniteMeanError
+from .harness import ExperimentConfig, emit_outputs, run_campaign
 from .laws import Geometric
-from .moments import (
-    empirical_moments,
-    estimate_from_subgraph,
-    estimator_for,
-    moments_needed,
-)
+from .moments import fit, infer_family
 from .renewal import joint_distribution, joint_mgf
 from .simulate import ModelSpec, load_trace, save_trace, simulate_trace
-
-_COMPUTE_ERRORS = (
-    ParameterError, InfiniteMeanError, OutOfRangeError, IncompatibleMomentsError,
-    ConvergenceError, DegenerateSaddleError, ValueError, OSError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit status 1."""
@@ -109,11 +91,11 @@ def main(argv=None) -> int:
     except (KeyError, json.JSONDecodeError) as exc:
         print(f"onoffgraph: bad config: {exc}", file=sys.stderr)
         return 1
-    except _COMPUTE_ERRORS as exc:
+    except COMPUTE_ERRORS as exc:
         return _fail(exc)
     try:
         return _dispatch(args, cfg, model)
-    except _COMPUTE_ERRORS as exc:
+    except COMPUTE_ERRORS as exc:
         return _fail(exc)
 
 
@@ -129,13 +111,8 @@ def _dispatch(args, cfg, model) -> int:
         return 0
 
     if args.command == "estimate":
-        trace = load_trace(args.trace)
-        family = cfg.get("family") or infer_family(model)
-        moms = empirical_moments(trace, moments_needed(family))
-        if trace.kind == "edges":
-            report = estimator_for(family)(moms)
-        else:
-            report = estimate_from_subgraph(moms)
+        trace = load_trace(args.trace, n=model.n, N=model.N)
+        report = fit(trace, cfg.get("family") or infer_family(model))
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return 0
 

@@ -17,6 +17,10 @@ class IncompatibleMomentsError(ValueError):
     """Empirical moments are incompatible with the assumed parametric family."""
 
 
+class TraceMismatchError(ValueError):
+    """A saved trace's metadata disagrees with the config it is read with."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver did not reach its tolerance."""
 
@@ -27,3 +31,8 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateSaddleError(RuntimeError):
     """The Hessian at the saddlepoint is not positive definite."""
+
+
+# What a computation may raise on bad input or data (ValueError covers the
+# subclasses above); anything else is a bug and must propagate.
+COMPUTE_ERRORS = (ValueError, OSError, ConvergenceError, DegenerateSaddleError)

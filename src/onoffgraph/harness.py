@@ -22,29 +22,11 @@ import numpy as np
 from scipy.stats import norm
 
 from .asymp import delta_method_cov, geometric_moment_cov
-from .moments import (
-    empirical_moments,
-    estimate_from_subgraph,
-    estimator_for,
-    moments_needed,
-)
+from .errors import COMPUTE_ERRORS
+from .moments import family_entry, fit, infer_family
 from .simulate import ModelSpec, simulate_trace
 
 _MASK64 = (1 << 64) - 1
-
-_PARAM_ORDER = {
-    "geometric_geometric": ("p", "q"),
-    "pareto_pareto": ("alpha", "beta"),
-    "weibull_geometric": ("alpha", "q"),
-    "pareto_geometric": ("C", "alpha", "q"),
-}
-
-_FAMILY_BY_KINDS = {
-    ("geometric", "geometric"): "geometric_geometric",
-    ("pareto", "pareto"): "pareto_pareto",
-    ("weibull", "geometric"): "weibull_geometric",
-    ("pareto", "geometric"): "pareto_geometric",
-}
 
 
 def mix_seed(base_seed: int, rep: int) -> int:
@@ -58,14 +40,6 @@ def mix_seed(base_seed: int, rep: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def infer_family(model: ModelSpec) -> str:
-    kinds = (model.on_law.to_config()["kind"], model.off_law.to_config()["kind"])
-    try:
-        return _FAMILY_BY_KINDS[kinds]
-    except KeyError:
-        raise ValueError(f"no estimator family for law kinds {kinds}") from None
 
 
 @dataclass
@@ -88,15 +62,13 @@ class ExperimentConfig:
             raise ValueError("need K >= 2")
         if self.family is None:
             self.family = infer_family(self.model)
-        if self.kind != "edges" and self.family != "geometric_geometric":
-            raise ValueError(
-                f"{self.kind} observations support only the geometric/geometric family")
+        family_entry(self.family, self.kind)  # refuses an observable it cannot fit
         if self.workers < 1:
             self.workers = _default_workers()
 
     @property
     def param_names(self) -> tuple:
-        return _PARAM_ORDER[self.family]
+        return family_entry(self.family).params
 
     def to_json(self) -> dict:
         cfg = self.model.to_config()
@@ -161,14 +133,10 @@ def _run_replication(args):
     trace = simulate_trace(cfg.model, cfg.K, rng, kind=cfg.kind)
     row = {"rep": rep, "seed": seed, "params": None, "flags": []}
     try:
-        moms = empirical_moments(trace, moments_needed(cfg.family))
-        if cfg.kind == "edges":
-            report = estimator_for(cfg.family)(moms)
-        else:
-            report = estimate_from_subgraph(moms)
+        report = fit(trace, cfg.family)
         row["params"] = {k: float(v) for k, v in report.params.items()}
         row["flags"] = list(report.flags)
-    except Exception as exc:  # noqa: BLE001 - flagged, never aborts the campaign
+    except COMPUTE_ERRORS as exc:  # flagged, never aborts the campaign
         row["flags"] = [f"error:{type(exc).__name__}:{exc}"]
     return rep, row
 

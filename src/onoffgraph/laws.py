@@ -365,10 +365,13 @@ def sample_duration(law, u):
 def law_from_config(cfg: dict) -> DurationLaw:
     """Build a law from {"kind": ..., ...} as used in config files."""
     kind = cfg.get("kind")
-    if kind == "geometric":
-        return Geometric(p=float(cfg["p"]))
-    if kind == "weibull":
-        return Weibull(lam=float(cfg["lambda"]), alpha=float(cfg["alpha"]))
-    if kind == "pareto":
-        return Pareto(C=float(cfg["C"]), alpha=float(cfg["alpha"]))
+    try:
+        if kind == "geometric":
+            return Geometric(p=float(cfg["p"]))
+        if kind == "weibull":
+            return Weibull(lam=float(cfg["lambda"]), alpha=float(cfg["alpha"]))
+        if kind == "pareto":
+            return Pareto(C=float(cfg["C"]), alpha=float(cfg["alpha"]))
+    except KeyError as exc:
+        raise KeyError(f"{kind} law needs key {exc}") from None
     raise ParameterError(f"unknown law kind {kind!r}")

@@ -20,7 +20,9 @@ from scipy.optimize import brentq
 from .errors import IncompatibleMomentsError, ParameterError
 from .laws import (
     DEFAULT_INVERT_TOL,
-    chi_like,
+    Geometric,
+    Pareto,
+    Weibull,
     hurwitz_like,
     invert_chi_like,
     invert_zeta_like,
@@ -152,7 +154,7 @@ def estimate_gg(m: MomentSet) -> EstimateReport:
                             params={"p": p_hat, "q": q_hat}, flags=flags)
     if not flags:
         _attach_residuals(report, ModelSpec(
-            on_law=_geom(p_hat), off_law=_geom(q_hat), n=m.n), m)
+            on_law=Geometric(p_hat), off_law=Geometric(q_hat), n=m.n), m)
     return report
 
 
@@ -172,7 +174,7 @@ def estimate_parpar(m: MomentSet) -> EstimateReport:
     report = EstimateReport(family="pareto_pareto",
                             params={"alpha": alpha, "beta": beta})
     _attach_residuals(report, ModelSpec(
-        on_law=_pareto(1.0, alpha), off_law=_pareto(1.0, beta), n=m.n), m)
+        on_law=Pareto(1.0, alpha), off_law=Pareto(1.0, beta), n=m.n), m)
     return report
 
 
@@ -188,7 +190,7 @@ def estimate_weibull_geo(m: MomentSet) -> EstimateReport:
                             params={"alpha": alpha, "q": q_hat}, flags=flags)
     if not flags:
         _attach_residuals(report, ModelSpec(
-            on_law=_weibull(1.0, alpha), off_law=_geom(q_hat), n=m.n), m)
+            on_law=Weibull(1.0, alpha), off_law=Geometric(q_hat), n=m.n), m)
     return report
 
 
@@ -240,27 +242,8 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
     )
     if not flags:
         _attach_residuals(report, ModelSpec(
-            on_law=_pareto(C, alpha), off_law=_geom(q_hat), n=m.n), m, L=3)
+            on_law=Pareto(C, alpha), off_law=Geometric(q_hat), n=m.n), m, L=3)
     return report
-
-
-_ESTIMATORS = {
-    "geometric_geometric": estimate_gg,
-    "pareto_pareto": estimate_parpar,
-    "weibull_geometric": estimate_weibull_geo,
-    "pareto_geometric": estimate_pareto_geo,
-}
-
-
-def estimator_for(family: str):
-    try:
-        return _ESTIMATORS[family]
-    except KeyError:
-        raise ValueError(f"unknown estimator family {family!r}") from None
-
-
-def moments_needed(family: str) -> int:
-    return 3 if family == "pareto_geometric" else 2
 
 
 def _attach_residuals(report, model, m, L=2):
@@ -269,21 +252,6 @@ def _attach_residuals(report, model, m, L=2):
             report.residuals[f"mu{ell}"] = m.mu[ell] - theoretical_moments(model, ell)
     except (ParameterError, ValueError):
         report.flags.append("residuals_unavailable")
-
-
-def _geom(p):
-    from .laws import Geometric
-    return Geometric(p)
-
-
-def _pareto(C, alpha):
-    from .laws import Pareto
-    return Pareto(C, alpha)
-
-
-def _weibull(lam, alpha):
-    from .laws import Weibull
-    return Weibull(lam, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +356,68 @@ def estimate_from_subgraph(m: MomentSet) -> EstimateReport:
         flags=flags,
         diagnostics={"rho": rho, "observable": m.kind},
     )
+
+
+# ---------------------------------------------------------------------------
+# The family registry and the one fit path
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EstimatorFamily:
+    """One registry entry: how a pair of duration-law families is fitted."""
+
+    params: tuple  # parameter names, in report and output order
+    kinds: tuple  # (on, off) law kinds, as in law configs
+    lags: int  # the fit reads mu_hat(0), ..., mu_hat(lags - 1)
+    estimators: dict  # observable (edges, triangles, wedges) -> fit from its moments
+
+
+FAMILIES = {
+    "geometric_geometric": EstimatorFamily(
+        ("p", "q"), ("geometric", "geometric"), 2,
+        {"edges": estimate_gg, "triangles": estimate_from_subgraph,
+         "wedges": estimate_from_subgraph}),
+    "pareto_pareto": EstimatorFamily(
+        ("alpha", "beta"), ("pareto", "pareto"), 2, {"edges": estimate_parpar}),
+    "weibull_geometric": EstimatorFamily(
+        ("alpha", "q"), ("weibull", "geometric"), 2, {"edges": estimate_weibull_geo}),
+    "pareto_geometric": EstimatorFamily(
+        ("C", "alpha", "q"), ("pareto", "geometric"), 3, {"edges": estimate_pareto_geo}),
+}
+
+
+def family_entry(family: str, kind: str = "edges") -> EstimatorFamily:
+    """The registry entry of `family`, refusing an observable it cannot fit."""
+    try:
+        entry = FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown estimator family {family!r}") from None
+    if kind not in entry.estimators:
+        raise ValueError(f"the {family} family cannot fit {kind} observations")
+    return entry
+
+
+def estimator_for(family: str):
+    return family_entry(family).estimators["edges"]
+
+
+def moments_needed(family: str) -> int:
+    return family_entry(family).lags
+
+
+def infer_family(model: ModelSpec) -> str:
+    """The registry family whose (on, off) law kinds are the model's."""
+    kinds = (model.on_law.to_config()["kind"], model.off_law.to_config()["kind"])
+    for name, entry in FAMILIES.items():
+        if entry.kinds == kinds:
+            return name
+    raise ValueError(f"no estimator family for law kinds {kinds}")
+
+
+def fit(data: CountTrace | MomentSet, family: str) -> EstimateReport:
+    """Fit `family` to a count trace, or to lag moments already taken from one."""
+    entry = family_entry(family, data.kind)
+    if isinstance(data, CountTrace):
+        data = empirical_moments(data, entry.lags)
+    return entry.estimators[data.kind](data)

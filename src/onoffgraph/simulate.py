@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfiniteMeanError
+from .errors import InfiniteMeanError, TraceMismatchError
 from .laws import DurationLaw, ResidualLaw, law_from_config
 
 
@@ -229,7 +229,8 @@ def save_trace(trace: CountTrace, csv_path) -> None:
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_trace(csv_path) -> CountTrace:
+def load_trace(csv_path, n: int | None = None, N: int | None = None) -> CountTrace:
+    """Read a trace; the caller's n must match the sidecar, or stand in for it."""
     csv_path = Path(csv_path)
     with csv_path.open() as fh:
         reader = csv.reader(fh)
@@ -239,11 +240,16 @@ def load_trace(csv_path) -> CountTrace:
         values = np.array([int(row[1]) for row in reader], dtype=np.int64)
     meta_file = sidecar_path(csv_path)
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
+    if n is not None and meta.get("n") not in (None, n):
+        raise TraceMismatchError(f"{meta_file} records n={meta['n']}, but the model has n={n}")
+    n = meta.get("n") or n
+    if n is None:
+        raise ValueError(f"{csv_path}: no sidecar {meta_file.name}; the edge count n is needed")
     return CountTrace(
         kind=meta.get("kind", "edges"),
         values=values,
-        n=meta.get("n", int(values.max(initial=1))),
-        N=meta.get("N"),
+        n=n,
+        N=meta.get("N") or N,
         seed=meta.get("seed"),
         model_config=meta.get("model"),
     )

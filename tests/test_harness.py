@@ -1,7 +1,9 @@
+import dataclasses
 import filecmp
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from onoffgraph.harness import (
     run_campaign,
 )
 from onoffgraph.laws import Geometric, Pareto, Weibull
+from onoffgraph.moments import FAMILIES
 from onoffgraph.simulate import ModelSpec
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
@@ -126,6 +129,18 @@ class TestCampaign:
         assert summary.n_flagged == sum(1 for r in summary.rows if r["flags"])
         assert summary.n_flagged > 0
 
+    def test_estimator_bug_fails_campaign(self, monkeypatch):
+        # only compute errors are flagged; a programming error must propagate
+        def broken(moms):
+            raise TypeError("estimator bug")
+
+        entry = FAMILIES["geometric_geometric"]
+        entry = dataclasses.replace(entry, estimators={**entry.estimators, "edges": broken})
+        monkeypatch.setitem(FAMILIES, "geometric_geometric", entry)
+        cfg = ExperimentConfig(model=GG, K=200, R=2, base_seed=1, workers=1)
+        with pytest.raises(TypeError, match="estimator bug"):
+            run_campaign(cfg)
+
     def test_qq_slope_near_one(self):
         # estimates are asymptotically normal: central QQ slope close to 1
         cfg = ExperimentConfig(model=GG, K=2000, R=100, base_seed=17)
@@ -203,6 +218,45 @@ class TestCli:
         body = json.loads(res.stdout)
         assert abs(body["params"]["p"] - 0.3) < 0.1
 
+    def test_estimate_takes_n_from_config(self, tmp_path):
+        # without its sidecar the trace's n comes from the config, not max(values)
+        gg = {"on": {"kind": "geometric", "p": 0.3},
+              "off": {"kind": "geometric", "p": 0.8}, "n": 100}
+        cfg = self._write_cfg(tmp_path, gg)
+        trace = tmp_path / "trace.csv"
+        res = self._run("simulate", "--config", cfg, "--k", "2000",
+                        "--seed", "3", "--out", str(trace))
+        assert res.returncode == 0
+        wrong = str(tmp_path / "wrong.json")
+        Path(wrong).write_text(json.dumps({**gg, "n": 50}))
+        res = self._run("estimate", "--config", wrong, "--trace", str(trace))
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["error"] == "TraceMismatchError"
+
+        Path(str(trace) + ".meta.json").unlink()
+        res = self._run("estimate", "--config", cfg, "--trace", str(trace))
+        assert res.returncode == 0
+        body = json.loads(res.stdout)
+        assert body["flags"] == []
+        assert abs(body["params"]["p"] - 0.3) < 0.1
+
+    def test_estimate_refuses_what_campaign_refuses(self, tmp_path):
+        # a family without subgraph support fails the same way in both commands
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "pareto", "C": 1.0, "alpha": 3.0},
+            "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5},
+            "N": 6, "kind": "triangles"})
+        trace = str(tmp_path / "tri.csv")
+        res = self._run("simulate", "--config", cfg, "--k", "200",
+                        "--seed", "1", "--out", trace)
+        assert res.returncode == 0
+        est = self._run("estimate", "--config", cfg, "--trace", trace)
+        camp = self._run("campaign", "--config", cfg, "--k", "200", "--reps", "2",
+                         "--out", str(tmp_path / "camp"))
+        assert est.returncode == camp.returncode == 2
+        assert json.loads(est.stdout) == json.loads(camp.stdout)
+        assert json.loads(est.stdout)["error"] == "ValueError"
+
     def test_campaign_files(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {
             "on": {"kind": "geometric", "p": 0.3},
@@ -223,3 +277,14 @@ class TestCli:
         res = self._run("check", "--config", cfg)
         assert res.returncode == 0
         assert json.loads(res.stdout)["finite"] is True
+
+    def test_weibull_config_keys(self, tmp_path):
+        # the Weibull config as the README writes it; a missing key is named
+        weibull = {"on": {"kind": "weibull", "lambda": 1.0, "alpha": 0.5},
+                   "off": {"kind": "geometric", "p": 0.7}, "n": 100}
+        res = self._run("check", "--config", self._write_cfg(tmp_path, weibull))
+        assert res.returncode == 0
+        weibull["on"] = {"kind": "weibull", "lam": 1.0, "alpha": 0.5}
+        res = self._run("check", "--config", self._write_cfg(tmp_path, weibull))
+        assert res.returncode == 1
+        assert "weibull" in res.stderr and "'lambda'" in res.stderr

@@ -7,13 +7,15 @@ import pytest
 from onoffgraph.errors import IncompatibleMomentsError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.moments import (
+    FAMILIES,
     MomentSet,
     empirical_moments,
     estimate_from_subgraph,
     estimate_gg,
     estimate_pareto_geo,
     estimate_parpar,
-    estimate_weibull_geo,
+    fit,
+    infer_family,
     theoretical_moment_set,
     theoretical_moments,
     triangle_moments,
@@ -23,6 +25,17 @@ from onoffgraph.renewal import prob_all_on
 from onoffgraph.simulate import CountTrace, ModelSpec, simulate_edge_trace
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
+
+# a model of every registry family with its true parameters, in registry order
+FAMILY_MODELS = {
+    "geometric_geometric": (GG, (0.3, 0.8)),
+    "pareto_pareto": (
+        ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=100), (3.0, 2.5)),
+    "weibull_geometric": (
+        ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=100), (0.5, 0.7)),
+    "pareto_geometric": (
+        ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=100), (2.0, 4.0, 0.7)),
+}
 
 
 def brute_subgraph_pair_moment(N, rho, u, kind):
@@ -129,11 +142,17 @@ class TestEdgeEstimators:
         assert "q_out_of_range" in r.flags
         assert "q" in r.params
 
-    def test_parpar_round_trip(self):
-        model = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=100)
-        r = estimate_parpar(theoretical_moment_set(model))
-        assert r.params["alpha"] == pytest.approx(3.0, abs=1e-8)
-        assert r.params["beta"] == pytest.approx(2.5, abs=1e-8)
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_round_trip(self, family):
+        # the family's laws infer back to it, and fit on its exact moments
+        # returns its parameters, in registry order, at the true values
+        model, truth = FAMILY_MODELS[family]
+        entry = FAMILIES[family]
+        assert infer_family(model) == family
+        r = fit(theoretical_moment_set(model, L=entry.lags), family)
+        assert r.ok
+        assert tuple(r.params) == entry.params
+        assert list(r.params.values()) == pytest.approx(truth, abs=1e-8)
 
     def test_parpar_bad_target(self):
         # zeta-sum target below 1 is impossible for the family
@@ -142,19 +161,6 @@ class TestEdgeEstimators:
         m.mu[1] = m.mu[0] + (1 - 1 / 100) * m.mu[0] ** 2 - 60.0
         with pytest.raises(IncompatibleMomentsError):
             estimate_parpar(m)
-
-    def test_weibull_geo_round_trip(self):
-        model = ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=100)
-        r = estimate_weibull_geo(theoretical_moment_set(model))
-        assert r.params["alpha"] == pytest.approx(0.5, abs=1e-8)
-        assert r.params["q"] == pytest.approx(0.7, abs=1e-8)
-
-    def test_pareto_geo_round_trip(self):
-        model = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=100)
-        r = estimate_pareto_geo(theoretical_moment_set(model, L=3))
-        assert r.params["C"] == pytest.approx(2.0, abs=1e-6)
-        assert r.params["alpha"] == pytest.approx(4.0, abs=1e-6)
-        assert r.params["q"] == pytest.approx(0.7, abs=1e-8)
 
     def test_pareto_geo_infeasible_ratio(self):
         model = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=100)

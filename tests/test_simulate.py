@@ -6,7 +6,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 from scipy.stats import binom, chisquare
 
-from onoffgraph.errors import InfiniteMeanError
+from onoffgraph.errors import InfiniteMeanError, TraceMismatchError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.simulate import (
     CountTrace,
@@ -14,6 +14,7 @@ from onoffgraph.simulate import (
     edge_indicator_matrix,
     load_trace,
     save_trace,
+    sidecar_path,
     simulate_edge_trace,
     simulate_graph_trace,
     simulate_trace,
@@ -208,6 +209,19 @@ class TestPersistence:
         assert np.array_equal(loaded.values, trace.values)
         assert loaded.kind == "edges" and loaded.n == 100 and loaded.seed == 5
         assert loaded.model_config == trace.model_config
+
+    def test_sizes_from_caller(self, tmp_path):
+        trace = simulate_edge_trace(GG, 50, np.random.default_rng(5))
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        with pytest.raises(TraceMismatchError):
+            load_trace(path, n=99)
+        assert load_trace(path, n=100).n == 100
+        sidecar_path(path).unlink()
+        with pytest.raises(ValueError):
+            load_trace(path)  # no sidecar and no n: n is not guessed
+        loaded = load_trace(path, n=100)
+        assert loaded.n == 100 and np.array_equal(loaded.values, trace.values)
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
