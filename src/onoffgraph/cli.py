@@ -2,12 +2,14 @@
 
 Subcommands: simulate, estimate, campaign, mgf, cov, check. Exit codes:
 0 success, 1 usage error, 2 computational error (reported as a JSON body).
+A reader that closes stdout early (`... | head`) ends the command with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,7 +96,13 @@ def main(argv=None) -> int:
     except COMPUTE_ERRORS as exc:
         return _fail(exc)
     try:
-        return _dispatch(args, cfg, model)
+        code = _dispatch(args, cfg, model)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except COMPUTE_ERRORS as exc:
         return _fail(exc)
 
@@ -111,7 +119,7 @@ def _dispatch(args, cfg, model) -> int:
         return 0
 
     if args.command == "estimate":
-        trace = load_trace(args.trace, n=model.n, N=model.N)
+        trace = load_trace(args.trace, n=model.n, N=model.N, kind=cfg.get("kind", "edges"))
         report = fit(trace, cfg.get("family") or infer_family(model))
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return 0

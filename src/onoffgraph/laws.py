@@ -13,7 +13,6 @@ sampler, and its residual (equilibrium) law.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,10 @@ from .errors import InfiniteMeanError, OutOfRangeError, ParameterError
 DEFAULT_SERIES_TOL = 1e-12
 DEFAULT_INVERT_TOL = 1e-10
 
-_CACHE_BLOCK = 1024
+# Residual draws beyond int64 range (possible as Pareto alpha -> 1) are returned as this cap.
+RESIDUAL_CAP = 2**62
+# The Weibull residual tail stops where weibull_survival_sum stops summing the mean.
+_WEIBULL_TERMS = 1 << 22
 
 
 def _as_index(i):
@@ -42,6 +44,10 @@ class DurationLaw:
         raise NotImplementedError
 
     def mean(self):
+        raise NotImplementedError
+
+    def tail_sum(self, k):
+        """T(k) = sum_{i>=k} survival(i) for integer k >= 1, so T(1) = mean()."""
         raise NotImplementedError
 
     def _sample_candidate(self, u):
@@ -96,6 +102,9 @@ class Geometric(DurationLaw):
     def mean(self):
         return 1.0 / self.p
 
+    def tail_sum(self, k):
+        return self.survival(k) / self.p
+
     def _sample_candidate(self, u):
         return np.floor(np.log(u) / math.log1p(-self.p)) + 1.0
 
@@ -120,6 +129,20 @@ class Weibull(DurationLaw):
 
     def mean(self):
         return weibull_survival_sum(self.lam, self.alpha)
+
+    def tail_sum(self, k):
+        """mean() minus the partial sums up to the largest k asked for.
+
+        Where that difference is lost to rounding, the integral bound
+        survival(k) + integral_{k-1}^inf takes over, so the tail decays to 0.
+        """
+        k = np.asarray(k, dtype=np.int64)
+        top = int(min(np.max(k), _WEIBULL_TERMS))
+        head = np.zeros(top)
+        np.cumsum(self.survival(np.arange(1, top)), out=head[1:])
+        tail = self.mean() - head[np.minimum(k, top) - 1]
+        bound = self.survival(k) + _weibull_integral(self.lam, self.alpha, k - 1.0)
+        return np.where(k > _WEIBULL_TERMS, 0.0, np.clip(tail, 0.0, bound))
 
     def _sample_candidate(self, u):
         return np.floor((-np.log(u) / self.lam) ** (1.0 / self.alpha)) + 1.0
@@ -147,6 +170,10 @@ class Pareto(DurationLaw):
             raise InfiniteMeanError(f"pareto mean is infinite for alpha={self.alpha} <= 1")
         return hurwitz_like(self.C, self.alpha)
 
+    def tail_sum(self, k):
+        # C^alpha * Hurwitz zeta(alpha, C + k - 1)
+        return self.C**self.alpha * special.zeta(self.alpha, self.C + _as_index(k) - 1.0)
+
     def _sample_candidate(self, u):
         return np.floor(self.C * (u ** (-1.0 / self.alpha) - 1.0)) + 1.0
 
@@ -157,30 +184,20 @@ class Pareto(DurationLaw):
 class ResidualLaw:
     """Equilibrium law of a duration law: pmf(k) = survival(k) / mean.
 
-    A cumulative table is cached for sampling and extended on demand in
-    blocks, so heavy-tailed residuals get unbounded support without
-    precomputation. Extension is guarded by a lock so the law can be shared
-    across threads.
+    Its survival is P(residual >= k) = T(k) / mean with the law's tail sum
+    T(k), so sampling needs no table: it gallops and then bisects on k.
     """
 
     def __init__(self, law: DurationLaw):
         self.law = law
         self._mean = law.mean()
-        self._lock = threading.Lock()
-        self._cdf = np.cumsum(law.survival(np.arange(1, _CACHE_BLOCK + 1))) / self._mean
 
     def pmf(self, k):
         return self.law.survival(k) / self._mean
 
     def survival(self, k):
-        """P(residual >= k) = 1 - sum_{l<k} pmf(l)."""
-        k = np.asarray(k)
-        kmax = int(np.max(k))
-        if kmax > 1:
-            self._extend(kmax - 1)
-        cdf = self._cdf
-        head = np.where(k > 1, cdf[np.minimum(k, kmax) - 2], 0.0)
-        return np.maximum(1.0 - head, 0.0)
+        """P(residual >= k) = T(k) / mean."""
+        return np.minimum(self.law.tail_sum(k) / self._mean, 1.0)
 
     def mean(self):
         # E[residual] = sum_k residual survival; rarely needed, summed directly
@@ -196,28 +213,37 @@ class ResidualLaw:
             if k > 1 << 26:
                 raise InfiniteMeanError("residual mean did not converge")
 
-    def _extend(self, m):
-        if m <= len(self._cdf):
-            return
-        with self._lock:
-            while len(self._cdf) < m:
-                lo = len(self._cdf) + 1
-                block = np.arange(lo, lo + _CACHE_BLOCK)
-                tail = self._cdf[-1] + np.cumsum(self.law.survival(block)) / self._mean
-                self._cdf = np.concatenate([self._cdf, tail])
-
     def sample(self, u):
+        """Inverse-transform sample: the k with survival(k+1) < u <= survival(k).
+
+        Draws that would exceed RESIDUAL_CAP are returned as RESIDUAL_CAP.
+        """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
         if np.any(u <= 0.0) or np.any(u > 1.0):
             raise ValueError("u must lie in (0, 1]")
-        umax = float(u.max())
-        while self._cdf[-1] < umax and 1.0 - self._cdf[-1] > 1e-15:
-            self._extend(len(self._cdf) + _CACHE_BLOCK)
-        i = np.searchsorted(self._cdf, u, side="left") + 1
-        i = np.minimum(i, len(self._cdf))
-        return int(i[0]) if scalar else i.astype(np.int64)
+        # invariant: survival(lo) >= u > survival(hi), with survival(1) = 1
+        lo = np.ones(u.shape, dtype=np.int64)
+        hi = np.full(u.shape, 2, dtype=np.int64)
+        todo = np.arange(u.size)
+        while todo.size:  # gallop: double hi until it passes the draw
+            above = self.survival(hi[todo]) >= u[todo]
+            todo = todo[above]
+            lo[todo] = hi[todo]
+            capped = hi[todo] == RESIDUAL_CAP
+            hi[todo[capped]] = RESIDUAL_CAP + 1
+            todo = todo[~capped]
+            hi[todo] *= 2
+        while True:  # bisect
+            open_ = np.flatnonzero(hi - lo > 1)
+            if not open_.size:
+                break
+            mid = (lo[open_] + hi[open_]) // 2
+            above = self.survival(mid) >= u[open_]
+            lo[open_[above]] = mid[above]
+            hi[open_[~above]] = mid[~above]
+        return int(lo[0]) if scalar else lo
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +290,12 @@ def hurwitz_like(C, alpha, tol=DEFAULT_SERIES_TOL):
     return _power_series_sum(C, alpha, tol)
 
 
+def _weibull_integral(lam, alpha, a):
+    """integral_a^inf exp(-lam y^alpha) dy, an upper bound on sum_{y>a} exp(-lam y^alpha)."""
+    return (special.gamma(1.0 / alpha) / (alpha * lam ** (1.0 / alpha))
+            * special.gammaincc(1.0 / alpha, lam * np.asarray(a, dtype=np.float64) ** alpha))
+
+
 def weibull_survival_sum(lam, alpha, tol=DEFAULT_SERIES_TOL):
     """sum_{i>=1} exp(-lam * (i-1)^alpha); equals chi(alpha) when lam = 1."""
     if lam <= 0.0 or alpha <= 0.0:
@@ -277,13 +309,7 @@ def weibull_survival_sum(lam, alpha, tol=DEFAULT_SERIES_TOL):
             total += float(np.sum(np.exp(-lam * i**alpha)))
             m += block
             # tail sum_{y>=m} exp(-lam y^alpha) <= integral_{m-1}^inf
-            a = np.float64(m - 1)
-            bound = (
-                special.gamma(1.0 / alpha)
-                / (alpha * lam ** (1.0 / alpha))
-                * special.gammaincc(1.0 / alpha, float(lam * a**alpha))
-            )
-            if bound <= tol:
+            if _weibull_integral(lam, alpha, m - 1.0) <= tol:
                 return total
             if m >= 1 << 22:
                 # alpha so small that the sum is astronomically large; the

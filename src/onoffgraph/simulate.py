@@ -13,7 +13,6 @@ occur with probability 1 - fbar_1.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,33 +105,57 @@ def stationary_init(model: ModelSpec, rng, residuals=None):
     return on, remaining
 
 
-def _edge_indicator(model, K, rng, res_on, res_off, init=None):
-    """Boolean on/off path of a single edge over times 1..K."""
+# Cap on the durations drawn in one block of _phase_switches: it bounds the
+# block's memory (a few int64 arrays of this size) whatever n and K are.
+_BLOCK_DRAWS = 1 << 15
+# Vertex-pair x epoch entries per block of epochs in triangle_counts (4 MB of bool).
+_TRIPLE_BLOCK = 1 << 22
+
+
+def _phase_switches(model: ModelSpec, K: int, rng, init=None):
+    """Initial on-states of all edges and a generator of their phase switches in 2..K.
+
+    The generator yields (edge, time, enters_on) arrays: edge `edge` switches
+    phase at `time`, into the on-phase when `enters_on`. A phase drawn at time
+    t with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
+    """
     if init is None:
-        on0 = bool(rng.random() < model.rho)
-        d0 = int((res_on if on0 else res_off).sample(1.0 - rng.random()))
+        on, remaining = stationary_init(model, rng)
     else:
-        on0, d0 = init
-    durations = [np.array([d0], dtype=np.int64)]
-    total = d0
+        on = np.array([bool(o) for o, _ in init])
+        remaining = np.array([int(d) for _, d in init], dtype=np.int64)
     cycle = model.on_law.mean() + model.off_law.mean()
-    next_on = not on0  # phase of the first fresh duration after the residual
-    while total < K:
-        m = max(8, int(1.4 * (K - total) / cycle) + 2)
-        dx = model.on_law.sample(1.0 - rng.random(m))
-        dy = model.off_law.sample(1.0 - rng.random(m))
-        pair = np.empty(2 * m, dtype=np.int64)
-        if next_on:
-            pair[0::2], pair[1::2] = dx, dy
-        else:
-            pair[0::2], pair[1::2] = dy, dx
-        durations.append(pair)
-        total += int(pair.sum())
-    durs = np.concatenate(durations)
-    phases = np.empty(len(durs), dtype=bool)
-    phases[0::2] = on0
-    phases[1::2] = not on0
-    return np.repeat(phases, durs)[:K]
+
+    def switches():
+        # per edge: time of its next switch and the phase that switch enters;
+        # every block draws an even number of durations, so `enters` is fixed
+        nxt = remaining + 1
+        enters = ~on
+        edges = np.flatnonzero(nxt <= K)
+        while edges.size:
+            t, ph = nxt[edges], enters[edges, None]
+            pairs = int(1.2 * (K - t).mean() / cycle) + 1
+            pairs = max(1, min(pairs, _BLOCK_DRAWS // (2 * edges.size)))
+            dx = model.on_law.sample(1.0 - rng.random((edges.size, pairs)))
+            dy = model.off_law.sample(1.0 - rng.random((edges.size, pairs)))
+            # row: t, then the durations of phase ph, other, ph, ...; its
+            # cumulative sums are the switch times, the last one the next block's t
+            cum = np.empty((edges.size, 2 * pairs + 1), dtype=np.int64)
+            cum[:, 0] = t
+            np.copyto(cum[:, 1::2], dy)
+            np.copyto(cum[:, 1::2], dx, where=ph)
+            np.copyto(cum[:, 2::2], dx)
+            np.copyto(cum[:, 2::2], dy, where=ph)
+            np.cumsum(cum, axis=1, out=cum)
+            nxt[edges] = cum[:, -1]
+            times = cum[:, :-1]
+            hit = times <= K
+            enters_on = ph ^ (np.arange(2 * pairs) % 2 == 1)
+            yield (np.repeat(edges, np.count_nonzero(hit, axis=1)), times[hit],
+                   enters_on[hit])
+            edges = edges[nxt[edges] <= K]
+
+    return on, switches()
 
 
 def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
@@ -143,44 +166,59 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    res_on, res_off = model.residuals()
-    values = np.zeros(K, dtype=np.int64)
-    for j in range(model.n):
-        ind = _edge_indicator(
-            model, K, rng, res_on, res_off, init=None if init is None else init[j]
-        )
-        values += ind
+    on, switches = _phase_switches(model, K, rng, init)
+    delta = np.zeros(K + 1, dtype=np.int64)
+    for _, times, enters_on in switches:
+        delta += np.bincount(times[enters_on], minlength=K + 1)
+        delta -= np.bincount(times[~enters_on], minlength=K + 1)
+    values = np.cumsum(delta[1:])
+    values += np.count_nonzero(on)
     return CountTrace(kind="edges", values=values, n=model.n, N=model.N,
                       model_config=model.to_config())
 
 
 def edge_indicator_matrix(model: ModelSpec, K: int, rng) -> np.ndarray:
     """n x K boolean matrix of per-edge indicators (edges in combination order)."""
-    res_on, res_off = model.residuals()
-    mat = np.empty((model.n, K), dtype=bool)
-    for j in range(model.n):
-        mat[j] = _edge_indicator(model, K, rng, res_on, res_off)
+    on, switches = _phase_switches(model, K, rng)
+    mat = np.zeros((model.n, K), dtype=bool)
+    for edges, times, _ in switches:
+        mat[edges, times - 1] = True
+    mat[:, 0] = on
+    np.logical_xor.accumulate(mat, axis=1, out=mat)
     return mat
 
 
 def triangle_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
-    """Triangle count per time step from an n x K edge indicator matrix."""
-    index = {pair: i for i, pair in enumerate(itertools.combinations(range(N), 2))}
+    """Triangle count per time step from an n x K edge indicator matrix.
+
+    Each triangle is counted at its lowest vertex v: every pair (b, c) of v's
+    edges to higher vertices is matched with the row of the edge (b, c).
+    """
+    first = np.concatenate([[0], np.cumsum(np.arange(N - 1, 0, -1))])  # row of (v, v+1)
     K = edge_mat.shape[1]
     out = np.zeros(K, dtype=np.int64)
-    for a, b, c in itertools.combinations(range(N), 3):
-        out += edge_mat[index[(a, b)]] & edge_mat[index[(a, c)]] & edge_mat[index[(b, c)]]
+    step = max(1, _TRIPLE_BLOCK // max(1, (N - 1) * (N - 2) // 2))
+    for lo in range(0, K, step):
+        block = edge_mat[:, lo:lo + step]
+        for v in range(N - 2):
+            up = block[first[v]:first[v + 1]]  # edges (v, c) for c > v
+            # pairs of those edges, in the combination order of the rows after them
+            b, c = np.triu_indices(N - 1 - v, k=1)
+            closed = np.take(up, b, axis=0)
+            closed &= np.take(up, c, axis=0)
+            closed &= block[first[v + 1]:]
+            out[lo:lo + step] += closed.sum(axis=0, dtype=np.int32)
     return out
 
 
 def wedge_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
     """Wedge count per time step: sum over vertices of C(degree, 2)."""
-    inc = np.zeros((N, edge_mat.shape[0]), dtype=np.int64)
-    for i, (a, b) in enumerate(itertools.combinations(range(N), 2)):
-        inc[a, i] = 1
-        inc[b, i] = 1
-    deg = inc @ edge_mat.astype(np.int64)
-    return (deg * (deg - 1) // 2).sum(axis=0)
+    a, b = np.triu_indices(N, k=1)
+    out = np.zeros(edge_mat.shape[1], dtype=np.int64)
+    for v in range(N):
+        deg = np.count_nonzero(edge_mat[(a == v) | (b == v)], axis=0)
+        out += deg * (deg - 1) // 2
+    return out
 
 
 def simulate_graph_trace(model: ModelSpec, K: int, rng, kind: str) -> CountTrace:
@@ -229,8 +267,9 @@ def save_trace(trace: CountTrace, csv_path) -> None:
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_trace(csv_path, n: int | None = None, N: int | None = None) -> CountTrace:
-    """Read a trace; the caller's n must match the sidecar, or stand in for it."""
+def load_trace(csv_path, n: int | None = None, N: int | None = None,
+               kind: str | None = None) -> CountTrace:
+    """Read a trace; the caller's n and kind must match the sidecar, or stand in for it."""
     csv_path = Path(csv_path)
     with csv_path.open() as fh:
         reader = csv.reader(fh)
@@ -242,11 +281,14 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None) -> CountTra
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
     if n is not None and meta.get("n") not in (None, n):
         raise TraceMismatchError(f"{meta_file} records n={meta['n']}, but the model has n={n}")
+    if kind is not None and meta.get("kind") not in (None, kind):
+        raise TraceMismatchError(
+            f"{meta_file} records kind={meta['kind']!r}, but the config has kind={kind!r}")
     n = meta.get("n") or n
     if n is None:
         raise ValueError(f"{csv_path}: no sidecar {meta_file.name}; the edge count n is needed")
     return CountTrace(
-        kind=meta.get("kind", "edges"),
+        kind=meta.get("kind") or kind or "edges",
         values=values,
         n=n,
         N=meta.get("N") or N,

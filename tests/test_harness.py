@@ -240,6 +240,47 @@ class TestCli:
         assert body["flags"] == []
         assert abs(body["params"]["p"] - 0.3) < 0.1
 
+    def test_estimate_takes_kind_from_config(self, tmp_path):
+        # without its sidecar a triangle trace is still fitted as triangles
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "N": 8, "kind": "triangles"})
+        trace = tmp_path / "tri.csv"
+        res = self._run("simulate", "--config", cfg, "--k", "1000",
+                        "--seed", "2", "--out", str(trace))
+        assert res.returncode == 0
+        Path(str(trace) + ".meta.json").unlink()
+        res = self._run("estimate", "--config", cfg, "--trace", str(trace))
+        assert res.returncode == 0
+        body = json.loads(res.stdout)
+        assert body["diagnostics"]["observable"] == "triangles"
+        assert body["flags"] == []
+        assert abs(body["params"]["p"] - 0.3) < 0.1
+
+        edges = str(tmp_path / "edges.json")
+        Path(edges).write_text(json.dumps({**json.loads(Path(cfg).read_text()),
+                                           "kind": "edges"}))
+        res = self._run("simulate", "--config", cfg, "--k", "100", "--out", str(trace))
+        assert res.returncode == 0  # the sidecar now records kind=triangles
+        res = self._run("estimate", "--config", edges, "--trace", str(trace))
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["error"] == "TraceMismatchError"
+
+    def test_closed_pipe_is_not_an_error(self, tmp_path):
+        # `onoffgraph estimate ... | head -1`, with the reader gone before any write
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        trace = str(tmp_path / "trace.csv")
+        assert self._run("simulate", "--config", cfg, "--k", "500", "--out", trace).returncode == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "onoffgraph.cli", "estimate", "--config", cfg,
+             "--trace", trace], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
     def test_estimate_refuses_what_campaign_refuses(self, tmp_path):
         # a family without subgraph support fails the same way in both commands
         cfg = self._write_cfg(tmp_path, {

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.special import zeta as scipy_zeta
 
 from onoffgraph.errors import InfiniteMeanError, OutOfRangeError, ParameterError
 from onoffgraph.laws import (
+    RESIDUAL_CAP,
     Geometric,
     Pareto,
     Weibull,
@@ -213,8 +215,43 @@ class TestSampling:
             freq = np.mean(draws == k)
             se = math.sqrt(pk * (1 - pk) / len(u))
             assert abs(freq - pk) <= 4 * se + 1e-9
-        # heavy tail forces the cached CDF to extend past its initial block
-        assert draws.max() > 1024 or res._cdf[-1] > 1.0 - 1e-12
+        assert draws.max() > 1024  # the heavy tail is reached
+
+    def test_residual_bracketing_postcondition(self):
+        # the DurationLaw contract: survival(k+1) < u <= survival(k)
+        rng = np.random.default_rng(6)
+        for law in ALL_LAWS:
+            res = law.residual()
+            u = 1.0 - rng.random(2000)
+            k = res.sample(u)
+            assert np.all(res.survival(k + 1) < u)
+            assert np.all(res.survival(k) >= u)
+
+    def test_tail_sums_match_partial_sums(self):
+        k = np.arange(1, 300)
+        for law in ALL_LAWS:
+            head = np.concatenate([[0.0], np.cumsum(law.survival(k[:-1]))])
+            assert np.allclose(law.tail_sum(k), law.mean() - head, rtol=1e-9, atol=1e-12)
+
+    def test_heavy_residual_is_fast_and_exact(self):
+        # alpha = 1.3 once hung; T(k) = zeta(alpha, k) for C = 1, and mean T(1)
+        law = Pareto(1.0, 1.3)
+        res = law.residual()
+        mu = float(scipy_zeta(1.3, 1.0))
+        for u in (0.999, 1e-3):
+            t0 = time.perf_counter()
+            k = res.sample(u)
+            assert time.perf_counter() - t0 < 1.0
+            assert scipy_zeta(1.3, k + 1.0) / mu < u <= scipy_zeta(1.3, float(k)) / mu
+        assert res.sample(1e-3) > 10**9
+
+    def test_residual_cap(self):
+        # draws past int64 range come back as the documented cap
+        res = Pareto(1.0, 1.01).residual()
+        assert RESIDUAL_CAP == 2**62
+        assert res.survival(RESIDUAL_CAP) >= 0.5
+        assert res.sample(0.5) == RESIDUAL_CAP
+        assert res.sample(np.array([0.5, 0.999])).tolist() == [RESIDUAL_CAP, 1]
 
 
 class TestConfig:

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 from scipy.stats import binom, chisquare
 
+from onoffgraph import simulate
 from onoffgraph.errors import InfiniteMeanError, TraceMismatchError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.simulate import (
@@ -131,6 +132,27 @@ class TestEdgeTrace:
         trace = simulate_edge_trace(GG, 500, rng)
         assert trace.values.min() >= 0 and trace.values.max() <= GG.n
 
+    def test_counts_equal_indicator_column_sums(self):
+        # both consumers of one switch generator: same seed, same paths
+        for m in [GG, ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=40),
+                  ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=12)]:
+            for K in (1, 2, 3, 700):
+                trace = simulate_edge_trace(m, K, np.random.default_rng(31))
+                mat = edge_indicator_matrix(m, K, np.random.default_rng(31))
+                assert np.array_equal(trace.values, mat.sum(axis=0))
+
+    def test_geometric_transition_frequencies(self):
+        # GG is the two-state chain: stay on w.p. 1-p, stay off w.p. 1-q
+        p, q = 0.3, 0.8
+        m = ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=2000)
+        mat = edge_indicator_matrix(m, 50, np.random.default_rng(12))
+        now, nxt = mat[:, :-1], mat[:, 1:]
+        for state, leave_prob in ((True, p), (False, q)):
+            visits = np.count_nonzero(now == state)
+            leaves = np.count_nonzero((now == state) & (nxt != state))
+            se = math.sqrt(leave_prob * (1 - leave_prob) / visits)
+            assert abs(leaves / visits - leave_prob) <= 4 * se
+
     def test_reproducible(self):
         a = simulate_edge_trace(GG, 300, np.random.default_rng(99))
         b = simulate_edge_trace(GG, 300, np.random.default_rng(99))
@@ -167,9 +189,16 @@ class TestGraphCounts:
         assert triangle_counts(empty, N)[0] == 0
         assert wedge_counts(empty, N)[0] == 0
 
+    def test_complete_graph_is_exact(self):
+        # exact where float32 adjacency products would round: N(N-1)(N-2) > 2^24
+        N = 300
+        full = np.ones((N * (N - 1) // 2, 1), dtype=bool)
+        assert triangle_counts(full, N)[0] == math.comb(N, 3)
+        assert wedge_counts(full, N)[0] == N * math.comb(N - 1, 2)
+
     def test_against_brute_force(self):
         rng = np.random.default_rng(10)
-        for N in [4, 5, 7]:
+        for N in [4, 5, 7, 9]:
             n = N * (N - 1) // 2
             mat = rng.random((n, 20)) < 0.4
             tri = triangle_counts(mat, N)
@@ -179,6 +208,14 @@ class TestGraphCounts:
                 assert tri[k] == _brute_triangles(adj, N)
                 assert wed[k] == _brute_wedges(adj, N)
                 assert 3 * tri[k] <= wed[k]
+
+    def test_epoch_blocks(self, monkeypatch):
+        # blocks of a few epochs give the counts of one block
+        N = 8
+        mat = np.random.default_rng(4).random((N * (N - 1) // 2, 50)) < 0.5
+        whole = triangle_counts(mat, N)
+        monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", 100)  # 4 epochs per block
+        assert np.array_equal(triangle_counts(mat, N), whole)
 
     def test_triangle_mean(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
@@ -222,6 +259,18 @@ class TestPersistence:
             load_trace(path)  # no sidecar and no n: n is not guessed
         loaded = load_trace(path, n=100)
         assert loaded.n == 100 and np.array_equal(loaded.values, trace.values)
+
+    def test_kind_from_caller(self, tmp_path):
+        m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=6)
+        trace = simulate_graph_trace(m, 40, np.random.default_rng(5), kind="wedges")
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        with pytest.raises(TraceMismatchError):
+            load_trace(path, n=15, kind="triangles")
+        assert load_trace(path, n=15, kind="wedges").kind == "wedges"
+        sidecar_path(path).unlink()
+        assert load_trace(path, n=15, kind="triangles").kind == "triangles"
+        assert load_trace(path, n=15).kind == "edges"
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
