@@ -42,7 +42,6 @@ from .laws import (
     invert_hurwitz_like,
     invert_zeta_like,
     law_from_config,
-    sample_duration,
     zeta_like,
 )
 from .moments import (

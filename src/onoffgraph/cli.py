@@ -21,7 +21,7 @@ from .asymp import (
     general_moment_cov,
     geometric_moment_cov,
 )
-from .errors import COMPUTE_ERRORS, InfiniteMeanError
+from .errors import COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError
 from .harness import ExperimentConfig, emit_outputs, run_campaign
 from .laws import Geometric
 from .moments import fit, infer_family
@@ -159,6 +159,9 @@ def _dispatch(args, cfg, model) -> int:
             mc = geometric_moment_cov(model.n, model.on_law.p, model.off_law.p)
         else:
             mc = general_moment_cov(model, model.n)
+            if not mc.converged:
+                raise ConvergenceError(
+                    f"covariance series did not converge within k={mc.k_used}")
         out = {"moment_cov": mc.to_json()}
         if geometric:
             pc = delta_method_cov(model.n, model.on_law.p, model.off_law.p, mc)

@@ -122,6 +122,11 @@ class Weibull(DurationLaw):
             raise ParameterError(
                 f"weibull needs lambda > 0 and alpha > 0, got ({self.lam}, {self.alpha})"
             )
+        # the mean series must meet its tolerance within the terms it is allowed
+        if _weibull_integral(self.lam, self.alpha, _WEIBULL_TERMS - 1.0) > DEFAULT_SERIES_TOL:
+            raise ParameterError(
+                f"weibull ({self.lam}, {self.alpha}) has a mean series that does not"
+                f" converge within {_WEIBULL_TERMS} terms")
 
     def survival(self, i):
         with np.errstate(over="ignore", under="ignore"):
@@ -376,11 +381,6 @@ def invert_chi_like(target, tol=DEFAULT_INVERT_TOL):
     return _invert_decreasing(
         lambda a: chi_like(a), target, 1e-6, 64.0, 1.0 + math.exp(-1.0), tol, "chi"
     )
-
-
-def sample_duration(law, u):
-    """Inverse-transform sample from a DurationLaw or ResidualLaw."""
-    return law.sample(u)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .laws import (
     invert_chi_like,
     invert_zeta_like,
 )
-from .renewal import prob_all_on
+from .renewal import autocovariance
 from .simulate import CountTrace, ModelSpec
 
 
@@ -88,8 +88,8 @@ def empirical_moments(trace: CountTrace, L: int = 2) -> MomentSet:
 def theoretical_moments(model: ModelSpec, ell: int) -> float:
     """s_{n,ell} = E[A(k) A(k+ell)] (ell = 0: E[A(k)]) for the edge process.
 
-    Lags 0..3 use the closed scenario-enumeration forms; higher lags reduce to
-    the per-edge joint on-probability, s = n P(on at 1, 1+ell) + (n^2-n) rho^2.
+    Every lag ell >= 1 reads the renewal table: one edge is on at 1 and 1+ell
+    with probability rho r_res(1+ell), so s = n rho r_res(1+ell) + (n^2-n) rho^2.
     """
     if ell < 0:
         raise ValueError("lag must be >= 0")
@@ -97,28 +97,7 @@ def theoretical_moments(model: ModelSpec, ell: int) -> float:
     rho = model.rho
     if ell == 0:
         return n * rho
-    if ell > 3:
-        return n * prob_all_on(model, (1, 1 + ell)) + (n * n - n) * rho * rho
-    surv_f = model.on_law.survival(np.arange(1, 5))
-    ex = model.on_law.mean()
-    fbar = surv_f / ex
-    f1 = surv_f[0] - surv_f[1]
-    g_surv = model.off_law.survival(np.arange(1, 4))
-    g1 = g_surv[0] - g_surv[1]
-    g2 = g_surv[1] - g_surv[2]
-    pair = (n * n - n) * rho * rho
-    if ell == 1:
-        return n * rho * (1 - fbar[0]) + pair
-    if ell == 2:
-        return n * rho * ((1 - fbar[0] - fbar[1]) + fbar[0] * g1) + pair
-    # ell == 3: scenarios ++++, +--+, +-++, ++-+
-    on3 = (
-        (1 - fbar[0] - fbar[1] - fbar[2])
-        + fbar[0] * g2
-        + fbar[0] * g1 * (1 - f1)
-        + fbar[1] * g1
-    )
-    return n * rho * on3 + pair
+    return n * rho * autocovariance(model, ell + 1).r_res[ell] + (n * n - n) * rho * rho
 
 
 def theoretical_moment_set(model: ModelSpec, L: int = 2, K: int = 0) -> MomentSet:

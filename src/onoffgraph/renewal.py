@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import ConvergenceError, DegenerateSaddleError
 from .simulate import ModelSpec
@@ -112,20 +113,7 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
 def prob_all_on(model: ModelSpec, epochs) -> float:
     """P(one stationary edge is on at every epoch in the set)."""
     epochs = sorted(set(int(t) for t in epochs))
-    m = len(epochs)
-    if m == 0:
-        return 1.0
-    K = max(epochs)
-    total = 0.0
-    for s in range(1 << m):
-        theta = np.zeros(K)
-        bits = 0
-        for j in range(m):
-            if s & (1 << j):
-                theta[epochs[j] - 1] = -np.inf
-                bits += 1
-        total += (-1.0) ** bits * joint_mgf(model, theta)
-    return total
+    return float(joint_distribution(model, epochs)[-1]) if epochs else 1.0
 
 
 @dataclass
@@ -176,85 +164,65 @@ def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
 # Legendre transform and saddlepoint approximation
 # ---------------------------------------------------------------------------
 
-_FD_STEP = 1e-5
-_MAX_ASCENT_ITERS = 500
 
+def _tilted_moments(model, theta):
+    """log M(theta), the tilted on-probabilities and their covariance, all exact.
 
-def _log_mgf(model, theta):
-    return math.log(joint_mgf(model, theta))
-
-
-def _grad_log_mgf(model, theta, h=_FD_STEP):
-    grad = np.empty(len(theta))
-    for i in range(len(theta)):
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        grad[i] = (_log_mgf(model, tp) - _log_mgf(model, tm)) / (2 * h)
-    return grad
-
-
-def _hess_log_mgf(model, theta, h=1e-4):
+    M is affine in each e_k = exp(theta_k), and theta_k = -inf (a knockout)
+    keeps exactly the paths that are off at k. Under the tilt, P(off at i and
+    j) = M_ij / M, so grad log M = 1 - M_k / M and Hess log M, the tilted
+    covariance of the indicators, is M_ij / M - (M_i / M)(M_j / M).
+    """
     K = len(theta)
-    hess = np.empty((K, K))
-    base = _log_mgf(model, theta)
+    mgf = joint_mgf(model, theta)
+    off = np.empty((K, K))
     for i in range(K):
         for j in range(i, K):
-            tpp = theta.copy(); tpm = theta.copy(); tmp = theta.copy(); tmm = theta.copy()
-            if i == j:
-                tpp[i] += h; tmm[i] -= h
-                hess[i, i] = (_log_mgf(model, tpp) - 2 * base + _log_mgf(model, tmm)) / h**2
-            else:
-                tpp[i] += h; tpp[j] += h
-                tpm[i] += h; tpm[j] -= h
-                tmp[i] -= h; tmp[j] += h
-                tmm[i] -= h; tmm[j] -= h
-                hess[i, j] = hess[j, i] = (
-                    _log_mgf(model, tpp) - _log_mgf(model, tpm)
-                    - _log_mgf(model, tmp) + _log_mgf(model, tmm)
-                ) / (4 * h**2)
-    return hess
+            knocked = theta.copy()
+            knocked[[i, j]] = -np.inf
+            off[i, j] = off[j, i] = joint_mgf(model, knocked) / mgf
+    p_off = np.diag(off).copy()
+    return math.log(mgf), 1.0 - p_off, off - np.outer(p_off, p_off)
+
+
+def _cholesky(hess):
+    try:
+        return np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSaddleError("tilted covariance is not positive definite") from exc
 
 
 def legendre_transform(model: ModelSpec, counts, n: int):
     """sup_theta (theta . counts - n log M(theta)) with its maximizer.
 
-    The objective is concave; maximized by gradient ascent with backtracking
-    line search and finite-difference gradients. Counts at 0 or n are clamped
-    slightly into the interior, where the supremum is attained.
+    The objective is concave with Hessian -n Cov_theta; Newton's method takes
+    its exact tilted moments and halves a step until it raises the objective.
+    It stops on the Newton decrement, since the gradient has a rounding floor.
+    Counts at 0 or n are clamped slightly into the interior, where the
+    supremum is attained.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    K = len(counts)
     eps = 1e-6 * n
     counts = np.clip(counts, eps, n - eps)
-
-    def objective(theta):
-        return float(theta @ counts) - n * _log_mgf(model, theta)
-
-    theta = np.zeros(K)
-    value = objective(theta)
-    for it in range(_MAX_ASCENT_ITERS):
-        grad = counts - n * _grad_log_mgf(model, theta)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-10 * max(1.0, n):
-            break
-        step = 1.0 / n
-        improved = False
+    theta = np.zeros(len(counts))
+    for _ in range(100):
+        log_mgf, p_on, cov = _tilted_moments(model, theta)
+        value = float(theta @ counts) - n * log_mgf
+        grad = counts - n * p_on
+        step = cho_solve((_cholesky(n * cov), True), grad)
+        decrement = float(grad @ step)
+        if decrement <= 1e-12 * n:
+            return max(value, 0.0), theta
         for _ in range(60):
-            cand = theta + step * grad
-            cand_val = objective(cand)
-            if cand_val > value + 1e-4 * step * gnorm**2:
-                theta, value, improved = cand, cand_val, True
+            cand = theta + step
+            if float(cand @ counts) - n * math.log(joint_mgf(model, cand)) > value:
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-    else:
-        raise ConvergenceError(
-            f"Legendre ascent did not converge (|grad|={gnorm:.3g})", best=(value, theta)
-        )
-    return max(value, 0.0), theta
+        theta = cand
+    raise ConvergenceError(
+        f"Legendre Newton did not converge (decrement={decrement:.3g})", best=(value, theta))
 
 
 def saddlepoint_logprob(model: ModelSpec, counts, n: int) -> float:
@@ -263,13 +231,8 @@ def saddlepoint_logprob(model: ModelSpec, counts, n: int) -> float:
     Returns -(K/2) log(2 pi) - (1/2) log det(n Hess log M) - I at the
     optimizing tilt.
     """
-    counts = np.asarray(counts, dtype=np.float64)
     K = len(counts)
     value, theta = legendre_transform(model, counts, n)
-    hess = n * _hess_log_mgf(model, theta)
-    try:
-        chol = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSaddleError("Hessian at the saddlepoint is not PD") from exc
+    chol = _cholesky(n * _tilted_moments(model, theta)[2])
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * K * math.log(2 * math.pi) - 0.5 * log_det - value

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from onoffgraph import cli
+from onoffgraph.asymp import MomentCov
 from onoffgraph.harness import (
     CampaignSummary,
     ExperimentConfig,
@@ -204,6 +206,19 @@ class TestCli:
         assert res.returncode == 2
         body = json.loads(res.stdout)
         assert body["error"] == "InfiniteMeanError"
+
+    def test_unconverged_cov_exit_2(self, tmp_path, monkeypatch, capsys):
+        gg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        assert cli.main(["cov", "--config", gg, "--general"]) == 0
+        assert json.loads(capsys.readouterr().out)["moment_cov"]["converged"] is True
+        # the real unconverged case, Pareto(1,3)/Pareto(1,2.5), takes about a minute
+        partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
+                            converged=False, k_used=100_000)
+        monkeypatch.setattr(cli, "general_moment_cov", lambda model, n: partial)
+        assert cli.main(["cov", "--config", gg, "--general"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
 
     def test_simulate_then_estimate(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {

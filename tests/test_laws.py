@@ -17,7 +17,6 @@ from onoffgraph.laws import (
     invert_hurwitz_like,
     invert_zeta_like,
     law_from_config,
-    sample_duration,
     zeta_like,
 )
 
@@ -175,8 +174,8 @@ class TestInversion:
 
 class TestSampling:
     def test_examples(self):
-        assert sample_duration(Geometric(0.5), 0.9) == 1
-        assert sample_duration(Geometric(0.5), 0.3) == 2
+        assert Geometric(0.5).sample(0.9) == 1
+        assert Geometric(0.5).sample(0.3) == 2
 
     def test_bracketing_postcondition(self):
         # the contract: survival(i+1) < u <= survival(i)
@@ -264,6 +263,17 @@ class TestConfig:
         assert law_from_config({"kind": "geometric", "p": 0.3}) == Geometric(0.3)
         assert law_from_config({"kind": "weibull", "lambda": 1.0, "alpha": 0.5}) == Weibull(1.0, 0.5)
         assert law_from_config({"kind": "pareto", "C": 2.0, "alpha": 4.0}) == Pareto(2.0, 4.0)
+
+    def test_refuses_weibull_with_truncated_mean(self):
+        # the mean series stops at 2^22 terms; its tail bound there is 8.2e-4
+        # at alpha = 0.2 and 8.8e-15 at alpha = 0.25 (lambda = 1)
+        for alpha in [0.05, 0.2]:
+            with pytest.raises(ParameterError):
+                Weibull(1.0, alpha)
+            with pytest.raises(ParameterError):
+                law_from_config({"kind": "weibull", "lambda": 1.0, "alpha": alpha})
+        assert Weibull(1.0, 0.25).alpha == 0.25
+        assert law_from_config({"kind": "weibull", "lambda": 1.0, "alpha": 0.5}) == Weibull(1.0, 0.5)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):

@@ -66,6 +66,29 @@ def brute_subgraph_pair_moment(N, rho, u, kind):
     return math.fsum(terms)
 
 
+def hand_enumerated_moment(model, ell):
+    """E[A(k) A(k+ell)] for ell = 1..3 by enumerating one edge's on-patterns.
+
+    An edge on at 1 is on at 1+ell if its residual on-time covers the gap, or
+    if it switches off and on again in between (the scenarios listed per lag).
+    """
+    n, rho = model.n, model.rho
+    surv_f = model.on_law.survival(np.arange(1, 5))
+    fbar = surv_f / model.on_law.mean()
+    f1 = surv_f[0] - surv_f[1]
+    g_surv = model.off_law.survival(np.arange(1, 4))
+    g1 = g_surv[0] - g_surv[1]
+    g2 = g_surv[1] - g_surv[2]
+    if ell == 1:  # ++
+        on = 1 - fbar[0]
+    elif ell == 2:  # +++, +-+
+        on = (1 - fbar[0] - fbar[1]) + fbar[0] * g1
+    else:  # ++++, +--+, +-++, ++-+
+        on = ((1 - fbar[0] - fbar[1] - fbar[2]) + fbar[0] * g2
+              + fbar[0] * g1 * (1 - f1) + fbar[1] * g1)
+    return n * rho * on + (n * n - n) * rho * rho
+
+
 class TestEmpiricalMoments:
     def test_constant_trace(self):
         trace = CountTrace(kind="edges", values=np.full(50, 7), n=10)
@@ -104,7 +127,9 @@ class TestTheoreticalMoments:
                       ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=7)]:
             n, rho = model.n, model.rho
             route = n * prob_all_on(model, (1, 1 + ell)) + (n * n - n) * rho * rho
-            assert theoretical_moments(model, ell) == pytest.approx(route, abs=1e-10)
+            oracle = hand_enumerated_moment(model, ell)
+            assert theoretical_moments(model, ell) == pytest.approx(oracle, abs=1e-10)
+            assert route == pytest.approx(oracle, abs=1e-10)
 
     def test_higher_lags(self):
         # correlations decay like f^(l-1), so high lags approach (n rho)^2

@@ -14,6 +14,7 @@ from onoffgraph.renewal import (
     legendre_transform,
     prob_all_on,
     saddlepoint_logprob,
+    _tilted_moments,
 )
 from onoffgraph.simulate import ModelSpec, edge_indicator_matrix
 
@@ -45,6 +46,31 @@ def geometric_markov_joint(model, K):
                 prob *= q if cur else (1 - q)
         out[s] = prob
     return out
+
+
+def gg_count_chain(model, K, rng):
+    """A(1..K) for geometric laws, drawn from the exact count chain below."""
+    p, q = model.on_law.p, model.off_law.p
+    counts = [rng.binomial(model.n, model.rho)]
+    for _ in range(K - 1):
+        a = counts[-1]
+        counts.append(rng.binomial(a, 1 - p) + rng.binomial(model.n - a, q))
+    return np.array(counts, dtype=np.float64)
+
+
+def gg_count_chain_logprob(model, counts):
+    """Exact log P(A(1..K) = counts) for geometric laws, by binomial convolutions.
+
+    Each on edge stays on with probability 1 - p and each off edge turns on
+    with probability q, so A(k+1) given A(k) = a is Bin(a, 1-p) + Bin(n-a, q).
+    """
+    n, p, q = model.n, model.on_law.p, model.off_law.p
+    counts = [int(c) for c in counts]
+    logp = binom.logpmf(counts[0], n, model.rho)
+    for a, b in zip(counts, counts[1:]):
+        stay = np.arange(a + 1)
+        logp += math.log(np.sum(binom.pmf(stay, a, 1 - p) * binom.pmf(b - stay, n - a, q)))
+    return logp
 
 
 class TestJointMgf:
@@ -184,12 +210,22 @@ class TestLegendre:
         assert np.max(np.abs(theta)) <= 1e-4
 
     def test_k1_bernoulli_closed_form(self):
+        # counts at 0 or n are clamped to 1e-6 n inside the interval
         n, rho = 100, GG.rho
-        for n1 in [40.0, 60.0, 85.0]:
-            a = n1 / n
+        for n1 in [0.0, 1.0, 40.0, 60.0, 85.0, 100.0]:
+            a = min(max(n1 / n, 1e-6), 1 - 1e-6)
             expect = n * (a * math.log(a / rho) + (1 - a) * math.log((1 - a) / (1 - rho)))
             value, _ = legendre_transform(GG, [n1], n)
             assert value == pytest.approx(expect, abs=1e-6)
+
+    @pytest.mark.parametrize("model", [GG, PP], ids=["gg", "pp"])
+    def test_boundary_counts_converge(self, model):
+        n = 100
+        for counts in [[0], [1], [n], [0, 1, n], [n, n, 0], [1, 0, n, n, 0]]:
+            value, theta = legendre_transform(model, counts, n)
+            assert math.isfinite(value) and value > 0
+            assert np.all(np.isfinite(theta))
+            assert math.isfinite(saddlepoint_logprob(model, counts, n))
 
     def test_positive_away_from_mean(self):
         value, _ = legendre_transform(GG, [100 * GG.rho / 2], 100)
@@ -204,9 +240,29 @@ class TestSaddlepoint:
             exact = binom.logpmf(n1, n, rho)
             assert abs(approx - exact) <= 0.05
 
+    @pytest.mark.parametrize("K", [5, 10])
+    def test_geometric_count_chain(self, K):
+        rng = np.random.default_rng(K)
+        for _ in range(3):
+            counts = gg_count_chain(GG, K, rng)
+            approx = saddlepoint_logprob(GG, counts, GG.n)
+            assert abs(approx - gg_count_chain_logprob(GG, counts)) <= 0.1
+
     def test_hessian_is_tilted_variance(self):
-        # s(n) for K=1 equals n Var of the tilted Bernoulli, hence > 0
-        from onoffgraph.renewal import _hess_log_mgf, legendre_transform as lt
-        _, theta = lt(GG, [60.0], 100)
-        hess = 100 * _hess_log_mgf(GG, theta)
-        assert hess[0, 0] > 0
+        # the knockout moments are those of the tilted law p(x) exp(theta . x) / M
+        theta = np.array([0.4, -1.2, 0.7])
+        x = np.array([[(s >> j) & 1 for j in range(3)] for s in range(8)], dtype=np.float64)
+        for model in ALL_MODELS:
+            log_m, p_on, cov = _tilted_moments(model, theta)
+            weights = joint_distribution(model, [1, 2, 3]) * np.exp(x @ theta)
+            assert log_m == pytest.approx(math.log(weights.sum()), abs=1e-12)
+            weights /= weights.sum()
+            centred = x - weights @ x
+            assert np.max(np.abs(p_on - weights @ x)) <= 1e-12
+            assert np.max(np.abs(cov - centred.T @ (weights[:, None] * centred))) <= 1e-12
+        # s(n) for K=1 is n Var of the tilted Bernoulli with mean 60/100; Newton
+        # stops at a decrement of 1e-12 n, i.e. |100 p_on - 60| <= 1e-5 sqrt(24)
+        _, theta = legendre_transform(GG, [60.0], 100)
+        _, p_on, cov = _tilted_moments(GG, theta)
+        assert p_on[0] == pytest.approx(0.6, abs=1e-6)
+        assert cov[0, 0] == pytest.approx(0.24, abs=1e-6)
