@@ -10,7 +10,7 @@ on-probabilities. ``delta_method_cov`` propagates either result to the
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.optimize import brentq
 
 from .errors import InfiniteMeanError, OutOfRangeError, ParameterError
 
@@ -123,7 +124,7 @@ class Weibull(DurationLaw):
                 f"weibull needs lambda > 0 and alpha > 0, got ({self.lam}, {self.alpha})"
             )
         # the mean series must meet its tolerance within the terms it is allowed
-        if _weibull_integral(self.lam, self.alpha, _WEIBULL_TERMS - 1.0) > DEFAULT_SERIES_TOL:
+        if _weibull_truncated(self.lam, self.alpha):
             raise ParameterError(
                 f"weibull ({self.lam}, {self.alpha}) has a mean series that does not"
                 f" converge within {_WEIBULL_TERMS} terms")
@@ -204,20 +205,6 @@ class ResidualLaw:
         """P(residual >= k) = T(k) / mean."""
         return np.minimum(self.law.tail_sum(k) / self._mean, 1.0)
 
-    def mean(self):
-        # E[residual] = sum_k residual survival; rarely needed, summed directly
-        k = 1
-        total = 0.0
-        while True:
-            block = np.arange(k, k + 65536)
-            vals = self.survival(block)
-            total += vals.sum()
-            if vals[-1] < 1e-15:
-                return total
-            k += 65536
-            if k > 1 << 26:
-                raise InfiniteMeanError("residual mean did not converge")
-
     def sample(self, u):
         """Inverse-transform sample: the k with survival(k+1) < u <= survival(k).
 
@@ -256,43 +243,21 @@ class ResidualLaw:
 # ---------------------------------------------------------------------------
 
 
-def _power_series_sum(C, alpha, tol):
-    """sum_{i>=1} C^alpha / (C + i - 1)^alpha with certified truncation.
+def hurwitz_like(C, alpha):
+    """zeta(C, alpha) := sum_{i>=1} C^alpha / (C + i - 1)^alpha, alpha > 1.
 
-    The tail is replaced by the midpoint integral; the Euler-Maclaurin
-    remainder bounds the error.
+    This is C^alpha times scipy's Hurwitz zeta(alpha, C).
     """
-    if alpha <= 1.0:
-        raise OutOfRangeError(f"series diverges for alpha={alpha} <= 1")
-    scale = C**alpha
-    total = 0.0
-    m = 0
-    block = 4096
-    while True:
-        i = np.arange(m + 1, m + block + 1, dtype=np.float64)
-        total += float(np.sum((C + i - 1.0) ** (-alpha)))
-        m += block
-        x = C + m - 0.5
-        tail = x ** (1.0 - alpha) / (alpha - 1.0)
-        err = scale * alpha * x ** (-alpha - 1.0) / 12.0
-        if err <= tol:
-            return scale * (total + tail)
-        if m >= 1 << 26:
-            # alpha extremely close to 1; accept the best certified value
-            return scale * (total + tail)
-        block = min(block * 2, 1 << 22)
-
-
-def zeta_like(alpha, tol=DEFAULT_SERIES_TOL):
-    """Riemann zeta as the series sum_{i>=1} i^-alpha, alpha > 1."""
-    return _power_series_sum(1.0, alpha, tol)
-
-
-def hurwitz_like(C, alpha, tol=DEFAULT_SERIES_TOL):
-    """zeta(C, alpha) := sum_{i>=1} C^alpha / (C + i - 1)^alpha, alpha > 1."""
     if C <= 0.0:
         raise ParameterError(f"C must be positive, got {C}")
-    return _power_series_sum(C, alpha, tol)
+    if alpha <= 1.0:
+        raise OutOfRangeError(f"series diverges for alpha={alpha} <= 1")
+    return C**alpha * special.zeta(alpha, C)
+
+
+def zeta_like(alpha):
+    """Riemann zeta as the series sum_{i>=1} i^-alpha, alpha > 1."""
+    return hurwitz_like(1.0, alpha)
 
 
 def _weibull_integral(lam, alpha, a):
@@ -301,10 +266,21 @@ def _weibull_integral(lam, alpha, a):
             * special.gammaincc(1.0 / alpha, lam * np.asarray(a, dtype=np.float64) ** alpha))
 
 
-def weibull_survival_sum(lam, alpha, tol=DEFAULT_SERIES_TOL):
-    """sum_{i>=1} exp(-lam * (i-1)^alpha); equals chi(alpha) when lam = 1."""
+def _weibull_truncated(lam, alpha):
+    """Whether the mean series misses DEFAULT_SERIES_TOL after _WEIBULL_TERMS terms."""
+    return _weibull_integral(lam, alpha, _WEIBULL_TERMS - 1.0) > DEFAULT_SERIES_TOL
+
+
+def weibull_survival_sum(lam, alpha):
+    """sum_{i>=1} exp(-lam * (i-1)^alpha); equals chi(alpha) when lam = 1.
+
+    Refused when the sum does not meet DEFAULT_SERIES_TOL within _WEIBULL_TERMS terms.
+    """
     if lam <= 0.0 or alpha <= 0.0:
         raise OutOfRangeError(f"series needs lam > 0, alpha > 0, got ({lam}, {alpha})")
+    if _weibull_truncated(lam, alpha):
+        raise OutOfRangeError(
+            f"series for ({lam}, {alpha}) does not converge within {_WEIBULL_TERMS} terms")
     total = 0.0
     m = 0
     block = 256
@@ -313,73 +289,84 @@ def weibull_survival_sum(lam, alpha, tol=DEFAULT_SERIES_TOL):
             i = np.arange(m, m + block, dtype=np.float64)  # i = (index - 1)
             total += float(np.sum(np.exp(-lam * i**alpha)))
             m += block
-            # tail sum_{y>=m} exp(-lam y^alpha) <= integral_{m-1}^inf
-            if _weibull_integral(lam, alpha, m - 1.0) <= tol:
-                return total
-            if m >= 1 << 22:
-                # alpha so small that the sum is astronomically large; the
-                # partial sum is already far beyond any inversion target
+            # tail sum_{y>=m} exp(-lam y^alpha) <= integral_{m-1}^inf, which the
+            # check above bounds by DEFAULT_SERIES_TOL once m >= _WEIBULL_TERMS
+            if m >= _WEIBULL_TERMS or _weibull_integral(lam, alpha, m - 1.0) <= DEFAULT_SERIES_TOL:
                 return total
             block = min(block * 2, 1 << 20)
 
 
-def chi_like(alpha, tol=DEFAULT_SERIES_TOL):
+def chi_like(alpha):
     """chi(alpha) := sum_{i>=1} exp(-(i-1)^alpha), alpha > 0."""
-    return weibull_survival_sum(1.0, alpha, tol)
+    return weibull_survival_sum(1.0, alpha)
 
 
-def _invert_decreasing(fn, target, lo, hi, limit, tol, name):
-    """Invert a strictly decreasing function with range (limit, inf)."""
+# _invert_decreasing grows its bracket out of `start`: the upper end doubles up
+# to _MAX_DOUBLINGS times; the lower end halves its distance to `floor` up to
+# _MAX_HALVINGS times and then drops to the floor. The halvings are few because
+# chi near its floor sums up to 2^22 terms (~0.1 s) per evaluation.
+_MAX_DOUBLINGS = 30
+_MAX_HALVINGS = 8
+
+
+def _invert_decreasing(fn, target, floor, start, limit, name):
+    """The a >= floor with fn(a) = target, for fn strictly decreasing toward limit.
+
+    Targets outside (limit, fn(floor)] are refused. The bracket grows out of
+    start, and brentq finds the root in it to DEFAULT_INVERT_TOL.
+    """
     if not np.isfinite(target) or target <= limit:
         raise OutOfRangeError(
             f"target {target} is outside the range of {name} (must exceed {limit})"
         )
-    # expand the bracket until fn(lo) >= target >= fn(hi)
-    for _ in range(200):
-        if fn(hi) <= target:
+    lo = hi = start
+    for _ in range(_MAX_DOUBLINGS):
+        if fn(hi) <= target:  # also false for nan
             break
-        hi *= 2.0
-    for _ in range(200):
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise OutOfRangeError(f"could not bracket target {target} for {name}")
+    for _ in range(_MAX_HALVINGS):
         if fn(lo) >= target:
             break
-        lo = limit + (lo - limit) / 2.0 if limit > 0 else lo / 2.0
-    flo, fhi = fn(lo), fn(hi)
-    if not (flo >= target >= fhi):
-        raise OutOfRangeError(f"could not bracket target {target} for {name}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if abs(fm - target) <= tol or hi - lo < 1e-14 * max(1.0, mid):
-            return mid
-        if fm > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = floor + (lo - floor) / 2.0, lo
+    else:
+        lo, top = floor, fn(floor)
+        if top < target:
+            raise OutOfRangeError(
+                f"target {target} is outside the range of {name} (at most {top})")
+    return brentq(lambda a: fn(a) - target, lo, hi, xtol=DEFAULT_INVERT_TOL)
 
 
-def invert_zeta_like(target, tol=DEFAULT_INVERT_TOL):
+# The smallest argument of each inversion: Pareto laws need alpha > 1, and chi
+# is a full series sum only where Weibull(1, alpha) is accepted.
+_PARETO_FLOOR = math.nextafter(1.0, 2.0)
+_CHI_FLOOR = _invert_decreasing(
+    lambda a: _weibull_integral(1.0, a, _WEIBULL_TERMS - 1.0), DEFAULT_SERIES_TOL,
+    0.1, 1.0, 0.0, "the weibull tail bound") + 2.0 * DEFAULT_INVERT_TOL
+
+
+def invert_zeta_like(target):
     """alpha with zeta(alpha) = target; requires target > 1."""
-    return _invert_decreasing(
-        lambda a: zeta_like(a), target, 1.0 + 1e-6, 64.0, 1.0, tol, "zeta"
-    )
+    return invert_hurwitz_like(1.0, target)
 
 
-def invert_hurwitz_like(C, target, tol=DEFAULT_INVERT_TOL):
+def invert_hurwitz_like(C, target):
     """alpha with zeta(C, alpha) = target; requires target > 1."""
     return _invert_decreasing(
-        lambda a: hurwitz_like(C, a), target, 1.0 + 1e-6, 64.0, 1.0, tol, "hurwitz"
+        lambda a: hurwitz_like(C, a), target, _PARETO_FLOOR, 2.0, 1.0, "hurwitz"
     )
 
 
-def invert_chi_like(target, tol=DEFAULT_INVERT_TOL):
-    """alpha with chi(alpha) = target; requires target > 1 + exp(-1).
+def invert_chi_like(target):
+    """alpha with chi(alpha) = target; requires 1 + exp(-1) < target <= chi(_CHI_FLOOR).
 
     chi(alpha) -> 1 + e^-1 as alpha -> inf because the i = 2 term never
-    decays, so targets at or below that level are unreachable.
+    decays, so targets at or below that level are unreachable; targets above
+    chi at the smallest alpha a Weibull(1, alpha) law accepts are refused.
     """
     return _invert_decreasing(
-        lambda a: chi_like(a), target, 1e-6, 64.0, 1.0 + math.exp(-1.0), tol, "chi"
+        chi_like, target, _CHI_FLOOR, 1.0, 1.0 + math.exp(-1.0), "chi"
     )
 
 

@@ -23,6 +23,8 @@ from .laws import (
     Geometric,
     Pareto,
     Weibull,
+    _PARETO_FLOOR,
+    _invert_decreasing,
     hurwitz_like,
     invert_chi_like,
     invert_zeta_like,
@@ -201,16 +203,8 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         t = T2 ** (1.0 / alpha)
         return t / (1.0 - t)
 
-    def resid(alpha):
-        return hurwitz_like(c_of(alpha), alpha) - T1
-
-    lo = 1.0 + 1e-9
-    hi = 2.0
-    while resid(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise IncompatibleMomentsError("no admissible tail index matches the moments")
-    alpha = brentq(resid, lo, hi, xtol=DEFAULT_INVERT_TOL)
+    alpha = _invert_decreasing(lambda a: hurwitz_like(c_of(a), a), T1, _PARETO_FLOOR, 2.0,
+                               1.0 / (1.0 - T2), "the pareto/geometric mean sum")
     C = c_of(alpha)
     flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
     report = EstimateReport(

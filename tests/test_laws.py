@@ -7,6 +7,7 @@ from scipy.special import zeta as scipy_zeta
 
 from onoffgraph.errors import InfiniteMeanError, OutOfRangeError, ParameterError
 from onoffgraph.laws import (
+    _CHI_FLOOR,
     RESIDUAL_CAP,
     Geometric,
     Pareto,
@@ -125,17 +126,44 @@ class TestResidual:
             assert s == pytest.approx(1.0 - head[j], abs=1e-13)
 
 
+def euler_maclaurin_hurwitz(C, alpha):
+    """sum_{i>=1} C^alpha / (C + i - 1)^alpha, an oracle independent of scipy.
+
+    Partial sums plus the midpoint integral of the tail, stopped once the
+    Euler-Maclaurin remainder bound falls below 1e-12.
+    """
+    scale = C**alpha
+    total = 0.0
+    m = 0
+    block = 4096
+    while True:
+        i = np.arange(m + 1, m + block + 1, dtype=np.float64)
+        total += float(np.sum((C + i - 1.0) ** (-alpha)))
+        m += block
+        x = C + m - 0.5
+        if scale * alpha * x ** (-alpha - 1.0) / 12.0 <= 1e-12:
+            return scale * (total + x ** (1.0 - alpha) / (alpha - 1.0))
+        block = min(block * 2, 1 << 22)
+
+
+SERIES_ALPHAS = [1.01, 1.05, 1.5, 2.5, 4.0, 8.0]
+
+
 class TestSeries:
     def test_zeta(self):
         assert zeta_like(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-11)
-        for a in [1.5, 2.5, 3.0, 4.0, 8.0]:
-            assert zeta_like(a) == pytest.approx(float(scipy_zeta(a)), abs=1e-11)
+        for a in SERIES_ALPHAS:
+            assert zeta_like(a) == pytest.approx(euler_maclaurin_hurwitz(1.0, a),
+                                                 abs=1e-11, rel=1e-12)
 
     def test_chi(self):
         assert chi_like(1.0) == pytest.approx(1 / (1 - math.exp(-1)), abs=1e-11)
 
     def test_hurwitz(self):
-        assert hurwitz_like(1.0, 3.0) == pytest.approx(float(scipy_zeta(3.0)), abs=1e-11)
+        for C in [0.5, 1.0, 2.0, 5.0]:
+            for a in SERIES_ALPHAS:
+                assert hurwitz_like(C, a) == pytest.approx(euler_maclaurin_hurwitz(C, a),
+                                                           abs=1e-11, rel=1e-12)
         # brute force with generous tail for C != 1
         i = np.arange(1, 2_000_000, dtype=np.float64)
         brute = float(np.sum((2.0 / (2.0 + i - 1.0)) ** 4))
@@ -146,6 +174,8 @@ class TestSeries:
             zeta_like(1.0)
         with pytest.raises(OutOfRangeError):
             hurwitz_like(2.0, 0.9)
+        with pytest.raises(OutOfRangeError):
+            chi_like(0.2)  # the sum would stop short of its tolerance
 
 
 class TestInversion:
@@ -160,6 +190,8 @@ class TestInversion:
             invert_zeta_like(1.0)
         with pytest.raises(OutOfRangeError):
             invert_chi_like(1.0 + math.exp(-1))  # infimum of the chi range
+        with pytest.raises(OutOfRangeError):
+            invert_chi_like(1e3)  # above chi at the smallest alpha Weibull accepts
 
     def test_round_trip_grid(self):
         for t in [1.05, 1.2, 1.5, 2.0, 5.0, 20.0]:
@@ -170,6 +202,16 @@ class TestInversion:
             for t in [1.1, 1.5, 3.0]:
                 a = invert_hurwitz_like(C, t)
                 assert hurwitz_like(C, a) == pytest.approx(t, abs=1e-9)
+
+    def test_chi_floor(self):
+        # the top of the chi range is its value at the smallest alpha Weibull accepts
+        Weibull(1.0, _CHI_FLOOR)
+        with pytest.raises(ParameterError):
+            Weibull(1.0, _CHI_FLOOR - 1e-9)
+        top = chi_like(_CHI_FLOOR)
+        a = invert_chi_like(top)
+        assert a == pytest.approx(_CHI_FLOOR, abs=1e-9)
+        assert Weibull(1.0, a).mean() == pytest.approx(top, abs=1e-9)
 
 
 class TestSampling:
