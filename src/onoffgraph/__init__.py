@@ -15,7 +15,6 @@ from .asymp import (
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
-    mixed_moment,
 )
 from .errors import (
     ConvergenceError,
@@ -60,12 +59,10 @@ from .moments import (
     wedge_moments,
 )
 from .renewal import (
-    AutocovTable,
     autocovariance,
     joint_distribution,
     joint_mgf,
     legendre_transform,
-    prob_all_on,
     saddlepoint_logprob,
 )
 from .simulate import (
@@ -75,7 +72,6 @@ from .simulate import (
     save_trace,
     simulate_edge_trace,
     simulate_trace,
-    stationary_init,
 )
 
 __version__ = "1.0.0"

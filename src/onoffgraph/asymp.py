@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .laws import Geometric, Pareto, Weibull
-from .renewal import _law_arrays, _residual_arrays, autocovariance, prob_all_on
+from .renewal import _law_arrays, _residual_arrays, autocovariance, joint_distribution
 from .simulate import ModelSpec
 
 
@@ -31,12 +31,9 @@ class MomentCov:
     converged: bool = True
     k_used: int = 0
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.v0, self.c01], [self.c01, self.v1]])
-
     def to_json(self) -> dict:
         return {"v0": self.v0, "v1": self.v1, "c01": self.c01, "method": self.method,
-                "converged": self.converged}
+                "converged": self.converged, "k_used": self.k_used}
 
 
 @dataclass
@@ -48,9 +45,6 @@ class ParamCov:
     rho_cov: float
     gamma: tuple[float, float] = (0.0, 0.0)
     delta: tuple[float, float] = (0.0, 0.0)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.sigma2, self.rho_cov], [self.rho_cov, self.tau2]])
 
     def sd(self, K: int) -> tuple[float, float]:
         """Predicted standard deviations of (p_hat, q_hat) at trace length K."""
@@ -173,7 +167,7 @@ def mixed_moment(model: ModelSpec, n: int, epochs, _omega_cache=None) -> float:
     def omega(block):
         key = tuple(sorted(set(epochs[i] for i in block)))
         if key not in cache:
-            cache[key] = prob_all_on(model, key)
+            cache[key] = float(joint_distribution(model, key)[-1])
         return cache[key]
 
     total = 0.0

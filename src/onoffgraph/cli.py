@@ -15,16 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymp import (
-    delta_method_cov,
-    finiteness_check,
-    general_moment_cov,
-    geometric_moment_cov,
-)
+from .asymp import finiteness_check, general_moment_cov
 from .errors import COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError
 from .harness import ExperimentConfig, emit_outputs, run_campaign
-from .laws import Geometric
-from .moments import fit, infer_family
+from .moments import family_entry, fit, infer_family
 from .renewal import joint_distribution, joint_mgf
 from .simulate import ModelSpec, load_trace, save_trace, simulate_trace
 
@@ -153,19 +147,22 @@ def _dispatch(args, cfg, model) -> int:
         ok, why = finiteness_check(model)
         if not ok:
             raise InfiniteMeanError(f"limiting covariances are infinite: {why}")
-        geometric = (isinstance(model.on_law, Geometric)
-                     and isinstance(model.off_law, Geometric))
-        if geometric and not args.general:
-            mc = geometric_moment_cov(model.n, model.on_law.p, model.off_law.p)
+        try:
+            entry = family_entry(infer_family(model))
+        except ValueError:  # no estimator family for these laws
+            entry = None
+        closed = entry is not None and entry.moment_cov is not None
+        params = entry.params_of(model) if closed else ()
+        if closed and not args.general:
+            mc = entry.moment_cov(model.n, *params)
         else:
             mc = general_moment_cov(model, model.n)
             if not mc.converged:
                 raise ConvergenceError(
                     f"covariance series did not converge within k={mc.k_used}")
         out = {"moment_cov": mc.to_json()}
-        if geometric:
-            pc = delta_method_cov(model.n, model.on_law.p, model.off_law.p, mc)
-            out["param_cov"] = pc.to_json()
+        if closed:
+            out["param_cov"] = entry.param_cov(model.n, *params, mc).to_json()
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import norm
 
-from .asymp import delta_method_cov, geometric_moment_cov
-from .errors import COMPUTE_ERRORS
+from .errors import COMPUTE_ERRORS, ParameterError
 from .moments import family_entry, fit, infer_family
 from .simulate import ModelSpec, simulate_trace
 
@@ -171,15 +170,18 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
 
 
 def _predicted_sds(cfg, means):
-    """Delta-method sd prediction, available for geometric edge campaigns."""
-    if cfg.kind != "edges" or cfg.family != "geometric_geometric":
+    """Delta-method sd prediction, for edge campaigns of a family with a closed form."""
+    entry = family_entry(cfg.family)
+    vals = [means.get(name) for name in entry.params]
+    if cfg.kind != "edges" or entry.moment_cov is None or None in vals:
         return {}
-    p, q = means.get("p"), means.get("q")
-    if p is None or q is None or not (0 < p < 1 and 0 < q < 1):
+    n = cfg.model.n
+    try:
+        mc = entry.moment_cov(n, *vals)
+    except ParameterError:  # the mean estimates lie outside the family's domain
         return {}
-    pc = delta_method_cov(cfg.model.n, p, q, geometric_moment_cov(cfg.model.n, p, q))
-    sd_p, sd_q = pc.sd(cfg.K)
-    return {"p": float(sd_p), "q": float(sd_q)}
+    sds = entry.param_cov(n, *vals, mc).sd(cfg.K)
+    return {name: float(sd) for name, sd in zip(entry.params, sds)}
 
 
 def _histogram(vals, min_bins=10):

@@ -167,6 +167,7 @@ class Pareto(DurationLaw):
             raise ParameterError(
                 f"pareto needs C > 0 and alpha > 0, got ({self.C}, {self.alpha})"
             )
+        _pareto_scale(self.C, self.alpha)  # so mean() and tail_sum() stay in float range
 
     def survival(self, i):
         return (self.C / (self.C + _as_index(i) - 1.0)) ** self.alpha
@@ -243,16 +244,26 @@ class ResidualLaw:
 # ---------------------------------------------------------------------------
 
 
+def _pareto_scale(C, alpha):
+    """C^alpha, refused with ParameterError where it leaves float range."""
+    try:
+        return C**alpha
+    except OverflowError:
+        raise ParameterError(
+            f"pareto scale C^alpha overflows for C={C}, alpha={alpha}") from None
+
+
 def hurwitz_like(C, alpha):
     """zeta(C, alpha) := sum_{i>=1} C^alpha / (C + i - 1)^alpha, alpha > 1.
 
-    This is C^alpha times scipy's Hurwitz zeta(alpha, C).
+    This is C^alpha times scipy's Hurwitz zeta(alpha, C), refused where
+    C^alpha leaves float range.
     """
     if C <= 0.0:
         raise ParameterError(f"C must be positive, got {C}")
     if alpha <= 1.0:
         raise OutOfRangeError(f"series diverges for alpha={alpha} <= 1")
-    return C**alpha * special.zeta(alpha, C)
+    return _pareto_scale(C, alpha) * special.zeta(alpha, C)
 
 
 def zeta_like(alpha):

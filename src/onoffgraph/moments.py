@@ -12,11 +12,13 @@ the family-specific parameters come from inverting the matching series sums.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .asymp import delta_method_cov, geometric_moment_cov
 from .errors import IncompatibleMomentsError, ParameterError
 from .laws import (
     DEFAULT_INVERT_TOL,
@@ -344,19 +346,30 @@ class EstimatorFamily:
     kinds: tuple  # (on, off) law kinds, as in law configs
     lags: int  # the fit reads mu_hat(0), ..., mu_hat(lags - 1)
     estimators: dict  # observable (edges, triangles, wedges) -> fit from its moments
+    attrs: tuple  # (law, attribute) of a ModelSpec that holds each parameter
+    moment_cov: Callable | None = None  # closed-form MomentCov from (n, *params)
+    param_cov: Callable | None = None  # delta-method ParamCov from (n, *params, MomentCov)
+
+    def params_of(self, model: ModelSpec) -> tuple:
+        """The model's values of the family's parameters, in registry order."""
+        return tuple(getattr(getattr(model, law), attr) for law, attr in self.attrs)
 
 
 FAMILIES = {
     "geometric_geometric": EstimatorFamily(
         ("p", "q"), ("geometric", "geometric"), 2,
         {"edges": estimate_gg, "triangles": estimate_from_subgraph,
-         "wedges": estimate_from_subgraph}),
+         "wedges": estimate_from_subgraph},
+        (("on_law", "p"), ("off_law", "p")), geometric_moment_cov, delta_method_cov),
     "pareto_pareto": EstimatorFamily(
-        ("alpha", "beta"), ("pareto", "pareto"), 2, {"edges": estimate_parpar}),
+        ("alpha", "beta"), ("pareto", "pareto"), 2, {"edges": estimate_parpar},
+        (("on_law", "alpha"), ("off_law", "alpha"))),
     "weibull_geometric": EstimatorFamily(
-        ("alpha", "q"), ("weibull", "geometric"), 2, {"edges": estimate_weibull_geo}),
+        ("alpha", "q"), ("weibull", "geometric"), 2, {"edges": estimate_weibull_geo},
+        (("on_law", "alpha"), ("off_law", "p"))),
     "pareto_geometric": EstimatorFamily(
-        ("C", "alpha", "q"), ("pareto", "geometric"), 3, {"edges": estimate_pareto_geo}),
+        ("C", "alpha", "q"), ("pareto", "geometric"), 3, {"edges": estimate_pareto_geo},
+        (("on_law", "C"), ("on_law", "alpha"), ("off_law", "p"))),
 }
 
 

@@ -1,9 +1,11 @@
 """Exact per-edge analytics for the stationary on/off process.
 
 Covers the joint moment generating function of the on-indicators over a
-finite horizon, extraction of joint point probabilities from it, the
-stationary autocovariance recursions, and the saddlepoint approximation to
-the log-probability of an observed count vector.
+finite horizon, the stationary autocovariance recursions, and the
+saddlepoint approximation to the log-probability of an observed count
+vector. The joint MGF takes a batch of tilts in one backward recursion;
+the joint point probabilities and the saddlepoint's tilted moments each
+come from one batched call.
 """
 
 from __future__ import annotations
@@ -35,48 +37,41 @@ def _residual_arrays(law, kmax):
     return fbar, np.maximum(res_surv, 0.0)
 
 
-def joint_mgf(model: ModelSpec, theta) -> float:
+def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
     """E exp(sum_k theta_k 1(k)) for one stationary edge over times 1..K.
 
-    Entries of theta may be -inf, which forces the edge off at that epoch;
-    such entries are realized as exact zero multipliers. The finite system
-    for the just-turned-on / just-turned-off expectations v_k, w_k is upper
-    triangular and solved by backward recursion; infinite pmf tails enter
-    through survival functions in closed form.
+    theta is one tilt of length K (the result is a float) or a (B, K) batch
+    of tilts (the result is a length-B array). Entries may be -inf, which
+    forces the edge off at that epoch; exp(-inf) is an exact zero multiplier.
+    The finite system for the just-turned-on / just-turned-off expectations
+    v_k, w_k is upper triangular and solved by backward recursion over k,
+    with the batch as an array axis; infinite pmf tails enter through
+    survival functions in closed form.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    K = len(theta)
-    if K < 1:
-        raise ValueError("theta must have at least one entry")
-    e = np.where(np.isneginf(theta), 0.0, np.exp(theta))
+    if theta.ndim not in (1, 2) or theta.shape[-1] < 1:
+        raise ValueError("theta must be a tilt vector or a batch of them, of length >= 1")
+    e = np.exp(np.atleast_2d(theta))
+    B, K = e.shape
     f, surv_f = _law_arrays(model.on_law, K)
     g, surv_g = _law_arrays(model.off_law, K)
     fbar, res_surv_f = _residual_arrays(model.on_law, K)
     gbar, res_surv_g = _residual_arrays(model.off_law, K)
 
-    v = np.zeros(K + 1)
-    w = np.zeros(K + 1)
+    # v[:, k], w[:, k]: the tilted expectation over epochs k..K given that an
+    # on- (off-) period starts at k; column 0 is unused
+    v = np.zeros((B, K + 1))
+    w = np.zeros((B, K + 1))
     for k in range(K, 0, -1):
-        acc_v = 0.0
-        acc_w = 0.0
-        prod = 1.0
-        for ell in range(1, K - k + 1):
-            prod *= e[k + ell - 2]
-            acc_v += f[ell - 1] * prod * w[k + ell]
-            acc_w += g[ell - 1] * v[k + ell]
-        prod *= e[K - 1]
-        v[k] = acc_v + surv_f[K - k] * prod  # P(X >= K-k+1) tail
-        w[k] = acc_w + surv_g[K - k]
-    m_plus = 0.0
-    prod = 1.0
-    for ell in range(1, K):
-        prod *= e[ell - 1]
-        m_plus += fbar[ell - 1] * prod * w[1 + ell]
-    prod *= e[K - 1]
-    m_plus += res_surv_f[K - 1] * prod
-    m_minus = sum(gbar[ell - 1] * v[1 + ell] for ell in range(1, K)) + res_surv_g[K - 1]
-    rho = model.rho
-    return rho * m_plus + (1.0 - rho) * m_minus
+        d = K - k
+        run = np.cumprod(e[:, k - 1:], axis=1)  # run[:, l-1]: product over epochs k..k+l-1
+        v[:, k] = (run[:, :d] * w[:, k + 1:]) @ f[:d] + surv_f[d] * run[:, d]
+        w[:, k] = v[:, k + 1:] @ g[:d] + surv_g[d]
+    # the stationary start: the same sums at k = 1 over the residual laws
+    m_plus = (run[:, :K - 1] * w[:, 2:]) @ fbar[:K - 1] + res_surv_f[K - 1] * run[:, K - 1]
+    m_minus = v[:, 2:] @ gbar[:K - 1] + res_surv_g[K - 1]
+    mgf = model.rho * m_plus + (1.0 - model.rho) * m_minus
+    return float(mgf[0]) if theta.ndim == 1 else mgf
 
 
 def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
@@ -93,27 +88,18 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
         raise ValueError(f"need 1..{_JOINT_EPOCH_CAP} epochs, got {m}")
     if sorted(set(epochs)) != epochs or min(epochs) < 1:
         raise ValueError("epochs must be sorted, distinct, positive integers")
-    K = max(epochs)
-    q = np.empty(1 << m)
-    for s in range(1 << m):
-        theta = np.zeros(K)
-        for j in range(m):
-            if s & (1 << j):
-                theta[epochs[j] - 1] = -np.inf
-        # Q[t] = sum_{x subset t} p[x] equals the MGF with off forced on ~t
-        q[(~s) & ((1 << m) - 1)] = joint_mgf(model, theta)
-    for j in range(m):
-        bit = 1 << j
-        for t in range(1 << m):
-            if t & bit:
-                q[t] -= q[t ^ bit]
+    # Q[t] = sum_{x subset t} p[x] = P(off at every epoch outside t) is the
+    # MGF with -inf at the epochs whose bit is clear in t
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    theta = np.zeros((1 << m, epochs[-1]))
+    theta[:, np.array(epochs) - 1] = np.where(bits, 0.0, -np.inf)
+    # axis j of the (2,)*m reshape is bit m-1-j; differencing along every axis
+    # inverts the subset sums
+    q = joint_mgf(model, theta).reshape((2,) * m)
+    for axis in range(m):
+        q = np.diff(q, axis=axis, prepend=0.0)
+    q = q.ravel()
     return np.where(q < 0.0, np.where(q > -1e-12, 0.0, q), q)
-
-
-def prob_all_on(model: ModelSpec, epochs) -> float:
-    """P(one stationary edge is on at every epoch in the set)."""
-    epochs = sorted(set(int(t) for t in epochs))
-    return float(joint_distribution(model, epochs)[-1]) if epochs else 1.0
 
 
 @dataclass
@@ -130,15 +116,6 @@ class AutocovTable:
     r: np.ndarray
     s: np.ndarray
     r_res: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return len(self.r)
-
-    def covariance(self, k) -> np.ndarray:
-        """Cov(1(1), 1(k)) = rho (r_res_k - rho) for the stationary process."""
-        k = np.asarray(k)
-        return self.rho * (self.r_res[k - 1] - self.rho)
 
 
 def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
@@ -174,15 +151,15 @@ def _tilted_moments(model, theta):
     covariance of the indicators, is M_ij / M - (M_i / M)(M_j / M).
     """
     K = len(theta)
-    mgf = joint_mgf(model, theta)
+    i, j = np.triu_indices(K)
+    batch = np.tile(theta, (len(i) + 1, 1))  # row 0 is theta; row r knocks out i[r-1], j[r-1]
+    rows = np.arange(1, len(i) + 1)
+    batch[rows, i] = batch[rows, j] = -np.inf
+    mgf = joint_mgf(model, batch)
     off = np.empty((K, K))
-    for i in range(K):
-        for j in range(i, K):
-            knocked = theta.copy()
-            knocked[[i, j]] = -np.inf
-            off[i, j] = off[j, i] = joint_mgf(model, knocked) / mgf
+    off[i, j] = off[j, i] = mgf[1:] / mgf[0]
     p_off = np.diag(off).copy()
-    return math.log(mgf), 1.0 - p_off, off - np.outer(p_off, p_off)
+    return math.log(mgf[0]), 1.0 - p_off, off - np.outer(p_off, p_off)
 
 
 def _cholesky(hess):

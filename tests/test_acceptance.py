@@ -95,21 +95,32 @@ def test_criterion_03_weibull_geo_and_pareto_geo_recovery():
 
 
 def test_criterion_04_covariance_monte_carlo_calibration():
-    K, R = 100_000, 200
+    # v0, v1 and c01 are gated on non-overlapping batch means of length b over
+    # the R traces, 99 per trace for both statistics so that each pair of
+    # batch means covers the same epochs; across R traces alone the relative
+    # SE of a variance is sqrt(2 / (R - 1)) = 0.10, the size of the v0 bound
+    K, R, b, nb = 100_000, 200, 1_000, 99
     rng = np.random.default_rng(3)
     mu0 = np.empty(R)
     mu1 = np.empty(R)
+    bm0 = np.empty((R, nb))
+    bm1 = np.empty((R, nb))
     for r in range(R):
         v = simulate_edge_trace(GG, K, rng).values.astype(np.float64)
+        lag1 = v[:-1] * v[1:]
         mu0[r] = v.mean()
-        mu1[r] = (v[:-1] * v[1:]).mean()
+        mu1[r] = lag1.mean()
+        bm0[r] = v[: nb * b].reshape(nb, b).mean(axis=1)
+        bm1[r] = lag1[: nb * b].reshape(nb, b).mean(axis=1)
     mc = geometric_moment_cov(100, 0.3, 0.8)
-    v0_mc = K * mu0.var(ddof=1)
-    v1_mc = K * mu1.var(ddof=1)
-    c01_mc = K * np.cov(mu0, mu1, ddof=1)[0, 1]
-    e0 = abs(v0_mc - mc.v0) / mc.v0
-    e1 = abs(v1_mc - mc.v1) / mc.v1
-    ec = abs(c01_mc - mc.c01) / abs(mc.c01)
+
+    def rel_errors(s0, s1, scale):
+        cov = scale * np.cov(s0, s1, ddof=1)
+        return (abs(cov[0, 0] - mc.v0) / mc.v0, abs(cov[1, 1] - mc.v1) / mc.v1,
+                abs(cov[0, 1] - mc.c01) / abs(mc.c01))
+
+    e0, e1, ec = rel_errors(bm0.ravel(), bm1.ravel(), b)
+    r0, r1, rc = rel_errors(mu0, mu1, K)
 
     grid_ok = True
     for p in [0.1, 0.3, 0.5, 0.7, 0.9]:
@@ -120,8 +131,9 @@ def test_criterion_04_covariance_monte_carlo_calibration():
 
     ok = e0 <= 0.10 and e1 <= 0.15 and ec <= 0.15 and grid_ok
     _report(4, ok,
-            f"MC rel errors v0={e0:.3f} (<=0.10), v1={e1:.3f} (<=0.15), "
-            f"c01={ec:.3f} (<=0.15); 5x5 grid identity to 1e-12: {grid_ok}")
+            f"batch-means rel errors ({R * nb} batches of {b}) v0={e0:.3f} (<=0.10), "
+            f"v1={e1:.3f} (<=0.15), c01={ec:.3f} (<=0.15); across {R} replications "
+            f"v0={r0:.3f}, v1={r1:.3f}, c01={rc:.3f}; 5x5 grid identity to 1e-12: {grid_ok}")
 
 
 def test_criterion_05_cross_implementation_oracle():

@@ -172,7 +172,8 @@ class TestGeneralSeries:
         model = ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n)
         dist = count_vector_distribution(
             geometric_pattern_probs(p, q, model.rho, 4), n, 4)
-        for epochs in [(1, 2), (1, 1, 2), (1, 2, 3, 4), (1, 1, 2, 2), (1, 3, 3, 4)]:
+        for epochs in [(1, 2), (1, 1, 2), (1, 2, 3, 4), (1, 1, 2, 2), (1, 3, 3, 4),
+                       (2, 2, 3)]:
             assert mixed_moment(model, n, epochs) == pytest.approx(
                 exact_mixed(dist, epochs), abs=1e-11)
 
@@ -181,7 +182,7 @@ class TestGeneralSeries:
         model = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=n)
         probs = joint_distribution(model, [1, 2, 3, 4])
         dist = count_vector_distribution(probs, n, 4)
-        for epochs in [(1, 2), (1, 2, 3, 4), (1, 2, 2, 3), (1, 1, 2)]:
+        for epochs in [(1, 2), (1, 2, 3, 4), (1, 2, 2, 3), (1, 1, 2), (2, 2, 3)]:
             assert mixed_moment(model, n, epochs) == pytest.approx(
                 exact_mixed(dist, epochs), abs=1e-10)
 

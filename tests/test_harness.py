@@ -212,7 +212,9 @@ class TestCli:
             "on": {"kind": "geometric", "p": 0.3},
             "off": {"kind": "geometric", "p": 0.8}, "n": 100})
         assert cli.main(["cov", "--config", gg, "--general"]) == 0
-        assert json.loads(capsys.readouterr().out)["moment_cov"]["converged"] is True
+        converged = json.loads(capsys.readouterr().out)["moment_cov"]
+        assert converged["converged"] is True
+        assert converged["k_used"] > 0
         # the real unconverged case, Pareto(1,3)/Pareto(1,2.5), takes about a minute
         partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
                             converged=False, k_used=100_000)

@@ -177,6 +177,19 @@ class TestSeries:
         with pytest.raises(OutOfRangeError):
             chi_like(0.2)  # the sum would stop short of its tolerance
 
+    def test_scale_overflow_is_refused(self):
+        # C^alpha past float range is a typed refusal, not an OverflowError
+        with pytest.raises(ParameterError):
+            hurwitz_like(100.0, 200.0)
+        with pytest.raises(ParameterError):
+            Pareto(100.0, 200.0)
+        with pytest.raises(ParameterError):
+            invert_hurwitz_like(100.0, 1.0001)
+        # 100^150 = 1e300 is still in range, and so is the law
+        direct = float(np.sum((100.0 / (100.0 + np.arange(20_000.0))) ** 150))
+        assert hurwitz_like(100.0, 150.0) == pytest.approx(direct, rel=1e-12)
+        assert Pareto(100.0, 150.0).tail_sum(1) == hurwitz_like(100.0, 150.0)
+
 
 class TestInversion:
     def test_examples(self):

@@ -21,7 +21,7 @@ from onoffgraph.moments import (
     triangle_moments,
     wedge_moments,
 )
-from onoffgraph.renewal import prob_all_on
+from onoffgraph.renewal import joint_distribution
 from onoffgraph.simulate import CountTrace, ModelSpec, simulate_edge_trace
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
@@ -126,7 +126,7 @@ class TestTheoreticalMoments:
                       ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=10),
                       ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=7)]:
             n, rho = model.n, model.rho
-            route = n * prob_all_on(model, (1, 1 + ell)) + (n * n - n) * rho * rho
+            route = n * joint_distribution(model, [1, 1 + ell])[-1] + (n * n - n) * rho * rho
             oracle = hand_enumerated_moment(model, ell)
             assert theoretical_moments(model, ell) == pytest.approx(oracle, abs=1e-10)
             assert route == pytest.approx(oracle, abs=1e-10)
@@ -174,6 +174,7 @@ class TestEdgeEstimators:
         model, truth = FAMILY_MODELS[family]
         entry = FAMILIES[family]
         assert infer_family(model) == family
+        assert entry.params_of(model) == pytest.approx(truth)
         r = fit(theoretical_moment_set(model, L=entry.lags), family)
         assert r.ok
         assert tuple(r.params) == entry.params

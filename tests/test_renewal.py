@@ -12,8 +12,9 @@ from onoffgraph.renewal import (
     joint_distribution,
     joint_mgf,
     legendre_transform,
-    prob_all_on,
     saddlepoint_logprob,
+    _law_arrays,
+    _residual_arrays,
     _tilted_moments,
 )
 from onoffgraph.simulate import ModelSpec, edge_indicator_matrix
@@ -23,6 +24,43 @@ PP = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=10)
 WG = ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=10)
 PG = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=10)
 ALL_MODELS = [GG, PP, WG, PG]
+
+
+def loop_joint_mgf(model, theta):
+    """joint_mgf for one tilt by the scalar double loop over (k, ell): the oracle.
+
+    v_k (w_k) is the tilted expectation over epochs k..K given that an on-
+    (off-) period starts at k; -inf entries of theta are exact zero factors.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    K = len(theta)
+    e = np.where(np.isneginf(theta), 0.0, np.exp(theta))
+    f, surv_f = _law_arrays(model.on_law, K)
+    g, surv_g = _law_arrays(model.off_law, K)
+    fbar, res_surv_f = _residual_arrays(model.on_law, K)
+    gbar, res_surv_g = _residual_arrays(model.off_law, K)
+    v = np.zeros(K + 1)
+    w = np.zeros(K + 1)
+    for k in range(K, 0, -1):
+        acc_v = 0.0
+        acc_w = 0.0
+        prod = 1.0
+        for ell in range(1, K - k + 1):
+            prod *= e[k + ell - 2]
+            acc_v += f[ell - 1] * prod * w[k + ell]
+            acc_w += g[ell - 1] * v[k + ell]
+        prod *= e[K - 1]
+        v[k] = acc_v + surv_f[K - k] * prod  # P(X >= K-k+1) tail
+        w[k] = acc_w + surv_g[K - k]
+    m_plus = 0.0
+    prod = 1.0
+    for ell in range(1, K):
+        prod *= e[ell - 1]
+        m_plus += fbar[ell - 1] * prod * w[1 + ell]
+    prod *= e[K - 1]
+    m_plus += res_surv_f[K - 1] * prod
+    m_minus = sum(gbar[ell - 1] * v[1 + ell] for ell in range(1, K)) + res_surv_g[K - 1]
+    return model.rho * m_plus + (1.0 - model.rho) * m_minus
 
 
 def geometric_markov_joint(model, K):
@@ -91,6 +129,20 @@ class TestJointMgf:
         assert val == pytest.approx((1 - GG.rho) * (1 - 0.8), rel=1e-12)
         assert val == pytest.approx(0.054545, abs=1e-6)
 
+    @pytest.mark.parametrize("K", [1, 2, 5, 20])
+    def test_batch_matches_loop(self, K):
+        # random tilts with about 20% knockouts, as a batch and one row at a time
+        rng = np.random.default_rng(K)
+        for model in ALL_MODELS:
+            theta = 0.5 * rng.standard_normal((50, K))
+            theta[rng.random((50, K)) < 0.2] = -np.inf
+            expect = np.array([loop_joint_mgf(model, t) for t in theta])
+            assert np.allclose(joint_mgf(model, theta), expect, rtol=1e-13, atol=0.0)
+            for t, m in zip(theta[:5], expect):
+                value = joint_mgf(model, t)
+                assert isinstance(value, float)
+                assert value == pytest.approx(m, rel=1e-13, abs=0.0)
+
     def test_log_convex_on_lines(self):
         rng = np.random.default_rng(3)
         for model in [GG, PG]:
@@ -129,7 +181,7 @@ class TestJointDistribution:
             assert np.max(np.abs(marg - pair)) <= 1e-10
 
     def test_geometric_markov_products(self):
-        for K in range(1, 7):
+        for K in range(1, 13):
             ours = joint_distribution(GG, list(range(1, K + 1)))
             oracle = geometric_markov_joint(GG, K)
             assert np.max(np.abs(ours - oracle)) <= 1e-10
@@ -162,11 +214,13 @@ class TestJointDistribution:
                 assert abs(freq - probs[s]) <= 4 * se + 1e-9
 
     def test_prob_all_on(self):
+        # the last entry, P(on at every epoch), is the marginal of a longer law
         for model in ALL_MODELS:
             probs = joint_distribution(model, [1, 3, 4])
-            assert prob_all_on(model, (1, 3, 4)) == pytest.approx(probs[7], abs=1e-12)
-        assert prob_all_on(GG, (2, 2, 3)) == pytest.approx(
-            joint_distribution(GG, [2, 3])[3], abs=1e-12)
+            assert joint_distribution(model, [1, 3])[-1] == pytest.approx(
+                probs[3] + probs[7], abs=1e-12)
+            assert joint_distribution(model, [3, 4])[-1] == pytest.approx(
+                probs[6] + probs[7], abs=1e-12)
 
 
 class TestAutocovariance:
@@ -187,18 +241,11 @@ class TestAutocovariance:
             assert np.all((tab.r >= 0) & (tab.r <= 1))
             assert np.all((tab.s >= 0) & (tab.s <= 1))
 
-    def test_covariance_accessor(self):
-        tab = autocovariance(GG, 10)
-        rho = GG.rho
-        f = -0.1
-        expect = rho * (1 - rho) * f ** (np.arange(1, 11) - 1.0)
-        assert np.max(np.abs(tab.covariance(np.arange(1, 11)) - expect)) <= 1e-12
-
     def test_matches_joint_distribution(self):
         for model in [PP, PG]:
             tab = autocovariance(model, 6)
             for k in [2, 4, 6]:
-                p11 = prob_all_on(model, (1, k))
+                p11 = joint_distribution(model, [1, k])[-1]
                 assert model.rho * tab.r_res[k - 1] == pytest.approx(p11, abs=1e-11)
 
 
