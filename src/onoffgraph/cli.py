@@ -159,7 +159,8 @@ def _dispatch(args, cfg, model) -> int:
             mc = general_moment_cov(model, model.n)
             if not mc.converged:
                 raise ConvergenceError(
-                    f"covariance series did not converge within k={mc.k_used}")
+                    f"covariance series did not converge: tail_error={mc.tail_error:.3g}"
+                    f" at k={mc.k_used}")
         out = {"moment_cov": mc.to_json()}
         if closed:
             out["param_cov"] = entry.param_cov(model.n, *params, mc).to_json()

@@ -313,7 +313,8 @@ def chi_like(alpha):
 
 
 # _invert_decreasing grows its bracket out of `start`: the upper end doubles up
-# to _MAX_DOUBLINGS times; the lower end halves its distance to `floor` up to
+# to _MAX_DOUBLINGS times, stepping back toward the lower end wherever fn is
+# refused or not finite; the lower end halves its distance to `floor` up to
 # _MAX_HALVINGS times and then drops to the floor. The halvings are few because
 # chi near its floor sums up to 2^22 terms (~0.1 s) per evaluation.
 _MAX_DOUBLINGS = 30
@@ -324,18 +325,32 @@ def _invert_decreasing(fn, target, floor, start, limit, name):
     """The a >= floor with fn(a) = target, for fn strictly decreasing toward limit.
 
     Targets outside (limit, fn(floor)] are refused. The bracket grows out of
-    start, and brentq finds the root in it to DEFAULT_INVERT_TOL.
+    start, and brentq finds the root in it to DEFAULT_INVERT_TOL. Where fn
+    raises ParameterError the search stays below that point, and if no
+    bracket is found that refusal is raised.
     """
     if not np.isfinite(target) or target <= limit:
         raise OutOfRangeError(
             f"target {target} is outside the range of {name} (must exceed {limit})"
         )
     lo = hi = start
+    bad, refusal = math.inf, None  # the least point found outside fn's domain, and why
     for _ in range(_MAX_DOUBLINGS):
-        if fn(hi) <= target:  # also false for nan
+        try:
+            value = fn(hi)
+        except ParameterError as exc:
+            value, refusal = math.nan, exc
+        if not math.isfinite(value):
+            if hi == lo:  # refused at start itself: there is nothing to step back to
+                break
+            bad, hi = hi, (lo + hi) / 2.0
+        elif value <= target:
             break
-        lo, hi = hi, 2.0 * hi
-    else:
+        else:
+            lo, hi = hi, min(2.0 * hi, (hi + bad) / 2.0)
+    if not (math.isfinite(value) and value <= target):
+        if refusal is not None:
+            raise refusal
         raise OutOfRangeError(f"could not bracket target {target} for {name}")
     for _ in range(_MAX_HALVINGS):
         if fn(lo) >= target:

@@ -201,8 +201,8 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         raise IncompatibleMomentsError(
             f"mean-sum target {T1} unreachable for survival ratio {T2}")
 
-    def c_of(alpha):
-        t = T2 ** (1.0 / alpha)
+    def c_of(alpha):  # a Python float, so that C^alpha past float range is refused
+        t = float(T2) ** (1.0 / alpha)
         return t / (1.0 - t)
 
     alpha = _invert_decreasing(lambda a: hurwitz_like(c_of(a), a), T1, _PARETO_FLOOR, 2.0,

@@ -28,10 +28,11 @@ def _law_arrays(law, kmax):
     return surv[:-1] - surv[1:], surv
 
 
-def _residual_arrays(law, kmax):
-    """Residual pmf fbar_1..fbar_kmax and residual survival P(res >= 1..kmax+1)."""
-    mean = law.mean()
-    surv = law.survival(np.arange(1, kmax + 2))
+def _residual_arrays(surv, mean):
+    """Residual pmf fbar_1..fbar_kmax and residual survival P(res >= 1..kmax+1).
+
+    surv is the law's survival P(Z >= 1..kmax+1), as _law_arrays gives it.
+    """
     fbar = surv[:-1] / mean
     res_surv = np.concatenate([[1.0], 1.0 - np.cumsum(fbar)])
     return fbar, np.maximum(res_surv, 0.0)
@@ -55,8 +56,8 @@ def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
     B, K = e.shape
     f, surv_f = _law_arrays(model.on_law, K)
     g, surv_g = _law_arrays(model.off_law, K)
-    fbar, res_surv_f = _residual_arrays(model.on_law, K)
-    gbar, res_surv_g = _residual_arrays(model.off_law, K)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    gbar, res_surv_g = _residual_arrays(surv_g, model.off_law.mean())
 
     # v[:, k], w[:, k]: the tilted expectation over epochs k..K given that an
     # on- (off-) period starts at k; column 0 is unused
@@ -102,6 +103,39 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
     return np.where(q < 0.0, np.where(q > -1e-12, 0.0, q), q)
 
 
+def _conv(a, b, k):
+    """The first k coefficients of the product of the power series a and b."""
+    return np.convolve(a[:k], b[:k])[:k]
+
+
+def _shift(a):
+    """The power series a times z, cut to the length of a."""
+    return np.concatenate(([0.0], a[:-1]))
+
+
+def _on_start_density(f, surv_f, g, surv_g, c):
+    """u_m = P(an on-period starts at 1 + m | one starts at 1), m < len(f).
+
+    u is the power series 1 / (1 - F G), F and G the on- and off-time pmfs,
+    and tends to c = 1 / E[X + Y]. The loop runs on the excess w = u - c,
+    which solves w_m = sum_i h_i w_(m-i) - c P(X + Y > m) (plus 1 at m = 0),
+    h the pmf of X + Y: its rounding errors scale with w, not with c, so they
+    do not pile up into a drift of the limit. F G has no term below z^2, so
+    each w_m is one dot product with the terms before it.
+    """
+    k = len(f)
+    u = np.zeros(k)
+    u[0] = 1.0  # exact: an on-period starts at 1, and none at 2
+    if k > 2:
+        h = _conv(f, g, k - 1)  # h[i] = P(X + Y = i + 2)
+        w = -c * (surv_f[:k] + _shift(_conv(f, surv_g, k)))  # -c P(X + Y > m)
+        w[0] += 1.0
+        for m in range(2, k):
+            w[m] += h[: m - 1] @ w[m - 2::-1]
+        u[2:] = c + w[2:]
+    return u
+
+
 @dataclass
 class AutocovTable:
     """Conditional on-probabilities r_k, s_k and the residual variant.
@@ -109,32 +143,43 @@ class AutocovTable:
     r_k: P(on at k | fresh on-period starts at 1)
     s_k: P(on at k | fresh off-period starts at 1)
     r_res_k: same as r_k but with the residual on-time at 1 (stationary start)
-    Arrays are 1-indexed via [k-1].
+    These are 1-indexed via [k-1]; fbar and res_surv are the residual on-law
+    arrays. The adjacent-pair series S2[d] = P(on at d+1 and d+2 | fresh
+    off-period starts at 1) and fbar_S2 = F-bar S2, the same behind a
+    residual on-time, are 0-indexed.
     """
 
     rho: float
     r: np.ndarray
     s: np.ndarray
     r_res: np.ndarray
+    fbar: np.ndarray
+    res_surv: np.ndarray
+    S2: np.ndarray
+    fbar_S2: np.ndarray
 
 
 def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
-    """Fill the r/s/r_res tables up to k_max by convolution."""
+    """The renewal tables up to k_max from one on-start density and convolutions.
+
+    With u = 1 / (1 - F G), every table is a product of known series:
+    r = u S_f (S_f the on-time survival), s = z G r and
+    r_res = z F-bar s + the residual survival; the pair tables take
+    R2 = u S_f shifted by one epoch and S2 = z G R2.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    ex, ey = model.on_law.mean(), model.off_law.mean()
     f, surv_f = _law_arrays(model.on_law, k_max)
-    g, _ = _law_arrays(model.off_law, k_max)
-    fbar, res_surv_f = _residual_arrays(model.on_law, k_max)
-    r = np.empty(k_max)
-    s = np.empty(k_max)
-    r_res = np.empty(k_max)
-    r[0], s[0], r_res[0] = 1.0, 0.0, 1.0
-    for k in range(2, k_max + 1):
-        conv_s = s[k - 2::-1]
-        r[k - 1] = f[: k - 1] @ conv_s + surv_f[k - 1]
-        s[k - 1] = g[: k - 1] @ r[k - 2::-1]
-        r_res[k - 1] = fbar[: k - 1] @ conv_s + res_surv_f[k - 1]
-    return AutocovTable(rho=model.rho, r=r, s=s, r_res=r_res)
+    g, surv_g = _law_arrays(model.off_law, k_max)
+    fbar, res_surv_f = _residual_arrays(surv_f, ex)
+    u = _on_start_density(f, surv_f, g, surv_g, 1.0 / (ex + ey))
+    r = _conv(u, surv_f, k_max)
+    s = _shift(_conv(g, r, k_max))
+    S2 = _shift(_conv(g, _conv(u, surv_f[1:], k_max), k_max))
+    return AutocovTable(rho=ex / (ex + ey), r=r, s=s,
+                        r_res=_shift(_conv(fbar, s, k_max)) + res_surv_f[:k_max],
+                        fbar=fbar, res_surv=res_surv_f, S2=S2, fbar_S2=_conv(fbar, S2, k_max))
 
 
 # ---------------------------------------------------------------------------

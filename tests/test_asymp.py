@@ -1,21 +1,31 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from onoffgraph import asymp
 from onoffgraph.asymp import (
+    K0,
+    K_CAP,
     DivergenceWarning,
     delta_method_cov,
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
     mixed_moment,
+    _GeneralTables,
 )
 from onoffgraph.errors import ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
-from onoffgraph.renewal import joint_distribution
+from onoffgraph.renewal import _law_arrays, _residual_arrays, autocovariance, joint_distribution
 from onoffgraph.simulate import ModelSpec
+
+from test_renewal import ALL_MODELS, loop_autocovariance
+
+HEAVY = ModelSpec(on_law=Pareto(1.0, 4.0), off_law=Geometric(0.5), n=100)
+PARPAR = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=100)
 
 
 def geometric_pattern_probs(p, q, rho, K):
@@ -46,6 +56,37 @@ def count_vector_distribution(pattern_probs, n, K):
 
 def exact_mixed(dist, epochs):
     return math.fsum(pr * math.prod(v[t - 1] for t in epochs) for v, pr in dist.items())
+
+
+def loop_general_tables(model, k_hi):
+    """S2, ta, tb, qq by per-k dot-product loops over the loop r/s tables: the oracle.
+
+    S2_d = P(on at d+1, d+2 | fresh off-period starts at 1) comes from the
+    interleaved pair recursion; ta[k], tb[k], qq[k] are P(on at 1, 2, k),
+    P(on at 1, k, k+1) and P(on at 1, 2, k, k+1), each a first-renewal sum
+    over the residual on-time.
+    """
+    rho = model.rho
+    _, s, _ = loop_autocovariance(model, k_hi + 1)
+    f, surv_f = _law_arrays(model.on_law, k_hi + 2)
+    g, _ = _law_arrays(model.off_law, k_hi + 2)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    R2 = np.empty(k_hi + 1)
+    S2 = np.empty(k_hi + 1)
+    R2[0], S2[0] = surv_f[1], 0.0
+    for d in range(1, k_hi + 1):
+        S2[d] = g[:d] @ R2[d - 1::-1]
+        R2[d] = f[:d] @ S2[d - 1::-1] + surv_f[d + 1]
+    ta = np.zeros(k_hi + 2)
+    tb = np.zeros(k_hi + 1)
+    qq = np.zeros(k_hi + 1)
+    for k in range(3, k_hi + 2):
+        ta[k] = rho * (fbar[1:k - 1] @ s[k - 3::-1] + res_surv_f[k - 1])
+    for k in range(2, k_hi + 1):
+        tb[k] = rho * (fbar[:k - 1] @ S2[k - 2::-1] + res_surv_f[k])
+    for k in range(3, k_hi + 1):
+        qq[k] = rho * (fbar[1:k - 1] @ S2[k - 3::-1] + res_surv_f[k])
+    return S2, ta, tb, qq
 
 
 def _fit_two_term(f, vals, ks):
@@ -155,9 +196,25 @@ class TestDeltaMethod:
         assert sd_q == pytest.approx(0.0074, abs=4e-4)
 
 
+class TestGeneralTables:
+    @pytest.mark.parametrize("k_hi", [5, 2048])
+    def test_matches_loops(self, k_hi):
+        for model in ALL_MODELS:
+            tables = _GeneralTables(model, k_hi)
+            S2, ta, tb, qq = loop_general_tables(model, k_hi)
+            assert np.max(np.abs(tables.rres[:k_hi + 1]
+                                 - loop_autocovariance(model, k_hi + 1)[2])) <= 1e-12
+            assert np.max(np.abs(autocovariance(model, k_hi + 2).S2[:k_hi + 1]
+                                 - S2)) <= 1e-12
+            assert np.max(np.abs(tables.ta[3:k_hi + 2] - ta[3:])) <= 1e-12
+            assert np.max(np.abs(tables.tb[2:k_hi + 1] - tb[2:])) <= 1e-12
+            assert np.max(np.abs(tables.qq[3:k_hi + 1] - qq[3:])) <= 1e-12
+
+
 class TestGeneralSeries:
     @pytest.mark.parametrize("n,p,q", [(4, 0.3, 0.8), (100, 0.3, 0.8),
-                                       (4, 0.45, 0.55), (10, 0.05, 0.1)])
+                                       (4, 0.45, 0.55), (10, 0.05, 0.1),
+                                       (10, 0.002, 0.003), (4, 0.99, 0.99)])
     def test_matches_closed_form(self, n, p, q):
         model = ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n)
         g = general_moment_cov(model, n)
@@ -166,6 +223,57 @@ class TestGeneralSeries:
         assert abs(g.v0 - mc.v0) <= 1e-10
         assert abs(g.v1 - mc.v1) <= 1e-6 * abs(mc.v1)
         assert abs(g.c01 - mc.c01) <= 1e-6 * abs(mc.c01)
+        # geometric increments reach the rounding floor within the table, so
+        # no tail is added
+        assert g.tail_correction == (0.0, 0.0, 0.0)
+
+    def test_slow_mixing_light_tails_extend_the_table(self):
+        # |1 - p - q| = 0.995: the increments still stand at 1e-5 of the
+        # series scale at K0, and one longer table takes them to the floor
+        model = ModelSpec(on_law=Geometric(0.002), off_law=Geometric(0.003), n=10)
+        g = general_moment_cov(model, 10)
+        assert g.converged and K0 < g.k_used <= K_CAP
+        assert g.tail_error <= 1e-12 * max(g.v0, g.v1, abs(g.c01))
+        capped = general_moment_cov(model, 10, k_cap=2 * K0)
+        assert capped.k_used == 2 * K0 and not capped.converged
+        # Weibull laws add no tail exponent either, and the table grows the same way
+        model = ModelSpec(on_law=Weibull(0.3, 0.7), off_law=Geometric(0.5), n=10)
+        g = general_moment_cov(model, 10)
+        assert g.converged and g.k_used > K0 and g.tail_correction == (0.0, 0.0, 0.0)
+
+    def test_power_law_tail_converges(self):
+        start = time.perf_counter()
+        g = general_moment_cov(HEAVY, 100)
+        assert time.perf_counter() - start < 1.0
+        assert g.converged and g.k_used == K0
+        assert all(t > 0 for t in g.tail_correction)
+        half = general_moment_cov(HEAVY, 100, k_cap=K0 // 2)
+        assert half.converged and half.k_used == K0 // 2
+        for a, b in [(g.v0, half.v0), (g.v1, half.v1), (g.c01, half.c01)]:
+            assert abs(a - b) <= 1e-8 * abs(a)
+
+    @pytest.mark.parametrize("model", [HEAVY, PARPAR], ids=["pareto_geo", "pareto_pareto"])
+    def test_tail_matches_longer_table(self, model, monkeypatch):
+        # the closed-form tail stands in for the terms a 4x longer table sums
+        g = general_moment_cov(model, model.n)
+        monkeypatch.setattr(asymp, "K0", 4 * K0)
+        long = general_moment_cov(model, model.n, k_cap=4 * K0)
+        assert long.k_used == 4 * K0
+        scale = max(abs(g.v0), abs(g.v1), abs(g.c01))
+        assert g.tail_error <= 1e-6 * scale
+        for a, b in [(g.v0, long.v0), (g.v1, long.v1), (g.c01, long.c01)]:
+            assert abs(a - b) <= 1e-6 * scale
+
+    def test_large_index_tail_stays_in_range(self):
+        # at n = 10^6 the rounding noise of v1 and c01 stands above the floor
+        # at K0, so a tail is fitted; k^-198 would overflow K0^198 there
+        model = ModelSpec(on_law=Pareto(300.0, 100.0), off_law=Geometric(0.7), n=10**6)
+        g = general_moment_cov(model, model.n)
+        assert np.isfinite([g.v0, g.v1, g.c01, g.tail_error, *g.tail_correction]).all()
+
+    def test_k_cap_too_small(self):
+        with pytest.raises(ValueError):
+            general_moment_cov(HEAVY, 100, k_cap=32)
 
     def test_mixed_moment_vs_enumeration_geometric(self):
         n, p, q = 3, 0.5, 0.4
@@ -192,11 +300,13 @@ class TestGeneralSeries:
             general_moment_cov(model, 5, k_cap=2000)
 
     def test_slow_but_finite_tail(self):
-        # Par(1,3)/Par(1,2.5) is summable; partial sums are finite and positive
+        # Par(1,3)/Par(1,2.5) is summable; its increments decay like k^-1.5
         model = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=5)
         g = general_moment_cov(model, 5, k_cap=4000)
         assert g.v0 > 0 and g.v1 > 0
         assert np.isfinite([g.v0, g.v1, g.c01]).all()
+        assert g.converged
+        assert 0.0 < g.tail_error <= 1e-6 * max(1.0, g.v0, g.v1, abs(g.c01))
 
 
 class TestFiniteness:

@@ -215,12 +215,28 @@ class TestCli:
         converged = json.loads(capsys.readouterr().out)["moment_cov"]
         assert converged["converged"] is True
         assert converged["k_used"] > 0
-        # the real unconverged case, Pareto(1,3)/Pareto(1,2.5), takes about a minute
+        # a stub pins the exit path; real models land on either side of the
+        # tolerance only through their fitted tails
         partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
-                            converged=False, k_used=100_000)
+                            converged=False, k_used=1024, tail_error=1.0)
         monkeypatch.setattr(cli, "general_moment_cov", lambda model, n: partial)
         assert cli.main(["cov", "--config", gg, "--general"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("off", [{"kind": "geometric", "p": 0.5},
+                                     {"kind": "pareto", "C": 1.0, "alpha": 2.5}],
+                             ids=["pareto_geo", "pareto_pareto"])
+    def test_cov_general_pareto(self, tmp_path, off):
+        alpha = 4.0 if off["kind"] == "geometric" else 3.0
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "pareto", "C": 1.0, "alpha": alpha}, "off": off, "n": 100})
+        res = self._run("cov", "--config", cfg, "--general")
+        assert res.returncode == 0, res.stdout + res.stderr
+        mc = json.loads(res.stdout)["moment_cov"]
+        assert mc["converged"] is True
+        assert mc["k_used"] > 0
+        assert len(mc["tail_correction"]) == 3 and all(t > 0 for t in mc["tail_correction"])
+        assert 0.0 < mc["tail_error"] <= 1e-6 * max(mc["v0"], mc["v1"], abs(mc["c01"]))
 
     def test_simulate_then_estimate(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {

@@ -19,6 +19,7 @@ from onoffgraph.laws import (
     invert_zeta_like,
     law_from_config,
     zeta_like,
+    _invert_decreasing,
 )
 
 ALL_LAWS = [Geometric(0.3), Geometric(0.8), Weibull(1.0, 0.5), Weibull(1.0, 1.0),
@@ -215,6 +216,33 @@ class TestInversion:
             for t in [1.1, 1.5, 3.0]:
                 a = invert_hurwitz_like(C, t)
                 assert hurwitz_like(C, a) == pytest.approx(t, abs=1e-9)
+
+    def test_bracket_steps_back_from_refusals(self):
+        # fn is refused from a = 50 on; the root at 40 is still found
+        def fn(a):
+            if a >= 50.0:
+                raise ParameterError("outside the domain")
+            return 1.0 + 1.0 / a
+        assert _invert_decreasing(fn, 1.025, 1.0, 2.0, 1.0, "f") == pytest.approx(40.0, rel=1e-9)
+        # with the root past the refusal, that refusal is raised
+        with pytest.raises(ParameterError):
+            _invert_decreasing(fn, 1.01, 1.0, 2.0, 1.0, "f")
+        # a non-finite value is stepped back from in the same way
+        assert _invert_decreasing(lambda a: 1.0 + 1.0 / a if a < 50.0 else math.inf,
+                                  1.025, 1.0, 2.0, 1.0, "f") == pytest.approx(40.0, rel=1e-9)
+        # refused at start: raised after that one evaluation
+        calls = []
+
+        def refused(a):
+            calls.append(a)
+            raise ParameterError("outside the domain")
+        with pytest.raises(ParameterError):
+            _invert_decreasing(refused, 1.025, 1.0, 2.0, 1.0, "f")
+        assert calls == [2.0]
+        calls.clear()
+        with pytest.raises(OutOfRangeError):
+            _invert_decreasing(lambda a: calls.append(a) or math.nan, 1.025, 1.0, 2.0, 1.0, "f")
+        assert calls == [2.0]
 
     def test_chi_floor(self):
         # the top of the chi range is its value at the smallest alpha Weibull accepts

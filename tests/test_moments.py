@@ -195,6 +195,15 @@ class TestEdgeEstimators:
         with pytest.raises(IncompatibleMomentsError):
             estimate_pareto_geo(m)
 
+    def test_pareto_geo_large_alpha(self):
+        # the bracket passes alpha = 100 into 128, where C^alpha leaves float
+        # range; it steps back below that point instead of doubling past it
+        model = ModelSpec(on_law=Pareto(300.0, 100.0), off_law=Geometric(0.7), n=100)
+        report = estimate_pareto_geo(theoretical_moment_set(model, L=3))
+        assert report.params["alpha"] == pytest.approx(100.0, rel=1e-8)
+        assert report.params["C"] == pytest.approx(300.0, rel=1e-8)
+        assert report.params["q"] == pytest.approx(0.7, rel=1e-8)
+
     def test_pareto_geo_needs_three_moments(self):
         with pytest.raises(ValueError):
             estimate_pareto_geo(theoretical_moment_set(GG, L=2))

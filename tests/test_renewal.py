@@ -26,6 +26,27 @@ PG = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=10)
 ALL_MODELS = [GG, PP, WG, PG]
 
 
+def loop_autocovariance(model, k_max):
+    """r, s, r_res by the interleaved dot-product recursion over k: the oracle.
+
+    r_k = sum_j f_j s_(k-j) + P(X >= k), s_k = sum_j g_j r_(k-j), and r_res
+    the same as r with the residual on-law, all 1-indexed via [k-1].
+    """
+    f, surv_f = _law_arrays(model.on_law, k_max)
+    g, _ = _law_arrays(model.off_law, k_max)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    r = np.empty(k_max)
+    s = np.empty(k_max)
+    r_res = np.empty(k_max)
+    r[0], s[0], r_res[0] = 1.0, 0.0, 1.0
+    for k in range(2, k_max + 1):
+        conv_s = s[k - 2::-1]
+        r[k - 1] = f[: k - 1] @ conv_s + surv_f[k - 1]
+        s[k - 1] = g[: k - 1] @ r[k - 2::-1]
+        r_res[k - 1] = fbar[: k - 1] @ conv_s + res_surv_f[k - 1]
+    return r, s, r_res
+
+
 def loop_joint_mgf(model, theta):
     """joint_mgf for one tilt by the scalar double loop over (k, ell): the oracle.
 
@@ -37,8 +58,8 @@ def loop_joint_mgf(model, theta):
     e = np.where(np.isneginf(theta), 0.0, np.exp(theta))
     f, surv_f = _law_arrays(model.on_law, K)
     g, surv_g = _law_arrays(model.off_law, K)
-    fbar, res_surv_f = _residual_arrays(model.on_law, K)
-    gbar, res_surv_g = _residual_arrays(model.off_law, K)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    gbar, res_surv_g = _residual_arrays(surv_g, model.off_law.mean())
     v = np.zeros(K + 1)
     w = np.zeros(K + 1)
     for k in range(K, 0, -1):
@@ -240,6 +261,23 @@ class TestAutocovariance:
             assert tab.r_res[0] == 1.0
             assert np.all((tab.r >= 0) & (tab.r <= 1))
             assert np.all((tab.s >= 0) & (tab.s <= 1))
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 50, 2048])
+    def test_matches_loop(self, k_max):
+        for model in ALL_MODELS:
+            tab = autocovariance(model, k_max)
+            for new, old in zip((tab.r, tab.s, tab.r_res), loop_autocovariance(model, k_max)):
+                assert np.max(np.abs(new - old)) <= 1e-12
+            if k_max <= 3:  # the tables the fit residuals read keep their bits
+                assert np.array_equal(tab.r_res, old)
+
+    def test_no_drift_at_large_k(self):
+        # p + q = 1: every lag is independent, so r_res = rho exactly from k = 2 on;
+        # a recursion on u itself rather than its excess drifts by ~3e-14 here
+        model = ModelSpec(on_law=Geometric(0.45), off_law=Geometric(0.55), n=4)
+        t = autocovariance(model, 4096)
+        assert np.max(np.abs(t.r_res[1:] - model.rho)) <= 1e-15
+        assert np.max(np.abs(t.r[1:] - model.rho)) <= 1e-15
 
     def test_matches_joint_distribution(self):
         for model in [PP, PG]:
