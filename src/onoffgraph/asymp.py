@@ -18,7 +18,7 @@ from scipy import special
 
 from .errors import ParameterError
 from .laws import Geometric, Pareto, Weibull
-from .renewal import autocovariance, joint_distribution
+from .renewal import autocovariance
 from .simulate import ModelSpec
 
 
@@ -152,121 +152,85 @@ def _set_partitions(items):
         yield part + [[first]]
 
 
-def _falling(n, b):
-    out = 1.0
-    for i in range(b):
-        out *= n - i
-    return out
-
-
-def mixed_moment(model: ModelSpec, n: int, epochs, _omega_cache=None) -> float:
-    """E_s[prod_t A_n(t) for t in epochs] for the stationary n-edge process.
-
-    The product expands over index tuples; tuples factorize across distinct
-    edges, so each set partition of the positions contributes a falling
-    factorial times a product of per-edge all-on probabilities.
-    """
-    epochs = [int(t) for t in epochs]
-    cache = _omega_cache if _omega_cache is not None else {}
-
-    def omega(block):
-        key = tuple(sorted(set(epochs[i] for i in block)))
-        if key not in cache:
-            cache[key] = float(joint_distribution(model, key)[-1])
-        return cache[key]
-
-    total = 0.0
-    for part in _set_partitions(list(range(len(epochs)))):
-        term = _falling(n, len(part))
-        for block in part:
-            term *= omega(block)
-        total += term
-    return total
-
-
-# block-of-positions -> named omega series, positions mapped to (1, 2, k, k+1)
-_BLOCK_KEY_4 = {
-    frozenset({0}): "rho", frozenset({1}): "rho", frozenset({2}): "rho",
-    frozenset({3}): "rho",
-    frozenset({0, 1}): "adj", frozenset({2, 3}): "adj",
-    frozenset({0, 2}): "rres_k", frozenset({0, 3}): "rres_k1",
-    frozenset({1, 2}): "rres_km1", frozenset({1, 3}): "rres_k",
-    frozenset({0, 1, 2}): "ta_k", frozenset({0, 1, 3}): "ta_k1",
-    frozenset({0, 2, 3}): "tb_k", frozenset({1, 2, 3}): "tb_km1",
-    frozenset({0, 1, 2, 3}): "q_k",
-}
-
-# positions (1, k, k+1)
-_BLOCK_KEY_3A = {
-    frozenset({0}): "rho", frozenset({1}): "rho", frozenset({2}): "rho",
-    frozenset({0, 1}): "rres_k", frozenset({0, 2}): "rres_k1",
-    frozenset({1, 2}): "adj",
-    frozenset({0, 1, 2}): "tb_k",
-}
-
-# positions (1, 2, k)
-_BLOCK_KEY_3B = {
-    frozenset({0}): "rho", frozenset({1}): "rho", frozenset({2}): "rho",
-    frozenset({0, 1}): "adj",
-    frozenset({0, 2}): "rres_k", frozenset({1, 2}): "rres_km1",
-    frozenset({0, 1, 2}): "ta_k",
-}
-
-
-def _partition_series(n, block_key, series):
-    """Vector over k of the partition-expanded mixed moment."""
-    npos = max(max(b) for b in block_key) + 1
-    total = None
-    for part in _set_partitions(list(range(npos))):
-        term = np.full_like(series["rho"], _falling(n, len(part)))
-        for block in part:
-            term = term * series[block_key[frozenset(block)]]
-        total = term if total is None else total + term
-    return total
-
-
 class _GeneralTables:
-    """All per-edge joint on-probability series needed for the k-sums.
+    """The per-edge joint on-probabilities of every epoch set the k-sums need.
 
-    With a gap k >= 3 between the leading epochs {1, 2} and the trailing
-    epochs {k, k+1}, every block of a position partition reduces to one of a
-    fixed family of series:
+    By stationarity, the probability that an edge is on at every epoch of a
+    set depends only on the set's gaps. Each set of at most four distinct
+    epochs drawn from {1, 2, k, k+1} has gaps (), (d), (1, d), (d, 1) or
+    (1, d, 1), and omega reads it from one of these tables:
 
-    * rres[k]: P(on at k | on at 1) (residual start)
+    * rres[d]: P(on at 1 + d | on at 1) (residual start)
     * ta[k]  = P(on at 1, 2, k)
     * tb[k]  = P(on at 1, k, k+1)
-    * q[k]   = P(on at 1, 2, k, k+1)
+    * qq[k]  = P(on at 1, 2, k, k+1)
 
-    all read from autocovariance: ta from F-bar * s (the r_res table less its
-    first-step term), tb and q from F-bar * S2.
+    all built from autocovariance: ta from F-bar * s (the r_res table less
+    its first-step term), tb and qq from F-bar * S2.
     """
 
     def __init__(self, model: ModelSpec, k_hi: int):
         t = autocovariance(model, k_hi + 2)
         self.rho = rho = t.rho
-        self.rres = t.r_res  # index k-1
-        self.fbar1 = fb1 = t.fbar[0]
+        self.rres = t.r_res
+        fb1 = t.fbar[0]
         k = np.arange(k_hi + 2)
         # ta[k] valid for k >= 3, tb[k] for k >= 2, qq[k] for k >= 3
         self.ta = rho * (t.r_res[k - 1] - fb1 * t.s[k - 2])
         self.tb = rho * (t.fbar_S2[k - 2] + t.res_surv[k])
         self.qq = self.tb - rho * fb1 * t.S2[k - 2]
 
-    def series(self, ks: np.ndarray) -> dict:
-        rho = self.rho
-        base = np.ones_like(ks, dtype=np.float64)
-        return {
-            "rho": rho * base,
-            "adj": rho * (1.0 - self.fbar1) * base,
-            "rres_k": rho * self.rres[ks - 1],
-            "rres_k1": rho * self.rres[ks],
-            "rres_km1": rho * self.rres[ks - 2],
-            "ta_k": self.ta[ks],
-            "ta_k1": self.ta[ks + 1],
-            "tb_k": self.tb[ks],
-            "tb_km1": self.tb[ks - 1],
-            "q_k": self.qq[ks],
-        }
+    def omega(self, epochs):
+        """P(on at every one of epochs) for one stationary edge.
+
+        epochs holds Python ints, coincident ones merged, or int arrays over
+        lags k >= 3 (such as k and k + 1), which keep one order among
+        themselves and the ints; with arrays the result is an array over k.
+        A gap is the 1 of a pattern when it is 1 at every k.
+        """
+        ts = sorted({int(t[0]) if isinstance(t, np.ndarray) else t: t for t in epochs}.items())
+        gaps = [b - a for (_, a), (_, b) in zip(ts, ts[1:])]
+        unit = [bool(np.all(gap == 1)) if isinstance(gap, np.ndarray) else gap == 1
+                for gap in gaps]
+        if not gaps:
+            return self.rho
+        if len(gaps) == 1:
+            return self.rho * self.rres[gaps[0]]
+        if len(gaps) == 2 and unit[0]:
+            return self.ta[gaps[1] + 2]
+        if len(gaps) == 2 and unit[1]:
+            return self.tb[gaps[0] + 1]
+        if len(gaps) == 3 and unit[0] and unit[2]:
+            return self.qq[gaps[1] + 2]
+        raise ValueError(f"epochs {[t for t, _ in ts]} have gaps outside (), (d), (1, d),"
+                         " (d, 1) and (1, d, 1)")
+
+
+def _mixed(tables: _GeneralTables, n: int, epochs):
+    """E_s[prod_t A_n(t) for t in epochs] for the stationary n-edge process.
+
+    The product expands over index tuples; tuples factorize across distinct
+    edges, so each set partition of the epochs contributes n!/(n - b)!, b its
+    number of blocks, times the product of its blocks' per-edge all-on
+    probabilities.
+    """
+    total = 0.0
+    for part in _set_partitions(list(epochs)):
+        term = float(math.prod(n - i for i in range(len(part))))
+        for block in part:
+            term = term * tables.omega(block)
+        total = total + term
+    return total
+
+
+def mixed_moment(model: ModelSpec, n: int, epochs) -> float:
+    """E_s[prod_t A_n(t) for t in epochs] for the stationary n-edge process.
+
+    The distinct epochs must have gaps (), (d), (1, d), (d, 1) or (1, d, 1),
+    as every moment of general_moment_cov does; other sets raise ValueError.
+    """
+    epochs = [int(t) for t in epochs]
+    return float(_mixed(_GeneralTables(model, max(epochs) - min(epochs) + 1), n, epochs))
 
 
 # Table size of general_moment_cov: the increments are summed to K0 and the
@@ -352,31 +316,29 @@ def _floored_sums(ks, inc, head, gammas, k0):
 def _increments(model: ModelSpec, n: int, k0: int):
     """Lags 3..k0 and, for v0, v1 and c01, the increments there and the exact head.
 
-    The head holds the lags below 3, where the partition tables need a clean
-    gap between the leading and trailing epochs.
+    The head holds the lags below 3, where the epochs 1, 2, k, k+1 do not all
+    differ. Both read the same partition expansion: at k = 1 and 2 over
+    ints, from k = 3 over arrays of lags.
     """
     rho = model.rho
-    tables = _GeneralTables(model, k0)
-    cache: dict = {}
-    e12 = mixed_moment(model, n, (1, 2), _omega_cache=cache)
-    t1 = mixed_moment(model, n, (1, 1, 2, 2), _omega_cache=cache) - e12**2
     m1 = n * rho
+    tables = _GeneralTables(model, k0)
+    e12 = _mixed(tables, n, (1, 2))
 
-    v1_head = t1 + 2 * (mixed_moment(model, n, (1, 2, 2, 3), _omega_cache=cache) - e12**2)
-    c01_head = (
-        mixed_moment(model, n, (1, 1, 2), _omega_cache=cache) - m1 * e12   # k=1 lead term
-        + mixed_moment(model, n, (1, 2, 3), _omega_cache=cache) - m1 * e12  # k=2 lead term
-        + mixed_moment(model, n, (1, 2, 2), _omega_cache=cache) - m1 * e12  # k=2 trail term
-    )
+    def lag_moments(k):
+        """E[A(1)A(2)A(k)A(k+1)], E[A(1)A(k)A(k+1)] and E[A(1)A(2)A(k)]."""
+        return [_mixed(tables, n, e) for e in ((1, 2, k, k + 1), (1, k, k + 1), (1, 2, k))]
+
+    (m4_1, lead_1, _), (m4_2, lead_2, trail_2) = (lag_moments(k) for k in (1, 2))
     v0_head = n * rho * (1 - rho) + 2 * n * rho * (tables.rres[1] - rho)
+    v1_head = m4_1 + 2 * m4_2 - 3 * e12**2
+    c01_head = lead_1 + lead_2 + trail_2 - 3 * m1 * e12
 
     ks = np.arange(3, k0 + 1)
-    series = tables.series(ks)
+    m4, lead, trail = lag_moments(ks)
     v0_inc = 2 * n * rho * (tables.rres[ks - 1] - rho)
-    v1_inc = 2 * (_partition_series(n, _BLOCK_KEY_4, series) - e12**2)
-    c01_inc = (_partition_series(n, _BLOCK_KEY_3A, series) - m1 * e12) + (
-        _partition_series(n, _BLOCK_KEY_3B, series) - m1 * e12
-    )
+    v1_inc = 2 * (m4 - e12**2)
+    c01_inc = lead + trail - 2 * m1 * e12
     return ks, ((v0_inc, v0_head), (v1_inc, v1_head), (c01_inc, c01_head))
 
 

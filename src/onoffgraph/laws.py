@@ -19,12 +19,12 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
-from .errors import InfiniteMeanError, OutOfRangeError, ParameterError
+from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 
 DEFAULT_SERIES_TOL = 1e-12
 DEFAULT_INVERT_TOL = 1e-10
 
-# Residual draws beyond int64 range (possible as Pareto alpha -> 1) are returned as this cap.
+# Draws beyond int64 range (possible as Pareto alpha -> 1 or C -> inf) are returned as this cap.
 RESIDUAL_CAP = 2**62
 # The Weibull residual tail stops where weibull_survival_sum stops summing the mean.
 _WEIBULL_TERMS = 1 << 22
@@ -67,7 +67,8 @@ class DurationLaw:
 
         The closed-form candidate only seeds a local search; the bracketing
         condition itself is enforced, which resolves floating-point boundary
-        cases.
+        cases. Candidates at or past RESIDUAL_CAP are returned as RESIDUAL_CAP;
+        where the search does not find the bracket, ConvergenceError is raised.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
@@ -75,6 +76,11 @@ class DurationLaw:
         if np.any(u <= 0.0) or np.any(u > 1.0):
             raise ValueError("u must lie in (0, 1]")
         i = np.maximum(np.nan_to_num(self._sample_candidate(u), nan=1.0), 1.0)
+        capped = i >= RESIDUAL_CAP
+        if capped.any():
+            out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
+            out[~capped] = self.sample(u[~capped])
+            return int(out[0]) if scalar else out
         i = i.astype(np.int64)
         for _ in range(128):
             too_big = self.survival(i) < u
@@ -83,6 +89,8 @@ class DurationLaw:
                 break
             i = i - too_big.astype(np.int64) + too_small.astype(np.int64)
             i = np.maximum(i, 1)
+        else:
+            raise ConvergenceError(f"{self} found no bracketed draw within 128 steps of its candidates")
         return int(i[0]) if scalar else i
 
     def to_config(self):
@@ -94,8 +102,9 @@ class Geometric(DurationLaw):
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError(f"geometric p must be in (0,1), got {self.p}")
+        # 1 - p must round below 1, or survival is 1 everywhere
+        if not (0.0 < self.p < 1.0 and 1.0 - self.p < 1.0):
+            raise ParameterError(f"geometric p must be in (0,1) with 1 - p < 1, got {self.p}")
 
     def survival(self, i):
         return (1.0 - self.p) ** (_as_index(i) - 1.0)
@@ -107,7 +116,8 @@ class Geometric(DurationLaw):
         return self.survival(k) / self.p
 
     def _sample_candidate(self, u):
-        return np.floor(np.log(u) / math.log1p(-self.p)) + 1.0
+        # the base that survival raises, so the candidate lands within the search's reach
+        return np.floor(np.log(u) / math.log(1.0 - self.p)) + 1.0
 
     def to_config(self):
         return {"kind": "geometric", "p": self.p}

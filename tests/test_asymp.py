@@ -210,6 +210,26 @@ class TestGeneralTables:
             assert np.max(np.abs(tables.tb[2:k_hi + 1] - tb[2:])) <= 1e-12
             assert np.max(np.abs(tables.qq[3:k_hi + 1] - qq[3:])) <= 1e-12
 
+    def test_omega_matches_joint_distribution(self):
+        # each subset of the epoch sets the k-sums expand, as ints at k = 1..7
+        # and as arrays over k = 3..7, against the Moebius-inverted joint MGF
+        def sets(k):
+            return [(1, 2, k, k + 1), (1, k, k + 1), (1, 2, k)]
+
+        ks = np.arange(3, 8)
+        for model in ALL_MODELS:
+            tables = _GeneralTables(model, 8)
+            for j, lags in enumerate(sets(ks)):
+                for r in range(1, len(lags) + 1):
+                    for pos in itertools.combinations(range(len(lags)), r):
+                        on_lags = np.broadcast_to(tables.omega([lags[i] for i in pos]), ks.shape)
+                        for k in range(1, 8):
+                            subset = [sets(k)[j][i] for i in pos]
+                            expect = joint_distribution(model, sorted(set(subset)))[-1]
+                            assert abs(tables.omega(subset) - expect) <= 1e-13
+                            if k >= 3:
+                                assert abs(on_lags[k - 3] - expect) <= 1e-13
+
 
 class TestGeneralSeries:
     @pytest.mark.parametrize("n,p,q", [(4, 0.3, 0.8), (100, 0.3, 0.8),
@@ -293,6 +313,11 @@ class TestGeneralSeries:
         for epochs in [(1, 2), (1, 2, 3, 4), (1, 2, 2, 3), (1, 1, 2), (2, 2, 3)]:
             assert mixed_moment(model, n, epochs) == pytest.approx(
                 exact_mixed(dist, epochs), abs=1e-10)
+
+    def test_mixed_moment_refuses_other_gaps(self):
+        # no renewal table holds the on-probability at gaps (2, 2)
+        with pytest.raises(ValueError):
+            mixed_moment(HEAVY, 3, (1, 3, 5))
 
     def test_heavy_tail_divergence_warning(self):
         model = ModelSpec(on_law=Pareto(1.0, 1.5), off_law=Geometric(0.5), n=5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from onoffgraph.errors import InfiniteMeanError, OutOfRangeError, ParameterError
+from onoffgraph.errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 from onoffgraph.laws import (
     _CHI_FLOOR,
     RESIDUAL_CAP,
@@ -57,6 +57,7 @@ class TestSurvival:
         lambda: Geometric(0.0), lambda: Geometric(1.0), lambda: Geometric(-0.2),
         lambda: Weibull(0.0, 1.0), lambda: Weibull(1.0, 0.0),
         lambda: Pareto(0.0, 2.0), lambda: Pareto(1.0, 0.0),
+        lambda: Geometric(1e-17),  # 1 - p rounds to 1, so survival would be 1 everywhere
     ])
     def test_parameter_domain(self, bad):
         with pytest.raises(ParameterError):
@@ -273,6 +274,26 @@ class TestSampling:
         law = Pareto(1.0, 2.0)
         i = law.sample(0.2)
         assert law.survival(i + 1) < 0.2 <= law.survival(i)
+
+    def test_geometric_small_p(self):
+        # the candidate must use the base survival raises, 1 - p as rounded:
+        # log1p(-p) put it 812,699,071 draws short, past the search's reach
+        law = Geometric(1e-12)
+        i = law.sample(2.0**-53)
+        assert i == 36_737_613_268_858
+        assert law.survival(i + 1) < 2.0**-53 <= law.survival(i)
+
+    def test_candidates_past_the_cap(self):
+        assert Pareto(1e20, 3.0).sample(0.5) == RESIDUAL_CAP
+        law = Pareto(1e6, 1.0001)
+        draws = law.sample(np.array([2.0**-53, 0.5]))
+        assert draws[0] == RESIDUAL_CAP
+        assert law.survival(draws[1] + 1) < 0.5 <= law.survival(draws[1])
+
+    def test_unbracketed_draw_is_refused(self):
+        # past 2^53, survival cannot tell i from i + 1
+        with pytest.raises(ConvergenceError):
+            Pareto(1e19, 3.0).sample(0.5)
 
     def test_frequencies_match_pmf(self):
         # 1e6 draws per family; each bucket within 4 binomial sds
