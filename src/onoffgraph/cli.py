@@ -69,11 +69,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path) -> dict:
-    text = Path(path).read_text()
-    return json.loads(text)
-
-
 def _fail(exc) -> int:
     print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
     return 2
@@ -82,7 +77,7 @@ def _fail(exc) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = json.loads(Path(args.config).read_text())
         model = ModelSpec.from_config(cfg)
     except (KeyError, json.JSONDecodeError) as exc:
         print(f"onoffgraph: bad config: {exc}", file=sys.stderr)
@@ -103,7 +98,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args, cfg, model) -> int:
     if args.command == "simulate":
-        K = args.k or cfg.get("K", 10_000)
+        K = args.k if args.k is not None else cfg.get("K", 10_000)
         kind = args.kind or cfg.get("kind", "edges")
         rng = np.random.default_rng(args.seed)
         trace = simulate_trace(model, K, rng, kind=kind)

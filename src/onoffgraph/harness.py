@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy import special
 
 from .errors import COMPUTE_ERRORS, ParameterError
 from .moments import family_entry, fit, infer_family
@@ -190,11 +190,10 @@ def _histogram(vals, min_bins=10):
         return np.array([]), np.array([])
     if len(vals) == 1 or np.ptp(vals) == 0.0:
         edges = np.linspace(vals[0] - 0.5, vals[0] + 0.5, min_bins + 1)
-        counts, _ = np.histogram(vals, bins=edges)
-        return edges, counts
-    edges = np.histogram_bin_edges(vals, bins="fd")
-    if len(edges) - 1 < min_bins:
-        edges = np.linspace(edges[0], edges[-1], min_bins + 1)
+    else:
+        edges = np.histogram_bin_edges(vals, bins="fd")
+        if len(edges) - 1 < min_bins:
+            edges = np.linspace(edges[0], edges[-1], min_bins + 1)
     counts, _ = np.histogram(vals, bins=edges)
     return edges, counts
 
@@ -208,7 +207,7 @@ def _qq_pairs(vals):
     if sd == 0.0:
         return np.array([]), np.array([])
     sample = np.sort((vals - vals.mean()) / sd)
-    theo = norm.ppf((np.arange(1, R + 1) - 0.5) / R)
+    theo = special.ndtri((np.arange(1, R + 1) - 0.5) / R)
     return theo, sample
 
 

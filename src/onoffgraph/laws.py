@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import special
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 
@@ -371,15 +371,14 @@ def _invert_decreasing(fn, target, floor, start, limit, name):
         if top < target:
             raise OutOfRangeError(
                 f"target {target} is outside the range of {name} (at most {top})")
-    return brentq(lambda a: fn(a) - target, lo, hi, xtol=DEFAULT_INVERT_TOL)
+    return scipy.optimize.brentq(lambda a: fn(a) - target, lo, hi, xtol=DEFAULT_INVERT_TOL)
 
 
 # The smallest argument of each inversion: Pareto laws need alpha > 1, and chi
-# is a full series sum only where Weibull(1, alpha) is accepted.
+# is a full series sum only where Weibull(1, alpha) is accepted: 2e-10 above the
+# root of _weibull_integral(1, alpha, _WEIBULL_TERMS - 1) = DEFAULT_SERIES_TOL.
 _PARETO_FLOOR = math.nextafter(1.0, 2.0)
-_CHI_FLOOR = _invert_decreasing(
-    lambda a: _weibull_integral(1.0, a, _WEIBULL_TERMS - 1.0), DEFAULT_SERIES_TOL,
-    0.1, 1.0, 0.0, "the weibull tail bound") + 2.0 * DEFAULT_INVERT_TOL
+_CHI_FLOOR = 0.24299059742056428
 
 
 def invert_zeta_like(target):

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+import scipy
 
 from .asymp import delta_method_cov, geometric_moment_cov
 from .errors import IncompatibleMomentsError, ParameterError
@@ -317,7 +317,7 @@ def estimate_from_subgraph(m: MomentSet) -> EstimateReport:
     if r0 > 0.0 or r1 < 0.0:
         raise IncompatibleMomentsError(
             "lag-1 product moment incompatible with any persistence in [0, 1]")
-    u = brentq(resid, 0.0, 1.0, xtol=DEFAULT_INVERT_TOL)
+    u = scipy.optimize.brentq(resid, 0.0, 1.0, xtol=DEFAULT_INVERT_TOL)
     p_hat = 1.0 - u
     q_hat = rho * p_hat / (1.0 - rho)
     flags = []

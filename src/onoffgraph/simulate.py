@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InfiniteMeanError, TraceMismatchError
+from .errors import InfiniteMeanError, ParameterError, TraceMismatchError
 from .laws import DurationLaw, ResidualLaw, law_from_config
 
 
@@ -33,6 +34,12 @@ class ModelSpec:
     N: int | None = None
 
     def __post_init__(self):
+        for name in ("n", "N"):  # counts are stored as int; bools and fractions are refused
+            v = getattr(self, name)
+            if v is not None:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1 or v < 0:
+                    raise ParameterError(f"{name} must be a whole number >= 0, got {v!r}")
+                object.__setattr__(self, name, int(v))
         if self.N is not None:
             n = self.N * (self.N - 1) // 2
             if self.n is not None and self.n != n:

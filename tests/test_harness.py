@@ -13,6 +13,7 @@ from onoffgraph.asymp import MomentCov
 from onoffgraph.harness import (
     CampaignSummary,
     ExperimentConfig,
+    _qq_pairs,
     emit_outputs,
     infer_family,
     mix_seed,
@@ -181,6 +182,14 @@ class TestOutputs:
         qq = (tmp_path / "out" / "qq_p.csv").read_text().splitlines()
         assert qq[0] == "theoretical_quantile,sample_quantile"
         assert len(qq) == 1 + 8
+
+    def test_qq_quantiles_match_norm_ppf(self):
+        # ndtri is scipy.stats.norm.ppf at loc 0, scale 1, so qq_*.csv bytes are unchanged
+        from scipy.stats import norm
+        rng = np.random.default_rng(0)
+        for R in range(2, 501):
+            theo, _ = _qq_pairs(rng.standard_normal(R))
+            assert np.array_equal(theo, norm.ppf((np.arange(1, R + 1) - 0.5) / R))
 
 
 class TestCli:
@@ -351,6 +360,51 @@ class TestCli:
         res = self._run("check", "--config", cfg)
         assert res.returncode == 0
         assert json.loads(res.stdout)["finite"] is True
+
+    def test_import_footprint(self):
+        # the CLI loads neither scipy.stats nor scipy.optimize; brentq loads at the first root-find
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import onoffgraph.cli",
+            "heavy = [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]",
+            "assert not heavy, heavy",
+            "from onoffgraph import (Geometric, ModelSpec, MomentSet, fit, invert_zeta_like,",
+            "                        triangle_moments)",
+            "assert abs(invert_zeta_like(2.0) - 1.7286472389981836) < 1e-9",
+            "m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)",
+            "ms = MomentSet(mu=np.array([triangle_moments(m, 0), triangle_moments(m, 1)]),",
+            "               n=m.n, K=0, kind='triangles', N=20)",
+            "r = fit(ms, 'geometric_geometric')",
+            "assert abs(r.params['p'] - 0.3) < 1e-8 and abs(r.params['q'] - 0.8) < 1e-8",
+            "assert 'scipy.optimize' in sys.modules and 'scipy.stats' not in sys.modules",
+        ])
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("count,code", [({"n": 100.0}, 0), ({"n": 100.5}, 2),
+                                            ({"n": True}, 2), ({"N": 10.5}, 2)],
+                             ids=["100.0", "100.5", "true", "N10.5"])
+    @pytest.mark.parametrize("command", ["simulate", "cov"])
+    def test_edge_count_must_be_whole(self, tmp_path, capsys, count, code, command):
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, **count})
+        args = (["simulate", "--k", "50", "--out", str(tmp_path / "t.csv")]
+                if command == "simulate" else ["cov", "--general"])
+        assert cli.main([*args, "--config", cfg]) == code
+        if code == 2:
+            assert json.loads(capsys.readouterr().out)["error"] == "ParameterError"
+
+    def test_simulate_k_zero(self, tmp_path, capsys):
+        # --k 0 is a length, not "unset": refused as campaign --k 0 is
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--config", cfg, "--k", "0", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+        assert not out.exists()
 
     def test_weibull_config_keys(self, tmp_path):
         # the Weibull config as the README writes it; a missing key is named

@@ -8,6 +8,9 @@ from scipy.special import zeta as scipy_zeta
 from onoffgraph.errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 from onoffgraph.laws import (
     _CHI_FLOOR,
+    _WEIBULL_TERMS,
+    DEFAULT_INVERT_TOL,
+    DEFAULT_SERIES_TOL,
     RESIDUAL_CAP,
     Geometric,
     Pareto,
@@ -20,6 +23,7 @@ from onoffgraph.laws import (
     law_from_config,
     zeta_like,
     _invert_decreasing,
+    _weibull_integral,
 )
 
 ALL_LAWS = [Geometric(0.3), Geometric(0.8), Weibull(1.0, 0.5), Weibull(1.0, 1.0),
@@ -254,6 +258,13 @@ class TestInversion:
         a = invert_chi_like(top)
         assert a == pytest.approx(_CHI_FLOOR, abs=1e-9)
         assert Weibull(1.0, a).mean() == pytest.approx(top, abs=1e-9)
+
+    def test_chi_floor_literal(self):
+        # the literal is the solve it replaced: the Weibull tail bound's root, plus slack
+        root = _invert_decreasing(
+            lambda a: _weibull_integral(1.0, a, _WEIBULL_TERMS - 1.0), DEFAULT_SERIES_TOL,
+            0.1, 1.0, 0.0, "the weibull tail bound")
+        assert _CHI_FLOOR == pytest.approx(root + 2.0 * DEFAULT_INVERT_TOL, abs=1e-9)
 
 
 class TestSampling:

@@ -7,7 +7,7 @@ from scipy.special import zeta as scipy_zeta
 from scipy.stats import binom, chisquare
 
 from onoffgraph import simulate
-from onoffgraph.errors import InfiniteMeanError, TraceMismatchError
+from onoffgraph.errors import InfiniteMeanError, ParameterError, TraceMismatchError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.simulate import (
     CountTrace,
@@ -41,6 +41,19 @@ class TestModelSpec:
         assert m.n == 190
         with pytest.raises(ValueError):
             ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=5, N=20)
+
+    def test_whole_counts(self):
+        # integral floats and numpy integers are stored as int; the rest is refused
+        g = Geometric(0.5)
+        for kw, n, N in [({"n": 100.0}, 100, None), ({"n": np.int64(7)}, 7, None),
+                         ({"N": 10.0}, 45, 10), ({"N": np.float64(4.0)}, 6, 4)]:
+            m = ModelSpec(on_law=g, off_law=g, **kw)
+            assert (m.n, m.N) == (n, N) and type(m.n) is int
+            assert m.N is None or type(m.N) is int
+        for kw in [{"n": 100.5}, {"n": True}, {"n": "100"}, {"n": math.inf},
+                   {"N": 10.5}, {"N": np.True_}, {"N": -3}]:  # N = -3 gives N(N-1)/2 = 6
+            with pytest.raises(ParameterError):
+                ModelSpec(on_law=g, off_law=g, **kw)
 
     def test_infinite_mean(self):
         m = ModelSpec(on_law=Pareto(1.0, 0.9), off_law=Geometric(0.5), n=3)
