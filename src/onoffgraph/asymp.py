@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import ParameterError
 from .laws import Geometric, Pareto, Weibull
@@ -270,7 +270,7 @@ def _tail(ks, inc, gammas, k_end):
     window = (ks > k_end // 4) & (ks <= k_end)
     basis = (ks[window, None] / k_end) ** -gammas
     coef = np.linalg.lstsq(basis, inc[window], rcond=None)[0]
-    return float(coef @ (special.zeta(gammas, k_end + 1.0) * float(k_end) ** gammas))
+    return float(coef @ (scipy.special.zeta(gammas, k_end + 1.0) * float(k_end) ** gammas))
 
 
 def _last_above_floor(ks, inc, head):

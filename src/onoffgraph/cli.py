@@ -20,7 +20,7 @@ from .errors import COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError
 from .harness import ExperimentConfig, emit_outputs, run_campaign
 from .moments import family_entry, fit, infer_family
 from .renewal import joint_distribution, joint_mgf
-from .simulate import ModelSpec, load_trace, save_trace, simulate_trace
+from .simulate import ModelSpec, load_trace, save_trace, simulate_trace, whole_number
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit status 1."""
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args, cfg, model) -> int:
     if args.command == "simulate":
-        K = args.k if args.k is not None else cfg.get("K", 10_000)
+        K = whole_number("K", args.k if args.k is not None else cfg.get("K", 10_000))
         kind = args.kind or cfg.get("kind", "edges")
         rng = np.random.default_rng(args.seed)
         trace = simulate_trace(model, K, rng, kind=kind)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import COMPUTE_ERRORS, ParameterError
 from .moments import family_entry, fit, infer_family
-from .simulate import ModelSpec, simulate_trace
+from .simulate import ModelSpec, simulate_trace, whole_number
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,6 +55,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        self.K = whole_number("K", self.K)
+        self.R = whole_number("reps", self.R)
         if self.R < 1:
             raise ValueError("need R >= 1")
         if self.K < 2:
@@ -207,7 +209,7 @@ def _qq_pairs(vals):
     if sd == 0.0:
         return np.array([]), np.array([])
     sample = np.sort((vals - vals.mean()) / sd)
-    theo = special.ndtri((np.arange(1, R + 1) - 0.5) / R)
+    theo = scipy.special.ndtri((np.arange(1, R + 1) - 0.5) / R)
     return theo, sample
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy import special
 
 from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 
@@ -37,6 +36,23 @@ def _as_index(i):
     return arr.astype(np.float64)
 
 
+# Which draws the bracket search must check
+# -----------------------------------------
+# Each law's survival(i) is S(i - 1) for a smooth decreasing S with S(0) = 1,
+# and _quantile(u) evaluates x = S^-1(u), so floor(x) + 1 is u's bracket in
+# exact arithmetic. In float, x carries a relative error of a few eps (the
+# unit roundoff, 2^-53) plus what cancellation in its expression adds, and
+# survival(i) a relative error of a few eps, which moves the float bracket's
+# edge by that error times 1/|d log S/dx|. So the candidate can miss only when
+# x lies within a few eps (1 + x + 1/|d log S/dx| + the cancellation term) of
+# an integer; each law's _slack derives its terms. _slack uses 1e-9, over
+# 10^6 eps, in place of the few eps, so the first-order bound holds with room.
+#
+# Below 2^-1022 survival goes subnormal and loses its relative precision, so
+# draws with u below _SUBNORMAL_U are always searched.
+_SUBNORMAL_U = 2.0**-900
+
+
 class DurationLaw:
     """Shared behaviour of the parametric families."""
 
@@ -51,7 +67,12 @@ class DurationLaw:
         """T(k) = sum_{i>=k} survival(i) for integer k >= 1, so T(1) = mean()."""
         raise NotImplementedError
 
-    def _sample_candidate(self, u):
+    def _quantile(self, u):
+        """The real x with survival(x + 1) = u, so the bracket of u is floor(x) + 1."""
+        raise NotImplementedError
+
+    def _slack(self, x):
+        """How far float rounding may move x, or the bracket's edges, relative to an integer."""
         raise NotImplementedError
 
     def pmf(self, k):
@@ -65,32 +86,43 @@ class DurationLaw:
     def sample(self, u):
         """Inverse-transform sample: the unique i with survival(i+1) < u <= survival(i).
 
-        The closed-form candidate only seeds a local search; the bracketing
-        condition itself is enforced, which resolves floating-point boundary
-        cases. Candidates at or past RESIDUAL_CAP are returned as RESIDUAL_CAP;
-        where the search does not find the bracket, ConvergenceError is raised.
+        The candidate floor(x) + 1 from the closed-form quantile x is the
+        bracket in exact arithmetic. The bracketing condition is searched for
+        only where rounding could have moved it: x within _slack(x) of an
+        integer, x not finite, or u so small that survival goes subnormal.
+        The search leaves bracketed entries as they are, so skipping the
+        others returns what searching every entry would. Candidates at or past
+        RESIDUAL_CAP are returned as RESIDUAL_CAP; where the search does not
+        find the bracket, ConvergenceError is raised.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
         if np.any(u <= 0.0) or np.any(u > 1.0):
             raise ValueError("u must lie in (0, 1]")
-        i = np.maximum(np.nan_to_num(self._sample_candidate(u), nan=1.0), 1.0)
-        capped = i >= RESIDUAL_CAP
-        if capped.any():
-            out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
-            out[~capped] = self.sample(u[~capped])
-            return int(out[0]) if scalar else out
+        # inf and NaN are outcomes here: inf is capped, NaN goes to the search
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = self._quantile(u)
+            i = np.fmax(np.floor(x) + 1.0, 1.0)  # NaN -> 1
+            capped = i >= RESIDUAL_CAP
+            if capped.any():
+                out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
+                out[~capped] = self.sample(u[~capped])
+                return int(out[0]) if scalar else out
+            # a NaN slack or distance also searches
+            search = ~(np.abs(x - np.rint(x)) > self._slack(x)) | (u < _SUBNORMAL_U)
         i = i.astype(np.int64)
+        j, v = i[search], u[search]
         for _ in range(128):
-            too_big = self.survival(i) < u
-            too_small = self.survival(i + 1) >= u
+            too_big = self.survival(j) < v
+            too_small = self.survival(j + 1) >= v
             if not (too_big.any() or too_small.any()):
                 break
-            i = i - too_big.astype(np.int64) + too_small.astype(np.int64)
-            i = np.maximum(i, 1)
+            j = j - too_big.astype(np.int64) + too_small.astype(np.int64)
+            j = np.maximum(j, 1)
         else:
             raise ConvergenceError(f"{self} found no bracketed draw within 128 steps of its candidates")
+        i[search] = j
         return int(i[0]) if scalar else i
 
     def to_config(self):
@@ -115,9 +147,13 @@ class Geometric(DurationLaw):
     def tail_sum(self, k):
         return self.survival(k) / self.p
 
-    def _sample_candidate(self, u):
+    def _quantile(self, u):
         # the base that survival raises, so the candidate lands within the search's reach
-        return np.floor(np.log(u) / math.log(1.0 - self.p)) + 1.0
+        return np.log(u) / math.log(1.0 - self.p)
+
+    def _slack(self, x):
+        # S(x) = (1 - p)^x: 1/|d log S/dx| = 1/|log(1 - p)|, and no cancellation
+        return 1e-9 * x + 1e-9 * (1.0 - 1.0 / math.log(1.0 - self.p))
 
     def to_config(self):
         return {"kind": "geometric", "p": self.p}
@@ -160,8 +196,16 @@ class Weibull(DurationLaw):
         bound = self.survival(k) + _weibull_integral(self.lam, self.alpha, k - 1.0)
         return np.where(k > _WEIBULL_TERMS, 0.0, np.clip(tail, 0.0, bound))
 
-    def _sample_candidate(self, u):
-        return np.floor((-np.log(u) / self.lam) ** (1.0 / self.alpha)) + 1.0
+    def _quantile(self, u):
+        return (-np.log(u) / self.lam) ** (1.0 / self.alpha)
+
+    def _slack(self, x):
+        # S(x) = exp(-lam x^alpha): 1/|d log S/dx| = x / (alpha lam x^alpha). The
+        # power 1/alpha multiplies the relative error of x, and the exponent's
+        # relative error moves x by as much, so x / alpha joins x:
+        # 1e-9 (1 + x + x / alpha + x^(1 - alpha) / (alpha lam))
+        a = self.alpha
+        return 1e-9 * (1.0 + 1.0 / a) * x + 1e-9 * x ** (1.0 - a) / (a * self.lam) + 1e-9
 
     def to_config(self):
         return {"kind": "weibull", "lambda": self.lam, "alpha": self.alpha}
@@ -189,10 +233,17 @@ class Pareto(DurationLaw):
 
     def tail_sum(self, k):
         # C^alpha * Hurwitz zeta(alpha, C + k - 1)
-        return self.C**self.alpha * special.zeta(self.alpha, self.C + _as_index(k) - 1.0)
+        return self.C**self.alpha * scipy.special.zeta(self.alpha, self.C + _as_index(k) - 1.0)
 
-    def _sample_candidate(self, u):
-        return np.floor(self.C * (u ** (-1.0 / self.alpha) - 1.0)) + 1.0
+    def _quantile(self, u):
+        return self.C * (u ** (-1.0 / self.alpha) - 1.0)
+
+    def _slack(self, x):
+        # S(x) = (C / (C + x))^alpha: 1/|d log S/dx| = (C + x) / alpha. Both x's
+        # expression (u^(-1/alpha) - 1 cancels) and C + i - 1 in survival
+        # round on the scale of C + x, which adds C to x.
+        C, a = self.C, self.alpha
+        return 1e-9 * (1.0 + 1.0 / a) * x + 1e-9 * (1.0 + C + C / a)
 
     def to_config(self):
         return {"kind": "pareto", "C": self.C, "alpha": self.alpha}
@@ -273,7 +324,7 @@ def hurwitz_like(C, alpha):
         raise ParameterError(f"C must be positive, got {C}")
     if alpha <= 1.0:
         raise OutOfRangeError(f"series diverges for alpha={alpha} <= 1")
-    return _pareto_scale(C, alpha) * special.zeta(alpha, C)
+    return _pareto_scale(C, alpha) * scipy.special.zeta(alpha, C)
 
 
 def zeta_like(alpha):
@@ -283,8 +334,8 @@ def zeta_like(alpha):
 
 def _weibull_integral(lam, alpha, a):
     """integral_a^inf exp(-lam y^alpha) dy, an upper bound on sum_{y>a} exp(-lam y^alpha)."""
-    return (special.gamma(1.0 / alpha) / (alpha * lam ** (1.0 / alpha))
-            * special.gammaincc(1.0 / alpha, lam * np.asarray(a, dtype=np.float64) ** alpha))
+    return (scipy.special.gamma(1.0 / alpha) / (alpha * lam ** (1.0 / alpha))
+            * scipy.special.gammaincc(1.0 / alpha, lam * np.asarray(a, dtype=np.float64) ** alpha))
 
 
 def _weibull_truncated(lam, alpha):

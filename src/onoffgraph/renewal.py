@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+import scipy
 
 from .errors import ConvergenceError, DegenerateSaddleError
 from .simulate import ModelSpec
@@ -231,7 +231,7 @@ def legendre_transform(model: ModelSpec, counts, n: int):
         log_mgf, p_on, cov = _tilted_moments(model, theta)
         value = float(theta @ counts) - n * log_mgf
         grad = counts - n * p_on
-        step = cho_solve((_cholesky(n * cov), True), grad)
+        step = scipy.linalg.cho_solve((_cholesky(n * cov), True), grad)
         decrement = float(grad @ step)
         if decrement <= 1e-12 * n:
             return max(value, 0.0), theta

@@ -24,6 +24,13 @@ from .errors import InfiniteMeanError, ParameterError, TraceMismatchError
 from .laws import DurationLaw, ResidualLaw, law_from_config
 
 
+def whole_number(name, v) -> int:
+    """v as an int; bools, fractions, negatives and non-numbers are refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1 or v < 0:
+        raise ParameterError(f"{name} must be a whole number >= 0, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """On/off laws plus the edge count n (or vertex count N with n = N(N-1)/2)."""
@@ -34,12 +41,10 @@ class ModelSpec:
     N: int | None = None
 
     def __post_init__(self):
-        for name in ("n", "N"):  # counts are stored as int; bools and fractions are refused
+        for name in ("n", "N"):
             v = getattr(self, name)
             if v is not None:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1 or v < 0:
-                    raise ParameterError(f"{name} must be a whole number >= 0, got {v!r}")
-                object.__setattr__(self, name, int(v))
+                object.__setattr__(self, name, whole_number(name, v))
         if self.N is not None:
             n = self.N * (self.N - 1) // 2
             if self.n is not None and self.n != n:
@@ -120,11 +125,13 @@ _TRIPLE_BLOCK = 1 << 22
 
 
 def _phase_switches(model: ModelSpec, K: int, rng, init=None):
-    """Initial on-states of all edges and a generator of their phase switches in 2..K.
+    """Initial on-states of all edges and a generator of their phase switches from time 2.
 
-    The generator yields (edge, time, enters_on) arrays: edge `edge` switches
-    phase at `time`, into the on-phase when `enters_on`. A phase drawn at time
-    t with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
+    The generator yields one (edges, times, enters_on) triple per block:
+    row r of the matrices `times` and `enters_on` holds the switch times of
+    edge edges[r] in increasing order and whether each enters the on-phase.
+    The last times of a row may pass K; consumers drop them. A phase drawn at
+    time t with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
     """
     if init is None:
         on, remaining = stationary_init(model, rng)
@@ -155,11 +162,7 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
             np.copyto(cum[:, 2::2], dy, where=ph)
             np.cumsum(cum, axis=1, out=cum)
             nxt[edges] = cum[:, -1]
-            times = cum[:, :-1]
-            hit = times <= K
-            enters_on = ph ^ (np.arange(2 * pairs) % 2 == 1)
-            yield (np.repeat(edges, np.count_nonzero(hit, axis=1)), times[hit],
-                   enters_on[hit])
+            yield edges, cum[:, :-1], ph ^ (np.arange(2 * pairs) % 2 == 1)
             edges = edges[nxt[edges] <= K]
 
     return on, switches()
@@ -174,11 +177,14 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
     if K < 1:
         raise ValueError("K must be >= 1")
     on, switches = _phase_switches(model, K, rng, init)
-    delta = np.zeros(K + 1, dtype=np.int64)
+    # switches into on at 2..K count at those bins, into off K + 2 bins later;
+    # times past K collect in bin K + 1 (and 2K + 3), which is never read
+    hits = np.zeros(2 * (K + 2), dtype=np.int64)
     for _, times, enters_on in switches:
-        delta += np.bincount(times[enters_on], minlength=K + 1)
-        delta -= np.bincount(times[~enters_on], minlength=K + 1)
-    values = np.cumsum(delta[1:])
+        bins = np.minimum(times, K + 1)
+        bins += (K + 2) * ~enters_on
+        hits += np.bincount(bins.ravel(), minlength=2 * (K + 2))
+    values = np.cumsum(hits[1:K + 1] - hits[K + 3:2 * K + 3])
     values += np.count_nonzero(on)
     return CountTrace(kind="edges", values=values, n=model.n, N=model.N,
                       model_config=model.to_config())
@@ -189,7 +195,8 @@ def edge_indicator_matrix(model: ModelSpec, K: int, rng) -> np.ndarray:
     on, switches = _phase_switches(model, K, rng)
     mat = np.zeros((model.n, K), dtype=bool)
     for edges, times, _ in switches:
-        mat[edges, times - 1] = True
+        hit = times <= K
+        mat[np.broadcast_to(edges[:, None], times.shape)[hit], times[hit] - 1] = True
     mat[:, 0] = on
     np.logical_xor.accumulate(mat, axis=1, out=mat)
     return mat

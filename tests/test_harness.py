@@ -362,12 +362,13 @@ class TestCli:
         assert json.loads(res.stdout)["finite"] is True
 
     def test_import_footprint(self):
-        # the CLI loads neither scipy.stats nor scipy.optimize; brentq loads at the first root-find
+        # the CLI loads none of these scipy modules; each loads at its first use
         script = "\n".join([
             "import sys",
             "import numpy as np",
             "import onoffgraph.cli",
-            "heavy = [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]",
+            "heavy = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special', 'scipy.linalg')",
+            "         if m in sys.modules]",
             "assert not heavy, heavy",
             "from onoffgraph import (Geometric, ModelSpec, MomentSet, fit, invert_zeta_like,",
             "                        triangle_moments)",
@@ -378,6 +379,11 @@ class TestCli:
             "r = fit(ms, 'geometric_geometric')",
             "assert abs(r.params['p'] - 0.3) < 1e-8 and abs(r.params['q'] - 0.8) < 1e-8",
             "assert 'scipy.optimize' in sys.modules and 'scipy.stats' not in sys.modules",
+            "from onoffgraph import Pareto, saddlepoint_logprob",
+            "assert abs(Pareto(1.0, 3.0).mean() - 1.2020569031595942) < 1e-12",  # zeta(3)
+            "gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)",
+            "assert np.isfinite(saddlepoint_logprob(gg, np.full(10, 73.0), 100))",
+            "assert 'scipy.special' in sys.modules and 'scipy.linalg' in sys.modules",
         ])
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
@@ -395,6 +401,31 @@ class TestCli:
         assert cli.main([*args, "--config", cfg]) == code
         if code == 2:
             assert json.loads(capsys.readouterr().out)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("command,sizes,code", [
+        ("simulate", {"K": 300.0}, 0), ("simulate", {"K": 300.5}, 2),
+        ("simulate", {"K": True}, 2), ("simulate", {"K": -5}, 2),
+        ("campaign", {"K": 300.0}, 0), ("campaign", {"K": 300.5}, 2),
+        ("campaign", {"K": True}, 2), ("campaign", {"reps": 2.5}, 2),
+        ("campaign", {"reps": True}, 2)],
+        ids=["simulate-K300.0", "simulate-K300.5", "simulate-Ktrue", "simulate-K-5",
+             "campaign-K300.0", "campaign-K300.5", "campaign-Ktrue", "campaign-reps2.5",
+             "campaign-repstrue"])
+    def test_length_and_reps_must_be_whole(self, tmp_path, capsys, command, sizes, code):
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 20, "reps": 2, **sizes})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == code
+        body = json.loads(capsys.readouterr().out)
+        if code == 2:
+            assert body["error"] == "ParameterError"
+            assert not out.exists()
+        elif command == "simulate":
+            assert body["K"] == 300 and type(body["K"]) is int
+            assert len(out.read_text().splitlines()) == 301
+        else:
+            assert body["config"]["K"] == 300 and body["R"] == 2
 
     def test_simulate_k_zero(self, tmp_path, capsys):
         # --k 0 is a length, not "unset": refused as campaign --k 0 is

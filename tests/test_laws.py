@@ -28,6 +28,38 @@ from onoffgraph.laws import (
 
 ALL_LAWS = [Geometric(0.3), Geometric(0.8), Weibull(1.0, 0.5), Weibull(1.0, 1.0),
             Pareto(1.0, 3.0), Pareto(2.0, 4.0), Pareto(1.0, 2.5)]
+# families and extremes for the sampler's oracle test
+EXTREME_LAWS = (
+    [Geometric(p) for p in (1e-12, 1e-6, 0.01, 0.3, 0.8, 0.999, 1.0 - 1e-15)]
+    + [Pareto(C, a) for C, a in ((1e-9, 0.5), (1e-9, 300.0), (1.0, 3.0), (1.0, 2.5), (2.0, 4.0),
+                                 (1e6, 1.0001), (1e12, 0.5), (1e12, 25.0), (0.5, 8.0))]
+    + [Weibull(lam, a) for lam, a in ((1.0, 0.5), (1.0, 1.0), (0.1, 8.0), (50.0, 1.0), (2.0, 3.0))])
+
+# loop_sample's outcome for an entry that the search does not bracket
+UNBRACKETED = -1
+
+
+def loop_sample(law, u):
+    """The candidate plus the full bracket search (128 checks) on every entry.
+
+    This is the reference that DurationLaw.sample must match draw by draw.
+    Entries are searched independently: one that is still unbracketed after
+    the candidate and 127 steps comes back as UNBRACKETED, where sample()
+    raises ConvergenceError.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        i = np.maximum(np.nan_to_num(np.floor(law._quantile(u)) + 1.0, nan=1.0), 1.0)
+    out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
+    live = np.flatnonzero(i < RESIDUAL_CAP)
+    j, v = i[live].astype(np.int64), u[live]
+    for _ in range(127):
+        too_big = law.survival(j) < v
+        too_small = law.survival(j + 1) >= v
+        j = np.maximum(j - too_big.astype(np.int64) + too_small.astype(np.int64), 1)
+    bracketed = (law.survival(j) >= v) & (law.survival(j + 1) < v)
+    out[live] = np.where(bracketed, j, UNBRACKETED)
+    return out
 
 
 class TestSurvival:
@@ -300,6 +332,29 @@ class TestSampling:
         draws = law.sample(np.array([2.0**-53, 0.5]))
         assert draws[0] == RESIDUAL_CAP
         assert law.survival(draws[1] + 1) < 0.5 <= law.survival(draws[1])
+
+    @pytest.mark.parametrize("law", EXTREME_LAWS, ids=str)
+    def test_matches_search_on_every_draw(self, law):
+        # u: uniform draws, each survival(k) and its float neighbours, log-uniform
+        # draws down to 2^-1074, and every power of two below 2^-900
+        rng = np.random.default_rng(41)
+        k = np.unique(np.concatenate([np.arange(1, 400),
+                                      np.geomspace(1.0, 2.0**62, 400).astype(np.int64)]))
+        s = law.survival(k)
+        u = np.concatenate([1.0 - rng.random(4000), s, np.nextafter(s, 0.0),
+                            np.nextafter(s, 2.0), np.exp2(-rng.uniform(0.0, 1074.0, 1000)),
+                            np.exp2(-np.arange(900.0, 1075.0))])
+        u = u[(u > 0.0) & (u <= 1.0)]
+        want = loop_sample(law, u)
+        unbracketed = want == UNBRACKETED
+        good, want = u[~unbracketed], want[~unbracketed]
+        assert np.array_equal(law.sample(good), want)
+        half = good.size // 2  # the simulator draws (edges x pairs) blocks
+        assert np.array_equal(law.sample(good[:2 * half].reshape(2, half)),
+                              want[:2 * half].reshape(2, half))
+        for v in u[unbracketed][:20]:
+            with pytest.raises(ConvergenceError):
+                law.sample(v)
 
     def test_unbracketed_draw_is_refused(self):
         # past 2^53, survival cannot tell i from i + 1
