@@ -2,9 +2,10 @@
 
 ``geometric_moment_cov`` evaluates the closed forms available when both
 laws are geometric; ``general_moment_cov`` computes the same limits for any
-pair of laws by summing stationary covariances built from per-edge joint
-on-probabilities. ``delta_method_cov`` propagates either result to the
-(p, q) estimators.
+pair of laws: v0, c01 and the one-edge part of v1 exactly, from the
+renewal-reward central limit theorem over one on/off cycle of an edge, and
+the cross-edge part of v1 as one series of squared autocovariances.
+``delta_method_cov`` propagates either result to the (p, q) estimators.
 """
 
 from __future__ import annotations
@@ -137,100 +138,55 @@ def delta_method_cov(n: int, p: float, q: float, mc: MomentCov) -> ParamCov:
 
 
 # ---------------------------------------------------------------------------
-# General-case machinery: mixed moments via index-partition expansion
+# General case: renewal-reward closed forms and the cross-edge series
 # ---------------------------------------------------------------------------
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
+def _reward_cov(model: ModelSpec, n: int):
+    """v0, c01 and the one-edge part of v1 as renewal-reward limits, with bounds on their error.
 
-
-class _GeneralTables:
-    """The per-edge joint on-probabilities of every epoch set the k-sums need.
-
-    By stationarity, the probability that an edge is on at every epoch of a
-    set depends only on the set's gaps. Each set of at most four distinct
-    epochs drawn from {1, 2, k, k+1} has gaps (), (d), (1, d), (d, 1) or
-    (1, d, 1), and omega reads it from one of these tables:
-
-    * rres[d]: P(on at 1 + d | on at 1) (residual start)
-    * ta[k]  = P(on at 1, 2, k)
-    * tb[k]  = P(on at 1, k, k+1)
-    * qq[k]  = P(on at 1, 2, k, k+1)
-
-    all built from autocovariance: ta from F-bar * s (the r_res table less
-    its first-step term), tb and qq from F-bar * S2.
+    Over one cycle of an edge (on for X epochs, then off for Y) its part of
+    sum_k (A(k) - n rho) is R0 = (1 - rho) X - rho Y, and its part of
+    sum_k (A(k) A(k+1) - E) is R1 = (X - 1) h11 + (Y - 1) h00 + 2 h10, where
+    h_ab = 2 n rho (a - rho) + (a - rho)(b - rho) is the edge's term at a pair
+    (I(k), I(k+1)) = (a, b) and h10 the mean of the (1, 0) and (0, 1) terms.
+    A cycle holds X - 1 pairs (1, 1), Y - 1 pairs (0, 0) and one of each
+    other pair. By the renewal-reward CLT (Glynn and Whitt 1993) the limits
+    are n E[Ra Rb] / E[X + Y] after centring each reward at its rate times
+    X + Y; that rate is 0 for R0 and gamma(1) = rho (1 - rho) - 1 / E[X + Y]
+    for R1. Both centred rewards are linear in X and Y, so the limits take
+    only the variances of X and Y, and variance_error() bounds their error.
     """
-
-    def __init__(self, model: ModelSpec, k_hi: int):
-        t = autocovariance(model, k_hi + 2)
-        self.rho = rho = t.rho
-        self.rres = t.r_res
-        fb1 = t.fbar[0]
-        k = np.arange(k_hi + 2)
-        # ta[k] valid for k >= 3, tb[k] for k >= 2, qq[k] for k >= 3
-        self.ta = rho * (t.r_res[k - 1] - fb1 * t.s[k - 2])
-        self.tb = rho * (t.fbar_S2[k - 2] + t.res_surv[k])
-        self.qq = self.tb - rho * fb1 * t.S2[k - 2]
-
-    def omega(self, epochs):
-        """P(on at every one of epochs) for one stationary edge.
-
-        epochs holds Python ints, coincident ones merged, or int arrays over
-        lags k >= 3 (such as k and k + 1), which keep one order among
-        themselves and the ints; with arrays the result is an array over k.
-        A gap is the 1 of a pattern when it is 1 at every k.
-        """
-        ts = sorted({int(t[0]) if isinstance(t, np.ndarray) else t: t for t in epochs}.items())
-        gaps = [b - a for (_, a), (_, b) in zip(ts, ts[1:])]
-        unit = [bool(np.all(gap == 1)) if isinstance(gap, np.ndarray) else gap == 1
-                for gap in gaps]
-        if not gaps:
-            return self.rho
-        if len(gaps) == 1:
-            return self.rho * self.rres[gaps[0]]
-        if len(gaps) == 2 and unit[0]:
-            return self.ta[gaps[1] + 2]
-        if len(gaps) == 2 and unit[1]:
-            return self.tb[gaps[0] + 1]
-        if len(gaps) == 3 and unit[0] and unit[2]:
-            return self.qq[gaps[1] + 2]
-        raise ValueError(f"epochs {[t for t, _ in ts]} have gaps outside (), (d), (1, d),"
-                         " (d, 1) and (1, d, 1)")
+    on, off = model.on_law, model.off_law
+    ex, ey = float(on.mean()), float(off.mean())
+    mu = ex + ey
+    rho, rho_bar = ex / mu, ey / mu
+    h11 = 2 * n * rho * rho_bar + rho_bar**2
+    h00 = -2 * n * rho**2 + rho**2
+    r1 = rho * rho_bar - 1.0 / mu
+    # the coefficients of X and Y in R0 and in R1 - r1 (X + Y)
+    x0, y0 = rho_bar, -rho
+    x1, y1 = h11 - r1, h00 - r1
+    var, err = (on.variance(), off.variance()), (on.variance_error(), off.variance_error())
+    weights = ((x0 * x0, y0 * y0), (x0 * x1, y0 * y1), (x1 * x1, y1 * y1))
+    limits = [n * (wx * var[0] + wy * var[1]) / mu for wx, wy in weights]
+    bounds = [n * (abs(wx) * err[0] + abs(wy) * err[1]) / mu for wx, wy in weights]
+    return limits, bounds
 
 
-def _mixed(tables: _GeneralTables, n: int, epochs):
-    """E_s[prod_t A_n(t) for t in epochs] for the stationary n-edge process.
+def _cross_edge_series(model: ModelSpec, n: int, k0: int):
+    """Lags 1..k0, the increments of v1's cross-edge series there, and its lag-0 term.
 
-    The product expands over index tuples; tuples factorize across distinct
-    edges, so each set partition of the epochs contributes n!/(n - b)!, b its
-    number of blocks, times the product of its blocks' per-edge all-on
-    probabilities.
+    The series is n (n - 1) sum_{d in Z} [gamma(d)^2 + gamma(d - 1) gamma(d + 1)],
+    gamma(d) = rho (r_res[d] - rho) the autocovariance of one edge's indicator;
+    the terms at d and -d are equal, so each increment is twice the lag-d term.
     """
-    total = 0.0
-    for part in _set_partitions(list(epochs)):
-        term = float(math.prod(n - i for i in range(len(part))))
-        for block in part:
-            term = term * tables.omega(block)
-        total = total + term
-    return total
-
-
-def mixed_moment(model: ModelSpec, n: int, epochs) -> float:
-    """E_s[prod_t A_n(t) for t in epochs] for the stationary n-edge process.
-
-    The distinct epochs must have gaps (), (d), (1, d), (d, 1) or (1, d, 1),
-    as every moment of general_moment_cov does; other sets raise ValueError.
-    """
-    epochs = [int(t) for t in epochs]
-    return float(_mixed(_GeneralTables(model, max(epochs) - min(epochs) + 1), n, epochs))
+    t = autocovariance(model, k0 + 2)
+    gamma = t.rho * (t.r_res - t.rho)
+    pairs = n * (n - 1)
+    ks = np.arange(1, k0 + 1)
+    inc = 2 * pairs * (gamma[ks] ** 2 + gamma[ks - 1] * gamma[ks + 1])
+    return ks, inc, pairs * (gamma[0] ** 2 + gamma[1] ** 2)
 
 
 # Table size of general_moment_cov: the increments are summed to K0 and the
@@ -239,34 +195,37 @@ def mixed_moment(model: ModelSpec, n: int, epochs) -> float:
 # of at most K_CAP lags.
 K0 = 1024
 K_CAP = 1 << 15
-_K0_MIN = 64  # the tail fits at K0 / 2 need a window of some width above k = 3
+_K0_MIN = 64  # the tail fits at K0 / 2 need a window of some width
 _FLOOR = 1e-13  # rounding floor of the increments, relative to the series scale
 
 
-def _tail_exponents(model: ModelSpec) -> list[float]:
-    """Decay exponents of the increments: a - 1, a, a + 1 and 2(a - 1) per Pareto(C, a) law.
+def _tail_exponents(model: ModelSpec, k_end: int) -> list[float]:
+    """Decay exponents of the cross-edge increments that a tail fit at k_end can use.
 
-    A Pareto law's renewal tables approach their limits as k^-(a-1), with
-    corrections in the next powers; the square of the leading term enters
-    the four-epoch products of v1 and c01.
+    A Pareto(C, a) law's tables approach their limits as k^-(a-1), with
+    corrections in k^-a, k^-(a+1) and k^-2(a-1); an increment is a product of
+    two entries. Only the sums within 4 of the least are kept: over the fit
+    window a steeper power falls by 256^4, and each further column worsens
+    the fit (with every sum 11 of 252 models of index 2.1 to 8 stayed
+    unconverged; with the cut, none of 864). Powers with k_end^gamma out of
+    float range go too: such a law sits below the rounding floor by k_end
+    or, with C > k_end, still decays geometrically, like a light tail.
     """
-    laws = (model.on_law, model.off_law)
-    return sorted({g for law in laws if isinstance(law, Pareto)
-                   for g in (law.alpha - 1.0, law.alpha, law.alpha + 1.0, 2.0 * (law.alpha - 1.0))})
+    alphas = [law.alpha for law in (model.on_law, model.off_law) if isinstance(law, Pareto)]
+    single = sorted({g for a in alphas for g in (a - 1.0, a, a + 1.0, 2.0 * (a - 1.0))})
+    sums = {g + h for g in single for h in single if g + h <= 2.0 * single[0] + 4.0}
+    return sorted(g for g in sums if g * math.log(k_end) < 700.0)
 
 
 def _tail(ks, inc, gammas, k_end):
     """sum_{k > k_end} of the least-squares fit sum_j c_j k^-gamma_j to inc on (k_end/4, k_end].
 
     The basis is scaled to 1 at k_end, so its j-th term sums to
-    k_end^gamma_j zeta(gamma_j, k_end + 1) beyond k_end. Powers for which
-    k_end^gamma_j leaves float range are left out: a Pareto law that decays
-    that fast either sits below the rounding floor by k_end or, with C > k_end,
-    has not yet reached its power law, and tail_error shows the miss.
+    k_end^gamma_j zeta(gamma_j, k_end + 1) beyond k_end.
     """
-    gammas = np.array([g for g in gammas if g * math.log(k_end) < 700.0])
     if not len(gammas):
         return 0.0
+    gammas = np.asarray(gammas)
     window = (ks > k_end // 4) & (ks <= k_end)
     basis = (ks[window, None] / k_end) ** -gammas
     coef = np.linalg.lstsq(basis, inc[window], rcond=None)[0]
@@ -299,9 +258,9 @@ def _lag_to_floor(ks, inc, head, k0):
 def _floored_sums(ks, inc, head, gammas, k0):
     """The series to k0 and to k0 / 2, each with its fitted tail; and the k0 tail.
 
-    Increments past the last one above the rounding floor (one per series)
-    are noise and are dropped. A tail is fitted only where the increments
-    still stand above the floor at the end of the sum.
+    Increments past the last one above the rounding floor are noise and are
+    dropped. A tail is fitted only where the increments still stand above
+    the floor at the end of the sum.
     """
     _, last = _last_above_floor(ks, inc, head)
     kept = np.where(ks <= last, inc, 0.0)
@@ -313,54 +272,30 @@ def _floored_sums(ks, inc, head, gammas, k0):
     return full, half, tail
 
 
-def _increments(model: ModelSpec, n: int, k0: int):
-    """Lags 3..k0 and, for v0, v1 and c01, the increments there and the exact head.
-
-    The head holds the lags below 3, where the epochs 1, 2, k, k+1 do not all
-    differ. Both read the same partition expansion: at k = 1 and 2 over
-    ints, from k = 3 over arrays of lags.
-    """
-    rho = model.rho
-    m1 = n * rho
-    tables = _GeneralTables(model, k0)
-    e12 = _mixed(tables, n, (1, 2))
-
-    def lag_moments(k):
-        """E[A(1)A(2)A(k)A(k+1)], E[A(1)A(k)A(k+1)] and E[A(1)A(2)A(k)]."""
-        return [_mixed(tables, n, e) for e in ((1, 2, k, k + 1), (1, k, k + 1), (1, 2, k))]
-
-    (m4_1, lead_1, _), (m4_2, lead_2, trail_2) = (lag_moments(k) for k in (1, 2))
-    v0_head = n * rho * (1 - rho) + 2 * n * rho * (tables.rres[1] - rho)
-    v1_head = m4_1 + 2 * m4_2 - 3 * e12**2
-    c01_head = lead_1 + lead_2 + trail_2 - 3 * m1 * e12
-
-    ks = np.arange(3, k0 + 1)
-    m4, lead, trail = lag_moments(ks)
-    v0_inc = 2 * n * rho * (tables.rres[ks - 1] - rho)
-    v1_inc = 2 * (m4 - e12**2)
-    c01_inc = lead + trail - 2 * m1 * e12
-    return ks, ((v0_inc, v0_head), (v1_inc, v1_head), (c01_inc, c01_head))
-
-
 def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
                        k_cap: int = K_CAP) -> MomentCov:
-    """v0, v1, c01 for arbitrary on/off laws by summing stationary covariances.
+    """v0, v1, c01 for arbitrary on/off laws: renewal-reward closed forms and one series.
 
-    The lag sums run to k0 = min(K0, k_cap) on one set of renewal tables.
-    For Pareto laws the increments decay as powers of k; a least-squares fit
-    over the largest lags gives their sum beyond k0 in closed form
-    (tail_correction). Without a Pareto law the increments decay faster than
-    any power and no tail is fitted; where they still stand above the
-    rounding floor at k0 (a slowly mixing model), the tables are built once
-    more, at twice the lag where their geometric decay reaches the floor, up
-    to k_cap. k_used is the final table size. tail_error is the largest move
-    of a corrected sum between k_used / 2 and k_used, and converged means
+    v0, c01 and the one-edge part of v1 are exact (_reward_cov). The rest of
+    v1, the cross-edge series, is summed to k0 = min(K0, k_cap) on one set of
+    renewal tables. For Pareto laws its increments decay as powers of k; a
+    least-squares fit over the largest lags gives their sum beyond k0 in
+    closed form (tail_correction, whose v0 and c01 entries are 0). Without a
+    tail exponent in float range at k0 (no Pareto law, or only laws with
+    C / alpha large enough to decay geometrically there) no tail is fitted;
+    where the increments still stand above the rounding floor at k0 (a
+    slowly mixing model), the tables are built once more, at twice the lag
+    where their geometric decay reaches the floor, up to k_cap. k_used is the
+    final table size. tail_error adds the series' move between k_used / 2
+    and k_used and its rounding floor (_FLOOR |v1|) to the bound on the
+    variances' unsummed terms (Weibull laws), and converged means
     tail_error <= tol * scale, scale the largest of 1, |v0|, |v1| and |c01|.
-    The default tol sits above the relative tail errors measured on Pareto
-    models with indices from 2.3 to 8 (at most 8.7e-7) and below those of
-    indices near 2 (6e-6 at 2.1). Where finiteness_check fails the limits
-    are infinite: a DivergenceWarning is issued and the partial sums are
-    returned with converged=False.
+    The default tol sits far above the relative tail errors measured on 864
+    Pareto models with indices from 2.05 to 20 (at most 1.5e-9), so it flags
+    models whose laws have not reached their power law by k0 but keep a tail
+    exponent, such as Pareto(3e4, 40)/Geometric(0.002). Where
+    finiteness_check fails, a DivergenceWarning is issued, the variances are
+    infinite and so are v0 and v1, and converged is False.
     """
     if k_cap < _K0_MIN:
         raise ValueError(f"k_cap must be >= {_K0_MIN}, got {k_cap}")
@@ -368,21 +303,23 @@ def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
     finite, why = finiteness_check(model)
     if not finite:
         warnings.warn(f"covariance limits are infinite: {why}", DivergenceWarning)
-    gammas = _tail_exponents(model) if finite else []
+    gammas = _tail_exponents(model, k0) if finite else []
 
-    ks, incs = _increments(model, n, k0)
+    (v0, c01, v1_one_edge), bounds = _reward_cov(model, n)
+    ks, inc, head = _cross_edge_series(model, n, k0)
     if finite and not gammas and k0 < k_cap:
-        need = max(_lag_to_floor(ks, inc, head, k0) for inc, head in incs)
+        need = _lag_to_floor(ks, inc, v1_one_edge + head, k0)
         if need > 0:
             k0 = int(min(k_cap, 2 * math.ceil(min(need, k_cap))))
-            ks, incs = _increments(model, n, k0)
-    out = [_floored_sums(ks, inc, head, gammas, k0) for inc, head in incs]
-    (v0, v1, c01) = (full for full, _, _ in out)
-    tail_error = float(max(abs(full - half) for full, half, _ in out))
+            ks, inc, head = _cross_edge_series(model, n, k0)
+    v1, half, tail = _floored_sums(ks, inc, v1_one_edge + head, gammas, k0)
+    # increments below the rounding floor were dropped, so v1 is known to that floor at best
+    move = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
+    tail_error = max(bounds[0], bounds[1], bounds[2] + move)
     scale = max(1.0, abs(v0), abs(v1), abs(c01))
     return MomentCov(v0=v0, v1=v1, c01=c01, method="general_series",
                      converged=bool(finite and tail_error <= tol * scale), k_used=k0,
-                     tail_correction=tuple(tail for _, _, tail in out), tail_error=tail_error)
+                     tail_correction=(0.0, tail, 0.0), tail_error=tail_error)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ sampler, and its residual (equilibrium) law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +67,17 @@ class DurationLaw:
     def tail_sum(self, k):
         """T(k) = sum_{i>=k} survival(i) for integer k >= 1, so T(1) = mean()."""
         raise NotImplementedError
+
+    def variance(self):
+        """Var Z = sum_{i>=2} (2i - 3) survival(i) - T(2)^2, inf where that sum diverges.
+
+        Both terms are moments of Z - 1, so a law near Z = 1 cancels nothing.
+        """
+        raise NotImplementedError
+
+    def variance_error(self):
+        """A bound on the terms of variance()'s series left unsummed; 0 for a closed form."""
+        return 0.0
 
     def _quantile(self, u):
         """The real x with survival(x + 1) = u, so the bracket of u is floor(x) + 1."""
@@ -147,6 +159,9 @@ class Geometric(DurationLaw):
     def tail_sum(self, k):
         return self.survival(k) / self.p
 
+    def variance(self):
+        return (1.0 - self.p) / self.p**2
+
     def _quantile(self, u):
         # the base that survival raises, so the candidate lands within the search's reach
         return np.log(u) / math.log(1.0 - self.p)
@@ -180,7 +195,29 @@ class Weibull(DurationLaw):
             return np.exp(-self.lam * (_as_index(i) - 1.0) ** self.alpha)
 
     def mean(self):
+        return self._mean
+
+    @functools.cached_property
+    def _mean(self):
         return weibull_survival_sum(self.lam, self.alpha)
+
+    @functools.cached_property
+    def _second_moment(self):
+        """sum_{i>=2} (2i - 3) survival(i) over the terms the mean sums, and a bound on the rest.
+
+        With y = i - 1 each dropped term (2y - 1) exp(-lam y^alpha) is at most
+        integral_{y-1}^y 2t exp(-lam t^alpha) dt, as the survival decreases.
+        """
+        blocks = list(_weibull_terms(self.lam, self.alpha))
+        total = sum(float(np.sum(np.maximum(2.0 * y - 1.0, 0.0) * t)) for y, t in blocks)
+        y_last = blocks[-1][0][-1]
+        return total, 2.0 * float(_weibull_integral(self.lam, self.alpha, y_last, power=1))
+
+    def variance(self):
+        return self._second_moment[0] - float(self.tail_sum(2)) ** 2
+
+    def variance_error(self):
+        return self._second_moment[1]
 
     def tail_sum(self, k):
         """mean() minus the partial sums up to the largest k asked for.
@@ -224,7 +261,8 @@ class Pareto(DurationLaw):
         _pareto_scale(self.C, self.alpha)  # so mean() and tail_sum() stay in float range
 
     def survival(self, i):
-        return (self.C / (self.C + _as_index(i) - 1.0)) ** self.alpha
+        # i - 1 first, so survival(1) is exactly 1 however small C is
+        return (self.C / (self.C + (_as_index(i) - 1.0))) ** self.alpha
 
     def mean(self):
         if self.alpha <= 1.0:
@@ -232,8 +270,16 @@ class Pareto(DurationLaw):
         return hurwitz_like(self.C, self.alpha)
 
     def tail_sum(self, k):
-        # C^alpha * Hurwitz zeta(alpha, C + k - 1)
-        return self.C**self.alpha * scipy.special.zeta(self.alpha, self.C + _as_index(k) - 1.0)
+        return _pareto_tail(self.C, self.alpha, self.C + _as_index(k) - 1.0)
+
+    def variance(self):
+        # with j = C + i - 1, sum_{i>=2} (2i - 3) S(i) = C^alpha sum_{j>=C+1} (2j - 2C - 1) j^-alpha
+        C, a = self.C, self.alpha
+        if a <= 2.0:
+            return math.inf
+        zeta = scipy.special.zeta
+        second = C**a * float(2.0 * zeta(a - 1.0, C + 1.0) - (2.0 * C + 1.0) * zeta(a, C + 1.0))
+        return second - float(self.tail_sum(2)) ** 2
 
     def _quantile(self, u):
         return self.C * (u ** (-1.0 / self.alpha) - 1.0)
@@ -324,7 +370,22 @@ def hurwitz_like(C, alpha):
         raise ParameterError(f"C must be positive, got {C}")
     if alpha <= 1.0:
         raise OutOfRangeError(f"series diverges for alpha={alpha} <= 1")
-    return _pareto_scale(C, alpha) * scipy.special.zeta(alpha, C)
+    return _pareto_tail(C, alpha, C)
+
+
+def _pareto_tail(C, alpha, x):
+    """C^alpha Hurwitz zeta(alpha, x), the Pareto tail sum T(k) at x = C + k - 1.
+
+    Where a tiny C makes that 0 * inf (only k = 1 has x < 1), T(1) is taken
+    as S(1) + T(2) = 1 + C^alpha zeta(alpha, C + 1).
+    """
+    scale = _pareto_scale(C, alpha)
+    with np.errstate(invalid="ignore"):
+        value = scale * scipy.special.zeta(alpha, x)
+    if np.all(np.isfinite(value)):
+        return value
+    fallback = 1.0 + scale * scipy.special.zeta(alpha, C + 1.0)
+    return np.where(np.isfinite(value), value, fallback)[()]
 
 
 def zeta_like(alpha):
@@ -332,10 +393,11 @@ def zeta_like(alpha):
     return hurwitz_like(1.0, alpha)
 
 
-def _weibull_integral(lam, alpha, a):
-    """integral_a^inf exp(-lam y^alpha) dy, an upper bound on sum_{y>a} exp(-lam y^alpha)."""
-    return (scipy.special.gamma(1.0 / alpha) / (alpha * lam ** (1.0 / alpha))
-            * scipy.special.gammaincc(1.0 / alpha, lam * np.asarray(a, dtype=np.float64) ** alpha))
+def _weibull_integral(lam, alpha, a, power=0):
+    """integral_a^inf y^power exp(-lam y^alpha) dy; at power 0, a bound on sum_{y>a} S(y + 1)."""
+    s = (power + 1) / alpha
+    return (scipy.special.gamma(s) / (alpha * lam ** s)
+            * scipy.special.gammaincc(s, lam * np.asarray(a, dtype=np.float64) ** alpha))
 
 
 def _weibull_truncated(lam, alpha):
@@ -348,24 +410,31 @@ def weibull_survival_sum(lam, alpha):
 
     Refused when the sum does not meet DEFAULT_SERIES_TOL within _WEIBULL_TERMS terms.
     """
+    return sum(float(np.sum(terms)) for _, terms in _weibull_terms(lam, alpha))
+
+
+def _weibull_terms(lam, alpha):
+    """Blocks (y, exp(-lam y^alpha)) for y = 0, 1, ..., until the sum meets DEFAULT_SERIES_TOL."""
     if lam <= 0.0 or alpha <= 0.0:
         raise OutOfRangeError(f"series needs lam > 0, alpha > 0, got ({lam}, {alpha})")
     if _weibull_truncated(lam, alpha):
         raise OutOfRangeError(
             f"series for ({lam}, {alpha}) does not converge within {_WEIBULL_TERMS} terms")
-    total = 0.0
     m = 0
     block = 256
-    with np.errstate(over="ignore", under="ignore"):
-        while True:
-            i = np.arange(m, m + block, dtype=np.float64)  # i = (index - 1)
-            total += float(np.sum(np.exp(-lam * i**alpha)))
+    while True:
+        y = np.arange(m, m + block, dtype=np.float64)  # y = (index - 1)
+        with np.errstate(over="ignore", under="ignore"):
+            terms = np.exp(-lam * y**alpha)
             m += block
             # tail sum_{y>=m} exp(-lam y^alpha) <= integral_{m-1}^inf, which the
             # check above bounds by DEFAULT_SERIES_TOL once m >= _WEIBULL_TERMS
-            if m >= _WEIBULL_TERMS or _weibull_integral(lam, alpha, m - 1.0) <= DEFAULT_SERIES_TOL:
-                return total
-            block = min(block * 2, 1 << 20)
+            done = (m >= _WEIBULL_TERMS
+                    or _weibull_integral(lam, alpha, m - 1.0) <= DEFAULT_SERIES_TOL)
+        yield y, terms
+        if done:
+            return
+        block = min(block * 2, 1 << 20)
 
 
 def chi_like(alpha):

@@ -190,9 +190,9 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         raise ValueError("pareto/geometric estimation needs moments up to lag 2")
     fbar1, q_hat, D = _first_lag_targets(m)
     T1 = 1.0 / fbar1 if fbar1 > 0 else -1.0
-    T2 = q_hat - (m.mu[2] - m.mu[1]) / D
     if T1 <= 1.0:
         raise IncompatibleMomentsError(f"mean-sum target must exceed 1, got {T1}")
+    T2 = q_hat - (m.mu[2] - m.mu[1]) / D  # D > 0 here, as fbar1 = D / mu_hat(0) > 0
     if not 0.0 < T2 < 1.0:
         raise IncompatibleMomentsError(
             f"survival-ratio target must lie in (0, 1), got {T2}")

@@ -143,20 +143,13 @@ class AutocovTable:
     r_k: P(on at k | fresh on-period starts at 1)
     s_k: P(on at k | fresh off-period starts at 1)
     r_res_k: same as r_k but with the residual on-time at 1 (stationary start)
-    These are 1-indexed via [k-1]; fbar and res_surv are the residual on-law
-    arrays. The adjacent-pair series S2[d] = P(on at d+1 and d+2 | fresh
-    off-period starts at 1) and fbar_S2 = F-bar S2, the same behind a
-    residual on-time, are 0-indexed.
+    These are 1-indexed via [k-1].
     """
 
     rho: float
     r: np.ndarray
     s: np.ndarray
     r_res: np.ndarray
-    fbar: np.ndarray
-    res_surv: np.ndarray
-    S2: np.ndarray
-    fbar_S2: np.ndarray
 
 
 def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
@@ -164,8 +157,7 @@ def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
 
     With u = 1 / (1 - F G), every table is a product of known series:
     r = u S_f (S_f the on-time survival), s = z G r and
-    r_res = z F-bar s + the residual survival; the pair tables take
-    R2 = u S_f shifted by one epoch and S2 = z G R2.
+    r_res = z F-bar s + the residual survival.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -176,10 +168,8 @@ def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
     u = _on_start_density(f, surv_f, g, surv_g, 1.0 / (ex + ey))
     r = _conv(u, surv_f, k_max)
     s = _shift(_conv(g, r, k_max))
-    S2 = _shift(_conv(g, _conv(u, surv_f[1:], k_max), k_max))
     return AutocovTable(rho=ex / (ex + ey), r=r, s=s,
-                        r_res=_shift(_conv(fbar, s, k_max)) + res_surv_f[:k_max],
-                        fbar=fbar, res_surv=res_surv_f, S2=S2, fbar_S2=_conv(fbar, S2, k_max))
+                        r_res=_shift(_conv(fbar, s, k_max)) + res_surv_f[:k_max])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +227,10 @@ def legendre_transform(model: ModelSpec, counts, n: int):
             return max(value, 0.0), theta
         for _ in range(60):
             cand = theta + step
-            if float(cand @ counts) - n * math.log(joint_mgf(model, cand)) > value:
+            # a candidate far out may overflow the MGF: no ascent there
+            with np.errstate(over="ignore", invalid="ignore"):
+                mgf = joint_mgf(model, cand)
+            if math.isfinite(mgf) and float(cand @ counts) - n * math.log(mgf) > value:
                 break
             step *= 0.5
         else:

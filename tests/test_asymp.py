@@ -14,13 +14,19 @@ from onoffgraph.asymp import (
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
-    mixed_moment,
-    _GeneralTables,
 )
 from onoffgraph.errors import ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
-from onoffgraph.renewal import _law_arrays, _residual_arrays, autocovariance, joint_distribution
-from onoffgraph.simulate import ModelSpec
+from onoffgraph.renewal import (
+    _conv,
+    _law_arrays,
+    _on_start_density,
+    _residual_arrays,
+    _shift,
+    autocovariance,
+    joint_distribution,
+)
+from onoffgraph.simulate import ModelSpec, simulate_edge_trace
 
 from test_renewal import ALL_MODELS, loop_autocovariance
 
@@ -87,6 +93,140 @@ def loop_general_tables(model, k_hi):
     for k in range(3, k_hi + 1):
         qq[k] = rho * (fbar[1:k - 1] @ S2[k - 3::-1] + res_surv_f[k])
     return S2, ta, tb, qq
+
+
+def convolution_pair_tables(model, k_max):
+    """F-bar, the residual on-survival, S2 and F-bar S2 by power-series products.
+
+    The second route to loop_general_tables' S2: with u = 1 / (1 - F G),
+    R2 = u S_f shifted by one epoch and S2 = z G R2.
+    """
+    ex, ey = model.on_law.mean(), model.off_law.mean()
+    f, surv_f = _law_arrays(model.on_law, k_max)
+    g, surv_g = _law_arrays(model.off_law, k_max)
+    fbar, res_surv_f = _residual_arrays(surv_f, ex)
+    u = _on_start_density(f, surv_f, g, surv_g, 1.0 / (ex + ey))
+    S2 = _shift(_conv(g, _conv(u, surv_f[1:], k_max), k_max))
+    return fbar, res_surv_f, S2, _conv(fbar, S2, k_max)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield part + [[first]]
+
+
+class GeneralTables:
+    """The per-edge joint on-probabilities of every epoch set the lag sums of v0, v1, c01 need.
+
+    By stationarity, the probability that an edge is on at every epoch of a
+    set depends only on the set's gaps. Each set of at most four distinct
+    epochs drawn from {1, 2, k, k+1} has gaps (), (d), (1, d), (d, 1) or
+    (1, d, 1), and omega reads it from one of these tables:
+
+    * rres[d]: P(on at 1 + d | on at 1) (residual start)
+    * ta[k]  = P(on at 1, 2, k)
+    * tb[k]  = P(on at 1, k, k+1)
+    * qq[k]  = P(on at 1, 2, k, k+1)
+
+    all built by convolutions: ta from autocovariance's r_res less its
+    first-step term F-bar_1 s, tb and qq from convolution_pair_tables.
+    """
+
+    def __init__(self, model, k_hi):
+        t = autocovariance(model, k_hi + 2)
+        fbar, res_surv, S2, fbar_S2 = convolution_pair_tables(model, k_hi + 2)
+        self.rho = rho = t.rho
+        self.rres = t.r_res
+        k = np.arange(k_hi + 2)
+        # ta[k] valid for k >= 3, tb[k] for k >= 2, qq[k] for k >= 3
+        self.ta = rho * (t.r_res[k - 1] - fbar[0] * t.s[k - 2])
+        self.tb = rho * (fbar_S2[k - 2] + res_surv[k])
+        self.qq = self.tb - rho * fbar[0] * S2[k - 2]
+
+    def omega(self, epochs):
+        """P(on at every one of epochs) for one stationary edge.
+
+        epochs holds Python ints, coincident ones merged, or int arrays over
+        lags k >= 3 (such as k and k + 1), which keep one order among
+        themselves and the ints; with arrays the result is an array over k.
+        A gap is the 1 of a pattern when it is 1 at every k.
+        """
+        ts = sorted({int(t[0]) if isinstance(t, np.ndarray) else t: t for t in epochs}.items())
+        gaps = [b - a for (_, a), (_, b) in zip(ts, ts[1:])]
+        unit = [bool(np.all(gap == 1)) if isinstance(gap, np.ndarray) else gap == 1
+                for gap in gaps]
+        if not gaps:
+            return self.rho
+        if len(gaps) == 1:
+            return self.rho * self.rres[gaps[0]]
+        if len(gaps) == 2 and unit[0]:
+            return self.ta[gaps[1] + 2]
+        if len(gaps) == 2 and unit[1]:
+            return self.tb[gaps[0] + 1]
+        if len(gaps) == 3 and unit[0] and unit[2]:
+            return self.qq[gaps[1] + 2]
+        raise ValueError(f"epochs {[t for t, _ in ts]} have gaps outside (), (d), (1, d),"
+                         " (d, 1) and (1, d, 1)")
+
+
+def partition_mixed(tables, n, epochs):
+    """E_s[prod_t A_n(t) for t in epochs] for the stationary n-edge process.
+
+    The product expands over index tuples; tuples factorize across distinct
+    edges, so each set partition of the epochs contributes n!/(n - b)!, b its
+    number of blocks, times the product of its blocks' per-edge all-on
+    probabilities.
+    """
+    total = 0.0
+    for part in set_partitions(list(epochs)):
+        term = float(math.prod(n - i for i in range(len(part))))
+        for block in part:
+            term = term * tables.omega(block)
+        total = total + term
+    return total
+
+
+def mixed_moment(model, n, epochs):
+    """partition_mixed on tables as long as the epochs' span; other gaps raise ValueError."""
+    epochs = [int(t) for t in epochs]
+    return float(partition_mixed(GeneralTables(model, max(epochs) - min(epochs) + 1), n, epochs))
+
+
+def partition_moment_cov(model, n, k0=K0):
+    """v0, v1, c01 as three lag series of partition_mixed moments, each with its fitted tail.
+
+    The head holds the lags below 3, where the epochs 1, 2, k, k+1 do not all
+    differ; the increments from k = 3 on are arrays over k. A Pareto(C, a)
+    law's tables approach their limits as k^-(a-1) with corrections in
+    k^-a, k^-(a+1) and k^-2(a-1), which the tails fit.
+    """
+    rho = model.rho
+    m1 = n * rho
+    tables = GeneralTables(model, k0)
+    e12 = partition_mixed(tables, n, (1, 2))
+
+    def lag_moments(k):
+        """E[A(1)A(2)A(k)A(k+1)], E[A(1)A(k)A(k+1)] and E[A(1)A(2)A(k)]."""
+        return [partition_mixed(tables, n, e) for e in ((1, 2, k, k + 1), (1, k, k + 1), (1, 2, k))]
+
+    (m4_1, lead_1, _), (m4_2, lead_2, trail_2) = (lag_moments(k) for k in (1, 2))
+    heads = (n * rho * (1 - rho) + 2 * n * rho * (tables.rres[1] - rho),
+             m4_1 + 2 * m4_2 - 3 * e12**2,
+             lead_1 + lead_2 + trail_2 - 3 * m1 * e12)
+    ks = np.arange(3, k0 + 1)
+    m4, lead, trail = lag_moments(ks)
+    incs = (2 * n * rho * (tables.rres[ks - 1] - rho), 2 * (m4 - e12**2),
+            lead + trail - 2 * m1 * e12)
+    alphas = [law.alpha for law in (model.on_law, model.off_law) if isinstance(law, Pareto)]
+    gammas = sorted(g for a in alphas for g in {a - 1.0, a, a + 1.0, 2.0 * (a - 1.0)}
+                    if g * math.log(k0) < 700.0)  # k0^g in float range
+    return [asymp._floored_sums(ks, inc, head, gammas, k0)[0] for inc, head in zip(incs, heads)]
 
 
 def _fit_two_term(f, vals, ks):
@@ -200,11 +340,11 @@ class TestGeneralTables:
     @pytest.mark.parametrize("k_hi", [5, 2048])
     def test_matches_loops(self, k_hi):
         for model in ALL_MODELS:
-            tables = _GeneralTables(model, k_hi)
+            tables = GeneralTables(model, k_hi)
             S2, ta, tb, qq = loop_general_tables(model, k_hi)
             assert np.max(np.abs(tables.rres[:k_hi + 1]
                                  - loop_autocovariance(model, k_hi + 1)[2])) <= 1e-12
-            assert np.max(np.abs(autocovariance(model, k_hi + 2).S2[:k_hi + 1]
+            assert np.max(np.abs(convolution_pair_tables(model, k_hi + 2)[2][:k_hi + 1]
                                  - S2)) <= 1e-12
             assert np.max(np.abs(tables.ta[3:k_hi + 2] - ta[3:])) <= 1e-12
             assert np.max(np.abs(tables.tb[2:k_hi + 1] - tb[2:])) <= 1e-12
@@ -218,7 +358,7 @@ class TestGeneralTables:
 
         ks = np.arange(3, 8)
         for model in ALL_MODELS:
-            tables = _GeneralTables(model, 8)
+            tables = GeneralTables(model, 8)
             for j, lags in enumerate(sets(ks)):
                 for r in range(1, len(lags) + 1):
                     for pos in itertools.combinations(range(len(lags)), r):
@@ -255,18 +395,41 @@ class TestGeneralSeries:
         assert g.converged and K0 < g.k_used <= K_CAP
         assert g.tail_error <= 1e-12 * max(g.v0, g.v1, abs(g.c01))
         capped = general_moment_cov(model, 10, k_cap=2 * K0)
-        assert capped.k_used == 2 * K0 and not capped.converged
-        # Weibull laws add no tail exponent either, and the table grows the same way
+        assert capped.k_used == 2 * K0 and capped.tail_error > g.tail_error
+        # Weibull laws add no tail exponent either
         model = ModelSpec(on_law=Weibull(0.3, 0.7), off_law=Geometric(0.5), n=10)
         g = general_moment_cov(model, 10)
-        assert g.converged and g.k_used > K0 and g.tail_correction == (0.0, 0.0, 0.0)
+        assert g.converged and g.tail_correction == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("on,off,n", [(Weibull(0.02, 0.5), Geometric(0.05), 10),
+                                          (Pareto(1.0, 2.1), Geometric(0.5), 100)],
+                             ids=["weibull_slow", "pareto_2.1"])
+    def test_v0_is_the_renewal_reward_limit(self, on, off, n):
+        # two models whose lag series stop short: the slow Weibull's v0 series
+        # is 8.9% short at K_CAP, and index 2.1 decays like k^-1.1
+        start = time.perf_counter()
+        g = general_moment_cov(ModelSpec(on_law=on, off_law=off, n=n), n)
+        assert time.perf_counter() - start < 1.0
+        assert g.converged and g.tail_correction[0] == g.tail_correction[2] == 0.0
+        ex, ey = on.mean(), off.mean()
+        v0 = n * (ey**2 * on.variance() + ex**2 * off.variance()) / (ex + ey) ** 3
+        assert abs(g.v0 - v0) <= 1e-8 * v0
+
+    @pytest.mark.parametrize("model", [*ALL_MODELS, HEAVY, PARPAR],
+                             ids=["gg", "pp", "wg", "pg", "pareto_geo", "pareto_pareto"])
+    def test_matches_partition_series(self, model):
+        # the three lag series of the partition expansion, with their fitted tails
+        g = general_moment_cov(model, model.n)
+        assert g.converged
+        for a, b in zip((g.v0, g.v1, g.c01), partition_moment_cov(model, model.n)):
+            assert abs(a - b) <= 1e-6 * abs(b)
 
     def test_power_law_tail_converges(self):
         start = time.perf_counter()
         g = general_moment_cov(HEAVY, 100)
         assert time.perf_counter() - start < 1.0
         assert g.converged and g.k_used == K0
-        assert all(t > 0 for t in g.tail_correction)
+        assert g.tail_correction[0] == g.tail_correction[2] == 0.0
         half = general_moment_cov(HEAVY, 100, k_cap=K0 // 2)
         assert half.converged and half.k_used == K0 // 2
         for a, b in [(g.v0, half.v0), (g.v1, half.v1), (g.c01, half.c01)]:
@@ -285,11 +448,41 @@ class TestGeneralSeries:
             assert abs(a - b) <= 1e-6 * scale
 
     def test_large_index_tail_stays_in_range(self):
-        # at n = 10^6 the rounding noise of v1 and c01 stands above the floor
-        # at K0, so a tail is fitted; k^-198 would overflow K0^198 there
+        # at n = 10^6 the rounding noise of v1 stands near the floor at K0;
+        # k^-198 would overflow K0^198, so no tail exponent is kept
         model = ModelSpec(on_law=Pareto(300.0, 100.0), off_law=Geometric(0.7), n=10**6)
+        assert asymp._tail_exponents(model, K0) == []
         g = general_moment_cov(model, model.n)
         assert np.isfinite([g.v0, g.v1, g.c01, g.tail_error, *g.tail_correction]).all()
+
+    @pytest.mark.parametrize("on,q", [(Pareto(3e4, 60.0), 0.002), (Pareto(1e4, 60.0), 0.005)],
+                             ids=["C3e4", "C1e4"])
+    def test_pareto_short_of_its_power_law_extends_the_table(self, on, q):
+        # with C / alpha = 500 and 167 epochs these laws still decay
+        # geometrically at K0, and k^-118 leaves float range there, so no tail
+        # is fitted: one longer table takes the increments to the floor
+        model = ModelSpec(on_law=on, off_law=Geometric(q), n=10)
+        g = general_moment_cov(model, 10)
+        assert g.converged and K0 < g.k_used <= K_CAP
+        assert g.tail_correction == (0.0, 0.0, 0.0)
+
+    def test_extended_pareto_table_matches_partition_series(self):
+        # the three partition series on a table twice as long as k_used
+        model = ModelSpec(on_law=Pareto(1e4, 60.0), off_law=Geometric(0.005), n=10)
+        g = general_moment_cov(model, 10)
+        for a, b in zip((g.v0, g.v1, g.c01), partition_moment_cov(model, 10, 2 * g.k_used)):
+            assert abs(a - b) <= 1e-8 * abs(b)
+
+    def test_pareto_tiny_scale(self):
+        # C^alpha underflows while zeta(alpha, C) overflows: every on-period lasts one epoch
+        model = ModelSpec(on_law=Pareto(1e-9, 300.0), off_law=Geometric(0.5), n=10)
+        assert model.on_law.mean() == 1.0
+        trace = simulate_edge_trace(model, 50, np.random.default_rng(5))
+        assert 0 <= trace.values.min() and trace.values.max() <= 10
+        g = general_moment_cov(model, 10)
+        assert g.converged
+        # v0 = n E[X]^2 Var Y / E[X + Y]^3, as Var X = 0
+        assert g.v0 == pytest.approx(10 * 2.0 / 27.0, rel=1e-12)
 
     def test_k_cap_too_small(self):
         with pytest.raises(ValueError):

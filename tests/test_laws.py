@@ -127,12 +127,72 @@ class TestMean:
         with pytest.raises(InfiniteMeanError):
             Pareto(2.0, 0.8).mean()
 
+    def test_pareto_tiny_scale(self):
+        # C^alpha underflows to 0 while zeta(alpha, C) overflows: the mean is 1, not 0 * inf
+        assert Pareto(1e-9, 300.0).mean() == 1.0
+        assert hurwitz_like(1e-9, 300.0) == 1.0
+        # the tail sum T(1) is the same sum: scalar, in an array, and behind the residual law
+        law = Pareto(1e-9, 300.0)
+        assert law.tail_sum(1) == 1.0
+        assert list(law.tail_sum(np.array([1, 2, 3]))) == [1.0, 0.0, 0.0]
+        assert law.residual().survival(1) == 1.0
+
+    def test_weibull_mean_is_summed_once(self, monkeypatch):
+        from onoffgraph import laws
+        from onoffgraph.simulate import ModelSpec, simulate_edge_trace
+
+        calls = []
+        real = laws.weibull_survival_sum
+        monkeypatch.setattr(laws, "weibull_survival_sum", lambda *a: calls.append(a) or real(*a))
+        law = Weibull(1.0, 0.25)
+        model = ModelSpec(on_law=law, off_law=Geometric(0.5), n=20)
+        simulate_edge_trace(model, 200, np.random.default_rng(3))
+        assert calls == [(1.0, 0.25)]
+        assert law.variance() > 0.0 and len(calls) == 1
+        assert law.mean() == real(1.0, 0.25)  # the cached value keeps its bits
+
     def test_mean_equals_survival_sum(self):
         i = np.arange(1, 200_000)
         for law in ALL_LAWS:
             direct = law.survival(i).sum()
             tol = 1e-6 if isinstance(law, Pareto) else 1e-10  # heavy power tail
             assert law.mean() == pytest.approx(direct, rel=tol)
+
+
+class TestVariance:
+    def test_matches_moment_sums(self):
+        # E[Z^2] - E[Z]^2 from the pmf of the light-tailed laws
+        i = np.arange(1, 2_000_001, dtype=np.float64)
+        for law in [Geometric(0.3), Geometric(0.8), Weibull(1.0, 0.5), Weibull(1.0, 1.0),
+                    Weibull(0.3, 0.7), Weibull(2.0, 3.0)]:
+            pmf = law.pmf(i)
+            direct = float(np.sum(i * i * pmf) - np.sum(i * pmf) ** 2)
+            assert law.variance() == pytest.approx(direct, rel=1e-10)
+        assert Geometric(0.3).variance() == pytest.approx(0.7 / 0.09, rel=1e-15)
+
+    def test_pareto_closed_form(self):
+        # C^alpha [2 zeta(a - 1, C + 1) - (2C + 1) zeta(a, C + 1)] - T(2)^2 against the
+        # same sums over j = C + i - 1 taken to 10^6 terms plus their integral tails
+        for C, a in ((1.0, 3.0), (2.0, 4.0), (0.5, 8.0)):
+            j = C + np.arange(1, 1_000_001, dtype=np.float64)
+            end = j[-1] + 0.5
+            tails = 2 * end ** (2 - a) / (a - 2) - (2 * C + 1) * end ** (1 - a) / (a - 1)
+            second = C**a * (np.sum((2 * j - 2 * C - 1) * j**-a) + tails)
+            t2 = C**a * (np.sum(j**-a) + end ** (1 - a) / (a - 1))
+            assert Pareto(C, a).variance() == pytest.approx(second - t2 * t2, rel=1e-9)
+
+    def test_infinite_and_degenerate(self):
+        assert Pareto(1.0, 2.0).variance() == math.inf
+        assert Pareto(1.0, 1.5).variance() == math.inf
+        # all mass at 1: nothing cancels, so the variance is 0, not rounding noise
+        assert Pareto(1e-9, 300.0).variance() == 0.0
+        assert Weibull(50.0, 1.0).variance() == pytest.approx(math.exp(-50.0), rel=1e-12)
+
+    def test_weibull_error_bounds_the_dropped_terms(self):
+        for law in (Weibull(1.0, 0.5), Weibull(0.02, 0.5), Weibull(1.0, 0.25)):
+            bound = law.variance_error()
+            assert 0.0 < bound <= 1e-9 * law.variance()
+        assert Geometric(0.3).variance_error() == Pareto(1.0, 3.0).variance_error() == 0.0
 
 
 class TestResidual:

@@ -195,6 +195,12 @@ class TestEdgeEstimators:
         with pytest.raises(IncompatibleMomentsError):
             estimate_pareto_geo(m)
 
+    def test_pareto_geo_zero_first_lag_target(self):
+        # the exact moments of this model round D to 0; it is refused before T2 divides by it
+        model = ModelSpec(on_law=Pareto(1e12, 1.0001), off_law=Geometric(0.5), n=10)
+        with pytest.raises(IncompatibleMomentsError):
+            estimate_pareto_geo(theoretical_moment_set(model, L=3))
+
     def test_pareto_geo_large_alpha(self):
         # the bracket passes alpha = 100 into 128, where C^alpha leaves float
         # range; it steps back below that point instead of doubling past it

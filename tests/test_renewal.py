@@ -318,6 +318,11 @@ class TestLegendre:
 
 
 class TestSaddlepoint:
+    def test_overflowing_candidate_is_no_ascent(self):
+        # a Newton candidate for this nearly frozen model overflows exp in joint_mgf
+        model = ModelSpec(on_law=Geometric(1e-6), off_law=Geometric(0.5), n=10)
+        assert math.isfinite(saddlepoint_logprob(model, [5, 5, 5], 10))
+
     def test_k1_binomial(self):
         n, rho = 100, GG.rho
         for n1 in [73, round(n * rho)]:
