@@ -143,7 +143,7 @@ def delta_method_cov(n: int, p: float, q: float, mc: MomentCov) -> ParamCov:
 
 
 def _reward_cov(model: ModelSpec, n: int):
-    """v0, c01 and the one-edge part of v1 as renewal-reward limits, with bounds on their error.
+    """v0, c01 and the one-edge part of v1 as renewal-reward limits.
 
     Over one cycle of an edge (on for X epochs, then off for Y) its part of
     sum_k (A(k) - n rho) is R0 = (1 - rho) X - rho Y, and its part of
@@ -155,7 +155,7 @@ def _reward_cov(model: ModelSpec, n: int):
     are n E[Ra Rb] / E[X + Y] after centring each reward at its rate times
     X + Y; that rate is 0 for R0 and gamma(1) = rho (1 - rho) - 1 / E[X + Y]
     for R1. Both centred rewards are linear in X and Y, so the limits take
-    only the variances of X and Y, and variance_error() bounds their error.
+    only the variances of X and Y, each exact to rounding.
     """
     on, off = model.on_law, model.off_law
     ex, ey = float(on.mean()), float(off.mean())
@@ -167,11 +167,9 @@ def _reward_cov(model: ModelSpec, n: int):
     # the coefficients of X and Y in R0 and in R1 - r1 (X + Y)
     x0, y0 = rho_bar, -rho
     x1, y1 = h11 - r1, h00 - r1
-    var, err = (on.variance(), off.variance()), (on.variance_error(), off.variance_error())
+    vx, vy = on.variance(), off.variance()
     weights = ((x0 * x0, y0 * y0), (x0 * x1, y0 * y1), (x1 * x1, y1 * y1))
-    limits = [n * (wx * var[0] + wy * var[1]) / mu for wx, wy in weights]
-    bounds = [n * (abs(wx) * err[0] + abs(wy) * err[1]) / mu for wx, wy in weights]
-    return limits, bounds
+    return [n * (wx * vx + wy * vy) / mu for wx, wy in weights]
 
 
 def _cross_edge_series(model: ModelSpec, n: int, k0: int):
@@ -207,11 +205,13 @@ def _tail_exponents(model: ModelSpec, k_end: int) -> list[float]:
     two entries. Only the sums within 4 of the least are kept: over the fit
     window a steeper power falls by 256^4, and each further column worsens
     the fit (with every sum 11 of 252 models of index 2.1 to 8 stayed
-    unconverged; with the cut, none of 864). Powers with k_end^gamma out of
-    float range go too: such a law sits below the rounding floor by k_end
-    or, with C > k_end, still decays geometrically, like a light tail.
+    unconverged; with the cut, none of 864). A law with C >= k_end adds
+    none: below its scale its survival (1 + k/C)^-a still decays like
+    exp(-a k / C), as a light tail does. Powers with k_end^gamma out of
+    float range go too: such a law sits below the rounding floor by k_end.
     """
-    alphas = [law.alpha for law in (model.on_law, model.off_law) if isinstance(law, Pareto)]
+    alphas = [law.alpha for law in (model.on_law, model.off_law)
+              if isinstance(law, Pareto) and law.C < k_end]
     single = sorted({g for a in alphas for g in (a - 1.0, a, a + 1.0, 2.0 * (a - 1.0))})
     sums = {g + h for g in single for h in single if g + h <= 2.0 * single[0] + 4.0}
     return sorted(g for g in sums if g * math.log(k_end) < 700.0)
@@ -281,19 +281,18 @@ def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
     renewal tables. For Pareto laws its increments decay as powers of k; a
     least-squares fit over the largest lags gives their sum beyond k0 in
     closed form (tail_correction, whose v0 and c01 entries are 0). Without a
-    tail exponent in float range at k0 (no Pareto law, or only laws with
-    C / alpha large enough to decay geometrically there) no tail is fitted;
-    where the increments still stand above the rounding floor at k0 (a
-    slowly mixing model), the tables are built once more, at twice the lag
-    where their geometric decay reaches the floor, up to k_cap. k_used is the
-    final table size. tail_error adds the series' move between k_used / 2
-    and k_used and its rounding floor (_FLOOR |v1|) to the bound on the
-    variances' unsummed terms (Weibull laws), and converged means
-    tail_error <= tol * scale, scale the largest of 1, |v0|, |v1| and |c01|.
-    The default tol sits far above the relative tail errors measured on 864
-    Pareto models with indices from 2.05 to 20 (at most 1.5e-9), so it flags
-    models whose laws have not reached their power law by k0 but keep a tail
-    exponent, such as Pareto(3e4, 40)/Geometric(0.002). Where
+    tail exponent at k0 (no Pareto law, or only laws with C >= k0, which
+    still decay geometrically there, or with exponents past float range) no
+    tail is fitted; where the increments still stand above the rounding
+    floor at k0 (a slowly mixing model), the tables are built once more, at
+    twice the lag where their geometric decay reaches the floor, up to k_cap.
+    k_used is the final table size. tail_error is the series' move between
+    k_used / 2 and k_used plus its rounding floor (_FLOOR |v1|), and
+    converged means tail_error <= tol * scale, scale the largest of 1, |v0|,
+    |v1| and |c01|. The default tol sits far above the relative tail errors
+    measured on 864 Pareto models with indices from 2.05 to 20 (at most
+    1.5e-9), so it flags models whose laws have not reached their power law
+    by k_used, such as Pareto(2000, 3)/Geometric(0.002) at n = 10. Where
     finiteness_check fails, a DivergenceWarning is issued, the variances are
     infinite and so are v0 and v1, and converged is False.
     """
@@ -305,7 +304,7 @@ def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
         warnings.warn(f"covariance limits are infinite: {why}", DivergenceWarning)
     gammas = _tail_exponents(model, k0) if finite else []
 
-    (v0, c01, v1_one_edge), bounds = _reward_cov(model, n)
+    v0, c01, v1_one_edge = _reward_cov(model, n)
     ks, inc, head = _cross_edge_series(model, n, k0)
     if finite and not gammas and k0 < k_cap:
         need = _lag_to_floor(ks, inc, v1_one_edge + head, k0)
@@ -314,8 +313,7 @@ def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
             ks, inc, head = _cross_edge_series(model, n, k0)
     v1, half, tail = _floored_sums(ks, inc, v1_one_edge + head, gammas, k0)
     # increments below the rounding floor were dropped, so v1 is known to that floor at best
-    move = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
-    tail_error = max(bounds[0], bounds[1], bounds[2] + move)
+    tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
     scale = max(1.0, abs(v0), abs(v1), abs(c01))
     return MomentCov(v0=v0, v1=v1, c01=c01, method="general_series",
                      converged=bool(finite and tail_error <= tol * scale), k_used=k0,

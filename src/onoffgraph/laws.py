@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,10 @@ import scipy
 
 from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 
-DEFAULT_SERIES_TOL = 1e-12
 DEFAULT_INVERT_TOL = 1e-10
 
 # Draws beyond int64 range (possible as Pareto alpha -> 1 or C -> inf) are returned as this cap.
 RESIDUAL_CAP = 2**62
-# The Weibull residual tail stops where weibull_survival_sum stops summing the mean.
-_WEIBULL_TERMS = 1 << 22
 
 
 def _as_index(i):
@@ -74,10 +72,6 @@ class DurationLaw:
         Both terms are moments of Z - 1, so a law near Z = 1 cancels nothing.
         """
         raise NotImplementedError
-
-    def variance_error(self):
-        """A bound on the terms of variance()'s series left unsummed; 0 for a closed form."""
-        return 0.0
 
     def _quantile(self, u):
         """The real x with survival(x + 1) = u, so the bracket of u is floor(x) + 1."""
@@ -180,58 +174,45 @@ class Weibull(DurationLaw):
     alpha: float
 
     def __post_init__(self):
-        if self.lam <= 0.0 or self.alpha <= 0.0:
+        # where (i - 1)^alpha overflows, survival reads exp(-inf) = 0: right only
+        # if lam times the largest float already puts exp(-lam y^alpha) below 5e-324
+        lam, a = self.lam, self.alpha
+        if not (lam * sys.float_info.max >= 746.0 and a > 0.0):
             raise ParameterError(
-                f"weibull needs lambda > 0 and alpha > 0, got ({self.lam}, {self.alpha})"
-            )
-        # the mean series must meet its tolerance within the terms it is allowed
-        if _weibull_truncated(self.lam, self.alpha):
-            raise ParameterError(
-                f"weibull ({self.lam}, {self.alpha}) has a mean series that does not"
-                f" converge within {_WEIBULL_TERMS} terms")
+                f"weibull needs lambda >= 746 / (largest float) and alpha > 0, got ({lam}, {a})")
+        # the mean and variance series: the head terms, then _weibull_tail from y = M
+        head = _weibull_head(lam, a)
+        M = head.size
+        tails = np.zeros(M + 1)  # tails[j] = sum_{y=j}^{M-1} exp(-lam y^alpha)
+        tails[:-1] = np.cumsum(head[::-1])[::-1]
+        # with y = i - 1, sum_{i>=2} (2i - 3) S(i) = sum_{y>=1} (2y - 1) exp(-lam y^alpha)
+        weights = np.maximum(2.0 * np.arange(M) - 1.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = _weibull_tail(lam, a, M)
+            second = np.sum(weights * head) + 2.0 * _weibull_tail(lam, a, M, power=1) - tail
+            t2 = tails[1] + tail
+            moments = weibull_survival_sum(lam, a), float(second - t2 * t2)
+        if not np.isfinite(moments).all():
+            raise ParameterError(f"weibull ({lam}, {a}) has a mean or variance past float range")
+        object.__setattr__(self, "_moments", moments)
+        object.__setattr__(self, "_tails", tails)
 
     def survival(self, i):
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(-self.lam * (_as_index(i) - 1.0) ** self.alpha)
 
     def mean(self):
-        return self._mean
-
-    @functools.cached_property
-    def _mean(self):
-        return weibull_survival_sum(self.lam, self.alpha)
-
-    @functools.cached_property
-    def _second_moment(self):
-        """sum_{i>=2} (2i - 3) survival(i) over the terms the mean sums, and a bound on the rest.
-
-        With y = i - 1 each dropped term (2y - 1) exp(-lam y^alpha) is at most
-        integral_{y-1}^y 2t exp(-lam t^alpha) dt, as the survival decreases.
-        """
-        blocks = list(_weibull_terms(self.lam, self.alpha))
-        total = sum(float(np.sum(np.maximum(2.0 * y - 1.0, 0.0) * t)) for y, t in blocks)
-        y_last = blocks[-1][0][-1]
-        return total, 2.0 * float(_weibull_integral(self.lam, self.alpha, y_last, power=1))
+        return self._moments[0]
 
     def variance(self):
-        return self._second_moment[0] - float(self.tail_sum(2)) ** 2
-
-    def variance_error(self):
-        return self._second_moment[1]
+        return self._moments[1]
 
     def tail_sum(self, k):
-        """mean() minus the partial sums up to the largest k asked for.
-
-        Where that difference is lost to rounding, the integral bound
-        survival(k) + integral_{k-1}^inf takes over, so the tail decays to 0.
-        """
-        k = np.asarray(k, dtype=np.int64)
-        top = int(min(np.max(k), _WEIBULL_TERMS))
-        head = np.zeros(top)
-        np.cumsum(self.survival(np.arange(1, top)), out=head[1:])
-        tail = self.mean() - head[np.minimum(k, top) - 1]
-        bound = self.survival(k) + _weibull_integral(self.lam, self.alpha, k - 1.0)
-        return np.where(k > _WEIBULL_TERMS, 0.0, np.clip(tail, 0.0, bound))
+        """The head terms from y = k - 1 on, and _weibull_tail past the head."""
+        M = self._tails.size - 1
+        y = np.asarray(k, dtype=np.int64) - 1
+        return (self._tails[np.minimum(y, M)]
+                + _weibull_tail(self.lam, self.alpha, np.maximum(y, M)))
 
     def _quantile(self, u):
         return (-np.log(u) / self.lam) ** (1.0 / self.alpha)
@@ -394,47 +375,65 @@ def zeta_like(alpha):
 
 
 def _weibull_integral(lam, alpha, a, power=0):
-    """integral_a^inf y^power exp(-lam y^alpha) dy; at power 0, a bound on sum_{y>a} S(y + 1)."""
+    """integral_a^inf y^power exp(-lam y^alpha) dy, its prefactor taken in log space."""
     s = (power + 1) / alpha
-    return (scipy.special.gamma(s) / (alpha * lam ** s)
-            * scipy.special.gammaincc(s, lam * np.asarray(a, dtype=np.float64) ** alpha))
+    scale = np.exp(scipy.special.gammaln(s) - math.log(alpha) - s * math.log(lam))
+    return scale * scipy.special.gammaincc(s, lam * np.asarray(a, dtype=np.float64) ** alpha)
 
 
-def _weibull_truncated(lam, alpha):
-    """Whether the mean series misses DEFAULT_SERIES_TOL after _WEIBULL_TERMS terms."""
-    return _weibull_integral(lam, alpha, _WEIBULL_TERMS - 1.0) > DEFAULT_SERIES_TOL
+def _weibull_split(alpha):
+    """The y = i - 1 where the Weibull series leave their summed head for _weibull_tail.
+
+    Each Euler-Maclaurin order shrinks the terms by about (g'(y) / 2 pi)^2,
+    with g' = alpha g / y and g <= 745 wherever f = exp(-g) does not
+    underflow, so the split keeps alpha / y <= 1/256: 2,048 up to alpha = 8.
+    Past alpha = 100, f(2048) underflows for every float lam > 0.
+    """
+    return 256 * math.ceil(min(max(alpha, 8.0), 100.0))
+
+
+def _weibull_head(lam, alpha):
+    """exp(-lam y^alpha) for y = 0, 1, ..., _weibull_split(alpha) - 1."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(-lam * np.arange(_weibull_split(alpha), dtype=np.float64) ** alpha)
+
+
+def _weibull_tail(lam, alpha, x, power=0):
+    """sum_{y>=x} y^power exp(-lam y^alpha) for whole x >= _weibull_split(alpha), power 0 or 1.
+
+    Euler-Maclaurin (DLMF 2.10.1) for h(y) = y^power f(y), f = exp(-g) and
+    g = lam y^alpha: the integral from x, plus h/2 - h'/12 + h'''/720 at x.
+    In units of f, f' = -g', f'' = g'^2 - g'' and f''' = -g'^3 + 3 g' g'' - g''';
+    for h = y f, h' = f + y f' and h''' = 3 f'' + y f'''. The first term left
+    out, h^(5)(x)/30240, stays below 1e-15 of the sum on the laws accepted
+    (tests/test_laws.py checks a grid). Where f(x) underflows, the tail is 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        g = lam * x**alpha
+        f = np.exp(-g)
+        g1 = alpha * g / x
+        g2 = (alpha - 1.0) * g1 / x
+        g3 = (alpha - 2.0) * g2 / x
+        d1, d2, d3 = -g1, g1 * g1 - g2, -g1**3 + 3.0 * g1 * g2 - g3
+        h = 1.0
+        if power:
+            h, d1, d3 = x, 1.0 + x * d1, 3.0 * d2 + x * d3
+        tail = _weibull_integral(lam, alpha, x, power) + f * (h / 2.0 - d1 / 12.0 + d3 / 720.0)
+        return np.where(f > 0.0, tail, 0.0)[()]
 
 
 def weibull_survival_sum(lam, alpha):
     """sum_{i>=1} exp(-lam * (i-1)^alpha); equals chi(alpha) when lam = 1.
 
-    Refused when the sum does not meet DEFAULT_SERIES_TOL within _WEIBULL_TERMS terms.
+    The head terms are summed and the rest is _weibull_tail; a sum past
+    float range is inf.
     """
-    return sum(float(np.sum(terms)) for _, terms in _weibull_terms(lam, alpha))
-
-
-def _weibull_terms(lam, alpha):
-    """Blocks (y, exp(-lam y^alpha)) for y = 0, 1, ..., until the sum meets DEFAULT_SERIES_TOL."""
     if lam <= 0.0 or alpha <= 0.0:
         raise OutOfRangeError(f"series needs lam > 0, alpha > 0, got ({lam}, {alpha})")
-    if _weibull_truncated(lam, alpha):
-        raise OutOfRangeError(
-            f"series for ({lam}, {alpha}) does not converge within {_WEIBULL_TERMS} terms")
-    m = 0
-    block = 256
-    while True:
-        y = np.arange(m, m + block, dtype=np.float64)  # y = (index - 1)
-        with np.errstate(over="ignore", under="ignore"):
-            terms = np.exp(-lam * y**alpha)
-            m += block
-            # tail sum_{y>=m} exp(-lam y^alpha) <= integral_{m-1}^inf, which the
-            # check above bounds by DEFAULT_SERIES_TOL once m >= _WEIBULL_TERMS
-            done = (m >= _WEIBULL_TERMS
-                    or _weibull_integral(lam, alpha, m - 1.0) <= DEFAULT_SERIES_TOL)
-        yield y, terms
-        if done:
-            return
-        block = min(block * 2, 1 << 20)
+    head = _weibull_head(lam, alpha)
+    with np.errstate(over="ignore"):
+        return float(np.sum(head) + _weibull_tail(lam, alpha, head.size))
 
 
 def chi_like(alpha):
@@ -442,63 +441,58 @@ def chi_like(alpha):
     return weibull_survival_sum(1.0, alpha)
 
 
-# _invert_decreasing grows its bracket out of `start`: the upper end doubles up
-# to _MAX_DOUBLINGS times, stepping back toward the lower end wherever fn is
-# refused or not finite; the lower end halves its distance to `floor` up to
-# _MAX_HALVINGS times and then drops to the floor. The halvings are few because
-# chi near its floor sums up to 2^22 terms (~0.1 s) per evaluation.
-_MAX_DOUBLINGS = 30
-_MAX_HALVINGS = 8
+# _invert_decreasing grows its bracket out of `start`: the upper end doubles
+# and the lower end halves its distance to `floor`, each at most _MAX_STEPS
+# times, and each steps back toward start wherever fn is refused or not finite.
+_MAX_STEPS = 64
 
 
-def _invert_decreasing(fn, target, floor, start, limit, name):
-    """The a >= floor with fn(a) = target, for fn strictly decreasing toward limit.
+def _bracket_end(fn, a, step, reached):
+    """Walk a, step(a), ... to the first point where fn is reached.
 
-    Targets outside (limit, fn(floor)] are refused. The bracket grows out of
-    start, and brentq finds the root in it to DEFAULT_INVERT_TOL. Where fn
-    raises ParameterError the search stays below that point, and if no
-    bracket is found that refusal is raised.
+    Returns it (or None), the last finite point passed (a if none) and any
+    refusal; from a refused or non-finite point it steps back halfway.
+    """
+    good, bad, refusal = a, None, None
+    for _ in range(_MAX_STEPS):
+        try:
+            value = fn(a)
+        except ParameterError as exc:
+            value, refusal = math.nan, exc
+        if not math.isfinite(value):
+            if a == good:  # refused at start itself: there is nothing to step back to
+                break
+            bad, a = a, (good + a) / 2.0
+        elif reached(value):
+            return a, good, refusal
+        else:
+            good, a = a, step(a) if bad is None else (a + bad) / 2.0
+    return None, good, refusal
+
+
+def _invert_decreasing(fn, target, floor, start, limit, name, xtol=DEFAULT_INVERT_TOL):
+    """The a > floor with fn(a) = target, for fn strictly decreasing toward limit.
+
+    Targets at or below limit are refused. The bracket's upper end walks up from
+    start (_bracket_end), and if fn(start) is already at or below the target its
+    lower end walks down; brentq finds the root in it to xtol. Without a bracket,
+    the ParameterError met on the way is raised, or else OutOfRangeError.
     """
     if not np.isfinite(target) or target <= limit:
         raise OutOfRangeError(
             f"target {target} is outside the range of {name} (must exceed {limit})"
         )
-    lo = hi = start
-    bad, refusal = math.inf, None  # the least point found outside fn's domain, and why
-    for _ in range(_MAX_DOUBLINGS):
-        try:
-            value = fn(hi)
-        except ParameterError as exc:
-            value, refusal = math.nan, exc
-        if not math.isfinite(value):
-            if hi == lo:  # refused at start itself: there is nothing to step back to
-                break
-            bad, hi = hi, (lo + hi) / 2.0
-        elif value <= target:
-            break
-        else:
-            lo, hi = hi, min(2.0 * hi, (hi + bad) / 2.0)
-    if not (math.isfinite(value) and value <= target):
-        if refusal is not None:
-            raise refusal
-        raise OutOfRangeError(f"could not bracket target {target} for {name}")
-    for _ in range(_MAX_HALVINGS):
-        if fn(lo) >= target:
-            break
-        lo, hi = floor + (lo - floor) / 2.0, lo
-    else:
-        lo, top = floor, fn(floor)
-        if top < target:
-            raise OutOfRangeError(
-                f"target {target} is outside the range of {name} (at most {top})")
-    return scipy.optimize.brentq(lambda a: fn(a) - target, lo, hi, xtol=DEFAULT_INVERT_TOL)
+    hi, lo, refusal = _bracket_end(fn, start, lambda a: 2.0 * a, lambda v: v <= target)
+    if hi is not None and lo == hi:
+        lo, hi, refusal = _bracket_end(fn, start, lambda a: floor + (a - floor) / 2.0,
+                                       lambda v: v >= target)
+    if hi is None or lo is None:
+        raise refusal or OutOfRangeError(f"could not bracket target {target} for {name}")
+    return scipy.optimize.brentq(lambda a: fn(a) - target, lo, hi, xtol=xtol)
 
 
-# The smallest argument of each inversion: Pareto laws need alpha > 1, and chi
-# is a full series sum only where Weibull(1, alpha) is accepted: 2e-10 above the
-# root of _weibull_integral(1, alpha, _WEIBULL_TERMS - 1) = DEFAULT_SERIES_TOL.
+# The smallest argument of each inversion: Pareto laws need alpha > 1, and chi alpha > 0.
 _PARETO_FLOOR = math.nextafter(1.0, 2.0)
-_CHI_FLOOR = 0.24299059742056428
 
 
 def invert_zeta_like(target):
@@ -514,15 +508,17 @@ def invert_hurwitz_like(C, target):
 
 
 def invert_chi_like(target):
-    """alpha with chi(alpha) = target; requires 1 + exp(-1) < target <= chi(_CHI_FLOOR).
+    """alpha with chi(alpha) = target; requires 1 + exp(-1) < target.
 
     chi(alpha) -> 1 + e^-1 as alpha -> inf because the i = 2 term never
-    decays, so targets at or below that level are unreachable; targets above
-    chi at the smallest alpha a Weibull(1, alpha) law accepts are refused.
+    decays, so targets at or below that level are unreachable. As alpha -> 0,
+    chi grows like Gamma(1 + 1/alpha) and leaves float range near alpha = 0.0058;
+    targets past the last finite chi are refused. There an absolute 1e-10 in
+    alpha moves chi by 1e-7 of itself, so alpha is solved to float precision
+    (brentq's relative 4 eps).
     """
-    return _invert_decreasing(
-        chi_like, target, _CHI_FLOOR, 1.0, 1.0 + math.exp(-1.0), "chi"
-    )
+    return _invert_decreasing(chi_like, target, 0.0, 1.0, 1.0 + math.exp(-1.0), "chi",
+                              xtol=math.ulp(0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -177,14 +177,17 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
     if K < 1:
         raise ValueError("K must be >= 1")
     on, switches = _phase_switches(model, K, rng, init)
-    # switches into on at 2..K count at those bins, into off K + 2 bins later;
-    # times past K collect in bin K + 1 (and 2K + 3), which is never read
-    hits = np.zeros(2 * (K + 2), dtype=np.int64)
+    # switches into on (row 0) and into off (row 1) at 2..K count at those bins;
+    # times past K collect in bin K + 1, which is never read. Each block is
+    # counted over its own window of times only (rows of times increase).
+    hits = np.zeros((2, K + 2), dtype=np.int64)
     for _, times, enters_on in switches:
         bins = np.minimum(times, K + 1)
-        bins += (K + 2) * ~enters_on
-        hits += np.bincount(bins.ravel(), minlength=2 * (K + 2))
-    values = np.cumsum(hits[1:K + 1] - hits[K + 3:2 * K + 3])
+        lo = int(bins[:, 0].min())
+        width = int(bins[:, -1].max()) + 1 - lo
+        bins += np.where(enters_on, -lo, width - lo)
+        hits[:, lo:lo + width] += np.bincount(bins.ravel(), minlength=2 * width).reshape(2, width)
+    values = np.cumsum(hits[0, 1:K + 1] - hits[1, 1:K + 1])
     values += np.count_nonzero(on)
     return CountTrace(kind="edges", values=values, n=model.n, N=model.N,
                       model_config=model.to_config())

@@ -466,6 +466,16 @@ class TestGeneralSeries:
         assert g.converged and K0 < g.k_used <= K_CAP
         assert g.tail_correction == (0.0, 0.0, 0.0)
 
+    def test_pareto_below_its_scale_extends_the_table(self):
+        # C = 3e4 > K0: below its scale the law decays like exp(-alpha k / C), so
+        # no power-law tail is fitted to it, though k^-78 is in float range at K0;
+        # with one fitted there, tail_error stood at 110 and converged was False
+        model = ModelSpec(on_law=Pareto(3e4, 40.0), off_law=Geometric(0.002), n=10)
+        assert asymp._tail_exponents(model, K0) == []
+        g = general_moment_cov(model, 10)
+        assert g.converged and K0 < g.k_used <= K_CAP
+        assert g.tail_correction == (0.0, 0.0, 0.0)
+
     def test_extended_pareto_table_matches_partition_series(self):
         # the three partition series on a table twice as long as k_used
         model = ModelSpec(on_law=Pareto(1e4, 60.0), off_law=Geometric(0.005), n=10)

@@ -1,16 +1,16 @@
+import functools
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc, gammaln
 from scipy.special import zeta as scipy_zeta
 
-from onoffgraph.errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
+from onoffgraph.errors import (COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError,
+                               OutOfRangeError, ParameterError)
 from onoffgraph.laws import (
-    _CHI_FLOOR,
-    _WEIBULL_TERMS,
-    DEFAULT_INVERT_TOL,
-    DEFAULT_SERIES_TOL,
     RESIDUAL_CAP,
     Geometric,
     Pareto,
@@ -23,7 +23,7 @@ from onoffgraph.laws import (
     law_from_config,
     zeta_like,
     _invert_decreasing,
-    _weibull_integral,
+    _weibull_split,
 )
 
 ALL_LAWS = [Geometric(0.3), Geometric(0.8), Weibull(1.0, 0.5), Weibull(1.0, 1.0),
@@ -33,7 +33,9 @@ EXTREME_LAWS = (
     [Geometric(p) for p in (1e-12, 1e-6, 0.01, 0.3, 0.8, 0.999, 1.0 - 1e-15)]
     + [Pareto(C, a) for C, a in ((1e-9, 0.5), (1e-9, 300.0), (1.0, 3.0), (1.0, 2.5), (2.0, 4.0),
                                  (1e6, 1.0001), (1e12, 0.5), (1e12, 25.0), (0.5, 8.0))]
-    + [Weibull(lam, a) for lam, a in ((1.0, 0.5), (1.0, 1.0), (0.1, 8.0), (50.0, 1.0), (2.0, 3.0))])
+    + [Weibull(lam, a) for lam, a in ((1.0, 0.5), (1.0, 1.0), (0.1, 8.0), (50.0, 1.0), (2.0, 3.0),
+                                      (1000.0, 0.001), (1e-300, 100.0), (1.0, 0.1), (1.0, 0.2),
+                                      (1.0, 0.02))])
 
 # loop_sample's outcome for an entry that the search does not bracket
 UNBRACKETED = -1
@@ -60,6 +62,38 @@ def loop_sample(law, u):
     bracketed = (law.survival(j) >= v) & (law.survival(j + 1) < v)
     out[live] = np.where(bracketed, j, UNBRACKETED)
     return out
+
+
+def weibull_integral(lam, alpha, a, power=0):
+    """integral_a^inf y^power exp(-lam y^alpha) dy = Gamma(s) Q(s, lam a^alpha) / (alpha lam^s)."""
+    s = (power + 1) / alpha
+    return math.exp(gammaln(s) - s * math.log(lam)) / alpha * gammaincc(s, lam * a**alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def weibull_series(lam, alpha, power=0, start=0):
+    """sum_{y>=start} y^power exp(-lam y^alpha) by direct summation: the Weibull oracle.
+
+    Blocks of terms, from 256 up to 2^20 long, are added by math.fsum until
+    the integral bound on the rest falls below 1e-18 of the sum, or 2^24
+    terms are in; the integral from the midpoint before the next term then
+    stands in for the rest.
+    """
+    blocks, m, block = [], start, 256
+    while True:
+        y = np.arange(m, m + block, dtype=np.float64)
+        with np.errstate(over="ignore", under="ignore"):
+            blocks.append(float(np.sum(y**power * np.exp(-lam * y**alpha))))
+        m += block
+        total = math.fsum(blocks)
+        if weibull_integral(lam, alpha, m - 1.0, power) <= 1e-18 * total or m - start >= 1 << 24:
+            return total + weibull_integral(lam, alpha, m - 0.5, power)
+        block = min(2 * block, 1 << 20)
+
+
+# laws whose series the oracle sums: from a tail of 10^7 terms to one of 2
+ORACLE_LAWS = [(0.3, 0.7), (1.0, 0.25), (5.0, 0.3), (1.0, 0.2431), (1.0, 0.5), (2.0, 3.0),
+               (0.1, 8.0)]
 
 
 class TestSurvival:
@@ -189,10 +223,107 @@ class TestVariance:
         assert Weibull(50.0, 1.0).variance() == pytest.approx(math.exp(-50.0), rel=1e-12)
 
     def test_weibull_error_bounds_the_dropped_terms(self):
-        for law in (Weibull(1.0, 0.5), Weibull(0.02, 0.5), Weibull(1.0, 0.25)):
-            bound = law.variance_error()
-            assert 0.0 < bound <= 1e-9 * law.variance()
-        assert Geometric(0.3).variance_error() == Pareto(1.0, 3.0).variance_error() == 0.0
+        # the first Euler-Maclaurin term left out, h^(5)(M)/30240 at the split M,
+        # stays below 1e-15 of the mean (h = f) and of the variance (h = (2y - 1) f)
+        # over the accepted domain: lam and alpha across float range, and laws
+        # whose mass sits at the split, where it is largest
+        grid = [(lam, a) for lam in np.geomspace(1e-300, 1e300, 41)
+                for a in np.geomspace(0.0118, 100.0, 50)]
+        grid += [(math.exp(math.log(g) - a * math.log(_weibull_split(a))), a)
+                 for a in np.linspace(1.0, 100.0, 34) for g in np.geomspace(1e-3, 700.0, 12)]
+        accepted = 0
+        for lam, a in grid:
+            try:
+                law = Weibull(float(lam), float(a))
+            except ParameterError:
+                continue
+            accepted += 1
+            f5, h5 = dropped_em_terms(law.lam, law.alpha)
+            assert abs(f5) <= 1e-15 * law.mean()
+            assert abs(2.0 * h5 - f5) <= 1e-15 * law.variance()
+        assert accepted > 1500
+
+
+def dropped_em_terms(lam, alpha):
+    """f^(5)(M)/30240 and h^(5)(M)/30240 for f = exp(-g), g = lam y^alpha, h = y f, M the split.
+
+    f^(n) = f B_n(-g', ..., -g^(n)) with the complete Bell polynomials B_n,
+    and h^(5) = 5 f^(4) + y f^(5).
+    """
+    x = float(_weibull_split(alpha))
+    log_g = math.log(lam) + alpha * math.log(x)
+    if log_g > math.log(746.0):  # f(M) underflows, and the tail is 0
+        return 0.0, 0.0
+    g = [math.exp(log_g)]
+    for j in range(1, 6):
+        g.append(g[-1] * (alpha - j + 1) / x)
+    y1, y2, y3, y4, y5 = (-gj for gj in g[1:])
+    b4 = y1**4 + 6 * y1**2 * y2 + 4 * y1 * y3 + 3 * y2**2 + y4
+    b5 = (y1**5 + 10 * y1**3 * y2 + 15 * y1 * y2**2 + 10 * y1**2 * y3 + 10 * y2 * y3
+          + 5 * y1 * y4 + y5)
+    f = math.exp(-g[0])
+    return f * b5 / 30240, (5 * f * b4 + x * f * b5) / 30240
+
+
+class TestWeibullSeries:
+    @pytest.mark.parametrize("lam,alpha", ORACLE_LAWS, ids=str)
+    def test_matches_direct_sums(self, lam, alpha):
+        # mean, variance and tail sums against the summed series, within 1e-13
+        law = Weibull(lam, alpha)
+        assert law.mean() == pytest.approx(weibull_series(lam, alpha), rel=1e-13, abs=0)
+        t2 = weibull_series(lam, alpha, 0, 1)
+        variance = 2.0 * weibull_series(lam, alpha, 1, 1) - t2 - t2 * t2
+        assert law.variance() == pytest.approx(variance, rel=1e-13, abs=0)
+        for k in (1, 2, 100, 2048, 2049, 5000, 2**40):
+            want = weibull_series(lam, alpha, 0, k - 1)
+            assert law.tail_sum(k) == pytest.approx(want, rel=1e-13, abs=0), k
+        k = np.array([1, 2, 100, 2048, 2049, 5000, 2**40])
+        assert np.array_equal(law.tail_sum(k), [law.tail_sum(int(j)) for j in k])
+
+    def test_mean_keeps_its_bits(self):
+        # the value the blocked 2^22-term sum gave; traces of this law depend on it
+        assert Weibull(1.0, 0.5).mean() == 2.6704068179663394
+
+    def test_fast(self):
+        # each call is O(1): the blocked sum took 71 ms, 145 ms and 356 ms here
+        def best(call):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            return min(times)
+        invert_chi_like(20.0)  # brentq's first import
+        assert best(lambda: Weibull(1.0, 0.25).variance()) < 0.02
+        assert best(lambda: invert_chi_like(20.0)) < 0.02
+        a = invert_chi_like(20.0)
+        assert weibull_series(1.0, a) == pytest.approx(20.0, rel=1e-13)
+
+    @pytest.mark.parametrize("lam,alpha,mean", [
+        (1000.0, 0.001, 1.0), (1e-300, 100.0, 994.8258511915), (1.0, 0.1, 3628800.78258),
+        (1.0, 0.2, 120.750724652), (1.0, 0.01, None)], ids=str)
+    def test_extremes_are_finite_or_typed(self, lam, alpha, mean):
+        # each gives a finite mean, variance, K = 200 trace and covariance, or a
+        # typed error; Weibull(1000, 0.001) once raised OverflowError from lam^s,
+        # and (1e-300, 100) an overflow warning
+        from onoffgraph.asymp import general_moment_cov
+        from onoffgraph.simulate import ModelSpec, simulate_edge_trace
+
+        if mean is None:  # Gamma(1 + 2/alpha) overflows: the variance leaves float range
+            with pytest.raises(ParameterError):
+                Weibull(lam, alpha)
+            return
+        law = Weibull(lam, alpha)
+        assert law.mean() == pytest.approx(mean, rel=1e-11)
+        assert math.isfinite(law.variance()) and law.variance() >= 0.0
+        model = ModelSpec(on_law=law, off_law=Geometric(0.5), n=10)
+        try:
+            trace = simulate_edge_trace(model, 200, np.random.default_rng(7))
+            assert trace.values.min() >= 0 and trace.values.max() <= 10
+            cov = general_moment_cov(model, 10)
+            assert np.isfinite([cov.v0, cov.v1, cov.c01, cov.tail_error]).all()
+        except COMPUTE_ERRORS:
+            pass
 
 
 class TestResidual:
@@ -273,7 +404,9 @@ class TestSeries:
         with pytest.raises(OutOfRangeError):
             hurwitz_like(2.0, 0.9)
         with pytest.raises(OutOfRangeError):
-            chi_like(0.2)  # the sum would stop short of its tolerance
+            chi_like(0.0)
+        # small alpha is summed in closed form, not refused: chi(0.2) is about 5!
+        assert chi_like(0.2) == pytest.approx(120.750724652, rel=1e-11)
 
     def test_scale_overflow_is_refused(self):
         # C^alpha past float range is a typed refusal, not an OverflowError
@@ -302,7 +435,11 @@ class TestInversion:
         with pytest.raises(OutOfRangeError):
             invert_chi_like(1.0 + math.exp(-1))  # infimum of the chi range
         with pytest.raises(OutOfRangeError):
-            invert_chi_like(1e3)  # above chi at the smallest alpha Weibull accepts
+            invert_chi_like(math.inf)
+        with pytest.raises(OutOfRangeError):
+            invert_chi_like(sys.float_info.max)  # above the last finite chi
+        # chi leaves float range only near alpha = 0.0058, so 1e3 has a root
+        assert chi_like(invert_chi_like(1e3)) == pytest.approx(1e3, rel=1e-13)
 
     def test_round_trip_grid(self):
         for t in [1.05, 1.2, 1.5, 2.0, 5.0, 20.0]:
@@ -342,21 +479,33 @@ class TestInversion:
         assert calls == [2.0]
 
     def test_chi_floor(self):
-        # the top of the chi range is its value at the smallest alpha Weibull accepts
-        Weibull(1.0, _CHI_FLOOR)
+        # the chi range reaches toward float range: its lower end steps back from inf
+        a = invert_chi_like(1e250)
+        assert chi_like(a) == pytest.approx(1e250, rel=1e-9)
+        # a Weibull(1, alpha) law that far out is refused, and so is the fit that needs it
+        from onoffgraph.moments import MomentSet, estimate_weibull_geo
+
         with pytest.raises(ParameterError):
-            Weibull(1.0, _CHI_FLOOR - 1e-9)
-        top = chi_like(_CHI_FLOOR)
-        a = invert_chi_like(top)
-        assert a == pytest.approx(_CHI_FLOOR, abs=1e-9)
-        assert Weibull(1.0, a).mean() == pytest.approx(top, abs=1e-9)
+            Weibull(1.0, a)
+        # mu0 = mu1 = 2e-130 with n = 2: fbar1 = mu0 / 2, so the chi target is
+        # 1e130, whose alpha (0.0102) lies below the Weibull refusal at 0.0118
+        m = MomentSet(mu=np.array([2e-130, 2e-130]), n=2, K=1000)
+        with pytest.raises(ParameterError, match="weibull"):
+            estimate_weibull_geo(m)
 
     def test_chi_floor_literal(self):
-        # the literal is the solve it replaced: the Weibull tail bound's root, plus slack
-        root = _invert_decreasing(
-            lambda a: _weibull_integral(1.0, a, _WEIBULL_TERMS - 1.0), DEFAULT_SERIES_TOL,
-            0.1, 1.0, 0.0, "the weibull tail bound")
-        assert _CHI_FLOOR == pytest.approx(root + 2.0 * DEFAULT_INVERT_TOL, abs=1e-9)
+        # the edges the docstrings quote: chi leaves float range where
+        # Gamma(1 + 1/alpha) does (alpha near 0.0058), and a Weibull(1, alpha)
+        # law is refused where its variance does, with Gamma(1 + 2/alpha) (0.0118)
+        log_max = math.log(sys.float_info.max)
+        edge = _invert_decreasing(lambda a: gammaln(1.0 + 1.0 / a), log_max, 0.0, 1.0, 0.0, "lg")
+        assert edge == pytest.approx(0.0058, abs=1e-4)
+        assert math.isfinite(chi_like(1.01 * edge)) and chi_like(0.99 * edge) == math.inf
+        edge = _invert_decreasing(lambda a: gammaln(1.0 + 2.0 / a), log_max, 0.0, 1.0, 0.0, "lg")
+        assert edge == pytest.approx(0.0118, abs=1e-4)
+        Weibull(1.0, 1.01 * edge)
+        with pytest.raises(ParameterError):
+            Weibull(1.0, 0.99 * edge)
 
 
 class TestSampling:
@@ -495,15 +644,17 @@ class TestConfig:
         assert law_from_config({"kind": "pareto", "C": 2.0, "alpha": 4.0}) == Pareto(2.0, 4.0)
 
     def test_refuses_weibull_with_truncated_mean(self):
-        # the mean series stops at 2^22 terms; its tail bound there is 8.2e-4
-        # at alpha = 0.2 and 8.8e-15 at alpha = 0.25 (lambda = 1)
-        for alpha in [0.05, 0.2]:
+        # no series is truncated: a law is refused only where its mean or variance
+        # leaves float range (alpha below 0.0118 at lambda = 1), or where lambda is
+        # so small that survival would read 0 where (i - 1)^alpha overflows
+        for cfg in [(1.0, 0.005), (1.0, 0.01), (1e-306, 100.0), (5e-324, 1.0)]:
             with pytest.raises(ParameterError):
-                Weibull(1.0, alpha)
+                Weibull(*cfg)
             with pytest.raises(ParameterError):
-                law_from_config({"kind": "weibull", "lambda": 1.0, "alpha": alpha})
-        assert Weibull(1.0, 0.25).alpha == 0.25
-        assert law_from_config({"kind": "weibull", "lambda": 1.0, "alpha": 0.5}) == Weibull(1.0, 0.5)
+                law_from_config({"kind": "weibull", "lambda": cfg[0], "alpha": cfg[1]})
+        assert Weibull(1.0, 0.2).alpha == 0.2
+        cfg = {"kind": "weibull", "lambda": 1.0, "alpha": 0.05}
+        assert law_from_config(cfg) == Weibull(1.0, 0.05)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
