@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,7 +121,8 @@ def stationary_init(model: ModelSpec, rng, residuals=None):
 # Cap on the durations drawn in one block of _phase_switches: it bounds the
 # block's memory (a few int64 arrays of this size) whatever n and K are.
 _BLOCK_DRAWS = 1 << 15
-# Vertex-pair x epoch entries per block of epochs in triangle_counts (4 MB of bool).
+# Bytes per block of epochs in triangle_counts: the per-vertex neighbour
+# bitsets plus the scratch rows they are counted in (about 4 MB in all).
 _TRIPLE_BLOCK = 1 << 22
 
 
@@ -194,42 +196,84 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
 
 
 def edge_indicator_matrix(model: ModelSpec, K: int, rng) -> np.ndarray:
-    """n x K boolean matrix of per-edge indicators (edges in combination order)."""
+    """n x K boolean matrix of per-edge indicators (edges in combination order).
+
+    Each switch is set through its flat index in an n x (K + 1) buffer, whose
+    last column takes the switches past K, and a running XOR over the first K
+    columns turns switches into states. The result is a view of those columns.
+    """
     on, switches = _phase_switches(model, K, rng)
-    mat = np.zeros((model.n, K), dtype=bool)
+    buf = np.zeros((model.n, K + 1), dtype=bool)
+    flat = buf.reshape(-1)
     for edges, times, _ in switches:
-        hit = times <= K
-        mat[np.broadcast_to(edges[:, None], times.shape)[hit], times[hit] - 1] = True
+        at = np.minimum(times, K + 1)
+        at += (edges * (K + 1) - 1)[:, None]
+        flat[at] = True
+    mat = buf[:, :K]
     mat[:, 0] = on
     np.logical_xor.accumulate(mat, axis=1, out=mat)
     return mat
 
 
+def _check_edge_mat(edge_mat, N) -> int:
+    """N as an int, once edge_mat is a 2-D bool array with a row per vertex pair."""
+    N = whole_number("N", N)
+    n = N * (N - 1) // 2
+    if not (isinstance(edge_mat, np.ndarray) and edge_mat.dtype == bool
+            and edge_mat.ndim == 2 and len(edge_mat) == n):
+        raise ValueError(f"edge_mat must be a 2-D bool array with N(N-1)/2 = {n} rows, "
+                         f"got shape {np.shape(edge_mat)} of {getattr(edge_mat, 'dtype', None)}")
+    return N
+
+
 def triangle_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
     """Triangle count per time step from an n x K edge indicator matrix.
 
-    Each triangle is counted at its lowest vertex v: every pair (b, c) of v's
-    edges to higher vertices is matched with the row of the edge (b, c).
+    Each triangle v < w < x is counted once, at its lowest edge (v, w): with
+    hi[v] the bitset of v's neighbours above v at an epoch, the count is the
+    sum over the edges (v, w) that are on of popcount(hi[v] & hi[w]).
     """
-    first = np.concatenate([[0], np.cumsum(np.arange(N - 1, 0, -1))])  # row of (v, v+1)
+    N = _check_edge_mat(edge_mat, N)
     K = edge_mat.shape[1]
     out = np.zeros(K, dtype=np.int64)
-    step = max(1, _TRIPLE_BLOCK // max(1, (N - 1) * (N - 2) // 2))
+    if N < 3:
+        return out
+    # W words of 8, 16, 32 or 64 bits hold one bit per vertex; bit x % bits of word x // bits
+    W = -(-N // 64)
+    word = np.min_scalar_type((1 << min(N, 64)) - 1)
+    bits = 8 * word.itemsize
+    shift = (np.arange(N) % bits).astype(word)[:, None]
+    first = np.concatenate([[0], np.cumsum(np.arange(N - 1, 0, -1))])  # row of (v, v+1)
+    common = np.min_scalar_type(N)  # neighbours shared by the two ends of an edge
+    at_v = np.min_scalar_type(math.comb(N - 1, 2))  # triangles with lowest vertex v
+    rows = edge_mat.view(np.uint8)
+    step = max(1, _TRIPLE_BLOCK // (N * ((W + 1) * word.itemsize + common.itemsize)))
     for lo in range(0, K, step):
-        block = edge_mat[:, lo:lo + step]
+        block = rows[:, lo:lo + step]
+        kb = block.shape[1]
+        hi = np.zeros((W, N, kb), dtype=word)
+        scratch = np.empty((N, kb), dtype=word)
+        cnt = np.empty((N, kb), dtype=common)
+        for v in range(N - 1):
+            for j in range(v // bits, W):
+                a, b = max(v + 1, j * bits), min(N, (j + 1) * bits)  # word j's vertices above v
+                s = scratch[:b - a]
+                np.copyto(s, block[first[v] + a - v - 1:first[v] + b - v - 1])
+                s <<= shift[a:b]
+                np.bitwise_or.reduce(s, axis=0, out=hi[j, v])
         for v in range(N - 2):
-            up = block[first[v]:first[v + 1]]  # edges (v, c) for c > v
-            # pairs of those edges, in the combination order of the rows after them
-            b, c = np.triu_indices(N - 1 - v, k=1)
-            closed = np.take(up, b, axis=0)
-            closed &= np.take(up, c, axis=0)
-            closed &= block[first[v + 1]:]
-            out[lo:lo + step] += closed.sum(axis=0, dtype=np.int32)
+            m, j0 = N - 1 - v, v // bits  # words below j0 hold no vertex above v
+            c = np.bitwise_count(np.bitwise_and(hi[j0, v + 1:], hi[j0, v], out=scratch[:m]), out=cnt[:m])
+            for j in range(j0 + 1, W):
+                c += np.bitwise_count(np.bitwise_and(hi[j, v + 1:], hi[j, v], out=scratch[:m]))
+            c *= block[first[v]:first[v + 1]]
+            out[lo:lo + kb] += c.sum(axis=0, dtype=at_v)
     return out
 
 
 def wedge_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
     """Wedge count per time step: sum over vertices of C(degree, 2)."""
+    N = _check_edge_mat(edge_mat, N)
     a, b = np.triu_indices(N, k=1)
     out = np.zeros(edge_mat.shape[1], dtype=np.int64)
     for v in range(N):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,19 @@ def _brute_wedges(adj, N):
     return total
 
 
+def _pair_gather_triangles(edge_mat, N):
+    """Triangles counted at their lowest vertex v: every pair (b, c) of v's edges
+    to higher vertices is matched with the row of the edge (b, c)."""
+    first = np.concatenate([[0], np.cumsum(np.arange(N - 1, 0, -1))])  # row of (v, v+1)
+    out = np.zeros(edge_mat.shape[1], dtype=np.int64)
+    for v in range(N - 2):
+        up = edge_mat[first[v]:first[v + 1]]  # edges (v, c) for c > v
+        # pairs of those edges, in the combination order of the rows after them
+        b, c = np.triu_indices(N - 1 - v, k=1)
+        out += (up[b] & up[c] & edge_mat[first[v + 1]:]).sum(axis=0)
+    return out
+
+
 class TestGraphCounts:
     def _adj_from_column(self, col, N):
         adj = [[False] * N for _ in range(N)]
@@ -257,6 +271,46 @@ class TestGraphCounts:
         monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", 100)  # 4 epochs per block
         assert np.array_equal(triangle_counts(mat, N), whole)
 
+    @pytest.mark.parametrize("N", [3, 4, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+    def test_bitsets_match_pair_gather(self, N, monkeypatch):
+        # word sizes 8, 16, 32 and 64 bits, each full and one vertex past it,
+        # and 2 and 3 words of 64 bits
+        mat = np.random.default_rng(N).random((N * (N - 1) // 2, 37)) < 0.5
+        expect = _pair_gather_triangles(mat, N)
+        assert np.array_equal(triangle_counts(mat, N), expect)
+        monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", 40 * N)  # 1 to 13 epochs per block
+        assert np.array_equal(triangle_counts(mat, N), expect)
+
+    @pytest.mark.parametrize("counter", [triangle_counts, wedge_counts])
+    def test_matrix_is_checked(self, counter):
+        # a 0/2 matrix read as bytes would count K4's 4 triangles as 8
+        with pytest.raises(ValueError, match="bool"):
+            counter(np.full((6, 3), 2), 4)
+        for rows in (5, 7, 10):
+            with pytest.raises(ValueError, match="6 rows"):
+                counter(np.ones((rows, 3), dtype=bool), 4)
+        with pytest.raises(ValueError):
+            counter(np.ones(6, dtype=bool), 4)
+        with pytest.raises(ValueError):
+            counter(np.ones((6, 3, 1), dtype=bool), 4)
+
+    def test_memory_is_bounded(self):
+        # N = 64, K = 20,000: the indicator matrix takes 40 MB
+        m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64)
+        K = 20_000
+        tracemalloc.start()
+        try:
+            mat = edge_indicator_matrix(m, K, np.random.default_rng(5))
+            matrix_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            triangle_counts(mat, m.N)
+            triangle_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert matrix_peak < m.n * (K + 1) + 8 * 2**20  # the buffer, not a copy of it
+        assert triangle_peak < 16 * 2**20  # blocks of epochs, not all K at once
+
     def test_triangle_mean(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
         rng = np.random.default_rng(21)
@@ -273,6 +327,10 @@ class TestGraphCounts:
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=5)
         with pytest.raises(ValueError):
             simulate_graph_trace(m, 10, rng, kind="squares")
+
+
+def test_counts_on_installed_numpy():
+    assert triangle_counts(np.ones((3, 1), dtype=bool), 3).tolist() == [1]  # np.bitwise_count: numpy >= 2.0
 
 
 class TestPersistence:
