@@ -74,7 +74,7 @@ class DurationLaw:
         raise NotImplementedError
 
     def _quantile(self, u):
-        """The real x with survival(x + 1) = u, so the bracket of u is floor(x) + 1."""
+        """The real x with survival(x + 1) = u, so the bracket of u is floor(x) + 1, as a new array."""
         raise NotImplementedError
 
     def _slack(self, x):
@@ -94,30 +94,54 @@ class DurationLaw:
 
         The candidate floor(x) + 1 from the closed-form quantile x is the
         bracket in exact arithmetic. The bracketing condition is searched for
-        only where rounding could have moved it: x within _slack(x) of an
+        only where rounding could have moved it: x within the slack of an
         integer, x not finite, or u so small that survival goes subnormal.
-        The search leaves bracketed entries as they are, so skipping the
-        others returns what searching every entry would. Candidates at or past
-        RESIDUAL_CAP are returned as RESIDUAL_CAP; where the search does not
-        find the bracket, ConvergenceError is raised.
+        The slack is one bound per call, the larger of _slack at floor(min x)
+        and at floor(max x) + 1, which holds for every x between them since
+        each law's _slack is monotone or convex; where that bound is not
+        finite, each x takes its own _slack(x). The search leaves bracketed
+        entries as they are, so skipping the others returns what searching
+        every entry would. Candidates at or past RESIDUAL_CAP are returned as
+        RESIDUAL_CAP; where the search does not find the bracket,
+        ConvergenceError is raised. u itself is never written to.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        if np.any(u <= 0.0) or np.any(u > 1.0):
+        if not u.size:
+            return np.empty(u.shape, dtype=np.int64)
+        u_min = u.min()  # NaN if any u is NaN
+        if not (u_min > 0.0 and u.max() <= 1.0) and (np.any(u <= 0.0) or np.any(u > 1.0)):
             raise ValueError("u must lie in (0, 1]")
         # inf and NaN are outcomes here: inf is capped, NaN goes to the search
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self._quantile(u)
-            i = np.fmax(np.floor(x) + 1.0, 1.0)  # NaN -> 1
-            capped = i >= RESIDUAL_CAP
-            if capped.any():
-                out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
-                out[~capped] = self.sample(u[~capped])
-                return int(out[0]) if scalar else out
-            # a NaN slack or distance also searches
-            search = ~(np.abs(x - np.rint(x)) > self._slack(x)) | (u < _SUBNORMAL_U)
+            i = np.floor(x)
+            lo, hi = i.min(), i.max()  # NaN if any x is NaN
+            if not hi + 1.0 < RESIDUAL_CAP:
+                capped = i + 1.0 >= RESIDUAL_CAP
+                if capped.any():
+                    out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
+                    out[~capped] = self.sample(u[~capped])
+                    return int(out[0]) if scalar else out
+                np.nan_to_num(i, copy=False, nan=0.0)  # NaN -> candidate 1
+            # a NaN, an infinite or, at x = -0.0, a -inf end drops the bound
+            ends = self._slack(lo), self._slack(hi + 1.0)
+            slack = max(ends) if all(map(math.isfinite, ends)) else self._slack(x)
+            # |frac(x) - 1/2| < 1/2 - slack: farther than slack from an integer.
+            # Each side rounds monotonically, so no draw within slack passes;
+            # a NaN x or slack fails the test and is searched.
+            x -= i
+            x -= 0.5
+            np.abs(x, out=x)
+            done = np.less(x, 0.5 - slack)
+            if not u_min >= _SUBNORMAL_U:
+                done &= u >= _SUBNORMAL_U
+            i += 1.0
         i = i.astype(np.int64)
+        if done.all():
+            return int(i[0]) if scalar else i
+        search = ~done
         j, v = i[search], u[search]
         for _ in range(128):
             too_big = self.survival(j) < v

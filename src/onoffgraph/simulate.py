@@ -130,10 +130,12 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
     """Initial on-states of all edges and a generator of their phase switches from time 2.
 
     The generator yields one (edges, times, enters_on) triple per block:
-    row r of the matrices `times` and `enters_on` holds the switch times of
-    edge edges[r] in increasing order and whether each enters the on-phase.
-    The last times of a row may pass K; consumers drop them. A phase drawn at
-    time t with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
+    column c of the (2 pairs) x edges.size matrix `times` holds the switch
+    times of edge edges[c] in increasing order, and enters_on[c] whether its
+    first switch (row 0) enters the on-phase; row r enters that phase for
+    even r and the other for odd r. The last times of a column may pass K;
+    consumers drop them, and may overwrite `times`. A phase drawn at time t
+    with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
     """
     if init is None:
         on, remaining = stationary_init(model, rng)
@@ -142,6 +144,10 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
         remaining = np.array([int(d) for _, d in init], dtype=np.int64)
     cycle = model.on_law.mean() + model.off_law.mean()
 
+    def draws(law, shape):
+        u = rng.random(shape)
+        return law.sample(np.subtract(1.0, u, out=u))
+
     def switches():
         # per edge: time of its next switch and the phase that switch enters;
         # every block draws an even number of durations, so `enters` is fixed
@@ -149,22 +155,23 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
         enters = ~on
         edges = np.flatnonzero(nxt <= K)
         while edges.size:
-            t, ph = nxt[edges], enters[edges, None]
+            t, ph = nxt[edges], enters[edges]
             pairs = int(1.2 * (K - t).mean() / cycle) + 1
             pairs = max(1, min(pairs, _BLOCK_DRAWS // (2 * edges.size)))
-            dx = model.on_law.sample(1.0 - rng.random((edges.size, pairs)))
-            dy = model.off_law.sample(1.0 - rng.random((edges.size, pairs)))
-            # row: t, then the durations of phase ph, other, ph, ...; its
-            # cumulative sums are the switch times, the last one the next block's t
-            cum = np.empty((edges.size, 2 * pairs + 1), dtype=np.int64)
-            cum[:, 0] = t
-            np.copyto(cum[:, 1::2], dy)
-            np.copyto(cum[:, 1::2], dx, where=ph)
-            np.copyto(cum[:, 2::2], dx)
-            np.copyto(cum[:, 2::2], dy, where=ph)
-            np.cumsum(cum, axis=1, out=cum)
-            nxt[edges] = cum[:, -1]
-            yield edges, cum[:, :-1], ph ^ (np.arange(2 * pairs) % 2 == 1)
+            dx = draws(model.on_law, (edges.size, pairs)).T
+            dy = draws(model.off_law, (edges.size, pairs)).T
+            # epoch-major: row 0 is t, then the durations of phase ph, other,
+            # ph, ...; the cumulative sums down each column are the switch
+            # times, the last row the next block's t
+            cum = np.empty((2 * pairs + 1, edges.size), dtype=np.int64)
+            cum[0] = t
+            np.copyto(cum[1::2], dy)
+            np.copyto(cum[1::2], dx, where=ph)
+            np.copyto(cum[2::2], dx)
+            np.copyto(cum[2::2], dy, where=ph)
+            np.cumsum(cum, axis=0, out=cum)
+            nxt[edges] = cum[-1]
+            yield edges, cum[:-1], ph
             edges = edges[nxt[edges] <= K]
 
     return on, switches()
@@ -181,14 +188,17 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
     on, switches = _phase_switches(model, K, rng, init)
     # switches into on (row 0) and into off (row 1) at 2..K count at those bins;
     # times past K collect in bin K + 1, which is never read. Each block is
-    # counted over its own window of times only (rows of times increase).
+    # counted over its own window of times only (columns of times increase).
     hits = np.zeros((2, K + 2), dtype=np.int64)
     for _, times, enters_on in switches:
-        bins = np.minimum(times, K + 1)
-        lo = int(bins[:, 0].min())
-        width = int(bins[:, -1].max()) + 1 - lo
-        bins += np.where(enters_on, -lo, width - lo)
-        hits[:, lo:lo + width] += np.bincount(bins.ravel(), minlength=2 * width).reshape(2, width)
+        np.minimum(times, K + 1, out=times)
+        lo = int(times[0].min())
+        width = int(times[-1].max()) + 1 - lo
+        # into on at [0, width), into off at [width, 2 width); rows alternate phase
+        first = np.where(enters_on, -lo, width - lo)
+        times[0::2] += first
+        times[1::2] += width - 2 * lo - first
+        hits[:, lo:lo + width] += np.bincount(times.ravel(), minlength=2 * width).reshape(2, width)
     values = np.cumsum(hits[0, 1:K + 1] - hits[1, 1:K + 1])
     values += np.count_nonzero(on)
     return CountTrace(kind="edges", values=values, n=model.n, N=model.N,
@@ -202,13 +212,15 @@ def edge_indicator_matrix(model: ModelSpec, K: int, rng) -> np.ndarray:
     last column takes the switches past K, and a running XOR over the first K
     columns turns switches into states. The result is a view of those columns.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     on, switches = _phase_switches(model, K, rng)
     buf = np.zeros((model.n, K + 1), dtype=bool)
     flat = buf.reshape(-1)
     for edges, times, _ in switches:
-        at = np.minimum(times, K + 1)
-        at += (edges * (K + 1) - 1)[:, None]
-        flat[at] = True
+        np.minimum(times, K + 1, out=times)
+        times += edges * (K + 1) - 1
+        flat[times] = True
     mat = buf[:, :K]
     mat[:, 0] = on
     np.logical_xor.accumulate(mat, axis=1, out=mat)
@@ -272,14 +284,22 @@ def triangle_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
 
 
 def wedge_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
-    """Wedge count per time step: sum over vertices of C(degree, 2)."""
+    """Wedge count per time step: sum over vertices of C(degree, 2).
+
+    The degree table is built from each vertex v's contiguous rows, the edges
+    (v, w) with w > v, which add to the degree of v and of each such w.
+    """
     N = _check_edge_mat(edge_mat, N)
-    a, b = np.triu_indices(N, k=1)
-    out = np.zeros(edge_mat.shape[1], dtype=np.int64)
-    for v in range(N):
-        deg = np.count_nonzero(edge_mat[(a == v) | (b == v)], axis=0)
-        out += deg * (deg - 1) // 2
-    return out
+    deg = np.zeros((N, edge_mat.shape[1]), dtype=np.min_scalar_type(N - 1))
+    first = 0
+    for v in range(N - 1):
+        rows = edge_mat[first:first + N - 1 - v]
+        deg[v] += rows.sum(axis=0, dtype=deg.dtype)
+        deg[v + 1:] += rows
+        first += N - 1 - v
+    d = deg.astype(np.int64)
+    d *= d - 1
+    return d.sum(axis=0) // 2
 
 
 def simulate_graph_trace(model: ModelSpec, K: int, rng, kind: str) -> CountTrace:

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -440,6 +441,31 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfg, "--k", "0", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["triangles", "wedges"])
+    def test_simulate_graph_k_zero(self, tmp_path, capsys, kind):
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "N": 9, "kind": kind})
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--config", cfg, "--k", "0", "--out", str(out)]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "ValueError" and "K must be >= 1" in body["message"]
+        assert not out.exists()
+
+    def test_package_runs_as_module(self, tmp_path):
+        # `python -m onoffgraph` from a source checkout, with src/ on the path
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-m", "onoffgraph", "check", "--config", cfg],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["finite"] is True
+        res = subprocess.run([sys.executable, "-m", "onoffgraph"],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert res.returncode == 1 and "usage: onoffgraph" in res.stderr
 
     def test_weibull_config_keys(self, tmp_path):
         # the Weibull config as the README writes it; a missing key is named

@@ -565,6 +565,41 @@ class TestSampling:
             with pytest.raises(ConvergenceError):
                 law.sample(v)
 
+    def test_input_shapes_and_values(self):
+        # u is read, never written; 0-d gives an int, empty keeps its shape
+        u = 1.0 - np.random.default_rng(8).random((40, 7))
+        for law in ALL_LAWS:
+            before = u.copy()
+            law.sample(u)
+            law.sample(u.T)
+            assert np.array_equal(u, before)
+            for scalar in (0.5, np.float64(0.5), np.array(0.5)):
+                assert type(law.sample(scalar)) is int
+            for shape in ((0,), (3, 0)):
+                empty = law.sample(np.empty(shape))
+                assert empty.shape == shape and empty.dtype == np.int64
+            for bad in (0.0, -0.5, 1.5, np.array([0.5, 0.0]), np.array([np.nan, 1.5])):
+                with pytest.raises(ValueError):
+                    law.sample(bad)
+            # a NaN u is accepted and drawn as 1, beside its block's own draws
+            assert law.sample(np.nan) == 1
+            block = law.sample(np.array([0.3, np.nan, 1e-5]))
+            assert block.tolist() == [law.sample(0.3), 1, law.sample(1e-5)]
+        capped = Pareto(1e6, 1.0001).sample(np.array([2.0**-53, np.nan, 0.5]))
+        assert capped.tolist() == [RESIDUAL_CAP, 1, Pareto(1e6, 1.0001).sample(0.5)]
+
+    def test_blocks_past_the_slack_bound(self):
+        # alpha > 1 makes _slack infinite at x = 0 (-inf at x = -0.0, which
+        # u = 1 gives for alpha = 2), so a block reaching x < 1 takes each
+        # draw's own slack; the large x of the same block must still match
+        rng = np.random.default_rng(9)
+        for law in (Weibull(2.0, 3.0), Weibull(1.0, 2.0)):
+            u = np.concatenate([1.0 - rng.random(3000) * 0.5, np.exp2(-rng.uniform(1.0, 1074.0, 3000)),
+                                law.survival(np.arange(1, 6)), [1.0]])
+            x = law._quantile(u)
+            assert x.min() < 1.0 and x.max() > 7.0
+            assert np.array_equal(law.sample(u), loop_sample(law, u))
+
     def test_unbracketed_draw_is_refused(self):
         # past 2^53, survival cannot tell i from i + 1
         with pytest.raises(ConvergenceError):

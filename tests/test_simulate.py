@@ -29,6 +29,9 @@ from onoffgraph.simulate import (
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
 # lambda large enough that the Weibull law is numerically the point mass at 1
 DET = Weibull(50.0, 1.0)
+# models run through both consumers of the switch generator
+CONSUMER_MODELS = [GG, ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=40),
+                   ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=12)]
 
 
 class TestModelSpec:
@@ -149,12 +152,29 @@ class TestEdgeTrace:
 
     def test_counts_equal_indicator_column_sums(self):
         # both consumers of one switch generator: same seed, same paths
-        for m in [GG, ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=40),
-                  ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=12)]:
+        for m in CONSUMER_MODELS:
             for K in (1, 2, 3, 700):
                 trace = simulate_edge_trace(m, K, np.random.default_rng(31))
                 mat = edge_indicator_matrix(m, K, np.random.default_rng(31))
                 assert np.array_equal(trace.values, mat.sum(axis=0))
+
+    def test_thin_blocks(self, monkeypatch):
+        # one pair of durations per edge and block: blocks one switch-pair deep
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 1)
+        for m in CONSUMER_MODELS:
+            for K in (2, 300):
+                trace = simulate_edge_trace(m, K, np.random.default_rng(32))
+                mat = edge_indicator_matrix(m, K, np.random.default_rng(32))
+                assert np.array_equal(trace.values, mat.sum(axis=0))
+
+    def test_k_is_checked(self):
+        m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=5)
+        for K in (0, -3):
+            with pytest.raises(ValueError, match="K must be >= 1"):
+                edge_indicator_matrix(m, K, np.random.default_rng(1))
+            for kind in ("triangles", "wedges"):
+                with pytest.raises(ValueError, match="K must be >= 1"):
+                    simulate_graph_trace(m, K, np.random.default_rng(1), kind)
 
     def test_geometric_transition_frequencies(self):
         # GG is the two-state chain: stay on w.p. 1-p, stay off w.p. 1-q
@@ -227,6 +247,17 @@ def _pair_gather_triangles(edge_mat, N):
     return out
 
 
+def _mask_wedges(edge_mat, N):
+    """Wedges as the sum over vertices v of C(deg v, 2), each degree counted
+    over the rows that a mask over all vertex pairs picks for v."""
+    a, b = np.triu_indices(N, k=1)
+    out = np.zeros(edge_mat.shape[1], dtype=np.int64)
+    for v in range(N):
+        deg = np.count_nonzero(edge_mat[(a == v) | (b == v)], axis=0)
+        out += deg * (deg - 1) // 2
+    return out
+
+
 class TestGraphCounts:
     def _adj_from_column(self, col, N):
         adj = [[False] * N for _ in range(N)]
@@ -280,6 +311,14 @@ class TestGraphCounts:
         assert np.array_equal(triangle_counts(mat, N), expect)
         monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", 40 * N)  # 1 to 13 epochs per block
         assert np.array_equal(triangle_counts(mat, N), expect)
+
+    @pytest.mark.parametrize("N", [3, 4, 9, 64, 130, 257])
+    def test_degree_table_matches_mask(self, N):
+        # degrees held in uint8 up to N = 256, then in uint16
+        mat = np.random.default_rng(N).random((N * (N - 1) // 2, 37)) < 0.5
+        assert np.array_equal(wedge_counts(mat, N), _mask_wedges(mat, N))
+        full = np.ones((N * (N - 1) // 2, 2), dtype=bool)
+        assert wedge_counts(full, N).tolist() == [N * math.comb(N - 1, 2)] * 2
 
     @pytest.mark.parametrize("counter", [triangle_counts, wedge_counts])
     def test_matrix_is_checked(self, counter):
