@@ -94,16 +94,13 @@ class DurationLaw:
 
         The candidate floor(x) + 1 from the closed-form quantile x is the
         bracket in exact arithmetic. The bracketing condition is searched for
-        only where rounding could have moved it: x within the slack of an
+        only where rounding could have moved it: x within its _slack(x) of an
         integer, x not finite, or u so small that survival goes subnormal.
-        The slack is one bound per call, the larger of _slack at floor(min x)
-        and at floor(max x) + 1, which holds for every x between them since
-        each law's _slack is monotone or convex; where that bound is not
-        finite, each x takes its own _slack(x). The search leaves bracketed
-        entries as they are, so skipping the others returns what searching
-        every entry would. Candidates at or past RESIDUAL_CAP are returned as
-        RESIDUAL_CAP; where the search does not find the bracket,
-        ConvergenceError is raised. u itself is never written to.
+        The search leaves bracketed entries as they are, so skipping the
+        others returns what searching every entry would. Candidates at or past
+        RESIDUAL_CAP are returned as RESIDUAL_CAP; where the search does not
+        find the bracket, ConvergenceError is raised. u itself is never
+        written to.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
@@ -117,17 +114,14 @@ class DurationLaw:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self._quantile(u)
             i = np.floor(x)
-            lo, hi = i.min(), i.max()  # NaN if any x is NaN
-            if not hi + 1.0 < RESIDUAL_CAP:
+            if not i.max() + 1.0 < RESIDUAL_CAP:  # NaN if any x is NaN
                 capped = i + 1.0 >= RESIDUAL_CAP
                 if capped.any():
                     out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
                     out[~capped] = self.sample(u[~capped])
                     return int(out[0]) if scalar else out
                 np.nan_to_num(i, copy=False, nan=0.0)  # NaN -> candidate 1
-            # a NaN, an infinite or, at x = -0.0, a -inf end drops the bound
-            ends = self._slack(lo), self._slack(hi + 1.0)
-            slack = max(ends) if all(map(math.isfinite, ends)) else self._slack(x)
+            slack = self._slack(x)
             # |frac(x) - 1/2| < 1/2 - slack: farther than slack from an integer.
             # Each side rounds monotonically, so no draw within slack passes;
             # a NaN x or slack fails the test and is searched.

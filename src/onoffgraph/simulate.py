@@ -137,6 +137,8 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
     consumers drop them, and may overwrite `times`. A phase drawn at time t
     with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     if init is None:
         on, remaining = stationary_init(model, rng)
     else:
@@ -183,8 +185,6 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
     `init` optionally fixes the initial per-edge states as a list of
     (on, remaining) pairs, mainly for deterministic tests.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     on, switches = _phase_switches(model, K, rng, init)
     # switches into on (row 0) and into off (row 1) at 2..K count at those bins;
     # times past K collect in bin K + 1, which is never read. Each block is
@@ -212,8 +212,6 @@ def edge_indicator_matrix(model: ModelSpec, K: int, rng) -> np.ndarray:
     last column takes the switches past K, and a running XOR over the first K
     columns turns switches into states. The result is a view of those columns.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     on, switches = _phase_switches(model, K, rng)
     buf = np.zeros((model.n, K + 1), dtype=bool)
     flat = buf.reshape(-1)
@@ -287,7 +285,8 @@ def wedge_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
     """Wedge count per time step: sum over vertices of C(degree, 2).
 
     The degree table is built from each vertex v's contiguous rows, the edges
-    (v, w) with w > v, which add to the degree of v and of each such w.
+    (v, w) with w > v, which add to the degree of v and of each such w; it is
+    widened to int64 one vertex at a time.
     """
     N = _check_edge_mat(edge_mat, N)
     deg = np.zeros((N, edge_mat.shape[1]), dtype=np.min_scalar_type(N - 1))
@@ -297,9 +296,12 @@ def wedge_counts(edge_mat: np.ndarray, N: int) -> np.ndarray:
         deg[v] += rows.sum(axis=0, dtype=deg.dtype)
         deg[v + 1:] += rows
         first += N - 1 - v
-    d = deg.astype(np.int64)
-    d *= d - 1
-    return d.sum(axis=0) // 2
+    out = np.zeros(edge_mat.shape[1], dtype=np.int64)
+    for row in deg:
+        d = row.astype(np.int64)
+        d *= d - 1
+        out += d
+    return out // 2
 
 
 def simulate_graph_trace(model: ModelSpec, K: int, rng, kind: str) -> CountTrace:

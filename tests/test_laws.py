@@ -588,10 +588,10 @@ class TestSampling:
         capped = Pareto(1e6, 1.0001).sample(np.array([2.0**-53, np.nan, 0.5]))
         assert capped.tolist() == [RESIDUAL_CAP, 1, Pareto(1e6, 1.0001).sample(0.5)]
 
-    def test_blocks_past_the_slack_bound(self):
+    def test_blocks_mixing_small_and_large_x(self):
         # alpha > 1 makes _slack infinite at x = 0 (-inf at x = -0.0, which
-        # u = 1 gives for alpha = 2), so a block reaching x < 1 takes each
-        # draw's own slack; the large x of the same block must still match
+        # u = 1 gives for alpha = 2); the large x of the same block must still
+        # take their own finite slack and match
         rng = np.random.default_rng(9)
         for law in (Weibull(2.0, 3.0), Weibull(1.0, 2.0)):
             u = np.concatenate([1.0 - rng.random(3000) * 0.5, np.exp2(-rng.uniform(1.0, 1074.0, 3000)),

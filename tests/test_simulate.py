@@ -345,10 +345,14 @@ class TestGraphCounts:
             held = tracemalloc.get_traced_memory()[0]
             triangle_counts(mat, m.N)
             triangle_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            wedge_counts(mat, m.N)
+            wedge_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert matrix_peak < m.n * (K + 1) + 8 * 2**20  # the buffer, not a copy of it
         assert triangle_peak < 16 * 2**20  # blocks of epochs, not all K at once
+        assert wedge_peak < m.N * K + 2 * 2**20  # a uint8 degree table, widened a row at a time
 
     def test_triangle_mean(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
