@@ -50,7 +50,6 @@ class ParamCov:
     tau2: float
     rho_cov: float
     gamma: tuple[float, float] = (0.0, 0.0)
-    delta: tuple[float, float] = (0.0, 0.0)
 
     def sd(self, K: int) -> tuple[float, float]:
         """Predicted standard deviations of (p_hat, q_hat) at trace length K."""
@@ -133,8 +132,7 @@ def delta_method_cov(n: int, p: float, q: float, mc: MomentCov) -> ParamCov:
     sigma2 = g0 * g0 * mc.v0 + 2 * g0 * g1 * mc.c01 + g1 * g1 * mc.v1
     tau2 = sigma2 * (q / p) ** 2
     rho_cov = sigma2 * (q / p)
-    return ParamCov(sigma2=sigma2, tau2=tau2, rho_cov=rho_cov,
-                    gamma=(g0, g1), delta=(g0 * q / p, g1 * q / p))
+    return ParamCov(sigma2=sigma2, tau2=tau2, rho_cov=rho_cov, gamma=(g0, g1))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +193,7 @@ K0 = 1024
 K_CAP = 1 << 15
 _K0_MIN = 64  # the tail fits at K0 / 2 need a window of some width
 _FLOOR = 1e-13  # rounding floor of the increments, relative to the series scale
+_TOL = 1e-6  # the relative tail error general_moment_cov accepts as converged
 
 
 def _tail_exponents(model: ModelSpec, k_end: int) -> list[float]:
@@ -272,8 +271,7 @@ def _floored_sums(ks, inc, head, gammas, k0):
     return full, half, tail
 
 
-def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
-                       k_cap: int = K_CAP) -> MomentCov:
+def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCov:
     """v0, v1, c01 for arbitrary on/off laws: renewal-reward closed forms and one series.
 
     v0, c01 and the one-edge part of v1 are exact (_reward_cov). The rest of
@@ -288,8 +286,8 @@ def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
     twice the lag where their geometric decay reaches the floor, up to k_cap.
     k_used is the final table size. tail_error is the series' move between
     k_used / 2 and k_used plus its rounding floor (_FLOOR |v1|), and
-    converged means tail_error <= tol * scale, scale the largest of 1, |v0|,
-    |v1| and |c01|. The default tol sits far above the relative tail errors
+    converged means tail_error <= _TOL * scale, scale the largest of 1, |v0|,
+    |v1| and |c01|. _TOL sits far above the relative tail errors
     measured on 864 Pareto models with indices from 2.05 to 20 (at most
     1.5e-9), so it flags models whose laws have not reached their power law
     by k_used, such as Pareto(2000, 3)/Geometric(0.002) at n = 10. Where
@@ -316,7 +314,7 @@ def general_moment_cov(model: ModelSpec, n: int, tol: float = 1e-6,
     tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
     scale = max(1.0, abs(v0), abs(v1), abs(c01))
     return MomentCov(v0=v0, v1=v1, c01=c01, method="general_series",
-                     converged=bool(finite and tail_error <= tol * scale), k_used=k0,
+                     converged=bool(finite and tail_error <= _TOL * scale), k_used=k0,
                      tail_correction=(0.0, tail, 0.0), tail_error=tail_error)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ from .moments import family_entry, fit, infer_family
 from .simulate import ModelSpec, simulate_trace, whole_number
 
 _MASK64 = (1 << 64) - 1
+_MIN_BINS = 10  # fewest histogram bins
 
 
 def mix_seed(base_seed: int, rep: int) -> int:
@@ -51,7 +51,6 @@ class ExperimentConfig:
     R: int = 100
     base_seed: int = 0
     family: str | None = None
-    out_dir: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ class CampaignSummary:
     histograms: dict  # param -> (edges, counts)
     qq: dict  # param -> (theoretical, sample) standardized quantiles
     n_flagged: int
-    wall_clock: float = 0.0  # informational only; never serialized
 
     def to_json(self) -> dict:
         return {
@@ -144,7 +142,6 @@ def _run_replication(args):
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Run all replications and aggregate; output is scheduling-independent."""
-    t0 = time.perf_counter()
     tasks = [(cfg.to_json(), rep) for rep in range(1, cfg.R + 1)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -167,8 +164,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     predicted = _predicted_sds(cfg, means)
     return CampaignSummary(config=cfg, rows=rows, means=means, sds=sds,
                            predicted_sds=predicted, histograms=hists, qq=qq,
-                           n_flagged=n_flagged,
-                           wall_clock=time.perf_counter() - t0)
+                           n_flagged=n_flagged)
 
 
 def _predicted_sds(cfg, means):
@@ -186,16 +182,16 @@ def _predicted_sds(cfg, means):
     return {name: float(sd) for name, sd in zip(entry.params, sds)}
 
 
-def _histogram(vals, min_bins=10):
-    """Freedman-Diaconis bins widened to at least min_bins."""
+def _histogram(vals):
+    """Freedman-Diaconis bins widened to at least _MIN_BINS."""
     if len(vals) == 0:
         return np.array([]), np.array([])
     if len(vals) == 1 or np.ptp(vals) == 0.0:
-        edges = np.linspace(vals[0] - 0.5, vals[0] + 0.5, min_bins + 1)
+        edges = np.linspace(vals[0] - 0.5, vals[0] + 0.5, _MIN_BINS + 1)
     else:
         edges = np.histogram_bin_edges(vals, bins="fd")
-        if len(edges) - 1 < min_bins:
-            edges = np.linspace(edges[0], edges[-1], min_bins + 1)
+        if len(edges) - 1 < _MIN_BINS:
+            edges = np.linspace(edges[0], edges[-1], _MIN_BINS + 1)
     counts, _ = np.histogram(vals, bins=edges)
     return edges, counts
 

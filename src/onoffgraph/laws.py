@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
+from .errors import InfiniteMeanError, OutOfRangeError, ParameterError
 
 DEFAULT_INVERT_TOL = 1e-10
 
@@ -93,14 +93,13 @@ class DurationLaw:
         """Inverse-transform sample: the unique i with survival(i+1) < u <= survival(i).
 
         The candidate floor(x) + 1 from the closed-form quantile x is the
-        bracket in exact arithmetic. The bracketing condition is searched for
-        only where rounding could have moved it: x within its _slack(x) of an
-        integer, x not finite, or u so small that survival goes subnormal.
-        The search leaves bracketed entries as they are, so skipping the
-        others returns what searching every entry would. Candidates at or past
-        RESIDUAL_CAP are returned as RESIDUAL_CAP; where the search does not
-        find the bracket, ConvergenceError is raised. u itself is never
-        written to.
+        bracket in exact arithmetic. The bracket is searched for (_bracket,
+        from the candidate) only where rounding could have moved it: x within
+        its _slack(x) of an integer, x not finite, or u so small that survival
+        goes subnormal. Float survival does not increase with i, so the
+        bracket is unique and skipping the others returns what searching
+        every entry would. Candidates at or past RESIDUAL_CAP are returned as
+        RESIDUAL_CAP without a search. u itself is never written to.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
@@ -114,13 +113,6 @@ class DurationLaw:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self._quantile(u)
             i = np.floor(x)
-            if not i.max() + 1.0 < RESIDUAL_CAP:  # NaN if any x is NaN
-                capped = i + 1.0 >= RESIDUAL_CAP
-                if capped.any():
-                    out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
-                    out[~capped] = self.sample(u[~capped])
-                    return int(out[0]) if scalar else out
-                np.nan_to_num(i, copy=False, nan=0.0)  # NaN -> candidate 1
             slack = self._slack(x)
             # |frac(x) - 1/2| < 1/2 - slack: farther than slack from an integer.
             # Each side rounds monotonically, so no draw within slack passes;
@@ -132,21 +124,14 @@ class DurationLaw:
             if not u_min >= _SUBNORMAL_U:
                 done &= u >= _SUBNORMAL_U
             i += 1.0
+            if not i.max() < RESIDUAL_CAP:  # NaN if any x is NaN
+                done |= i >= RESIDUAL_CAP
+                np.minimum(i, RESIDUAL_CAP, out=i)
+                np.nan_to_num(i, copy=False, nan=1.0)
         i = i.astype(np.int64)
-        if done.all():
-            return int(i[0]) if scalar else i
-        search = ~done
-        j, v = i[search], u[search]
-        for _ in range(128):
-            too_big = self.survival(j) < v
-            too_small = self.survival(j + 1) >= v
-            if not (too_big.any() or too_small.any()):
-                break
-            j = j - too_big.astype(np.int64) + too_small.astype(np.int64)
-            j = np.maximum(j, 1)
-        else:
-            raise ConvergenceError(f"{self} found no bracketed draw within 128 steps of its candidates")
-        i[search] = j
+        if not done.all():
+            search = ~done
+            i[search] = _bracket(self.survival, u[search], i[search])
         return int(i[0]) if scalar else i
 
     def to_config(self):
@@ -298,7 +283,7 @@ class ResidualLaw:
     """Equilibrium law of a duration law: pmf(k) = survival(k) / mean.
 
     Its survival is P(residual >= k) = T(k) / mean with the law's tail sum
-    T(k), so sampling needs no table: it gallops and then bisects on k.
+    T(k), so sampling needs no table: _bracket searches k from 1.
     """
 
     def __init__(self, law: DurationLaw):
@@ -318,31 +303,39 @@ class ResidualLaw:
         Draws that would exceed RESIDUAL_CAP are returned as RESIDUAL_CAP.
         """
         u = np.asarray(u, dtype=np.float64)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
         if np.any(u <= 0.0) or np.any(u > 1.0):
             raise ValueError("u must lie in (0, 1]")
-        # invariant: survival(lo) >= u > survival(hi), with survival(1) = 1
-        lo = np.ones(u.shape, dtype=np.int64)
-        hi = np.full(u.shape, 2, dtype=np.int64)
-        todo = np.arange(u.size)
-        while todo.size:  # gallop: double hi until it passes the draw
-            above = self.survival(hi[todo]) >= u[todo]
-            todo = todo[above]
-            lo[todo] = hi[todo]
-            capped = hi[todo] == RESIDUAL_CAP
-            hi[todo[capped]] = RESIDUAL_CAP + 1
-            todo = todo[~capped]
-            hi[todo] *= 2
-        while True:  # bisect
-            open_ = np.flatnonzero(hi - lo > 1)
-            if not open_.size:
-                break
-            mid = (lo[open_] + hi[open_]) // 2
-            above = self.survival(mid) >= u[open_]
-            lo[open_[above]] = mid[above]
-            hi[open_[~above]] = mid[~above]
-        return int(lo[0]) if scalar else lo
+        k = _bracket(self.survival, u.ravel(), np.ones(u.size, dtype=np.int64))
+        return int(k[0]) if u.ndim == 0 else k.reshape(u.shape)
+
+
+def _bracket(survival, u, start):
+    """The k in [1, RESIDUAL_CAP] with survival(k + 1) < u <= survival(k), searched from start.
+
+    For a survival that does not increase, and 1-d u and start. survival(1)
+    is taken as 1 and survival(RESIDUAL_CAP + 1) as 0, neither evaluated. hi
+    doubles from start while survival(hi) >= u; bisection then closes the
+    bracket (from lo = 1 it halves toward 1), on the draws still open only.
+    """
+    lo = np.ones_like(start)  # survival(lo) >= u > survival(hi) once the gallop ends
+    hi = np.maximum(start, 2)
+    todo = np.arange(start.size)
+    while todo.size:  # gallop; past RESIDUAL_CAP // 2, doubling would pass the cap
+        above = survival(hi[todo]) >= u[todo]
+        todo = todo[above]
+        lo[todo] = hi[todo]
+        capped = lo[todo] > RESIDUAL_CAP // 2
+        hi[todo[capped]] = RESIDUAL_CAP + 1
+        todo = todo[~capped]
+        hi[todo] *= 2
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:  # bisect; lo + hi would pass int64 near the cap
+        mid = lo[todo] + (hi[todo] - lo[todo]) // 2
+        above = survival(mid) >= u[todo]
+        lo[todo[above]] = mid[above]
+        hi[todo[~above]] = mid[~above]
+        todo = np.flatnonzero(hi - lo > 1)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,13 @@ class CountTrace:
         return len(self.values)
 
 
-def stationary_init(model: ModelSpec, rng, residuals=None):
+def stationary_init(model: ModelSpec, rng):
     """Draw the stationary state of all edges: (on, remaining) arrays.
 
     Each edge is on with probability rho independently; the remaining time in
     the current phase comes from the matching residual law.
     """
-    res_on, res_off = residuals if residuals is not None else model.residuals()
+    res_on, res_off = model.residuals()
     rho = model.rho
     n = model.n
     on = rng.random(n) < rho
@@ -145,6 +145,11 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
         on = np.array([bool(o) for o, _ in init])
         remaining = np.array([int(d) for _, d in init], dtype=np.int64)
     cycle = model.on_law.mean() + model.off_law.mean()
+    # a block's column sums K and at most _BLOCK_DRAWS durations, each at most
+    # the draw at u = 2^-53, the least 1 - rng.random() gives; where that could
+    # pass int64, durations are cut to K, which moves no switch at or before K
+    longest = max(model.on_law.sample(2.0**-53), model.off_law.sample(2.0**-53))
+    cut = longest > (2**63 - 1 - K) // _BLOCK_DRAWS
 
     def draws(law, shape):
         u = rng.random(shape)
@@ -171,6 +176,8 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
             np.copyto(cum[1::2], dx, where=ph)
             np.copyto(cum[2::2], dx)
             np.copyto(cum[2::2], dy, where=ph)
+            if cut:
+                np.minimum(cum[1:], K, out=cum[1:])
             np.cumsum(cum, axis=0, out=cum)
             nxt[edges] = cum[-1]
             yield edges, cum[:-1], ph
@@ -356,10 +363,12 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
     csv_path = Path(csv_path)
     with csv_path.open() as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["k", "value"]:
-            raise ValueError(f"{csv_path}: expected header 'k,value'")
-        values = np.array([int(row[1]) for row in reader], dtype=np.int64)
+        if next(reader, [])[:2] != ["k", "value"]:
+            raise ValueError(f"{csv_path}, line 1: expected header 'k,value'")
+        try:
+            values = np.array([int(row[1]) for row in reader], dtype=np.int64)
+        except (IndexError, ValueError):
+            raise ValueError(f"{csv_path}, line {reader.line_num}: expected a row 'k,value'") from None
     meta_file = sidecar_path(csv_path)
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
     if n is not None and meta.get("n") not in (None, n):

@@ -121,7 +121,6 @@ class TestCampaign:
         assert body["R"] == 5
         assert set(body["params"]) == {"p", "q"}
         assert body["params"]["p"]["predicted_sd"] > 0
-        assert "wall_clock" not in json.dumps(body)
 
     def test_flagged_replication(self):
         # K=2 pareto/pareto traces often produce incompatible moments; flags
@@ -312,6 +311,19 @@ class TestCli:
         res = self._run("estimate", "--config", edges, "--trace", str(trace))
         assert res.returncode == 2
         assert json.loads(res.stdout)["error"] == "TraceMismatchError"
+
+    @pytest.mark.parametrize("text", ["", "k,value\n1,3\n2\n"], ids=["empty", "short_row"])
+    def test_malformed_trace_exit_2(self, tmp_path, text):
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text)
+        res = self._run("estimate", "--config", cfg, "--trace", str(trace))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        body = json.loads(res.stdout)
+        assert body["error"] == "ValueError" and "trace.csv, line" in body["message"]
 
     def test_closed_pipe_is_not_an_error(self, tmp_path):
         # `onoffgraph estimate ... | head -1`, with the reader gone before any write

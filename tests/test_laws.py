@@ -8,8 +8,8 @@ import pytest
 from scipy.special import gammaincc, gammaln
 from scipy.special import zeta as scipy_zeta
 
-from onoffgraph.errors import (COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError,
-                               OutOfRangeError, ParameterError)
+from onoffgraph.errors import (COMPUTE_ERRORS, InfiniteMeanError, OutOfRangeError,
+                               ParameterError)
 from onoffgraph.laws import (
     RESIDUAL_CAP,
     Geometric,
@@ -37,31 +37,25 @@ EXTREME_LAWS = (
                                       (1000.0, 0.001), (1e-300, 100.0), (1.0, 0.1), (1.0, 0.2),
                                       (1.0, 0.02))])
 
-# loop_sample's outcome for an entry that the search does not bracket
-UNBRACKETED = -1
-
 
 def loop_sample(law, u):
-    """The candidate plus the full bracket search (128 checks) on every entry.
+    """Bisection for the bracket over [1, RESIDUAL_CAP] on every entry, whatever its candidate.
 
     This is the reference that DurationLaw.sample must match draw by draw.
-    Entries are searched independently: one that is still unbracketed after
-    the candidate and 127 steps comes back as UNBRACKETED, where sample()
-    raises ConvergenceError.
+    survival(RESIDUAL_CAP + 1) is taken as 0, and an entry whose candidate
+    floor(x) + 1 is at or past RESIDUAL_CAP comes back as RESIDUAL_CAP, as
+    sample() returns it.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        i = np.maximum(np.nan_to_num(np.floor(law._quantile(u)) + 1.0, nan=1.0), 1.0)
-    out = np.full(u.shape, RESIDUAL_CAP, dtype=np.int64)
-    live = np.flatnonzero(i < RESIDUAL_CAP)
-    j, v = i[live].astype(np.int64), u[live]
-    for _ in range(127):
-        too_big = law.survival(j) < v
-        too_small = law.survival(j + 1) >= v
-        j = np.maximum(j - too_big.astype(np.int64) + too_small.astype(np.int64), 1)
-    bracketed = (law.survival(j) >= v) & (law.survival(j + 1) < v)
-    out[live] = np.where(bracketed, j, UNBRACKETED)
-    return out
+    lo = np.ones(u.shape, dtype=np.int64)
+    hi = np.full(u.shape, RESIDUAL_CAP + 1, dtype=np.int64)
+    for _ in range(62):  # hi - lo halves from 2^62 to 1
+        mid = lo + (hi - lo) // 2
+        above = law.survival(mid) >= u
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    with np.errstate(over="ignore", divide="ignore"):
+        lo[np.floor(law._quantile(u)) + 1.0 >= RESIDUAL_CAP] = RESIDUAL_CAP
+    return lo
 
 
 def weibull_integral(lam, alpha, a, power=0):
@@ -555,36 +549,32 @@ class TestSampling:
                             np.exp2(-np.arange(900.0, 1075.0))])
         u = u[(u > 0.0) & (u <= 1.0)]
         want = loop_sample(law, u)
-        unbracketed = want == UNBRACKETED
-        good, want = u[~unbracketed], want[~unbracketed]
-        assert np.array_equal(law.sample(good), want)
-        half = good.size // 2  # the simulator draws (edges x pairs) blocks
-        assert np.array_equal(law.sample(good[:2 * half].reshape(2, half)),
+        assert np.array_equal(law.sample(u), want)
+        half = u.size // 2  # the simulator draws (edges x pairs) blocks
+        assert np.array_equal(law.sample(u[:2 * half].reshape(2, half)),
                               want[:2 * half].reshape(2, half))
-        for v in u[unbracketed][:20]:
-            with pytest.raises(ConvergenceError):
-                law.sample(v)
 
     def test_input_shapes_and_values(self):
         # u is read, never written; 0-d gives an int, empty keeps its shape
+        # (the residual laws' samplers keep the same contract)
         u = 1.0 - np.random.default_rng(8).random((40, 7))
-        for law in ALL_LAWS:
+        samplers = [law.sample for law in ALL_LAWS] + [law.residual().sample for law in ALL_LAWS]
+        for sample in samplers:
             before = u.copy()
-            law.sample(u)
-            law.sample(u.T)
+            assert np.array_equal(sample(u).T, sample(u.T))
             assert np.array_equal(u, before)
             for scalar in (0.5, np.float64(0.5), np.array(0.5)):
-                assert type(law.sample(scalar)) is int
+                assert type(sample(scalar)) is int
             for shape in ((0,), (3, 0)):
-                empty = law.sample(np.empty(shape))
+                empty = sample(np.empty(shape))
                 assert empty.shape == shape and empty.dtype == np.int64
             for bad in (0.0, -0.5, 1.5, np.array([0.5, 0.0]), np.array([np.nan, 1.5])):
                 with pytest.raises(ValueError):
-                    law.sample(bad)
+                    sample(bad)
             # a NaN u is accepted and drawn as 1, beside its block's own draws
-            assert law.sample(np.nan) == 1
-            block = law.sample(np.array([0.3, np.nan, 1e-5]))
-            assert block.tolist() == [law.sample(0.3), 1, law.sample(1e-5)]
+            assert sample(np.nan) == 1
+            block = sample(np.array([0.3, np.nan, 1e-5]))
+            assert block.tolist() == [sample(0.3), 1, sample(1e-5)]
         capped = Pareto(1e6, 1.0001).sample(np.array([2.0**-53, np.nan, 0.5]))
         assert capped.tolist() == [RESIDUAL_CAP, 1, Pareto(1e6, 1.0001).sample(0.5)]
 
@@ -600,10 +590,14 @@ class TestSampling:
             assert x.min() < 1.0 and x.max() > 7.0
             assert np.array_equal(law.sample(u), loop_sample(law, u))
 
-    def test_unbracketed_draw_is_refused(self):
-        # past 2^53, survival cannot tell i from i + 1
-        with pytest.raises(ConvergenceError):
-            Pareto(1e19, 3.0).sample(0.5)
+    def test_draws_past_2_53_bracket(self):
+        # past 2^53 survival steps only every thousand or so i, and the search
+        # from the candidate still finds the one i where it crosses u
+        law = Pareto(1e19, 3.0)
+        for u in (0.5, np.array([0.5, 0.9, 0.35])):
+            i = law.sample(u)
+            assert np.all(law.survival(i + 1) < u) and np.all(u <= law.survival(i))
+        assert law.sample(0.5) > 2**61
 
     def test_frequencies_match_pmf(self):
         # 1e6 draws per family; each bucket within 4 binomial sds

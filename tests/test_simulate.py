@@ -124,6 +124,17 @@ class TestEdgeTrace:
         assert trace.K == 1
         assert 0 <= trace.values[0] <= GG.n
 
+    def test_durations_past_2_53(self):
+        # Pareto(1e19, 3) durations lie past 2^53, where survival steps only
+        # every thousand or so durations; each draw still brackets and the trace runs
+        m = ModelSpec(on_law=Geometric(0.5), off_law=Pareto(1e19, 3.0), n=5)
+        trace = simulate_edge_trace(m, 50, np.random.default_rng(0), init=[(True, 1)] * 5)
+        assert trace.values.tolist() == [5] + [0] * 49
+        # two such durations in one column would carry its sum past int64
+        m = ModelSpec(on_law=Pareto(1e19, 3.0), off_law=Pareto(1e19, 3.0), n=45)
+        trace = simulate_edge_trace(m, 50, np.random.default_rng(0), init=[(True, 1)] * 45)
+        assert trace.values.tolist() == [45] + [0] * 49
+
     def test_stationary_mean(self):
         rng = np.random.default_rng(7)
         trace = simulate_edge_trace(GG, 50_000, rng)
@@ -418,3 +429,12 @@ class TestPersistence:
         bad.write_text("time,count\n1,2\n")
         with pytest.raises(ValueError):
             load_trace(bad)
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("k,value\n1,2\n2\n", 3),
+                                            ("k,value\n1,2\n\n3,4\n", 3),
+                                            ("k,value\n1,2\n2,x\n", 3)])
+    def test_malformed_rows_name_their_line(self, tmp_path, text, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv, line {line}:"):
+            load_trace(bad, n=4)
