@@ -185,10 +185,9 @@ def _cross_edge_series(model: ModelSpec, n: int, k0: int):
     return ks, inc, pairs * (gamma[0] ** 2 + gamma[1] ** 2)
 
 
-# Table size of general_moment_cov: the increments are summed to K0 and the
-# power-law tail beyond it is added in closed form. Light-tailed models whose
-# increments still stand above the rounding floor at K0 get one longer table,
-# of at most K_CAP lags.
+# Table sizes of general_moment_cov: the cross-edge series is summed to
+# k0 = K0 first, and k0 is doubled, up to k_cap (K_CAP by default), until the
+# series converges. A power-law tail beyond k0 is added in closed form.
 K0 = 1024
 K_CAP = 1 << 15
 _K0_MIN = 64  # the tail fits at K0 / 2 need a window of some width
@@ -231,90 +230,67 @@ def _tail(ks, inc, gammas, k_end):
     return float(coef @ (scipy.special.zeta(gammas, k_end + 1.0) * float(k_end) ** gammas))
 
 
-def _last_above_floor(ks, inc, head):
-    """The series scale and the last lag whose increment stands above the rounding floor."""
+def _floored_sums(ks, inc, head, gammas, k0):
+    """The series to k0 and to k0 / 2, each with its fitted tail; the k0 tail; the floor lag.
+
+    The floor lag is the last lag whose increment stands above the rounding
+    floor (_FLOOR times the series scale); the increments past it are noise
+    and are dropped. A tail is fitted only where the increments still stand
+    above the floor at the end of the sum.
+    """
     scale = max(1.0, abs(head), float(np.max(np.abs(inc))))
     above = np.nonzero(np.abs(inc) > _FLOOR * scale)[0]
-    return scale, (ks[above[-1]] if len(above) else 0)
-
-
-def _lag_to_floor(ks, inc, head, k0):
-    """0 if the increments reach the rounding floor by k0; else the lag where they would.
-
-    That lag extrapolates the geometric decay of the largest increment from
-    (k0/2, 3k0/4] to (3k0/4, k0]; it is inf where they do not decay there.
-    """
-    scale, last = _last_above_floor(ks, inc, head)
-    if last < k0:
-        return 0.0
-    e1, e2 = (float(np.max(np.abs(inc[(ks > lo) & (ks <= lo + k0 // 4)])))
-              for lo in (k0 // 2, 3 * k0 // 4))
-    if e2 >= e1:
-        return math.inf
-    return 3 * k0 / 4 + k0 / 4 * math.log(_FLOOR * scale / e2) / math.log(e2 / e1)
-
-
-def _floored_sums(ks, inc, head, gammas, k0):
-    """The series to k0 and to k0 / 2, each with its fitted tail; and the k0 tail.
-
-    Increments past the last one above the rounding floor are noise and are
-    dropped. A tail is fitted only where the increments still stand above
-    the floor at the end of the sum.
-    """
-    _, last = _last_above_floor(ks, inc, head)
+    last = ks[above[-1]] if len(above) else 0
     kept = np.where(ks <= last, inc, 0.0)
     sums = []
     for k_end in (k0, k0 // 2):
         tail = _tail(ks, kept, gammas, k_end) if last >= k_end else 0.0
         sums.append((head + float(np.sum(kept[ks <= k_end])) + tail, tail))
     (full, tail), (half, _) = sums
-    return full, half, tail
+    return full, half, tail, last
 
 
 def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCov:
     """v0, v1, c01 for arbitrary on/off laws: renewal-reward closed forms and one series.
 
     v0, c01 and the one-edge part of v1 are exact (_reward_cov). The rest of
-    v1, the cross-edge series, is summed to k0 = min(K0, k_cap) on one set of
-    renewal tables. For Pareto laws its increments decay as powers of k; a
+    v1, the cross-edge series, is summed on one set of renewal tables to k0,
+    which starts at min(K0, k_cap) and doubles, up to k_cap, until the series
+    converges. For Pareto laws its increments decay as powers of k; a
     least-squares fit over the largest lags gives their sum beyond k0 in
-    closed form (tail_correction, whose v0 and c01 entries are 0). Without a
-    tail exponent at k0 (no Pareto law, or only laws with C >= k0, which
-    still decay geometrically there, or with exponents past float range) no
-    tail is fitted; where the increments still stand above the rounding
-    floor at k0 (a slowly mixing model), the tables are built once more, at
-    twice the lag where their geometric decay reaches the floor, up to k_cap.
-    k_used is the final table size. tail_error is the series' move between
-    k_used / 2 and k_used plus its rounding floor (_FLOOR |v1|), and
+    closed form (tail_correction, whose v0 and c01 entries are 0). A law with
+    C >= k0 still decays geometrically there and adds no tail exponent, nor
+    does one whose exponents pass float range. tail_error is the series' move
+    between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|), and
     converged means tail_error <= _TOL * scale, scale the largest of 1, |v0|,
-    |v1| and |c01|. _TOL sits far above the relative tail errors
+    |v1| and |c01|. With no tail exponent that move can understate what is
+    left of a slowly decaying series, so k0 also doubles until the increments
+    reach the floor by k0 / 2; at k_cap, converged rests on tail_error alone.
+    k_used is the final k0. _TOL sits far above the relative tail errors
     measured on 864 Pareto models with indices from 2.05 to 20 (at most
-    1.5e-9), so it flags models whose laws have not reached their power law
-    by k_used, such as Pareto(2000, 3)/Geometric(0.002) at n = 10. Where
-    finiteness_check fails, a DivergenceWarning is issued, the variances are
-    infinite and so are v0 and v1, and converged is False.
+    1.5e-9). Where finiteness_check fails, a DivergenceWarning is issued, the
+    variances are infinite and so are v0 and v1, converged is False and k0
+    is not doubled.
     """
     if k_cap < _K0_MIN:
         raise ValueError(f"k_cap must be >= {_K0_MIN}, got {k_cap}")
-    k0 = min(K0, k_cap)
     finite, why = finiteness_check(model)
     if not finite:
         warnings.warn(f"covariance limits are infinite: {why}", DivergenceWarning)
-    gammas = _tail_exponents(model, k0) if finite else []
-
     v0, c01, v1_one_edge = _reward_cov(model, n)
-    ks, inc, head = _cross_edge_series(model, n, k0)
-    if finite and not gammas and k0 < k_cap:
-        need = _lag_to_floor(ks, inc, v1_one_edge + head, k0)
-        if need > 0:
-            k0 = int(min(k_cap, 2 * math.ceil(min(need, k_cap))))
-            ks, inc, head = _cross_edge_series(model, n, k0)
-    v1, half, tail = _floored_sums(ks, inc, v1_one_edge + head, gammas, k0)
-    # increments below the rounding floor were dropped, so v1 is known to that floor at best
-    tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
-    scale = max(1.0, abs(v0), abs(v1), abs(c01))
+    k0 = min(K0, k_cap)
+    while True:
+        gammas = _tail_exponents(model, k0) if finite else []
+        ks, inc, head = _cross_edge_series(model, n, k0)
+        v1, half, tail, last = _floored_sums(ks, inc, v1_one_edge + head, gammas, k0)
+        # increments below the rounding floor were dropped, so v1 is known to that floor at best
+        tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
+        converged = bool(finite and tail_error <= _TOL * max(1.0, abs(v0), abs(v1), abs(c01)))
+        if not finite or k0 >= k_cap or converged and (gammas or 2 * last <= k0):
+            break
+        k0 = min(2 * k0, k_cap)
     return MomentCov(v0=v0, v1=v1, c01=c01, method="general_series",
-                     converged=bool(finite and tail_error <= _TOL * scale), k_used=k0,
+                     converged=converged, k_used=k0,
                      tail_correction=(0.0, tail, 0.0), tail_error=tail_error)
 
 

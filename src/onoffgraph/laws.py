@@ -224,9 +224,13 @@ class Weibull(DurationLaw):
         # S(x) = exp(-lam x^alpha): 1/|d log S/dx| = x / (alpha lam x^alpha). The
         # power 1/alpha multiplies the relative error of x, and the exponent's
         # relative error moves x by as much, so x / alpha joins x:
-        # 1e-9 (1 + x + x / alpha + x^(1 - alpha) / (alpha lam))
+        # 1e-9 (1 + x + x / alpha + x^(1 - alpha) / (alpha lam)). The last term
+        # belongs to the bracket edge next to x: the edge at 0 is exact
+        # (survival(1) = 1), and at an edge j >= 1 it is at most 1 / (alpha lam)
+        # when alpha > 1, so that bound stands in for the power there.
         a = self.alpha
-        return 1e-9 * (1.0 + 1.0 / a) * x + 1e-9 * x ** (1.0 - a) / (a * self.lam) + 1e-9
+        power = 1.0 if a > 1.0 else x ** (1.0 - a)
+        return 1e-9 * (1.0 + 1.0 / a) * x + 1e-9 * power / (a * self.lam) + 1e-9
 
     def to_config(self):
         return {"kind": "weibull", "lambda": self.lam, "alpha": self.alpha}

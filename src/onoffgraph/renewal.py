@@ -103,9 +103,18 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
     return np.where(q < 0.0, np.where(q > -1e-12, 0.0, q), q)
 
 
-def _conv(a, b, k):
+# Products of series up to this length are direct (np.convolve), so the short
+# tables the fit residuals read keep their bits; longer ones take one real FFT.
+_DIRECT = 128
+
+
+def _mul(a, b, k):
     """The first k coefficients of the product of the power series a and b."""
-    return np.convolve(a[:k], b[:k])[:k]
+    a, b = a[:k], b[:k]
+    if min(len(a), len(b)) <= _DIRECT:
+        return np.convolve(a, b)[:k]
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:k]
 
 
 def _shift(a):
@@ -113,27 +122,18 @@ def _shift(a):
     return np.concatenate(([0.0], a[:-1]))
 
 
-def _on_start_density(f, surv_f, g, surv_g, c):
-    """u_m = P(an on-period starts at 1 + m | one starts at 1), m < len(f).
+def _reciprocal(h, k):
+    """The first k coefficients of 1 / h, for a power series h = 1 + z + ...
 
-    u is the power series 1 / (1 - F G), F and G the on- and off-time pmfs,
-    and tends to c = 1 / E[X + Y]. The loop runs on the excess w = u - c,
-    which solves w_m = sum_i h_i w_(m-i) - c P(X + Y > m) (plus 1 at m = 0),
-    h the pmf of X + Y: its rounding errors scale with w, not with c, so they
-    do not pile up into a drift of the limit. F G has no term below z^2, so
-    each w_m is one dot product with the terms before it.
+    Newton's step b <- b - b (h b - 1) doubles the correct coefficients (Brent
+    and Kung 1978); h b - 1 has no term below z^len(b), so only new ones change.
     """
-    k = len(f)
-    u = np.zeros(k)
-    u[0] = 1.0  # exact: an on-period starts at 1, and none at 2
-    if k > 2:
-        h = _conv(f, g, k - 1)  # h[i] = P(X + Y = i + 2)
-        w = -c * (surv_f[:k] + _shift(_conv(f, surv_g, k)))  # -c P(X + Y > m)
-        w[0] += 1.0
-        for m in range(2, k):
-            w[m] += h[: m - 1] @ w[m - 2::-1]
-        u[2:] = c + w[2:]
-    return u
+    b = np.array([1.0, -1.0])[:k]
+    while len(b) < k:
+        m = min(2 * len(b), k)
+        miss = _mul(h, b, m)[len(b):]
+        b = np.concatenate([b, -_mul(b, miss, m - len(b))])
+    return b
 
 
 @dataclass
@@ -153,11 +153,12 @@ class AutocovTable:
 
 
 def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
-    """The renewal tables up to k_max from one on-start density and convolutions.
+    """The renewal tables up to k_max, each the running sum of one product.
 
-    With u = 1 / (1 - F G), every table is a product of known series:
-    r = u S_f (S_f the on-time survival), s = z G r and
-    r_res = z F-bar s + the residual survival.
+    With F, G the on- and off-time pmfs, 1 - F G = (1 - z) H-bar, H-bar_m =
+    P(X + Y > m), so u = 1 / (1 - F G) is the running sum of b = 1 / H-bar.
+    r = u S_f (S_f the on-time survival), s = z G r and r_res = z F-bar s plus
+    the residual survival are each the running sum of b times a fixed kernel.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -165,11 +166,11 @@ def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
     f, surv_f = _law_arrays(model.on_law, k_max)
     g, surv_g = _law_arrays(model.off_law, k_max)
     fbar, res_surv_f = _residual_arrays(surv_f, ex)
-    u = _on_start_density(f, surv_f, g, surv_g, 1.0 / (ex + ey))
-    r = _conv(u, surv_f, k_max)
-    s = _shift(_conv(g, r, k_max))
-    return AutocovTable(rho=ex / (ex + ey), r=r, s=s,
-                        r_res=_shift(_conv(fbar, s, k_max)) + res_surv_f[:k_max])
+    b = _reciprocal(surv_f[:k_max] + _shift(_mul(f, surv_g, k_max)), k_max)
+    kernel_s = _shift(_mul(g, surv_f, k_max))
+    r, s, r_res = (np.cumsum(_mul(b, kernel, k_max))
+                   for kernel in (surv_f, kernel_s, _shift(_mul(fbar, kernel_s, k_max))))
+    return AutocovTable(rho=ex / (ex + ey), r=r, s=s, r_res=r_res + res_surv_f[:k_max])
 
 
 # ---------------------------------------------------------------------------

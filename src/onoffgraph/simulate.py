@@ -124,6 +124,9 @@ _BLOCK_DRAWS = 1 << 15
 # Bytes per block of epochs in triangle_counts: the per-vertex neighbour
 # bitsets plus the scratch rows they are counted in (about 4 MB in all).
 _TRIPLE_BLOCK = 1 << 22
+# Bytes a graph trace may take for its n x (K + 1) bool indicator buffer;
+# larger graphs or traces are refused before anything is drawn.
+_GRAPH_BYTES = 1 << 28
 
 
 def _phase_switches(model: ModelSpec, K: int, rng, init=None):
@@ -317,6 +320,9 @@ def simulate_graph_trace(model: ModelSpec, K: int, rng, kind: str) -> CountTrace
         raise ValueError("graph traces need a vertex count N >= 3")
     if kind not in ("triangles", "wedges"):
         raise ValueError(f"unknown graph observable {kind!r}")
+    if model.n * (K + 1) > _GRAPH_BYTES:
+        raise ParameterError(f"a graph trace of n={model.n} edges over K={K} epochs needs "
+                             f"{model.n * (K + 1)} bytes of indicators, over {_GRAPH_BYTES}")
     mat = edge_indicator_matrix(model, K, rng)
     counter = triangle_counts if kind == "triangles" else wedge_counts
     values = counter(mat, model.N)
@@ -359,16 +365,12 @@ def save_trace(trace: CountTrace, csv_path) -> None:
 
 def load_trace(csv_path, n: int | None = None, N: int | None = None,
                kind: str | None = None) -> CountTrace:
-    """Read a trace; the caller's n and kind must match the sidecar, or stand in for it."""
+    """Read a trace; the caller's n and kind must match the sidecar, or stand in for it.
+
+    A count outside 0..n (0..2^63 - 1 where the kind is not given as edges)
+    is refused with a ValueError naming its line.
+    """
     csv_path = Path(csv_path)
-    with csv_path.open() as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:2] != ["k", "value"]:
-            raise ValueError(f"{csv_path}, line 1: expected header 'k,value'")
-        try:
-            values = np.array([int(row[1]) for row in reader], dtype=np.int64)
-        except (IndexError, ValueError):
-            raise ValueError(f"{csv_path}, line {reader.line_num}: expected a row 'k,value'") from None
     meta_file = sidecar_path(csv_path)
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
     if n is not None and meta.get("n") not in (None, n):
@@ -379,9 +381,24 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
     n = meta.get("n") or n
     if n is None:
         raise ValueError(f"{csv_path}: no sidecar {meta_file.name}; the edge count n is needed")
+    kind = meta.get("kind") or kind
+    top = n if kind == "edges" else 2**63 - 1
+    values = []
+    with csv_path.open() as fh:
+        reader = csv.reader(fh)
+        if next(reader, [])[:2] != ["k", "value"]:
+            raise ValueError(f"{csv_path}, line 1: expected header 'k,value'")
+        for row in reader:
+            try:
+                values.append(int(row[1]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{csv_path}, line {reader.line_num}: expected a row 'k,value'") from None
+            if not 0 <= values[-1] <= top:
+                raise ValueError(
+                    f"{csv_path}, line {reader.line_num}: count {row[1]} outside 0..{top}")
     return CountTrace(
-        kind=meta.get("kind") or kind or "edges",
-        values=values,
+        kind=kind or "edges",
+        values=np.array(values, dtype=np.int64),
         n=n,
         N=meta.get("N") or N,
         seed=meta.get("seed"),

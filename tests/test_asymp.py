@@ -18,11 +18,8 @@ from onoffgraph.asymp import (
 from onoffgraph.errors import ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.renewal import (
-    _conv,
     _law_arrays,
-    _on_start_density,
     _residual_arrays,
-    _shift,
     autocovariance,
     joint_distribution,
 )
@@ -95,19 +92,52 @@ def loop_general_tables(model, k_hi):
     return S2, ta, tb, qq
 
 
+def conv(a, b, k):
+    """The first k coefficients of the product of the power series a and b."""
+    return np.convolve(a[:k], b[:k])[:k]
+
+
+def shift(a):
+    """The power series a times z, cut to the length of a."""
+    return np.concatenate(([0.0], a[:-1]))
+
+
+def on_start_density(f, surv_f, g, surv_g, c):
+    """u_m = P(an on-period starts at 1 + m | one starts at 1), m < len(f), by a loop.
+
+    u is the power series 1 / (1 - F G), F and G the on- and off-time pmfs,
+    and tends to c = 1 / E[X + Y]. The loop runs on the excess w = u - c,
+    which solves w_m = sum_i h_i w_(m-i) - c P(X + Y > m) (plus 1 at m = 0),
+    h the pmf of X + Y, so its rounding errors scale with w, not with c.
+    F G has no term below z^2, so each w_m is one dot product with the terms
+    before it.
+    """
+    k = len(f)
+    u = np.zeros(k)
+    u[0] = 1.0
+    if k > 2:
+        h = conv(f, g, k - 1)  # h[i] = P(X + Y = i + 2)
+        w = -c * (surv_f[:k] + shift(conv(f, surv_g, k)))  # -c P(X + Y > m)
+        w[0] += 1.0
+        for m in range(2, k):
+            w[m] += h[: m - 1] @ w[m - 2::-1]
+        u[2:] = c + w[2:]
+    return u
+
+
 def convolution_pair_tables(model, k_max):
     """F-bar, the residual on-survival, S2 and F-bar S2 by power-series products.
 
-    The second route to loop_general_tables' S2: with u = 1 / (1 - F G),
-    R2 = u S_f shifted by one epoch and S2 = z G R2.
+    The second route to loop_general_tables' S2: with u = 1 / (1 - F G) from
+    the loop on_start_density, R2 = u S_f shifted by one epoch and S2 = z G R2.
     """
     ex, ey = model.on_law.mean(), model.off_law.mean()
     f, surv_f = _law_arrays(model.on_law, k_max)
     g, surv_g = _law_arrays(model.off_law, k_max)
     fbar, res_surv_f = _residual_arrays(surv_f, ex)
-    u = _on_start_density(f, surv_f, g, surv_g, 1.0 / (ex + ey))
-    S2 = _shift(_conv(g, _conv(u, surv_f[1:], k_max), k_max))
-    return fbar, res_surv_f, S2, _conv(fbar, S2, k_max)
+    u = on_start_density(f, surv_f, g, surv_g, 1.0 / (ex + ey))
+    S2 = shift(conv(g, conv(u, surv_f[1:], k_max), k_max))
+    return fbar, res_surv_f, S2, conv(fbar, S2, k_max)
 
 
 def set_partitions(items):
@@ -389,7 +419,8 @@ class TestGeneralSeries:
 
     def test_slow_mixing_light_tails_extend_the_table(self):
         # |1 - p - q| = 0.995: the increments still stand at 1e-5 of the
-        # series scale at K0, and one longer table takes them to the floor
+        # series scale at K0, and the table doubles until they reach the
+        # rounding floor by half its length
         model = ModelSpec(on_law=Geometric(0.002), off_law=Geometric(0.003), n=10)
         g = general_moment_cov(model, 10)
         assert g.converged and K0 < g.k_used <= K_CAP
@@ -460,7 +491,7 @@ class TestGeneralSeries:
     def test_pareto_short_of_its_power_law_extends_the_table(self, on, q):
         # with C / alpha = 500 and 167 epochs these laws still decay
         # geometrically at K0, and k^-118 leaves float range there, so no tail
-        # is fitted: one longer table takes the increments to the floor
+        # is fitted: the table doubles until the increments reach the floor
         model = ModelSpec(on_law=on, off_law=Geometric(q), n=10)
         g = general_moment_cov(model, 10)
         assert g.converged and K0 < g.k_used <= K_CAP
@@ -475,6 +506,19 @@ class TestGeneralSeries:
         g = general_moment_cov(model, 10)
         assert g.converged and K0 < g.k_used <= K_CAP
         assert g.tail_correction == (0.0, 0.0, 0.0)
+
+    def test_pareto_near_its_scale_converges_by_doubling(self, monkeypatch):
+        # C = 2000 > K0, and the law nears its power law only well past C: its
+        # fitted tail moves the sum by 35 at 2,048 and by 0.19 at 32,768, where
+        # tail_error first falls below 1e-6 of v1. The reference sums a 2^18 table.
+        model = ModelSpec(on_law=Pareto(2000.0, 3.0), off_law=Geometric(0.002), n=10)
+        g = general_moment_cov(model, 10)
+        assert g.converged and K0 < g.k_used <= K_CAP
+        assert g.tail_correction[1] != 0.0
+        monkeypatch.setattr(asymp, "K0", 1 << 18)
+        ref = general_moment_cov(model, 10, k_cap=1 << 18)
+        assert ref.k_used == 1 << 18
+        assert abs(g.v1 - ref.v1) <= 1e-6 * abs(ref.v1)
 
     def test_extended_pareto_table_matches_partition_series(self):
         # the three partition series on a table twice as long as k_used

@@ -312,7 +312,9 @@ class TestCli:
         assert res.returncode == 2
         assert json.loads(res.stdout)["error"] == "TraceMismatchError"
 
-    @pytest.mark.parametrize("text", ["", "k,value\n1,3\n2\n"], ids=["empty", "short_row"])
+    @pytest.mark.parametrize("text", ["", "k,value\n1,3\n2\n", "k,value\n1,3\n2,99999999999999999999\n",
+                                      "k,value\n1,-3\n", "k,value\n1,3\n2,101\n"],
+                             ids=["empty", "short_row", "past_int64", "negative", "above_n"])
     def test_malformed_trace_exit_2(self, tmp_path, text):
         cfg = self._write_cfg(tmp_path, {
             "on": {"kind": "geometric", "p": 0.3},
@@ -463,6 +465,18 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfg, "--k", "0", "--out", str(out)]) == 2
         body = json.loads(capsys.readouterr().out)
         assert body["error"] == "ValueError" and "K must be >= 1" in body["message"]
+        assert not out.exists()
+
+    def test_campaign_refuses_oversized_graph(self, tmp_path, capsys):
+        # N = 1,000 at K = 10^5: 50 GB of indicators, refused before any draw
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "N": 1000, "kind": "triangles"})
+        out = tmp_path / "camp"
+        assert cli.main(["campaign", "--config", cfg, "--k", "100000", "--reps", "1",
+                         "--out", str(out)]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "ParameterError" and "bytes" in body["message"]
         assert not out.exists()
 
     def test_package_runs_as_module(self, tmp_path):

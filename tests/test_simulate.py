@@ -365,6 +365,26 @@ class TestGraphCounts:
         assert triangle_peak < 16 * 2**20  # blocks of epochs, not all K at once
         assert wedge_peak < m.N * K + 2 * 2**20  # a uint8 degree table, widened a row at a time
 
+    def test_oversized_graph_is_refused_before_drawing(self, monkeypatch):
+        # N = 1,000 at K = 10^5 would take 50 GB of indicators
+        def no_draws(*args):
+            raise AssertionError("the stationary state was drawn")
+
+        monkeypatch.setattr(simulate, "stationary_init", no_draws)
+        m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=1000)
+        for kind in ("triangles", "wedges"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParameterError, match="bytes"):
+                    simulate_graph_trace(m, 10**5, np.random.default_rng(5), kind=kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        # the widest graph trace of the benchmark, N = 64 at K = 2,000, is admitted
+        assert ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64).n * 2001 \
+            <= simulate._GRAPH_BYTES
+
     def test_triangle_mean(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
         rng = np.random.default_rng(21)
@@ -438,3 +458,16 @@ class TestPersistence:
         bad.write_text(text)
         with pytest.raises(ValueError, match=f"bad.csv, line {line}:"):
             load_trace(bad, n=4)
+
+    def test_counts_out_of_range_name_their_line(self, tmp_path):
+        # an edge count lies in 0..n; any count fits in int64
+        bad = tmp_path / "bad.csv"
+        for kind, text, line in [("edges", "k,value\n1,4\n2,5\n", 3),
+                                 ("edges", "k,value\n1,-1\n", 2),
+                                 ("wedges", "k,value\n1,5\n2,-3\n", 3),
+                                 ("wedges", f"k,value\n1,{2**63}\n", 2)]:
+            bad.write_text(text)
+            with pytest.raises(ValueError, match=f"bad.csv, line {line}: count"):
+                load_trace(bad, n=4, kind=kind)
+        bad.write_text(f"k,value\n1,4\n2,{2**63 - 1}\n")
+        assert load_trace(bad, n=4, kind="wedges").values[-1] == 2**63 - 1
