@@ -1,10 +1,11 @@
 """Limiting covariance of the moment statistics and of the estimators.
 
-``geometric_moment_cov`` evaluates the closed forms available when both
-laws are geometric; ``general_moment_cov`` computes the same limits for any
-pair of laws: v0, c01 and the one-edge part of v1 exactly, from the
-renewal-reward central limit theorem over one on/off cycle of an edge, and
-the cross-edge part of v1 as one series of squared autocovariances.
+``general_moment_cov`` computes the limits for any pair of laws: v0, c01
+and the one-edge part of v1 exactly, from the renewal-reward central limit
+theorem over one on/off cycle of an edge, and the cross-edge part of v1 as
+one series of squared autocovariances. ``geometric_moment_cov`` takes the
+same renewal-reward limits and sums that series in closed form, as the
+autocovariance of a geometric pair decays geometrically.
 ``delta_method_cov`` propagates either result to the (p, q) estimators.
 """
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import ParameterError
 from .laws import Geometric, Pareto, Weibull
 from .renewal import autocovariance
 from .simulate import ModelSpec
@@ -68,58 +68,22 @@ class DivergenceWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _binom_raw_moments(n, rho):
-    """Raw moments m_1..m_4 of Binomial(n, rho) via falling factorials."""
-    ff = [1.0, n, n * (n - 1), n * (n - 1) * (n - 2), n * (n - 1) * (n - 2) * (n - 3)]
-    m1 = ff[1] * rho
-    m2 = ff[2] * rho**2 + ff[1] * rho
-    m3 = ff[3] * rho**3 + 3 * ff[2] * rho**2 + ff[1] * rho
-    m4 = ff[4] * rho**4 + 6 * ff[3] * rho**3 + 7 * ff[2] * rho**2 + ff[1] * rho
-    return m1, m2, m3, m4
-
-
 def geometric_moment_cov(n: int, p: float, q: float) -> MomentCov:
     """Closed-form v0, v1, c01 for geometric on/off laws.
 
-    The lag-decay factor is f = 1 - p - q. Coefficients are expressed with
-    their f powers absorbed, so the f = 0 case (p + q = 1) is the plain
-    algebraic limit and needs no perturbation.
+    v0, c01 and the one-edge part of v1 are the renewal-reward limits of
+    _reward_cov. The one-edge autocovariance is gamma(d) = c f^|d|, with
+    c = rho (1 - rho) and f = 1 - p - q, so v1's cross-edge series
+    n (n - 1) sum_d [gamma(d)^2 + gamma(d - 1) gamma(d + 1)] sums to
+    n (n - 1) c^2 (1 + 4 f^2 - f^4) / (1 - f^2). p or q outside the
+    Geometric domain raises ParameterError.
     """
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ParameterError(f"need p, q in (0,1), got ({p}, {q})")
+    v0, c01, v1_one_edge = _reward_cov(ModelSpec(Geometric(p), Geometric(q), n), n)
     f = 1.0 - p - q
-    if abs(f) >= 1.0:
-        raise ParameterError(f"need |1 - p - q| < 1, got f={f}")
-    rho = q / (p + q)
-    m1, m2, m3, m4 = _binom_raw_moments(n, rho)
-
-    # joint moments E[A(1) A(2)^i]
-    mm1 = f * m2 + n * q * m1
-    mm2 = f * f * m3 + f * (p - q + 2 * n * q) * m2 + (n * q * (1 - q) + n * n * q * q) * m1
-    mm3 = (
-        f**3 * m4
-        + 3 * f * f * (p - q + n * q) * m3
-        + f * (3 * n**2 * q**2 + 3 * n * p * q - 6 * n * q**2 + 3 * n * q
-               + 2 * p**2 - 2 * p * q - p + 2 * q**2 - q) * m2
-        + (n * (n - 1) * (n - 2) * q**3 + 3 * n * (n - 1) * q**2 + n * q) * m1
-    )
-
-    v0 = n * rho * (1 - rho) * (1 + f) / (1 - f)
-
-    t1 = (f * f * m4 + f * (p - q + 2 * n * q) * m3
-          + (n * q * (1 - q) + n * n * q * q) * m2 - mm1**2)
-    # c1_f2 = c1 * f^2 and c2_f3 = c2 * f^3 from the lag decomposition
-    # t_k = c1 f^k + c2 f^(2k); both are polynomial in f
-    c1_f2 = ((f * (1 - 2 * rho) + n * rho * (1 + f)) * mm2
-             - (n * f * rho * (1 - 2 * rho) + n * n * rho * rho * (1 + f)) * mm1)
-    c2_f3 = mm3 + (2 * rho - 1 - 2 * n * rho) * mm2 + n * rho * rho * (n - 1) * mm1
-    v1 = t1 + 2 * (c1_f2 / (1 - f) + c2_f3 * f / (1 - f * f))
-
-    d1_f = (f - 2 * f * rho + n * q + 2 * f * n * rho) * (m2 - n * rho * m1)
-    d2_f = m3 - (2 * n * rho - 2 * rho + 1) * m2 + n * rho * rho * (n - 1) * m1
-    c01 = (d1_f / (1 - f) + d2_f * f / (1 - f * f)
-           + (mm2 - mm1 * n * rho) / (1 - f))
-    return MomentCov(v0=v0, v1=v1, c01=c01, method="closed_form_geometric")
+    c = p * q / (p + q) ** 2
+    # 1 - f^2 = (p + q)(1 + f), which keeps its bits when p + q is small
+    cross = n * (n - 1) * c * c * (1.0 + 4.0 * f * f - f**4) / ((p + q) * (1.0 + f))
+    return MomentCov(v0=v0, v1=v1_one_edge + cross, c01=c01, method="closed_form_geometric")
 
 
 def delta_method_cov(n: int, p: float, q: float, mc: MomentCov) -> ParamCov:
@@ -174,11 +138,10 @@ def _cross_edge_series(model: ModelSpec, n: int, k0: int):
     """Lags 1..k0, the increments of v1's cross-edge series there, and its lag-0 term.
 
     The series is n (n - 1) sum_{d in Z} [gamma(d)^2 + gamma(d - 1) gamma(d + 1)],
-    gamma(d) = rho (r_res[d] - rho) the autocovariance of one edge's indicator;
-    the terms at d and -d are equal, so each increment is twice the lag-d term.
+    gamma the autocovariance of one edge's indicator; the terms at d and -d
+    are equal, so each increment is twice the lag-d term.
     """
-    t = autocovariance(model, k0 + 2)
-    gamma = t.rho * (t.r_res - t.rho)
+    gamma = autocovariance(model, k0 + 2)
     pairs = n * (n - 1)
     ks = np.arange(1, k0 + 1)
     inc = 2 * pairs * (gamma[ks] ** 2 + gamma[ks - 1] * gamma[ks + 1])

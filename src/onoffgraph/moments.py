@@ -92,22 +92,23 @@ def empirical_moments(trace: CountTrace, L: int = 2) -> MomentSet:
 def theoretical_moments(model: ModelSpec, ell: int) -> float:
     """s_{n,ell} = E[A(k) A(k+ell)] (ell = 0: E[A(k)]) for the edge process.
 
-    Every lag ell >= 1 reads the renewal table: one edge is on at 1 and 1+ell
-    with probability rho r_res(1+ell), so s = n rho r_res(1+ell) + (n^2-n) rho^2.
+    The entry ell of theoretical_moment_set(model, ell + 1).
     """
     if ell < 0:
         raise ValueError("lag must be >= 0")
-    n = model.n
-    rho = model.rho
-    if ell == 0:
-        return n * rho
-    return n * rho * autocovariance(model, ell + 1).r_res[ell] + (n * n - n) * rho * rho
+    return float(theoretical_moment_set(model, ell + 1).mu[ell])
 
 
 def theoretical_moment_set(model: ModelSpec, L: int = 2, K: int = 0) -> MomentSet:
-    """Exact moments packed as a MomentSet, for round-trip checks."""
-    mu = np.array([theoretical_moments(model, ell) for ell in range(L)])
-    return MomentSet(mu=mu, n=model.n, K=K, kind="edges", N=model.N)
+    """Exact moments s_{n,0..L-1} packed as a MomentSet, all from one autocovariance table.
+
+    mu[0] = n rho, and every lag ell >= 1 reads the one-edge autocovariance
+    gamma: the n edges are independent, so mu[ell] = n gamma(ell) + (n rho)^2.
+    """
+    n, rho = model.n, model.rho
+    mu = n * autocovariance(model, L) + (n * rho) ** 2
+    mu[0] = n * rho
+    return MomentSet(mu=mu, n=n, K=K, kind="edges", N=model.N)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +224,9 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
 
 def _attach_residuals(report, model, m, L=2):
     try:
-        for ell in range(min(L, m.L)):
-            report.residuals[f"mu{ell}"] = m.mu[ell] - theoretical_moments(model, ell)
+        mu = theoretical_moment_set(model, min(L, m.L)).mu
+        for ell, value in enumerate(mu):
+            report.residuals[f"mu{ell}"] = m.mu[ell] - value
     except (ParameterError, ValueError):
         report.flags.append("residuals_unavailable")
 

@@ -1,7 +1,7 @@
 """Exact per-edge analytics for the stationary on/off process.
 
 Covers the joint moment generating function of the on-indicators over a
-finite horizon, the stationary autocovariance recursions, and the
+finite horizon, the stationary autocovariance of one edge, and the
 saddlepoint approximation to the log-probability of an observed count
 vector. The joint MGF takes a batch of tilts in one backward recursion;
 the joint point probabilities and the saddlepoint's tilted moments each
@@ -11,7 +11,6 @@ come from one batched call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -108,12 +107,18 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
 _DIRECT = 128
 
 
+def _fft_size(m):
+    """The least of 2^j, 3 2^(j-2) and 5 2^(j-3) that is at least m, for m > 8."""
+    power = 1 << (m - 1).bit_length()
+    return min(size for size in (power, 3 * power // 4, 5 * power // 8) if size >= m)
+
+
 def _mul(a, b, k):
     """The first k coefficients of the product of the power series a and b."""
     a, b = a[:k], b[:k]
     if min(len(a), len(b)) <= _DIRECT:
         return np.convolve(a, b)[:k]
-    size = 1 << (len(a) + len(b) - 2).bit_length()
+    size = _fft_size(len(a) + len(b) - 1)
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:k]
 
 
@@ -136,41 +141,27 @@ def _reciprocal(h, k):
     return b
 
 
-@dataclass
-class AutocovTable:
-    """Conditional on-probabilities r_k, s_k and the residual variant.
+def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
+    """gamma(d) = Cov(I(1), I(1 + d)) of one edge's on-indicator, for d = 0..k_max-1.
 
-    r_k: P(on at k | fresh on-period starts at 1)
-    s_k: P(on at k | fresh off-period starts at 1)
-    r_res_k: same as r_k but with the residual on-time at 1 (stationary start)
-    These are 1-indexed via [k-1].
-    """
-
-    rho: float
-    r: np.ndarray
-    s: np.ndarray
-    r_res: np.ndarray
-
-
-def autocovariance(model: ModelSpec, k_max: int) -> AutocovTable:
-    """The renewal tables up to k_max, each the running sum of one product.
-
-    With F, G the on- and off-time pmfs, 1 - F G = (1 - z) H-bar, H-bar_m =
+    gamma(d) = rho (p_on(1 + d) - rho), p_on(k) = P(on at k | on at 1). With
+    F, G the on- and off-time pmfs, 1 - F G = (1 - z) H-bar, H-bar_m =
     P(X + Y > m), so u = 1 / (1 - F G) is the running sum of b = 1 / H-bar.
-    r = u S_f (S_f the on-time survival), s = z G r and r_res = z F-bar s plus
-    the residual survival are each the running sum of b times a fixed kernel.
+    p_on is the residual on-survival plus z^2 F-bar G S_f u (F-bar the residual
+    on-time pmf, S_f the on-time survival): the running sum of b times the
+    kernel z^2 F-bar G S_f, plus the residual survival.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ex, ey = model.on_law.mean(), model.off_law.mean()
+    rho = ex / (ex + ey)
     f, surv_f = _law_arrays(model.on_law, k_max)
     g, surv_g = _law_arrays(model.off_law, k_max)
     fbar, res_surv_f = _residual_arrays(surv_f, ex)
     b = _reciprocal(surv_f[:k_max] + _shift(_mul(f, surv_g, k_max)), k_max)
-    kernel_s = _shift(_mul(g, surv_f, k_max))
-    r, s, r_res = (np.cumsum(_mul(b, kernel, k_max))
-                   for kernel in (surv_f, kernel_s, _shift(_mul(fbar, kernel_s, k_max))))
-    return AutocovTable(rho=ex / (ex + ey), r=r, s=s, r_res=r_res + res_surv_f[:k_max])
+    kernel = _shift(_mul(fbar, _shift(_mul(g, surv_f, k_max)), k_max))
+    p_on = np.cumsum(_mul(b, kernel, k_max)) + res_surv_f[:k_max]
+    return rho * (p_on - rho)
 
 
 # ---------------------------------------------------------------------------

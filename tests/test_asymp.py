@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,18 +165,19 @@ class GeneralTables:
     * tb[k]  = P(on at 1, k, k+1)
     * qq[k]  = P(on at 1, 2, k, k+1)
 
-    all built by convolutions: ta from autocovariance's r_res less its
-    first-step term F-bar_1 s, tb and qq from convolution_pair_tables.
+    rres comes from autocovariance's gamma, ta from rres less its first-step
+    term F-bar_1 s (s from loop_autocovariance), tb and qq from
+    convolution_pair_tables.
     """
 
     def __init__(self, model, k_hi):
-        t = autocovariance(model, k_hi + 2)
         fbar, res_surv, S2, fbar_S2 = convolution_pair_tables(model, k_hi + 2)
-        self.rho = rho = t.rho
-        self.rres = t.r_res
+        _, s, _ = loop_autocovariance(model, k_hi + 2)
+        self.rho = rho = model.rho
+        self.rres = rho + autocovariance(model, k_hi + 2) / rho
         k = np.arange(k_hi + 2)
         # ta[k] valid for k >= 3, tb[k] for k >= 2, qq[k] for k >= 3
-        self.ta = rho * (t.r_res[k - 1] - fbar[0] * t.s[k - 2])
+        self.ta = rho * (self.rres[k - 1] - fbar[0] * s[k - 2])
         self.tb = rho * (fbar_S2[k - 2] + res_surv[k])
         self.qq = self.tb - rho * fbar[0] * S2[k - 2]
 
@@ -259,6 +261,52 @@ def partition_moment_cov(model, n, k0=K0):
     return [asymp._floored_sums(ks, inc, head, gammas, k0)[0] for inc, head in zip(incs, heads)]
 
 
+def polynomial_moment_cov(n, p, q):
+    """v0, v1, c01 for geometric on/off laws as polynomials in binomial raw moments: the oracle.
+
+    The lag-decay factor is f = 1 - p - q, and each lag covariance is
+    c1 f^k + c2 f^(2k) with the f powers absorbed into the coefficients, so the
+    f = 0 case (p + q = 1) needs no perturbation. The expressions are rational
+    in n, p and q; with Fraction arguments they are exact.
+    """
+    f = 1 - p - q
+    rho = q / (p + q)
+    # raw moments m_1..m_4 of Binomial(n, rho) via falling factorials
+    ff = [1, n, n * (n - 1), n * (n - 1) * (n - 2), n * (n - 1) * (n - 2) * (n - 3)]
+    m1 = ff[1] * rho
+    m2 = ff[2] * rho**2 + ff[1] * rho
+    m3 = ff[3] * rho**3 + 3 * ff[2] * rho**2 + ff[1] * rho
+    m4 = ff[4] * rho**4 + 6 * ff[3] * rho**3 + 7 * ff[2] * rho**2 + ff[1] * rho
+
+    # joint moments E[A(1) A(2)^i]
+    mm1 = f * m2 + n * q * m1
+    mm2 = f * f * m3 + f * (p - q + 2 * n * q) * m2 + (n * q * (1 - q) + n * n * q * q) * m1
+    mm3 = (
+        f**3 * m4
+        + 3 * f * f * (p - q + n * q) * m3
+        + f * (3 * n**2 * q**2 + 3 * n * p * q - 6 * n * q**2 + 3 * n * q
+               + 2 * p**2 - 2 * p * q - p + 2 * q**2 - q) * m2
+        + (n * (n - 1) * (n - 2) * q**3 + 3 * n * (n - 1) * q**2 + n * q) * m1
+    )
+
+    v0 = n * rho * (1 - rho) * (1 + f) / (1 - f)
+
+    t1 = (f * f * m4 + f * (p - q + 2 * n * q) * m3
+          + (n * q * (1 - q) + n * n * q * q) * m2 - mm1**2)
+    # c1_f2 = c1 f^2 and c2_f3 = c2 f^3 from the lag decomposition
+    # t_k = c1 f^k + c2 f^(2k); both are polynomial in f
+    c1_f2 = ((f * (1 - 2 * rho) + n * rho * (1 + f)) * mm2
+             - (n * f * rho * (1 - 2 * rho) + n * n * rho * rho * (1 + f)) * mm1)
+    c2_f3 = mm3 + (2 * rho - 1 - 2 * n * rho) * mm2 + n * rho * rho * (n - 1) * mm1
+    v1 = t1 + 2 * (c1_f2 / (1 - f) + c2_f3 * f / (1 - f * f))
+
+    d1_f = (f - 2 * f * rho + n * q + 2 * f * n * rho) * (m2 - n * rho * m1)
+    d2_f = m3 - (2 * n * rho - 2 * rho + 1) * m2 + n * rho * rho * (n - 1) * m1
+    c01 = (d1_f / (1 - f) + d2_f * f / (1 - f * f)
+           + (mm2 - mm1 * n * rho) / (1 - f))
+    return v0, v1, c01
+
+
 def _fit_two_term(f, vals, ks):
     """Solve c1 f^k + c2 f^(2k) through two (k, value) points."""
     A = np.array([[f ** ks[0], f ** (2 * ks[0])], [f ** ks[1], f ** (2 * ks[1])]])
@@ -290,6 +338,17 @@ class TestClosedFormGeometric:
             geometric_moment_cov(10, 0.0, 0.5)
         with pytest.raises(ParameterError):
             geometric_moment_cov(10, 1.2, 0.5)
+
+    def test_matches_exact_polynomial(self):
+        # the polynomial oracle evaluated exactly at the float arguments; in
+        # float it loses up to 1e-4 relative at p = 1e-6, n = 10^6
+        grid = [1e-6, 0.002, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999]
+        for n in [2, 3, 4, 10, 100, 10**4, 10**6]:
+            for p, q in itertools.product(grid, grid):
+                mc = geometric_moment_cov(n, p, q)
+                exact = polynomial_moment_cov(n, Fraction(p), Fraction(q))
+                for got, want in zip((mc.v0, mc.v1, mc.c01), exact):
+                    assert abs(Fraction(got) - want) <= Fraction(1e-11) * abs(want)
 
     @pytest.mark.parametrize("n,p,q", [(3, 0.5, 0.4), (4, 0.3, 0.8),
                                        (2, 0.7, 0.6), (4, 0.45, 0.55)])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from onoffgraph import moments
 from onoffgraph.errors import IncompatibleMomentsError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.moments import (
@@ -209,6 +210,23 @@ class TestEdgeEstimators:
         assert report.params["alpha"] == pytest.approx(100.0, rel=1e-8)
         assert report.params["C"] == pytest.approx(300.0, rel=1e-8)
         assert report.params["q"] == pytest.approx(0.7, rel=1e-8)
+
+    def test_pareto_geo_residuals_read_one_table(self, monkeypatch):
+        # the three residuals of one fit come from a single autocovariance table
+        model = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=100)
+        m = theoretical_moment_set(model, L=3)
+        calls = []
+        table = moments.autocovariance
+
+        def counting_table(*args):
+            calls.append(args[1])
+            return table(*args)
+
+        monkeypatch.setattr(moments, "autocovariance", counting_table)
+        report = estimate_pareto_geo(m)
+        assert calls == [3]
+        assert set(report.residuals) == {"mu0", "mu1", "mu2"}
+        assert max(abs(v) for v in report.residuals.values()) <= 1e-6 * m.mu[1]
 
     def test_pareto_geo_needs_three_moments(self):
         with pytest.raises(ValueError):

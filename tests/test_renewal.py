@@ -246,45 +246,58 @@ class TestJointDistribution:
 
 class TestAutocovariance:
     def test_geometric_closed_form(self):
-        tab = autocovariance(GG, 1000)
+        gamma = autocovariance(GG, 1000)
+        rho = GG.rho
         f = 1 - 0.3 - 0.8
-        k = np.arange(1, 1001)
-        closed = GG.rho + (1 - GG.rho) * f ** (k - 1.0)
-        assert np.max(np.abs(tab.r_res - closed)) <= 1e-12
-        assert tab.r_res[1] == pytest.approx(0.7, abs=1e-12)
+        d = np.arange(1000)
+        closed = rho * (1 - rho) * f ** d
+        assert np.max(np.abs(gamma - closed)) <= 1e-12 * rho
+        assert gamma[1] == pytest.approx(rho * (0.7 - rho), abs=1e-12 * rho)
 
     def test_initial_conditions(self):
         for model in ALL_MODELS:
-            tab = autocovariance(model, 5)
-            assert tab.r[0] == 1.0
-            assert tab.s[0] == 0.0
-            assert tab.r_res[0] == 1.0
-            assert np.all((tab.r >= 0) & (tab.r <= 1))
-            assert np.all((tab.s >= 0) & (tab.s <= 1))
+            gamma = autocovariance(model, 5)
+            rho = model.rho
+            assert gamma[0] == rho * (1 - rho)
+            # P(on at 1 + d | on at 1) lies in [0, 1]
+            assert np.all((gamma >= -rho * rho) & (gamma <= rho * (1 - rho)))
 
     @pytest.mark.parametrize("k_max", [1, 2, 3, 50, 2048])
     def test_matches_loop(self, k_max):
         for model in ALL_MODELS:
-            tab = autocovariance(model, k_max)
-            for new, old in zip((tab.r, tab.s, tab.r_res), loop_autocovariance(model, k_max)):
-                assert np.max(np.abs(new - old)) <= 1e-12
+            gamma = autocovariance(model, k_max)
+            old = model.rho * (loop_autocovariance(model, k_max)[2] - model.rho)
+            assert np.max(np.abs(gamma - old)) <= 1e-12
             if k_max <= 3:  # the tables the fit residuals read keep their bits
-                assert np.array_equal(tab.r_res, old)
+                assert np.array_equal(gamma, old)
+
+    def test_fft_products_at_most_the_size_they_need(self, monkeypatch):
+        # k = 1,026 needs products of 2,051 terms: 2,560 = 5 * 2^9 points
+        # hold them, where the next power of two is 4,096
+        sizes = []
+        rfft = np.fft.rfft
+
+        def recording_rfft(a, n=None, *args, **kwargs):
+            sizes.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        autocovariance(PP, 1026)
+        assert sizes and max(sizes) < 4096
 
     def test_no_drift_at_large_k(self):
-        # p + q = 1: every lag is independent, so r_res = rho exactly from k = 2 on;
+        # p + q = 1: every lag is independent, so gamma = 0 exactly from d = 1 on;
         # a recursion on u itself rather than its excess drifts by ~3e-14 here
         model = ModelSpec(on_law=Geometric(0.45), off_law=Geometric(0.55), n=4)
-        t = autocovariance(model, 4096)
-        assert np.max(np.abs(t.r_res[1:] - model.rho)) <= 1e-15
-        assert np.max(np.abs(t.r[1:] - model.rho)) <= 1e-15
+        gamma = autocovariance(model, 4096)
+        assert np.max(np.abs(gamma[1:])) <= 1e-15 * model.rho
 
     def test_matches_joint_distribution(self):
         for model in [PP, PG]:
-            tab = autocovariance(model, 6)
+            gamma = autocovariance(model, 6)
             for k in [2, 4, 6]:
                 p11 = joint_distribution(model, [1, k])[-1]
-                assert model.rho * tab.r_res[k - 1] == pytest.approx(p11, abs=1e-11)
+                assert gamma[k - 1] + model.rho**2 == pytest.approx(p11, abs=1e-11)
 
 
 class TestLegendre:
