@@ -37,6 +37,40 @@ def _residual_arrays(surv, mean):
     return fbar, np.maximum(res_surv, 0.0)
 
 
+def _mgf_arrays(model, K):
+    """What the MGF recursion reads of the two laws at horizon K.
+
+    The on- and off-time pmfs and survivals, the residual pmfs and survivals
+    of the stationary start, and rho; a caller that evaluates many tilts of
+    one horizon builds them once.
+    """
+    f, surv_f = _law_arrays(model.on_law, K)
+    g, surv_g = _law_arrays(model.off_law, K)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    gbar, res_surv_g = _residual_arrays(surv_g, model.off_law.mean())
+    return f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, model.rho
+
+
+def _mgf_batch(arrays, theta):
+    """joint_mgf of a (B, K) batch of tilts, from the _mgf_arrays of horizon K."""
+    f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, rho = arrays
+    e = np.exp(theta)
+    B, K = e.shape
+    # v[:, k], w[:, k]: the tilted expectation over epochs k..K given that an
+    # on- (off-) period starts at k; column 0 is unused
+    v = np.zeros((B, K + 1))
+    w = np.zeros((B, K + 1))
+    for k in range(K, 0, -1):
+        d = K - k
+        run = np.cumprod(e[:, k - 1:], axis=1)  # run[:, l-1]: product over epochs k..k+l-1
+        v[:, k] = (run[:, :d] * w[:, k + 1:]) @ f[:d] + surv_f[d] * run[:, d]
+        w[:, k] = v[:, k + 1:] @ g[:d] + surv_g[d]
+    # the stationary start: the same sums at k = 1 over the residual laws
+    m_plus = (run[:, :K - 1] * w[:, 2:]) @ fbar[:K - 1] + res_surv_f[K - 1] * run[:, K - 1]
+    m_minus = v[:, 2:] @ gbar[:K - 1] + res_surv_g[K - 1]
+    return rho * m_plus + (1.0 - rho) * m_minus
+
+
 def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
     """E exp(sum_k theta_k 1(k)) for one stationary edge over times 1..K.
 
@@ -51,26 +85,7 @@ def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim not in (1, 2) or theta.shape[-1] < 1:
         raise ValueError("theta must be a tilt vector or a batch of them, of length >= 1")
-    e = np.exp(np.atleast_2d(theta))
-    B, K = e.shape
-    f, surv_f = _law_arrays(model.on_law, K)
-    g, surv_g = _law_arrays(model.off_law, K)
-    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
-    gbar, res_surv_g = _residual_arrays(surv_g, model.off_law.mean())
-
-    # v[:, k], w[:, k]: the tilted expectation over epochs k..K given that an
-    # on- (off-) period starts at k; column 0 is unused
-    v = np.zeros((B, K + 1))
-    w = np.zeros((B, K + 1))
-    for k in range(K, 0, -1):
-        d = K - k
-        run = np.cumprod(e[:, k - 1:], axis=1)  # run[:, l-1]: product over epochs k..k+l-1
-        v[:, k] = (run[:, :d] * w[:, k + 1:]) @ f[:d] + surv_f[d] * run[:, d]
-        w[:, k] = v[:, k + 1:] @ g[:d] + surv_g[d]
-    # the stationary start: the same sums at k = 1 over the residual laws
-    m_plus = (run[:, :K - 1] * w[:, 2:]) @ fbar[:K - 1] + res_surv_f[K - 1] * run[:, K - 1]
-    m_minus = v[:, 2:] @ gbar[:K - 1] + res_surv_g[K - 1]
-    mgf = model.rho * m_plus + (1.0 - model.rho) * m_minus
+    mgf = _mgf_batch(_mgf_arrays(model, theta.shape[-1]), np.atleast_2d(theta))
     return float(mgf[0]) if theta.ndim == 1 else mgf
 
 
@@ -169,24 +184,27 @@ def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tilted_moments(model, theta):
+def _tilted_moments(model, theta, arrays=None):
     """log M(theta), the tilted on-probabilities and their covariance, all exact.
 
     M is affine in each e_k = exp(theta_k), and theta_k = -inf (a knockout)
     keeps exactly the paths that are off at k. Under the tilt, P(off at i and
     j) = M_ij / M, so grad log M = 1 - M_k / M and Hess log M, the tilted
-    covariance of the indicators, is M_ij / M - (M_i / M)(M_j / M).
+    covariance of the indicators, is M_ij / M - (M_i / M)(M_j / M). arrays are
+    the _mgf_arrays of horizon len(theta), built here when not given. log M
+    is NaN when M(theta) is not a positive finite number.
     """
     K = len(theta)
     i, j = np.triu_indices(K)
     batch = np.tile(theta, (len(i) + 1, 1))  # row 0 is theta; row r knocks out i[r-1], j[r-1]
     rows = np.arange(1, len(i) + 1)
     batch[rows, i] = batch[rows, j] = -np.inf
-    mgf = joint_mgf(model, batch)
+    mgf = _mgf_batch(_mgf_arrays(model, K) if arrays is None else arrays, batch)
     off = np.empty((K, K))
     off[i, j] = off[j, i] = mgf[1:] / mgf[0]
     p_off = np.diag(off).copy()
-    return math.log(mgf[0]), 1.0 - p_off, off - np.outer(p_off, p_off)
+    log_mgf = math.log(mgf[0]) if 0.0 < mgf[0] < math.inf else math.nan
+    return log_mgf, 1.0 - p_off, off - np.outer(p_off, p_off)
 
 
 def _cholesky(hess):
@@ -209,8 +227,9 @@ def legendre_transform(model: ModelSpec, counts, n: int):
     eps = 1e-6 * n
     counts = np.clip(counts, eps, n - eps)
     theta = np.zeros(len(counts))
+    arrays = _mgf_arrays(model, len(counts))
+    log_mgf, p_on, cov = _tilted_moments(model, theta, arrays)
     for _ in range(100):
-        log_mgf, p_on, cov = _tilted_moments(model, theta)
         value = float(theta @ counts) - n * log_mgf
         grad = counts - n * p_on
         step = scipy.linalg.cho_solve((_cholesky(n * cov), True), grad)
@@ -219,15 +238,18 @@ def legendre_transform(model: ModelSpec, counts, n: int):
             return max(value, 0.0), theta
         for _ in range(60):
             cand = theta + step
-            # a candidate far out may overflow the MGF: no ascent there
+            # one knockout batch gives M(cand) and, if cand is accepted, the
+            # next step's moments; a candidate far out may overflow M or
+            # underflow it to 0, and its NaN log M is no ascent
             with np.errstate(over="ignore", invalid="ignore"):
-                mgf = joint_mgf(model, cand)
-            if math.isfinite(mgf) and float(cand @ counts) - n * math.log(mgf) > value:
+                moments = _tilted_moments(model, cand, arrays)
+            if float(cand @ counts) - n * moments[0] > value:
                 break
             step *= 0.5
         else:
             break
         theta = cand
+        log_mgf, p_on, cov = moments
     raise ConvergenceError(
         f"Legendre Newton did not converge (decrement={decrement:.3g})", best=(value, theta))
 

@@ -1,11 +1,14 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.stats import binom
 
-from onoffgraph.errors import DegenerateSaddleError
+from onoffgraph import renewal
+from onoffgraph.errors import COMPUTE_ERRORS, ConvergenceError, DegenerateSaddleError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.renewal import (
     autocovariance,
@@ -24,6 +27,7 @@ PP = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=10)
 WG = ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=10)
 PG = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=10)
 ALL_MODELS = [GG, PP, WG, PG]
+FROZEN = ModelSpec(on_law=Geometric(1e-6), off_law=Geometric(0.5), n=10)
 
 
 def loop_autocovariance(model, k_max):
@@ -82,6 +86,43 @@ def loop_joint_mgf(model, theta):
     m_plus += res_surv_f[K - 1] * prod
     m_minus = sum(gbar[ell - 1] * v[1 + ell] for ell in range(1, K)) + res_surv_g[K - 1]
     return model.rho * m_plus + (1.0 - model.rho) * m_minus
+
+
+def loop_legendre(model, counts, n):
+    """The Legendre transform's (value, theta) and the saddlepoint: the oracle.
+
+    Newton's loop with fresh law arrays in every MGF call, each candidate
+    tried by one single-tilt joint_mgf, and one more _tilted_moments call at
+    the optimum for the log-determinant.
+    """
+    K = len(counts)
+    counts = np.asarray(counts, dtype=np.float64)
+    eps = 1e-6 * n
+    counts = np.clip(counts, eps, n - eps)
+    theta = np.zeros(K)
+    for _ in range(100):
+        log_mgf, p_on, cov = _tilted_moments(model, theta)
+        value = float(theta @ counts) - n * log_mgf
+        grad = counts - n * p_on
+        step = cho_solve((np.linalg.cholesky(n * cov), True), grad)
+        if float(grad @ step) <= 1e-12 * n:
+            break
+        for _ in range(60):
+            cand = theta + step
+            with np.errstate(over="ignore", invalid="ignore"):
+                mgf = joint_mgf(model, cand)
+            if 0.0 < mgf < math.inf and float(cand @ counts) - n * math.log(mgf) > value:
+                break
+            step *= 0.5
+        else:
+            raise ConvergenceError("line search failed")
+        theta = cand
+    else:
+        raise ConvergenceError("Newton did not converge")
+    value = max(value, 0.0)
+    chol = np.linalg.cholesky(n * _tilted_moments(model, theta)[2])
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return value, theta, -0.5 * K * math.log(2 * math.pi) - 0.5 * log_det - value
 
 
 def geometric_markov_joint(model, K):
@@ -329,12 +370,61 @@ class TestLegendre:
         value, _ = legendre_transform(GG, [100 * GG.rho / 2], 100)
         assert value > 0.1
 
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    @pytest.mark.parametrize("model", [GG, PP, PG, WG], ids=["gg", "pp", "pg", "wg"])
+    def test_matches_loop(self, model, K):
+        # the law arrays built once and each candidate tried by its knockout
+        # batch leave every value and tilt bit-identical to the loop
+        n = model.n
+        rng = np.random.default_rng(K)
+        cases = [(model, rng.integers(1, n, K)), (model, np.resize([0, n, 1], K))]
+        if K == 3:  # a candidate overflows M here
+            cases.append((FROZEN, [5, 5, 5]))
+        for m, counts in cases:
+            value, theta, logprob = loop_legendre(m, counts, m.n)
+            got_value, got_theta = legendre_transform(m, counts, m.n)
+            assert got_value == value
+            assert np.array_equal(got_theta, theta)
+            assert saddlepoint_logprob(m, counts, m.n) == logprob
+
+    def test_law_arrays_built_once(self, monkeypatch):
+        # two _law_arrays calls (on and off) per transform, and no single-tilt
+        # joint_mgf in a K=10 saddle, whose Newton steps are all accepted
+        calls = {"_law_arrays": 0, "joint_mgf": 0}
+
+        def counted(name):
+            fn = getattr(renewal, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(renewal, name, wrapper)
+
+        counted("_law_arrays")
+        counted("joint_mgf")
+        counts = gg_count_chain(GG, 10, np.random.default_rng(10))
+        for model, c in [(GG, counts), (PG, [3, 0, 10]), (FROZEN, [5, 5, 5])]:
+            calls["_law_arrays"] = 0
+            legendre_transform(model, c, model.n)
+            assert calls["_law_arrays"] == 2
+        saddlepoint_logprob(GG, counts, GG.n)
+        assert calls["joint_mgf"] == 0
+
 
 class TestSaddlepoint:
     def test_overflowing_candidate_is_no_ascent(self):
         # a Newton candidate for this nearly frozen model overflows exp in joint_mgf
-        model = ModelSpec(on_law=Geometric(1e-6), off_law=Geometric(0.5), n=10)
-        assert math.isfinite(saddlepoint_logprob(model, [5, 5, 5], 10))
+        assert math.isfinite(saddlepoint_logprob(FROZEN, [5, 5, 5], 10))
+
+    def test_underflowing_candidate_is_no_ascent(self):
+        # a Newton candidate's MGF underflows to 0 here; log M of it once
+        # raised a bare "math domain error"
+        off = Pareto(1e-9, 300.0)
+        frozen = ModelSpec(on_law=Geometric(1e-12), off_law=off, n=10)
+        with pytest.raises(DegenerateSaddleError):
+            saddlepoint_logprob(frozen, [5, 5, 5], 10)
+        heavy = ModelSpec(on_law=Pareto(1.0, 1.0001), off_law=off, n=10)
+        assert math.isfinite(saddlepoint_logprob(heavy, [5, 5, 5], 10))
 
     def test_k1_binomial(self):
         n, rho = 100, GG.rho
@@ -369,3 +459,28 @@ class TestSaddlepoint:
         _, p_on, cov = _tilted_moments(GG, theta)
         assert p_on[0] == pytest.approx(0.6, abs=1e-6)
         assert cov[0, 0] == pytest.approx(0.24, abs=1e-6)
+
+
+# Laws at the edges of what the constructors accept, each taken as the on-
+# and the off-law against every other.
+EXTREME_LAWS = [Geometric(1e-12), Geometric(1 - 1e-15), Pareto(1e-9, 300.0), Pareto(1e19, 3.0),
+                Pareto(1.0, 1.0001), Weibull(1e-3, 0.2), Weibull(50.0, 8.0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("on_law", EXTREME_LAWS, ids=repr)
+def test_extreme_laws_finite_or_typed(on_law):
+    # each call finishes within its time bound with a finite result or a
+    # typed refusal; the slowest call of this grid took about 70 ms
+    for off_law in EXTREME_LAWS:
+        model = ModelSpec(on_law=on_law, off_law=off_law, n=10)
+        calls = [lambda c=c: saddlepoint_logprob(model, c, 10)
+                 for c in ([5, 5, 5], [0, 10, 3], [1, 9, 1])]
+        calls.append(lambda: joint_distribution(model, [1, 2, 5]))
+        for call in calls:
+            start = time.perf_counter()
+            try:
+                assert np.all(np.isfinite(call()))
+            except COMPUTE_ERRORS as exc:
+                assert "math domain error" not in str(exc)
+            assert time.perf_counter() - start < 2.0
