@@ -128,7 +128,10 @@ def _dispatch(args, cfg, model) -> int:
         out = {}
         if args.theta is not None:
             theta = np.array([float(x) for x in args.theta.split(",")])
-            out["mgf"] = joint_mgf(model, theta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out["mgf"] = joint_mgf(model, theta)
+            if not np.isfinite(out["mgf"]):  # JSON has no token for it
+                raise ValueError(f"the joint MGF overflows float64 at theta={args.theta}")
         if args.epochs is not None:
             epochs = [int(x) for x in args.epochs.split(",")]
             probs = joint_distribution(model, epochs)

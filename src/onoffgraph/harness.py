@@ -56,6 +56,10 @@ class ExperimentConfig:
     def __post_init__(self):
         self.K = whole_number("K", self.K)
         self.R = whole_number("reps", self.R)
+        self.base_seed = whole_number("seed", self.base_seed)
+        if self.base_seed > _MASK64:  # mix_seed keeps 64 bits: 2^64 would replay seed 0
+            raise ParameterError(f"seed must be below 2^64, got {self.base_seed}")
+        self.workers = whole_number("workers", self.workers) or _default_workers()
         if self.R < 1:
             raise ValueError("need R >= 1")
         if self.K < 2:
@@ -63,8 +67,6 @@ class ExperimentConfig:
         if self.family is None:
             self.family = infer_family(self.model)
         family_entry(self.family, self.kind)  # refuses an observable it cannot fit
-        if self.workers < 1:
-            self.workers = _default_workers()
 
     @property
     def param_names(self) -> tuple:
@@ -85,7 +87,7 @@ class ExperimentConfig:
             "R": cfg.get("reps", 100),
             "base_seed": cfg.get("seed", 0),
             "family": cfg.get("family"),
-            "workers": cfg.get("workers", 0) or _default_workers(),
+            "workers": cfg.get("workers", 0),
         }
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(model=model, **kwargs)
@@ -125,8 +127,7 @@ class CampaignSummary:
 
 def _run_replication(args):
     """One simulate-and-estimate unit; must stay module-level for pickling."""
-    cfg_json, rep = args
-    cfg = ExperimentConfig.from_json(cfg_json)
+    cfg, rep = args
     seed = mix_seed(cfg.base_seed, rep)
     rng = np.random.default_rng(seed)
     trace = simulate_trace(cfg.model, cfg.K, rng, kind=cfg.kind)
@@ -142,7 +143,7 @@ def _run_replication(args):
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Run all replications and aggregate; output is scheduling-independent."""
-    tasks = [(cfg.to_json(), rep) for rep in range(1, cfg.R + 1)]
+    tasks = [(cfg, rep) for rep in range(1, cfg.R + 1)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_replication, tasks, chunksize=1))

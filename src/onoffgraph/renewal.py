@@ -38,17 +38,18 @@ def _residual_arrays(surv, mean):
 
 
 def _mgf_arrays(model, K):
-    """What the MGF recursion reads of the two laws at horizon K.
+    """What the MGF recursion and autocovariance read of the two laws at horizon K.
 
     The on- and off-time pmfs and survivals, the residual pmfs and survivals
     of the stationary start, and rho; a caller that evaluates many tilts of
     one horizon builds them once.
     """
+    ex, ey = model.on_law.mean(), model.off_law.mean()
     f, surv_f = _law_arrays(model.on_law, K)
     g, surv_g = _law_arrays(model.off_law, K)
-    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
-    gbar, res_surv_g = _residual_arrays(surv_g, model.off_law.mean())
-    return f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, model.rho
+    fbar, res_surv_f = _residual_arrays(surv_f, ex)
+    gbar, res_surv_g = _residual_arrays(surv_g, ey)
+    return f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, ex / (ex + ey)
 
 
 def _mgf_batch(arrays, theta):
@@ -75,16 +76,17 @@ def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
     """E exp(sum_k theta_k 1(k)) for one stationary edge over times 1..K.
 
     theta is one tilt of length K (the result is a float) or a (B, K) batch
-    of tilts (the result is a length-B array). Entries may be -inf, which
-    forces the edge off at that epoch; exp(-inf) is an exact zero multiplier.
+    of tilts (the result is a length-B array). Entries are finite or -inf;
+    -inf forces the edge off at that epoch, as an exact zero multiplier.
     The finite system for the just-turned-on / just-turned-off expectations
     v_k, w_k is upper triangular and solved by backward recursion over k,
     with the batch as an array axis; infinite pmf tails enter through
     survival functions in closed form.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim not in (1, 2) or theta.shape[-1] < 1:
-        raise ValueError("theta must be a tilt vector or a batch of them, of length >= 1")
+    if theta.ndim not in (1, 2) or theta.shape[-1] < 1 or not np.all(theta < np.inf):
+        raise ValueError("theta must be a tilt vector or a batch of them, of length >= 1, "
+                         "with entries finite or -inf")
     mgf = _mgf_batch(_mgf_arrays(model, theta.shape[-1]), np.atleast_2d(theta))
     return float(mgf[0]) if theta.ndim == 1 else mgf
 
@@ -168,11 +170,7 @@ def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ex, ey = model.on_law.mean(), model.off_law.mean()
-    rho = ex / (ex + ey)
-    f, surv_f = _law_arrays(model.on_law, k_max)
-    g, surv_g = _law_arrays(model.off_law, k_max)
-    fbar, res_surv_f = _residual_arrays(surv_f, ex)
+    f, surv_f, g, surv_g, fbar, res_surv_f, _, _, rho = _mgf_arrays(model, k_max)
     b = _reciprocal(surv_f[:k_max] + _shift(_mul(f, surv_g, k_max)), k_max)
     kernel = _shift(_mul(fbar, _shift(_mul(g, surv_f, k_max)), k_max))
     p_on = np.cumsum(_mul(b, kernel, k_max)) + res_surv_f[:k_max]
@@ -184,22 +182,22 @@ def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tilted_moments(model, theta, arrays=None):
+def _tilted_moments(arrays, theta):
     """log M(theta), the tilted on-probabilities and their covariance, all exact.
 
     M is affine in each e_k = exp(theta_k), and theta_k = -inf (a knockout)
     keeps exactly the paths that are off at k. Under the tilt, P(off at i and
     j) = M_ij / M, so grad log M = 1 - M_k / M and Hess log M, the tilted
     covariance of the indicators, is M_ij / M - (M_i / M)(M_j / M). arrays are
-    the _mgf_arrays of horizon len(theta), built here when not given. log M
-    is NaN when M(theta) is not a positive finite number.
+    the _mgf_arrays of horizon len(theta); the whole result is one knockout
+    batch. log M is NaN when M(theta) is not a positive finite number.
     """
     K = len(theta)
     i, j = np.triu_indices(K)
     batch = np.tile(theta, (len(i) + 1, 1))  # row 0 is theta; row r knocks out i[r-1], j[r-1]
     rows = np.arange(1, len(i) + 1)
     batch[rows, i] = batch[rows, j] = -np.inf
-    mgf = _mgf_batch(_mgf_arrays(model, K) if arrays is None else arrays, batch)
+    mgf = _mgf_batch(arrays, batch)
     off = np.empty((K, K))
     off[i, j] = off[j, i] = mgf[1:] / mgf[0]
     p_off = np.diag(off).copy()
@@ -215,34 +213,35 @@ def _cholesky(hess):
 
 
 def legendre_transform(model: ModelSpec, counts, n: int):
-    """sup_theta (theta . counts - n log M(theta)) with its maximizer.
+    """sup_theta (theta . counts - n log M(theta)), its maximizer and Hess log M there.
 
     The objective is concave with Hessian -n Cov_theta; Newton's method takes
     its exact tilted moments and halves a step until it raises the objective.
     It stops on the Newton decrement, since the gradient has a rounding floor.
     Counts at 0 or n are clamped slightly into the interior, where the
-    supremum is attained.
+    supremum is attained. The covariance comes from the knockout batch whose
+    Cholesky factor gave the final decrement.
     """
     counts = np.asarray(counts, dtype=np.float64)
     eps = 1e-6 * n
     counts = np.clip(counts, eps, n - eps)
     theta = np.zeros(len(counts))
     arrays = _mgf_arrays(model, len(counts))
-    log_mgf, p_on, cov = _tilted_moments(model, theta, arrays)
+    log_mgf, p_on, cov = _tilted_moments(arrays, theta)
     for _ in range(100):
         value = float(theta @ counts) - n * log_mgf
         grad = counts - n * p_on
         step = scipy.linalg.cho_solve((_cholesky(n * cov), True), grad)
         decrement = float(grad @ step)
         if decrement <= 1e-12 * n:
-            return max(value, 0.0), theta
+            return max(value, 0.0), theta, cov
         for _ in range(60):
             cand = theta + step
             # one knockout batch gives M(cand) and, if cand is accepted, the
             # next step's moments; a candidate far out may overflow M or
             # underflow it to 0, and its NaN log M is no ascent
             with np.errstate(over="ignore", invalid="ignore"):
-                moments = _tilted_moments(model, cand, arrays)
+                moments = _tilted_moments(arrays, cand)
             if float(cand @ counts) - n * moments[0] > value:
                 break
             step *= 0.5
@@ -258,10 +257,10 @@ def saddlepoint_logprob(model: ModelSpec, counts, n: int) -> float:
     """Saddlepoint approximation to log P(A_n(1..K) = counts).
 
     Returns -(K/2) log(2 pi) - (1/2) log det(n Hess log M) - I at the
-    optimizing tilt.
+    optimizing tilt, where the transform hands back Hess log M.
     """
     K = len(counts)
-    value, theta = legendre_transform(model, counts, n)
-    chol = _cholesky(n * _tilted_moments(model, theta)[2])
+    value, _, cov = legendre_transform(model, counts, n)
+    chol = _cholesky(n * cov)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * K * math.log(2 * math.pi) - 0.5 * log_det - value

@@ -265,7 +265,7 @@ def test_criterion_09_saddlepoint_sanity():
         approx = saddlepoint_logprob(GG, [float(n1)], n)
         exact = binom.logpmf(n1, n, rho)
         worst = max(worst, abs(approx - exact))
-    at_mean, _ = legendre_transform(GG, [n * rho], n)
+    at_mean, _, _ = legendre_transform(GG, [n * rho], n)
     ok = worst <= 0.1 and at_mean <= 1e-8
     _report(9, ok, f"max |log saddlepoint - log binomial| over n1 in "
                    f"[{lo},{hi}]: {worst:.4f} (<=0.1); I(n rho)={at_mean:.2e} (<=1e-8)")

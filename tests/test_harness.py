@@ -78,6 +78,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(model=GG, K=1)
 
+    def test_whole_seed_and_workers_kept(self):
+        # the largest seed mix_seed keeps whole; 2^64 would replay seed 0
+        cfg = ExperimentConfig(model=GG, base_seed=2**64 - 1, workers=2.0)
+        assert cfg.base_seed == 2**64 - 1
+        assert cfg.workers == 2 and type(cfg.workers) is int
+
     def test_env_workers(self, monkeypatch):
         monkeypatch.setenv("RG_WORKERS", "3")
         assert ExperimentConfig(model=GG, workers=0).workers == 3
@@ -426,10 +432,14 @@ class TestCli:
         ("simulate", {"K": True}, 2), ("simulate", {"K": -5}, 2),
         ("campaign", {"K": 300.0}, 0), ("campaign", {"K": 300.5}, 2),
         ("campaign", {"K": True}, 2), ("campaign", {"reps": 2.5}, 2),
-        ("campaign", {"reps": True}, 2)],
+        ("campaign", {"reps": True}, 2), ("campaign", {"seed": 1.5}, 2),
+        ("campaign", {"seed": -3}, 2), ("campaign", {"seed": 2**64}, 2),
+        ("campaign", {"workers": "2"}, 2), ("campaign", {"workers": True}, 2),
+        ("campaign", {"workers": -1}, 2)],
         ids=["simulate-K300.0", "simulate-K300.5", "simulate-Ktrue", "simulate-K-5",
              "campaign-K300.0", "campaign-K300.5", "campaign-Ktrue", "campaign-reps2.5",
-             "campaign-repstrue"])
+             "campaign-repstrue", "campaign-seed1.5", "campaign-seed-3", "campaign-seed2^64",
+             "campaign-workers'2'", "campaign-workerstrue", "campaign-workers-1"])
     def test_length_and_reps_must_be_whole(self, tmp_path, capsys, command, sizes, code):
         cfg = self._write_cfg(tmp_path, {
             "on": {"kind": "geometric", "p": 0.3},
@@ -445,6 +455,21 @@ class TestCli:
             assert len(out.read_text().splitlines()) == 301
         else:
             assert body["config"]["K"] == 300 and body["R"] == 2
+
+    @pytest.mark.parametrize("theta,message", [("nan,0", "finite or -inf"),
+                                               ("inf,0", "finite or -inf"),
+                                               ("800,0", "overflows")],
+                             ids=["nan", "inf", "overflow"])
+    def test_mgf_output_is_json(self, tmp_path, capsys, theta, message):
+        # NaN and Infinity are no JSON tokens: such a tilt or M is an error body
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        assert cli.main(["mgf", "--config", cfg, f"--theta={theta}"]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "ValueError" and message in body["message"]
+        assert cli.main(["mgf", "--config", cfg, "--theta=-inf,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["mgf"] == pytest.approx(1 - GG.rho, rel=1e-12)
 
     def test_simulate_k_zero(self, tmp_path, capsys):
         # --k 0 is a length, not "unset": refused as campaign --k 0 is

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import cho_solve
 from scipy.stats import binom
 
 from onoffgraph import renewal
+from onoffgraph.asymp import DivergenceWarning, finiteness_check, general_moment_cov
 from onoffgraph.errors import COMPUTE_ERRORS, ConvergenceError, DegenerateSaddleError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.renewal import (
@@ -17,6 +19,7 @@ from onoffgraph.renewal import (
     legendre_transform,
     saddlepoint_logprob,
     _law_arrays,
+    _mgf_arrays,
     _residual_arrays,
     _tilted_moments,
 )
@@ -101,7 +104,7 @@ def loop_legendre(model, counts, n):
     counts = np.clip(counts, eps, n - eps)
     theta = np.zeros(K)
     for _ in range(100):
-        log_mgf, p_on, cov = _tilted_moments(model, theta)
+        log_mgf, p_on, cov = _tilted_moments(_mgf_arrays(model, K), theta)
         value = float(theta @ counts) - n * log_mgf
         grad = counts - n * p_on
         step = cho_solve((np.linalg.cholesky(n * cov), True), grad)
@@ -120,7 +123,7 @@ def loop_legendre(model, counts, n):
     else:
         raise ConvergenceError("Newton did not converge")
     value = max(value, 0.0)
-    chol = np.linalg.cholesky(n * _tilted_moments(model, theta)[2])
+    chol = np.linalg.cholesky(n * _tilted_moments(_mgf_arrays(model, K), theta)[2])
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return value, theta, -0.5 * K * math.log(2 * math.pi) - 0.5 * log_det - value
 
@@ -204,6 +207,15 @@ class TestJointMgf:
                 value = joint_mgf(model, t)
                 assert isinstance(value, float)
                 assert value == pytest.approx(m, rel=1e-13, abs=0.0)
+
+    def test_refuses_nan_and_plus_inf(self):
+        # -inf is a knockout; NaN and +inf are no tilt, in one row or a batch
+        for bad in [np.nan, np.inf]:
+            with pytest.raises(ValueError, match="finite or -inf"):
+                joint_mgf(GG, [bad, 0.0])
+            with pytest.raises(ValueError, match="finite or -inf"):
+                joint_mgf(GG, [[0.0, 0.0], [0.0, bad]])
+        assert joint_mgf(GG, [-np.inf, 0.0]) == pytest.approx(1 - GG.rho, rel=1e-12)
 
     def test_log_convex_on_lines(self):
         rng = np.random.default_rng(3)
@@ -344,7 +356,7 @@ class TestAutocovariance:
 class TestLegendre:
     def test_zero_at_mean(self):
         counts = np.full(3, 100 * GG.rho)
-        value, theta = legendre_transform(GG, counts, 100)
+        value, theta, _ = legendre_transform(GG, counts, 100)
         assert value <= 1e-8
         assert np.max(np.abs(theta)) <= 1e-4
 
@@ -354,20 +366,20 @@ class TestLegendre:
         for n1 in [0.0, 1.0, 40.0, 60.0, 85.0, 100.0]:
             a = min(max(n1 / n, 1e-6), 1 - 1e-6)
             expect = n * (a * math.log(a / rho) + (1 - a) * math.log((1 - a) / (1 - rho)))
-            value, _ = legendre_transform(GG, [n1], n)
+            value, _, _ = legendre_transform(GG, [n1], n)
             assert value == pytest.approx(expect, abs=1e-6)
 
     @pytest.mark.parametrize("model", [GG, PP], ids=["gg", "pp"])
     def test_boundary_counts_converge(self, model):
         n = 100
         for counts in [[0], [1], [n], [0, 1, n], [n, n, 0], [1, 0, n, n, 0]]:
-            value, theta = legendre_transform(model, counts, n)
+            value, theta, _ = legendre_transform(model, counts, n)
             assert math.isfinite(value) and value > 0
             assert np.all(np.isfinite(theta))
             assert math.isfinite(saddlepoint_logprob(model, counts, n))
 
     def test_positive_away_from_mean(self):
-        value, _ = legendre_transform(GG, [100 * GG.rho / 2], 100)
+        value, _, _ = legendre_transform(GG, [100 * GG.rho / 2], 100)
         assert value > 0.1
 
     @pytest.mark.parametrize("K", [1, 3, 10])
@@ -382,15 +394,17 @@ class TestLegendre:
             cases.append((FROZEN, [5, 5, 5]))
         for m, counts in cases:
             value, theta, logprob = loop_legendre(m, counts, m.n)
-            got_value, got_theta = legendre_transform(m, counts, m.n)
+            got_value, got_theta, _ = legendre_transform(m, counts, m.n)
             assert got_value == value
             assert np.array_equal(got_theta, theta)
             assert saddlepoint_logprob(m, counts, m.n) == logprob
 
     def test_law_arrays_built_once(self, monkeypatch):
-        # two _law_arrays calls (on and off) per transform, and no single-tilt
-        # joint_mgf in a K=10 saddle, whose Newton steps are all accepted
-        calls = {"_law_arrays": 0, "joint_mgf": 0}
+        # two _law_arrays calls (on and off) per transform and per saddle, whose
+        # log-determinant reads the transform's covariance with no knockout
+        # batch of its own, and no single-tilt joint_mgf in a K=10 saddle,
+        # whose Newton steps are all accepted
+        calls = {"_law_arrays": 0, "joint_mgf": 0, "_tilted_moments": 0}
 
         def counted(name):
             fn = getattr(renewal, name)
@@ -402,12 +416,18 @@ class TestLegendre:
 
         counted("_law_arrays")
         counted("joint_mgf")
+        counted("_tilted_moments")
         counts = gg_count_chain(GG, 10, np.random.default_rng(10))
         for model, c in [(GG, counts), (PG, [3, 0, 10]), (FROZEN, [5, 5, 5])]:
-            calls["_law_arrays"] = 0
-            legendre_transform(model, c, model.n)
+            calls["_law_arrays"] = calls["_tilted_moments"] = 0
+            _, theta, cov = legendre_transform(model, c, model.n)
             assert calls["_law_arrays"] == 2
-        saddlepoint_logprob(GG, counts, GG.n)
+            batches = calls["_tilted_moments"]
+            assert np.array_equal(cov, _tilted_moments(_mgf_arrays(model, len(c)), theta)[2])
+            calls["_law_arrays"] = calls["_tilted_moments"] = 0
+            saddlepoint_logprob(model, c, model.n)
+            assert calls["_law_arrays"] == 2
+            assert calls["_tilted_moments"] == batches
         assert calls["joint_mgf"] == 0
 
 
@@ -446,7 +466,7 @@ class TestSaddlepoint:
         theta = np.array([0.4, -1.2, 0.7])
         x = np.array([[(s >> j) & 1 for j in range(3)] for s in range(8)], dtype=np.float64)
         for model in ALL_MODELS:
-            log_m, p_on, cov = _tilted_moments(model, theta)
+            log_m, p_on, cov = _tilted_moments(_mgf_arrays(model, 3), theta)
             weights = joint_distribution(model, [1, 2, 3]) * np.exp(x @ theta)
             assert log_m == pytest.approx(math.log(weights.sum()), abs=1e-12)
             weights /= weights.sum()
@@ -455,8 +475,8 @@ class TestSaddlepoint:
             assert np.max(np.abs(cov - centred.T @ (weights[:, None] * centred))) <= 1e-12
         # s(n) for K=1 is n Var of the tilted Bernoulli with mean 60/100; Newton
         # stops at a decrement of 1e-12 n, i.e. |100 p_on - 60| <= 1e-5 sqrt(24)
-        _, theta = legendre_transform(GG, [60.0], 100)
-        _, p_on, cov = _tilted_moments(GG, theta)
+        _, theta, _ = legendre_transform(GG, [60.0], 100)
+        _, p_on, cov = _tilted_moments(_mgf_arrays(GG, 1), theta)
         assert p_on[0] == pytest.approx(0.6, abs=1e-6)
         assert cov[0, 0] == pytest.approx(0.24, abs=1e-6)
 
@@ -471,12 +491,15 @@ EXTREME_LAWS = [Geometric(1e-12), Geometric(1 - 1e-15), Pareto(1e-9, 300.0), Par
 @pytest.mark.parametrize("on_law", EXTREME_LAWS, ids=repr)
 def test_extreme_laws_finite_or_typed(on_law):
     # each call finishes within its time bound with a finite result or a
-    # typed refusal; the slowest call of this grid took about 70 ms
+    # typed refusal, and the covariance limits are infinite only where
+    # finiteness_check fails; the slowest call of this grid took about 70 ms
     for off_law in EXTREME_LAWS:
         model = ModelSpec(on_law=on_law, off_law=off_law, n=10)
         calls = [lambda c=c: saddlepoint_logprob(model, c, 10)
                  for c in ([5, 5, 5], [0, 10, 3], [1, 9, 1])]
         calls.append(lambda: joint_distribution(model, [1, 2, 5]))
+        calls.append(lambda: autocovariance(model, 64))
+        calls.append(lambda: _finite_limits(model))
         for call in calls:
             start = time.perf_counter()
             try:
@@ -484,3 +507,12 @@ def test_extreme_laws_finite_or_typed(on_law):
             except COMPUTE_ERRORS as exc:
                 assert "math domain error" not in str(exc)
             assert time.perf_counter() - start < 2.0
+
+
+def _finite_limits(model):
+    """general_moment_cov's v0, v1 and c01, less the infinite ones where finiteness_check fails."""
+    finite = finiteness_check(model)[0]
+    with nullcontext() if finite else pytest.warns(DivergenceWarning):
+        mc = general_moment_cov(model, model.n)
+    limits = np.array([mc.v0, mc.v1, mc.c01])
+    return limits if finite else limits[~np.isinf(limits)]
