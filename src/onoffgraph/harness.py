@@ -94,8 +94,15 @@ class ExperimentConfig:
 
 
 def _default_workers() -> int:
+    """RG_WORKERS as a whole number (0 or unset for 1); anything else is refused."""
     env = os.environ.get("RG_WORKERS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = env  # a text whole_number refuses, naming RG_WORKERS
+    return whole_number("RG_WORKERS", value) or 1
 
 
 @dataclass
@@ -142,10 +149,15 @@ def _run_replication(args):
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
-    """Run all replications and aggregate; output is scheduling-independent."""
+    """Run all replications and aggregate; output is scheduling-independent.
+
+    The pool starts at most one process per replication and per CPU; where
+    that is one, the replications run in this process.
+    """
     tasks = [(cfg, rep) for rep in range(1, cfg.R + 1)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.R, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, tasks, chunksize=1))
     else:
         results = [_run_replication(t) for t in tasks]

@@ -96,10 +96,12 @@ class DurationLaw:
         bracket in exact arithmetic. The bracket is searched for (_bracket,
         from the candidate) only where rounding could have moved it: x within
         its _slack(x) of an integer, x not finite, or u so small that survival
-        goes subnormal. Float survival does not increase with i, so the
-        bracket is unique and skipping the others returns what searching
-        every entry would. Candidates at or past RESIDUAL_CAP are returned as
-        RESIDUAL_CAP without a search. u itself is never written to.
+        goes subnormal. A block whose every x keeps the slack of its largest x
+        from an integer skips the per-draw test. Float survival does not
+        increase with i, so the bracket is unique and skipping the others
+        returns what searching every entry would. Candidates at or past
+        RESIDUAL_CAP are returned as RESIDUAL_CAP without a search. u itself
+        is never written to.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
@@ -113,6 +115,19 @@ class DurationLaw:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self._quantile(u)
             i = np.floor(x)
+            top = x.max()  # NaN if any x is NaN
+            x -= i  # frac(x), exact as _quantile gives no x < 0; NaN where x is inf
+            # the whole block at once: _slack does not decrease in x, so
+            # _slack(top) bounds every draw's slack, and a block whose
+            # fractions all keep that far from an integer needs no per-draw
+            # test (below 2^52 every i + 1 is exact and under RESIDUAL_CAP)
+            if u_min >= _SUBNORMAL_U and top < 2.0**52:
+                edge = self._slack(top)
+                if edge < x.min() and x.max() < 1.0 - edge:
+                    i += 1.0
+                    i = i.astype(np.int64)
+                    return int(i[0]) if scalar else i
+            x += i  # x again, with inf as NaN: both fail the test below
             slack = self._slack(x)
             # |frac(x) - 1/2| < 1/2 - slack: farther than slack from an integer.
             # Each side rounds monotonically, so no draw within slack passes;

@@ -127,6 +127,20 @@ _TRIPLE_BLOCK = 1 << 22
 # Bytes a graph trace may take for its n x (K + 1) bool indicator buffer;
 # larger graphs or traces are refused before anything is drawn.
 _GRAPH_BYTES = 1 << 28
+# Blocks of at least this many edges are summed by one np.add per row, not by
+# np.cumsum down axis 0, which numpy runs column by column. Measured on int64
+# blocks of 3 to 257 rows: the two take about the same time at 256 edges, the
+# rows half the time at 512 edges and up to 3 times as long at 128.
+_ROW_SUM_EDGES = 256
+
+
+def _running_sum(cum):
+    """Sum cum down its rows in place: row r becomes the sum of rows 0..r."""
+    if cum.shape[1] >= _ROW_SUM_EDGES:
+        for r in range(1, len(cum)):
+            np.add(cum[r], cum[r - 1], out=cum[r])
+    else:
+        np.cumsum(cum, axis=0, out=cum)
 
 
 def _phase_switches(model: ModelSpec, K: int, rng, init=None):
@@ -181,7 +195,7 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
             np.copyto(cum[2::2], dy, where=ph)
             if cut:
                 np.minimum(cum[1:], K, out=cum[1:])
-            np.cumsum(cum, axis=0, out=cum)
+            _running_sum(cum)
             nxt[edges] = cum[-1]
             yield edges, cum[:-1], ph
             edges = edges[nxt[edges] <= K]

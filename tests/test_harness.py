@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onoffgraph import cli
+from onoffgraph import cli, harness
 from onoffgraph.asymp import MomentCov
+from onoffgraph.errors import ParameterError
 from onoffgraph.harness import (
     CampaignSummary,
     ExperimentConfig,
@@ -90,6 +91,14 @@ class TestConfig:
         monkeypatch.delenv("RG_WORKERS")
         assert ExperimentConfig(model=GG, workers=0).workers == 1
 
+    @pytest.mark.parametrize("env", ["-5", "2.5", "two"])
+    def test_env_workers_must_be_whole(self, monkeypatch, env):
+        monkeypatch.setenv("RG_WORKERS", env)
+        with pytest.raises(ParameterError, match="RG_WORKERS"):
+            ExperimentConfig(model=GG, workers=0)
+        # a config or --workers value takes the place of the variable
+        assert ExperimentConfig(model=GG, workers=2).workers == 2
+
 
 class TestCampaign:
     def test_single_replication(self):
@@ -114,6 +123,34 @@ class TestCampaign:
             emit_outputs(run_campaign(
                 ExperimentConfig(model=GG, K=300, R=6, base_seed=11)), tmp_path / d)
         assert _dirs_equal(tmp_path / "a", tmp_path / "b")
+
+    def test_pool_is_bounded(self, monkeypatch):
+        # the pool is recorded, not started: at most one process per
+        # replication and per CPU, and none where that bound is one
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        want = run_campaign(ExperimentConfig(model=GG, K=200, R=3, base_seed=4)).rows
+        for cpus, workers, R, pool in ((2, 5000, 3, [2]), (64, 5000, 3, [3]), (64, 5000, 1, []),
+                                       (None, 5000, 3, []), (2, 2, 3, [2])):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            cfg = ExperimentConfig(model=GG, K=200, R=R, base_seed=4, workers=workers)
+            assert run_campaign(cfg).rows == want[:R]
+            assert sizes == pool
 
     def test_worker_count_invariance(self, tmp_path):
         for d, workers in (("w1", 1), ("w2", 2)):
@@ -212,6 +249,17 @@ class TestCli:
         assert self._run().returncode == 1
         assert self._run("frobnicate").returncode == 1
         assert self._run("campaign", "--out", "x").returncode == 1  # no --config
+
+    def test_bad_env_workers_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RG_WORKERS", "-5")
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 20, "K": 100, "reps": 2})
+        out = tmp_path / "out"
+        assert cli.main(["campaign", "--config", cfg, "--out", str(out)]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "ParameterError" and "RG_WORKERS" in body["message"]
+        assert not out.exists()
 
     def test_compute_error_exit_2(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {

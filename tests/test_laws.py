@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gammaincc, gammaln
 from scipy.special import zeta as scipy_zeta
 
+from onoffgraph import laws
 from onoffgraph.errors import (COMPUTE_ERRORS, InfiniteMeanError, OutOfRangeError,
                                ParameterError)
 from onoffgraph.laws import (
@@ -25,6 +26,7 @@ from onoffgraph.laws import (
     _invert_decreasing,
     _weibull_split,
 )
+from onoffgraph.simulate import ModelSpec, _phase_switches
 
 ALL_LAWS = [Geometric(0.3), Geometric(0.8), Weibull(1.0, 0.5), Weibull(1.0, 1.0),
             Pareto(1.0, 3.0), Pareto(2.0, 4.0), Pareto(1.0, 2.5)]
@@ -166,8 +168,7 @@ class TestMean:
         assert law.residual().survival(1) == 1.0
 
     def test_weibull_mean_is_summed_once(self, monkeypatch):
-        from onoffgraph import laws
-        from onoffgraph.simulate import ModelSpec, simulate_edge_trace
+        from onoffgraph.simulate import simulate_edge_trace
 
         calls = []
         real = laws.weibull_survival_sum
@@ -554,6 +555,48 @@ class TestSampling:
         assert np.array_equal(law.sample(u[:2 * half].reshape(2, half)),
                               want[:2 * half].reshape(2, half))
 
+    @pytest.mark.parametrize("law", EXTREME_LAWS + ALL_LAWS, ids=str)
+    def test_simulator_blocks_match_search(self, law):
+        # (edges x pairs) blocks of 1 - rng.random(), as the simulator draws
+        # them, whether or not they pass the block-wide certificate; then the
+        # same with u at survival(k) and its float neighbours in the first
+        # rows, where a candidate unchecked by the per-draw test can miss by one
+        rng = np.random.default_rng(47)
+        u = 1.0 - rng.random((100, 163))
+        assert np.array_equal(law.sample(u), loop_sample(law, u))
+        s = law.survival(np.arange(2, 400))
+        near = np.concatenate([s, np.nextafter(s, 0.0), np.nextafter(s, 2.0)])
+        near = near[(near >= 2.0**-900) & (near <= 1.0)]
+        u.flat[:near.size] = near
+        assert np.array_equal(law.sample(u), loop_sample(law, u))
+
+    def test_campaign_blocks_are_not_searched(self, monkeypatch):
+        # every switch block of n = 100, K = 10,000 campaigns on GG and on
+        # Pareto(1,3)/Pareto(1,2.5) passes the block-wide certificate: no
+        # draw is searched, and _slack is taken only at a block's largest x
+        searched, slack_ndims = [], []
+        bracket = laws._bracket
+
+        def counting(survival, u, start):
+            searched.append(u.size)
+            return bracket(survival, u, start)
+
+        for cls in (Geometric, Pareto):
+            def recording(self, x, slack=cls._slack):
+                slack_ndims.append(np.ndim(x))
+                return slack(self, x)
+
+            monkeypatch.setattr(cls, "_slack", recording)
+        for on, off in ((Geometric(0.3), Geometric(0.8)), (Pareto(1.0, 3.0), Pareto(1.0, 2.5))):
+            model = ModelSpec(on_law=on, off_law=off, n=100)
+            _, switches = _phase_switches(model, 10_000, np.random.default_rng(3))
+            slack_ndims.clear()
+            monkeypatch.setattr(laws, "_bracket", counting)
+            blocks = sum(1 for _ in switches)
+            monkeypatch.setattr(laws, "_bracket", bracket)
+            assert blocks > 10 and searched == []
+            assert len(slack_ndims) == 2 * blocks and set(slack_ndims) == {0}
+
     def test_input_shapes_and_values(self):
         # u is read, never written; 0-d gives an int, empty keeps its shape
         # (the residual laws' samplers keep the same contract)
@@ -579,9 +622,9 @@ class TestSampling:
         assert capped.tolist() == [RESIDUAL_CAP, 1, Pareto(1e6, 1.0001).sample(0.5)]
 
     def test_blocks_mixing_small_and_large_x(self):
-        # alpha > 1 makes _slack infinite at x = 0 (-inf at x = -0.0, which
-        # u = 1 gives for alpha = 2); the large x of the same block must still
-        # take their own finite slack and match
+        # u = 1 puts x on the integer 0, so these blocks take the per-draw
+        # test, where the small x, whose slack is 1e-9 (1 + 1 / (alpha lam))
+        # near 0, and the large x of the same block each take their own slack
         rng = np.random.default_rng(9)
         for law in (Weibull(2.0, 3.0), Weibull(1.0, 2.0)):
             u = np.concatenate([1.0 - rng.random(3000) * 0.5, np.exp2(-rng.uniform(1.0, 1074.0, 3000)),

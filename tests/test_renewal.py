@@ -33,12 +33,22 @@ ALL_MODELS = [GG, PP, WG, PG]
 FROZEN = ModelSpec(on_law=Geometric(1e-6), off_law=Geometric(0.5), n=10)
 
 
+# The float64 loop below drifts from its own long-double run as k grows: by up
+# to 5.3e-13 at k = 2,050 (on WG), 2.0e-11 at 8,192 (on PG) and 2.2e-10 at
+# 32,768 (on PP). Its 1e-12 comparisons read it up to k = 2,050, and the
+# partition series of test_asymp, compared to 1e-8 of their value, up to
+# 8,194; it refuses longer tables.
+LOOP_K_MAX = 8194
+
+
 def loop_autocovariance(model, k_max):
     """r, s, r_res by the interleaved dot-product recursion over k: the oracle.
 
     r_k = sum_j f_j s_(k-j) + P(X >= k), s_k = sum_j g_j r_(k-j), and r_res
     the same as r with the residual on-law, all 1-indexed via [k-1].
     """
+    if k_max > LOOP_K_MAX:
+        raise ValueError(f"the loop oracle drifts past k = {LOOP_K_MAX}, asked for {k_max}")
     f, surv_f = _law_arrays(model.on_law, k_max)
     g, _ = _law_arrays(model.off_law, k_max)
     fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
@@ -323,6 +333,10 @@ class TestAutocovariance:
             assert np.max(np.abs(gamma - old)) <= 1e-12 * model.rho
             if k_max <= 3:  # the tables the fit residuals read keep their bits
                 assert np.array_equal(gamma, old)
+
+    def test_loop_oracle_refuses_long_tables(self):
+        with pytest.raises(ValueError, match="drifts"):
+            loop_autocovariance(PP, LOOP_K_MAX + 1)
 
     def test_fft_products_at_most_the_size_they_need(self, monkeypatch):
         # k = 1,026 needs products of 2,051 terms: 2,560 = 5 * 2^9 points

@@ -178,6 +178,24 @@ class TestEdgeTrace:
                 mat = edge_indicator_matrix(m, K, np.random.default_rng(32))
                 assert np.array_equal(trace.values, mat.sum(axis=0))
 
+    def test_running_sum_routes(self, monkeypatch):
+        # one seed through each route of _running_sum, forced on every block
+        # by the crossover: np.add row by row and np.cumsum give the same
+        # traces and matrices, also where Pareto(1e19, 3) durations are cut to K
+        cut = ModelSpec(on_law=Pareto(1e19, 3.0), off_law=Pareto(1e19, 3.0), n=45)
+        init = [(k % 2 == 0, k) for k in range(1, 46)]
+        models = CONSUMER_MODELS + [ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64)]
+        runs = []
+        for edges in (1, math.inf):
+            monkeypatch.setattr(simulate, "_ROW_SUM_EDGES", edges)
+            run = [simulate_edge_trace(cut, 60, np.random.default_rng(33), init=init).values]
+            for m in models:
+                run.append(simulate_edge_trace(m, 700, np.random.default_rng(33)).values)
+                run.append(edge_indicator_matrix(m, 700, np.random.default_rng(33)))
+            runs.append(run)
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert runs[0][0].min() < runs[0][0].max()  # the cut trace switches
+
     def test_k_is_checked(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=5)
         for K in (0, -3):
