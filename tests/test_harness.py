@@ -145,7 +145,7 @@ class TestCampaign:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         want = run_campaign(ExperimentConfig(model=GG, K=200, R=3, base_seed=4)).rows
         for cpus, workers, R, pool in ((2, 5000, 3, [2]), (64, 5000, 3, [3]), (64, 5000, 1, []),
-                                       (None, 5000, 3, []), (2, 2, 3, [2])):
+                                       (None, 5000, 3, []), (64, 2, 3, [2])):
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
             sizes.clear()
             cfg = ExperimentConfig(model=GG, K=200, R=R, base_seed=4, workers=workers)
