@@ -97,9 +97,10 @@ class DurationLaw:
         from the candidate) only where rounding could have moved it: x within
         its _slack(x) of an integer, x not finite, or u so small that survival
         goes subnormal. A block whose every x keeps the slack of its largest x
-        from an integer skips the per-draw test. Float survival does not
-        increase with i, so the bracket is unique and skipping the others
-        returns what searching every entry would. Candidates at or past
+        from every positive integer (the edge at 0 is exact) skips the
+        per-draw test. Float survival does not increase with i, so the bracket
+        is unique and skipping the others returns what searching every entry
+        would. Candidates at or past
         RESIDUAL_CAP are returned as RESIDUAL_CAP without a search. u itself
         is never written to.
         """
@@ -120,10 +121,13 @@ class DurationLaw:
             # the whole block at once: _slack does not decrease in x, so
             # _slack(top) bounds every draw's slack, and a block whose
             # fractions all keep that far from an integer needs no per-draw
-            # test (below 2^52 every i + 1 is exact and under RESIDUAL_CAP)
+            # test (below 2^52 every i + 1 is exact and under RESIDUAL_CAP).
+            # The bracket edge at x = 0 is exact, so a block that fails only
+            # on a fraction near 0 is retried with that bound on i >= 1 alone
             if u_min >= _SUBNORMAL_U and top < 2.0**52:
                 edge = self._slack(top)
-                if edge < x.min() and x.max() < 1.0 - edge:
+                if x.max() < 1.0 - edge and (
+                        edge < x.min() or edge < np.where(i > 0.0, x, 1.0).min()):
                     i += 1.0
                     i = i.astype(np.int64)
                     return int(i[0]) if scalar else i

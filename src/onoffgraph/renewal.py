@@ -3,13 +3,18 @@
 Covers the joint moment generating function of the on-indicators over a
 finite horizon, the stationary autocovariance of one edge, and the
 saddlepoint approximation to the log-probability of an observed count
-vector. The joint MGF takes a batch of tilts in one backward recursion;
-the joint point probabilities and the saddlepoint's tilted moments each
-come from one batched call.
+vector. The joint MGF, the joint on-pattern laws and the saddlepoint's
+tilted moments run on one Markov chain for the edge, whose state at an
+epoch is the phase and the epoch at which the current period ends; periods
+that outlast the horizon K are lumped into the end K, which is exact since
+nothing after K is observed. A tilt enters as per-epoch factors in [0, 1],
+so log M = sum_k max(theta_k, 0) + log M' stays finite (scaled recursions as
+in Rabiner 1989; forward-backward on semi-Markov chains as in Yu 2010).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,38 +43,65 @@ def _residual_arrays(surv, mean):
 
 
 def _mgf_arrays(model, K):
-    """What the MGF recursion and autocovariance read of the two laws at horizon K.
+    """What the tilted chain reads of the two laws at horizon K: a table, rows (on, off), weights.
 
-    The on- and off-time pmfs and survivals, the residual pmfs and survivals
-    of the stationary start, and rho; a caller that evaluates many tilts of
-    one horizon builds them once.
+    A period that starts at epoch s (0-based) with L = K - s epochs left ends
+    at s + l - 1 with probability pmf[l - 1] for l < L, and at the lumped end
+    K - 1 with probability tail[L - 1] = P(Z >= L). res is the same end table
+    for the residual periods of the stationary start, which the weights
+    (rho, 1 - rho) weigh. The table's columns are pmf, tail and res, K each,
+    then a 0. A caller that evaluates many tilts of one horizon builds them
+    once.
     """
-    ex, ey = model.on_law.mean(), model.off_law.mean()
-    f, surv_f = _law_arrays(model.on_law, K)
-    g, surv_g = _law_arrays(model.off_law, K)
-    fbar, res_surv_f = _residual_arrays(surv_f, ex)
-    gbar, res_surv_g = _residual_arrays(surv_g, ey)
-    return f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, ex / (ex + ey)
+    table = np.zeros((2, 3 * K + 1))
+    for row, law in enumerate((model.on_law, model.off_law)):
+        table[row, :K], surv = _law_arrays(law, K)
+        table[row, K:2 * K] = surv[:K]
+        fbar, res_surv = _residual_arrays(surv, law.mean())
+        table[row, 2 * K:3 * K - 1] = fbar[:-1]
+        table[row, 3 * K - 1] = res_surv[K - 1]
+    return table, np.array([model.rho, 1.0 - model.rho])
 
 
-def _mgf_batch(arrays, theta):
-    """joint_mgf of a (B, K) batch of tilts, from the _mgf_arrays of horizon K."""
-    f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, rho = arrays
-    e = np.exp(theta)
-    B, K = e.shape
-    # v[:, k], w[:, k]: the tilted expectation over epochs k..K given that an
-    # on- (off-) period starts at k; column 0 is unused
-    v = np.zeros((B, K + 1))
-    w = np.zeros((B, K + 1))
-    for k in range(K, 0, -1):
-        d = K - k
-        run = np.cumprod(e[:, k - 1:], axis=1)  # run[:, l-1]: product over epochs k..k+l-1
-        v[:, k] = (run[:, :d] * w[:, k + 1:]) @ f[:d] + surv_f[d] * run[:, d]
-        w[:, k] = v[:, k + 1:] @ g[:d] + surv_g[d]
-    # the stationary start: the same sums at k = 1 over the residual laws
-    m_plus = (run[:, :K - 1] * w[:, 2:]) @ fbar[:K - 1] + res_surv_f[K - 1] * run[:, K - 1]
-    m_minus = v[:, 2:] @ gbar[:K - 1] + res_surv_g[K - 1]
-    return rho * m_plus + (1.0 - rho) * m_minus
+def _multipliers(theta):
+    """The scaled tilt factors and their shift.
+
+    The factors exp(theta 1(on) - max(theta, 0)) are rows (on, off) on a new
+    first axis, and the shift is sum max(theta, 0) over the last axis.
+    """
+    scaled = np.minimum([theta, -theta], 0.0)  # (min(theta, 0), -max(theta, 0))
+    return np.exp(scaled), -scaled[1].sum(axis=-1)
+
+
+def _forward(arrays, mult=None, split=()):
+    """The chain's mass at the last epoch, one entry per tilt in mult (one untilted if None).
+
+    alive[p, b, e] is the mass in phase p (0 on, 1 off) at the current epoch
+    whose period ends at epoch e. Each step is shift-free: the mass ending at
+    k - 1 starts the other phase at k, one rank-one update per phase on the
+    ends k..K-1 in place, and the tilt then multiplies the live ends. The end
+    tables are pmf with tail[L - 1] written over its entry L - 1 as L falls,
+    one entry per step. At each epoch in split the batch doubles: entries
+    [0, B) keep the paths off there and [B, 2B) the paths on.
+    """
+    table, weight = arrays
+    K = table.shape[1] // 3
+    tail, res = table[:, K:2 * K], table[:, 2 * K:3 * K]
+    tab = table[:, None, :K].copy()
+    alive = np.repeat((weight[:, None] * res)[:, None, :], 1 if mult is None else mult.shape[1], 1)
+    for k in range(K):
+        if k:
+            L = K - k
+            tab[:, :, L - 1] = tail[:, None, L - 1]
+            alive[:, :, k:] += alive[::-1, :, k - 1, None] * tab[:, :, :L]
+        if mult is not None:
+            alive[:, :, k:] *= mult[:, :, k, None]
+        if k in split:
+            alive = np.concatenate([alive, alive], axis=1)
+            half = alive.shape[1] // 2
+            alive[0, :half, k:] = 0.0
+            alive[1, half:, k:] = 0.0
+    return alive[:, :, K - 1].sum(axis=0)
 
 
 def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
@@ -77,17 +109,17 @@ def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
 
     theta is one tilt of length K (the result is a float) or a (B, K) batch
     of tilts (the result is a length-B array). Entries are finite or -inf;
-    -inf forces the edge off at that epoch, as an exact zero multiplier.
-    The finite system for the just-turned-on / just-turned-off expectations
-    v_k, w_k is upper triangular and solved by backward recursion over k,
-    with the batch as an array axis; infinite pmf tails enter through
-    survival functions in closed form.
+    -inf forces the edge off at that epoch, as an exact zero factor. One
+    forward pass of the chain with the batch as an array axis gives the
+    scaled M', and M = M' exp(sum_k max(theta_k, 0)), which is inf where it
+    leaves float range.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim not in (1, 2) or theta.shape[-1] < 1 or not np.all(theta < np.inf):
         raise ValueError("theta must be a tilt vector or a batch of them, of length >= 1, "
                          "with entries finite or -inf")
-    mgf = _mgf_batch(_mgf_arrays(model, theta.shape[-1]), np.atleast_2d(theta))
+    mult, shift = _multipliers(np.atleast_2d(theta))
+    mgf = _forward(_mgf_arrays(model, theta.shape[-1]), mult) * np.exp(shift)
     return float(mgf[0]) if theta.ndim == 1 else mgf
 
 
@@ -96,8 +128,9 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
 
     Returns a vector of length 2^m indexed by the on-pattern bits (bit j set
     means the edge is on at epochs[j]); epochs must be sorted, distinct, and
-    at most 12 in number. Probabilities are recovered from MGF evaluations at
-    {-inf, 0} masks by Moebius inversion over the subset lattice.
+    at most 12 in number. One untilted forward pass to the last epoch splits
+    its batch at epochs[j] into the paths off and on there, so row s carries
+    pattern s's probability, a sum of nonnegative terms.
     """
     epochs = list(epochs)
     m = len(epochs)
@@ -105,18 +138,7 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
         raise ValueError(f"need 1..{_JOINT_EPOCH_CAP} epochs, got {m}")
     if sorted(set(epochs)) != epochs or min(epochs) < 1:
         raise ValueError("epochs must be sorted, distinct, positive integers")
-    # Q[t] = sum_{x subset t} p[x] = P(off at every epoch outside t) is the
-    # MGF with -inf at the epochs whose bit is clear in t
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    theta = np.zeros((1 << m, epochs[-1]))
-    theta[:, np.array(epochs) - 1] = np.where(bits, 0.0, -np.inf)
-    # axis j of the (2,)*m reshape is bit m-1-j; differencing along every axis
-    # inverts the subset sums
-    q = joint_mgf(model, theta).reshape((2,) * m)
-    for axis in range(m):
-        q = np.diff(q, axis=axis, prepend=0.0)
-    q = q.ravel()
-    return np.where(q < 0.0, np.where(q > -1e-12, 0.0, q), q)
+    return _forward(_mgf_arrays(model, epochs[-1]), split={e - 1 for e in epochs})
 
 
 # Products of series up to this length are direct (np.convolve), so the short
@@ -170,7 +192,10 @@ def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    f, surv_f, g, surv_g, fbar, res_surv_f, _, _, rho = _mgf_arrays(model, k_max)
+    f, surv_f = _law_arrays(model.on_law, k_max)
+    g, surv_g = _law_arrays(model.off_law, k_max)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    rho = model.rho
     b = _reciprocal(surv_f[:k_max] + _shift(_mul(f, surv_g, k_max)), k_max)
     kernel = _shift(_mul(fbar, _shift(_mul(g, surv_f, k_max)), k_max))
     p_on = np.cumsum(_mul(b, kernel, k_max)) + res_surv_f[:k_max]
@@ -182,27 +207,81 @@ def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _kernel_index(K):
+    """Where the moments' kernels read the _mgf_arrays table, and their triangles, at horizon K.
+
+    index[s, c] picks, for a period starting at epoch s, the probability that
+    the next one starts at c (c = K: none before the horizon): res[c - 1] for
+    the stationary start s = 0, pmf[c - s - 1] for s < c < K, tail[K - s - 1]
+    for c = K, and 0 for c <= s. upper[s, t] is t >= s and after[s, c] is c > s.
+    """
+    s = np.arange(K)[:, None]
+    c = np.arange(K + 1)
+    index = np.where(c > s, c - s - 1, 3 * K)
+    index[1:, K] = 2 * K - 1 - s[1:, 0]
+    index[0, 1:] = 2 * K - 1 + c[1:]
+    upper, after = c[:K] >= s, c > s
+    for table in (index, upper, after):
+        table.flags.writeable = False
+    return index, upper, after
+
+
 def _tilted_moments(arrays, theta):
     """log M(theta), the tilted on-probabilities and their covariance, all exact.
 
-    M is affine in each e_k = exp(theta_k), and theta_k = -inf (a knockout)
-    keeps exactly the paths that are off at k. Under the tilt, P(off at i and
-    j) = M_ij / M, so grad log M = 1 - M_k / M and Hess log M, the tilted
-    covariance of the indicators, is M_ij / M - (M_i / M)(M_j / M). arrays are
-    the _mgf_arrays of horizon len(theta); the whole result is one knockout
-    batch. log M is NaN when M(theta) is not a positive finite number.
+    arrays are the _mgf_arrays of horizon K = len(theta); epochs are 0-based.
+    The chain's kernels on[s, c] and off[s, c] are the probability that a
+    period of that phase starting at s is followed by one starting at c (c =
+    K: it reaches the horizon; row 0, the residual period of the stationary
+    start), times the factors of epochs s..c-1. H = on off takes on-starts to
+    on-starts; it is strictly upper triangular, so green = (I - H)^-1 = I + H
+    + H^2 + ... adds only nonnegative terms. Forward, the start masses are
+    x_on = (rho e_0 + (1 - rho) off[0]) green and x_off = x_on on + (1 - rho)
+    e_0. Backward, cont[c] is what follows an on-start at c (cont[K] = 1), so
+    M' = rho cont[0] + (1 - rho) off[0] cont. The sweep's row i, rows[i, c] =
+    sum_(s <= i) x_off[s] off[s, c] for c > i, is the forward mass off at i
+    whose period is followed at c, and M' P(off at i and j) = rows[i] @
+    follow[:, j] for i <= j: follow[c, j] is cont[c] when that off period
+    covers j (c > j), and otherwise the mass from an on-start at c that is
+    off at j, reach = green on times cover, where cover[s, j] is an off
+    period from s that covers j and what follows it. grad log M = 1 - P(off)
+    and Hess log M, the tilted covariance of the indicators, is P(off at i
+    and j) - P(off at i) P(off at j). log M is NaN when M' underflows to 0.
     """
+    table, weight = arrays
     K = len(theta)
-    i, j = np.triu_indices(K)
-    batch = np.tile(theta, (len(i) + 1, 1))  # row 0 is theta; row r knocks out i[r-1], j[r-1]
-    rows = np.arange(1, len(i) + 1)
-    batch[rows, i] = batch[rows, j] = -np.inf
-    mgf = _mgf_batch(arrays, batch)
-    off = np.empty((K, K))
-    off[i, j] = off[j, i] = mgf[1:] / mgf[0]
-    p_off = np.diag(off).copy()
-    log_mgf = math.log(mgf[0]) if 0.0 < mgf[0] < math.inf else math.nan
-    return log_mgf, 1.0 - p_off, off - np.outer(p_off, p_off)
+    index, upper, after = _kernel_index(K)
+    kern = table[:, index]
+    mult, shift = _multipliers(theta)
+    kern[:, :, 1:] *= np.cumprod(np.where(upper, mult[:, None, :], 1.0), axis=2)
+    on, off = kern[0], kern[1]
+    green = np.eye(K)
+    green -= on[:, :K] @ off[:, :K]
+    green = scipy.linalg.lapack.dtrtri(green, lower=0, unitdiag=1)[0]
+    reach = on.copy()  # columns :K, to the off-starts; column K, to the horizon
+    reach[:, K] += on[:, :K] @ off[:, K]
+    reach = green @ reach
+    cont = np.concatenate([reach[:, K], [1.0]])
+    mprime = weight[0] * cont[0] + weight[1] * (off[0] @ cont)
+    start = weight[1] * off[0, :K]
+    start[0] += weight[0]
+    x_on = start @ green
+    x_off = x_on @ on[:, :K]
+    x_off[0] += weight[1]
+    cover = np.cumsum((off * cont)[:, ::-1], axis=1)[:, -2::-1]
+    cover *= upper
+    follow = np.empty((K + 1, K))
+    np.matmul(reach[:, :K], cover, out=follow[:K])
+    np.copyto(follow, cont[:, None], where=after.T)
+    rows = np.cumsum(x_off[:, None] * off, axis=0)
+    rows *= after
+    pair = rows @ follow
+    pair /= mprime
+    pair = np.where(upper, pair, pair.T)
+    p_off = pair.diagonal()
+    log_mgf = shift + math.log(mprime) if 0.0 < mprime < math.inf else math.nan
+    return log_mgf, 1.0 - p_off, pair - p_off[:, None] * p_off
 
 
 def _cholesky(hess):
@@ -219,8 +298,8 @@ def legendre_transform(model: ModelSpec, counts, n: int):
     its exact tilted moments and halves a step until it raises the objective.
     It stops on the Newton decrement, since the gradient has a rounding floor.
     Counts at 0 or n are clamped slightly into the interior, where the
-    supremum is attained. The covariance comes from the knockout batch whose
-    Cholesky factor gave the final decrement.
+    supremum is attained. The covariance comes from the _tilted_moments call
+    whose Cholesky factor gave the final decrement.
     """
     counts = np.asarray(counts, dtype=np.float64)
     eps = 1e-6 * n
@@ -237,10 +316,10 @@ def legendre_transform(model: ModelSpec, counts, n: int):
             return max(value, 0.0), theta, cov
         for _ in range(60):
             cand = theta + step
-            # one knockout batch gives M(cand) and, if cand is accepted, the
-            # next step's moments; a candidate far out may overflow M or
-            # underflow it to 0, and its NaN log M is no ascent
-            with np.errstate(over="ignore", invalid="ignore"):
+            # one call gives log M(cand) and, if cand is accepted, the next
+            # step's moments; a candidate far out may underflow M' to 0, and
+            # its NaN log M is no ascent
+            with np.errstate(divide="ignore", invalid="ignore"):
                 moments = _tilted_moments(arrays, cand)
             if float(cand @ counts) - n * moments[0] > value:
                 break

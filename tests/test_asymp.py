@@ -441,7 +441,7 @@ class TestGeneralTables:
 
     def test_omega_matches_joint_distribution(self):
         # each subset of the epoch sets the k-sums expand, as ints at k = 1..7
-        # and as arrays over k = 3..7, against the Moebius-inverted joint MGF
+        # and as arrays over k = 3..7, against joint_distribution
         def sets(k):
             return [(1, 2, k, k + 1), (1, k, k + 1), (1, 2, k)]
 

@@ -597,6 +597,33 @@ class TestSampling:
             assert blocks > 10 and searched == []
             assert len(slack_ndims) == 2 * blocks and set(slack_ndims) == {0}
 
+    def test_blocks_with_draws_below_one_are_certified(self, monkeypatch):
+        # Weibull(1, 0.5) puts a draw or so per 100 x 163 block within the
+        # slack of x = 0, where the bracket edge is exact: the certificate's
+        # retry without that bound passes every block, which then equals the
+        # search on every draw
+        law = Weibull(1.0, 0.5)
+        rng = np.random.default_rng(5)
+        blocks = [1.0 - rng.random((100, 163)) for _ in range(20)]
+        assert sum(np.any(law._quantile(u) < law._slack(law._quantile(u).max()))
+                   for u in blocks) > 10
+        slack_ndims = []
+
+        def recording(self, x, slack=Weibull._slack):
+            slack_ndims.append(np.ndim(x))
+            return slack(self, x)
+
+        def no_search(survival, u, start):
+            raise AssertionError(f"{u.size} draws searched")
+
+        monkeypatch.setattr(Weibull, "_slack", recording)
+        monkeypatch.setattr(laws, "_bracket", no_search)
+        drawn = [law.sample(u) for u in blocks]
+        monkeypatch.undo()
+        assert slack_ndims == [0] * len(blocks)
+        for u, got in zip(blocks, drawn):
+            assert np.array_equal(got, loop_sample(law, u))
+
     def test_input_shapes_and_values(self):
         # u is read, never written; 0-d gives an int, empty keeps its shape
         # (the residual laws' samplers keep the same contract)

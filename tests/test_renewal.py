@@ -101,6 +101,72 @@ def loop_joint_mgf(model, theta):
     return model.rho * m_plus + (1.0 - model.rho) * m_minus
 
 
+def knockout_arrays(model, K):
+    """The pmfs and survivals of both laws and of their residual laws, and rho, at horizon K."""
+    f, surv_f = _law_arrays(model.on_law, K)
+    g, surv_g = _law_arrays(model.off_law, K)
+    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
+    gbar, res_surv_g = _residual_arrays(surv_g, model.off_law.mean())
+    return f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, model.rho
+
+
+def knockout_mgf(arrays, theta):
+    """joint_mgf of a (B, K) batch of tilts by backward recursion over start epochs: the oracle.
+
+    v[:, k], w[:, k] are the tilted expectations over epochs k..K given that
+    an on- (off-) period starts at k, with the batch as an array axis; M is
+    formed in linear scale, so it overflows where exp(theta) does.
+    """
+    f, surv_f, g, surv_g, fbar, res_surv_f, gbar, res_surv_g, rho = arrays
+    e = np.exp(theta)
+    B, K = e.shape
+    v = np.zeros((B, K + 1))
+    w = np.zeros((B, K + 1))
+    for k in range(K, 0, -1):
+        d = K - k
+        run = np.cumprod(e[:, k - 1:], axis=1)  # run[:, l-1]: product over epochs k..k+l-1
+        v[:, k] = (run[:, :d] * w[:, k + 1:]) @ f[:d] + surv_f[d] * run[:, d]
+        w[:, k] = v[:, k + 1:] @ g[:d] + surv_g[d]
+    m_plus = (run[:, :K - 1] * w[:, 2:]) @ fbar[:K - 1] + res_surv_f[K - 1] * run[:, K - 1]
+    m_minus = v[:, 2:] @ gbar[:K - 1] + res_surv_g[K - 1]
+    return rho * m_plus + (1.0 - rho) * m_minus
+
+
+def knockout_moments(model, theta):
+    """M(theta), the tilted on-probabilities and covariance from one knockout batch: the oracle.
+
+    theta_k = -inf keeps exactly the paths off at k, so P_theta(off at i and
+    j) = M_ij / M, with M_ij the MGF with epochs i and j knocked out.
+    """
+    K = len(theta)
+    i, j = np.triu_indices(K)
+    batch = np.tile(theta, (len(i) + 1, 1))  # row 0 is theta; row r knocks out i[r-1], j[r-1]
+    rows = np.arange(1, len(i) + 1)
+    batch[rows, i] = batch[rows, j] = -np.inf
+    mgf = knockout_mgf(knockout_arrays(model, K), batch)
+    off = np.empty((K, K))
+    off[i, j] = off[j, i] = mgf[1:] / mgf[0]
+    p_off = np.diag(off).copy()
+    return mgf[0], 1.0 - p_off, off - np.outer(p_off, p_off)
+
+
+def knockout_joint(model, epochs):
+    """The joint on-pattern law by Moebius inversion of {0, -inf} mask MGFs: the oracle.
+
+    Q[t] = P(off at every epoch outside t) is the MGF with -inf at the epochs
+    whose bit is clear in t; differencing along every axis of its (2,)*m
+    reshape (axis j is bit m-1-j) inverts the subset sums.
+    """
+    m = len(epochs)
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    theta = np.zeros((1 << m, epochs[-1]))
+    theta[:, np.array(epochs) - 1] = np.where(bits, 0.0, -np.inf)
+    q = knockout_mgf(knockout_arrays(model, epochs[-1]), theta).reshape((2,) * m)
+    for axis in range(m):
+        q = np.diff(q, axis=axis, prepend=0.0)
+    return q.ravel()
+
+
 def loop_legendre(model, counts, n):
     """The Legendre transform's (value, theta) and the saddlepoint: the oracle.
 
@@ -235,6 +301,45 @@ class TestJointMgf:
                 t2 = rng.normal(scale=0.5, size=4)
                 mid = joint_mgf(model, 0.5 * (t1 + t2))
                 assert mid**2 <= joint_mgf(model, t1) * joint_mgf(model, t2) * (1 + 1e-12)
+
+
+class TestChainMatchesKnockout:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=["gg", "pp", "wg", "pg"])
+    def test_matches_knockout(self, model):
+        # the chain against the knockout recursion at every horizon K = 1..40:
+        # M of tilts with about 20% knocked out, the tilted moments, and the
+        # joint law of up to five epochs
+        rng = np.random.default_rng(21)
+        for K in range(1, 41):
+            theta = 0.7 * rng.standard_normal((10, K))
+            theta[rng.random((10, K)) < 0.2] = -np.inf
+            expect = knockout_mgf(knockout_arrays(model, K), theta)
+            assert np.allclose(joint_mgf(model, theta), expect, rtol=1e-13, atol=0.0)
+            tilt = 0.7 * rng.standard_normal(K)
+            log_m, p_on, cov = _tilted_moments(_mgf_arrays(model, K), tilt)
+            mgf, want_p_on, want_cov = knockout_moments(model, tilt)
+            assert abs(math.expm1(log_m - math.log(mgf))) <= 1e-13
+            assert np.max(np.abs(p_on - want_p_on)) <= 1e-13
+            assert np.max(np.abs(cov - want_cov)) <= 1e-13
+            epochs = sorted(rng.choice(np.arange(1, K + 1), min(K, 5), replace=False).tolist())
+            joint = joint_distribution(model, epochs)
+            assert np.max(np.abs(joint - knockout_joint(model, epochs))) <= 1e-13
+
+    def test_log_mgf_past_overflow(self):
+        # M = exp(8000) rho 0.7^9 leaves float range, its log does not (the
+        # knockout recursion, in linear scale, gives inf and a NaN log M)
+        log_m = _tilted_moments(_mgf_arrays(GG, 10), np.full(10, 800.0))[0]
+        assert log_m == pytest.approx(8000.0 + math.log(GG.rho * 0.7**9), rel=1e-12)
+
+    def test_moments_cost_at_long_horizon(self):
+        # O(K^3): a few ms at K = 160, where the O(K^4) knockout batch took
+        # about 1.3 s
+        theta = 0.3 * np.random.default_rng(160).standard_normal(160)
+        arrays = _mgf_arrays(PP, 160)
+        start = time.perf_counter()
+        log_m, p_on, cov = _tilted_moments(arrays, theta)
+        assert time.perf_counter() - start < 0.4
+        assert math.isfinite(log_m) and np.all(np.isfinite(cov))
 
 
 class TestJointDistribution:
@@ -399,8 +504,9 @@ class TestLegendre:
     @pytest.mark.parametrize("K", [1, 3, 10])
     @pytest.mark.parametrize("model", [GG, PP, PG, WG], ids=["gg", "pp", "pg", "wg"])
     def test_matches_loop(self, model, K):
-        # the law arrays built once and each candidate tried by its knockout
-        # batch leave every value and tilt bit-identical to the loop
+        # the law arrays built once and each candidate tried by one
+        # _tilted_moments call leave every value and tilt bit-identical to
+        # the loop
         n = model.n
         rng = np.random.default_rng(K)
         cases = [(model, rng.integers(1, n, K)), (model, np.resize([0, n, 1], K))]
@@ -415,8 +521,8 @@ class TestLegendre:
 
     def test_law_arrays_built_once(self, monkeypatch):
         # two _law_arrays calls (on and off) per transform and per saddle, whose
-        # log-determinant reads the transform's covariance with no knockout
-        # batch of its own, and no single-tilt joint_mgf in a K=10 saddle,
+        # log-determinant reads the transform's covariance with no
+        # _tilted_moments call of its own, and no joint_mgf in a K=10 saddle,
         # whose Newton steps are all accepted
         calls = {"_law_arrays": 0, "joint_mgf": 0, "_tilted_moments": 0}
 
@@ -475,8 +581,22 @@ class TestSaddlepoint:
             approx = saddlepoint_logprob(GG, counts, GG.n)
             assert abs(approx - gg_count_chain_logprob(GG, counts)) <= 0.1
 
+    @pytest.mark.parametrize("K", [5, 10, 20, 40])
+    def test_error_does_not_grow_with_n(self, K):
+        # the mean |error| over 10 count-chain draws against the exact law, at
+        # n = 20, 50 and 100; it falls about as 1/n (0.035 -> 0.017 at K = 5
+        # and 0.28 -> 0.14 at K = 40 from n = 50 to 100)
+        errors = []
+        for n in [20, 50, 100]:
+            model = ModelSpec(on_law=GG.on_law, off_law=GG.off_law, n=n)
+            rng = np.random.default_rng([K, n])
+            draws = [gg_count_chain(model, K, rng) for _ in range(10)]
+            errors.append(np.mean([abs(saddlepoint_logprob(model, c, n)
+                                       - gg_count_chain_logprob(model, c)) for c in draws]))
+        assert errors[0] >= errors[1] >= errors[2]
+
     def test_hessian_is_tilted_variance(self):
-        # the knockout moments are those of the tilted law p(x) exp(theta . x) / M
+        # the chain's moments are those of the tilted law p(x) exp(theta . x) / M
         theta = np.array([0.4, -1.2, 0.7])
         x = np.array([[(s >> j) & 1 for j in range(3)] for s in range(8)], dtype=np.float64)
         for model in ALL_MODELS:
