@@ -8,8 +8,10 @@ tilted moments run on one Markov chain for the edge, whose state at an
 epoch is the phase and the epoch at which the current period ends; periods
 that outlast the horizon K are lumped into the end K, which is exact since
 nothing after K is observed. A tilt enters as per-epoch factors in [0, 1],
-so log M = sum_k max(theta_k, 0) + log M' stays finite (scaled recursions as
-in Rabiner 1989; forward-backward on semi-Markov chains as in Yu 2010).
+so no mass overflows and M = M' exp(sum_k max(theta_k, 0)); the forward
+pass scales its mass by powers of two, so M' does not underflow either
+(scaled recursions as in Rabiner 1989; forward-backward on semi-Markov
+chains as in Yu 2010).
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .errors import ConvergenceError, DegenerateSaddleError
 from .simulate import ModelSpec
 
 _JOINT_EPOCH_CAP = 12
+# exp overflows past this argument
+_EXP_MAX = math.log(np.finfo(np.float64).max)
+# _tilted_moments rescales a tilt whose M' is below this: above it, every path
+# that carries more than 2^-122 of M' keeps its factors and products normal
+_RESCALE_BELOW = 2.0 ** -900
 
 
 def _law_arrays(law, kmax):
@@ -54,13 +61,15 @@ def _mgf_arrays(model, K):
     once.
     """
     table = np.zeros((2, 3 * K + 1))
+    means = [model.on_law.mean(), model.off_law.mean()]
     for row, law in enumerate((model.on_law, model.off_law)):
         table[row, :K], surv = _law_arrays(law, K)
         table[row, K:2 * K] = surv[:K]
-        fbar, res_surv = _residual_arrays(surv, law.mean())
+        fbar, res_surv = _residual_arrays(surv, means[row])
         table[row, 2 * K:3 * K - 1] = fbar[:-1]
         table[row, 3 * K - 1] = res_surv[K - 1]
-    return table, np.array([model.rho, 1.0 - model.rho])
+    rho = means[0] / (means[0] + means[1])  # model.rho, from the means above
+    return table, np.array([rho, 1.0 - rho])
 
 
 def _multipliers(theta):
@@ -74,21 +83,32 @@ def _multipliers(theta):
 
 
 def _forward(arrays, mult=None, split=()):
-    """The chain's mass at the last epoch, one entry per tilt in mult (one untilted if None).
+    """The chain's mass at the last epoch and its scale exponents, one row per tilt in mult.
 
     alive[p, b, e] is the mass in phase p (0 on, 1 off) at the current epoch
     whose period ends at epoch e. Each step is shift-free: the mass ending at
     k - 1 starts the other phase at k, one rank-one update per phase on the
     ends k..K-1 in place, and the tilt then multiplies the live ends. The end
     tables are pmf with tail[L - 1] written over its entry L - 1 as L falls,
-    one entry per step. At each epoch in split the batch doubles: entries
-    [0, B) keep the paths off there and [B, 2B) the paths on.
+    one entry per step. A tilted pass scales the live mass back into
+    [1/2, 1) after each epoch's factors (Rabiner's scaling, by a power of two
+    so that it is exact), so no path's mass underflows: M' = mass 2^E, E the
+    sum over k of exps[b, k], the exponent taken out at epoch k. Each epoch
+    keeps at least its smaller factor exp(-|theta_k|) of the mass, so the
+    pass scales only from the first epoch where the product of those falls
+    below 2^-500. An untilted pass (mult None, one row) keeps its mass and
+    its exps stay 0. At each epoch in split the batch doubles: rows [0, B)
+    keep the paths off there and [B, 2B) the paths on.
     """
     table, weight = arrays
     K = table.shape[1] // 3
     tail, res = table[:, K:2 * K], table[:, 2 * K:3 * K]
     tab = table[:, None, :K].copy()
     alive = np.repeat((weight[:, None] * res)[:, None, :], 1 if mult is None else mult.shape[1], 1)
+    exps = np.zeros((alive.shape[1], K), dtype=np.int64)
+    scaled = np.zeros(K, dtype=bool)
+    if mult is not None:
+        scaled = np.cumprod(mult.min(axis=0), axis=1).min(axis=0) < 2.0 ** -500
     for k in range(K):
         if k:
             L = K - k
@@ -96,12 +116,16 @@ def _forward(arrays, mult=None, split=()):
             alive[:, :, k:] += alive[::-1, :, k - 1, None] * tab[:, :, :L]
         if mult is not None:
             alive[:, :, k:] *= mult[:, :, k, None]
+        if scaled[k]:
+            exps[:, k] = np.frexp(alive[:, :, k:].sum(axis=(0, 2)))[1]  # 0 for a mass of 0
+            alive[:, :, k:] = np.ldexp(alive[:, :, k:], -exps[:, k, None])
         if k in split:
             alive = np.concatenate([alive, alive], axis=1)
+            exps = np.concatenate([exps, exps])
             half = alive.shape[1] // 2
             alive[0, :half, k:] = 0.0
             alive[1, half:, k:] = 0.0
-    return alive[:, :, K - 1].sum(axis=0)
+    return alive[:, :, K - 1].sum(axis=0), exps
 
 
 def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
@@ -110,16 +134,23 @@ def joint_mgf(model: ModelSpec, theta) -> float | np.ndarray:
     theta is one tilt of length K (the result is a float) or a (B, K) batch
     of tilts (the result is a length-B array). Entries are finite or -inf;
     -inf forces the edge off at that epoch, as an exact zero factor. One
-    forward pass of the chain with the batch as an array axis gives the
-    scaled M', and M = M' exp(sum_k max(theta_k, 0)), which is inf where it
-    leaves float range.
+    scaled forward pass of the chain with the batch as an array axis gives
+    M' = mass 2^E, and M = M' exp(shift), shift = sum_k max(theta_k, 0),
+    which is inf only where M passes the float range. Past shift = 709, where
+    exp(shift) alone overflows, M = exp(shift + E log 2 + log mass).
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim not in (1, 2) or theta.shape[-1] < 1 or not np.all(theta < np.inf):
         raise ValueError("theta must be a tilt vector or a batch of them, of length >= 1, "
                          "with entries finite or -inf")
     mult, shift = _multipliers(np.atleast_2d(theta))
-    mgf = _forward(_mgf_arrays(model, theta.shape[-1]), mult) * np.exp(shift)
+    mass, exps = _forward(_mgf_arrays(model, theta.shape[-1]), mult)
+    exps = exps.sum(axis=1)
+    big = shift > _EXP_MAX
+    mgf = np.ldexp(mass * np.exp(np.where(big, 0.0, shift)), exps)
+    if big.any():
+        with np.errstate(divide="ignore"):  # a mass of 0 is M = 0
+            mgf[big] = np.exp(shift[big] + exps[big] * math.log(2.0) + np.log(mass[big]))
     return float(mgf[0]) if theta.ndim == 1 else mgf
 
 
@@ -138,7 +169,7 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
         raise ValueError(f"need 1..{_JOINT_EPOCH_CAP} epochs, got {m}")
     if sorted(set(epochs)) != epochs or min(epochs) < 1:
         raise ValueError("epochs must be sorted, distinct, positive integers")
-    return _forward(_mgf_arrays(model, epochs[-1]), split={e - 1 for e in epochs})
+    return _forward(_mgf_arrays(model, epochs[-1]), split={e - 1 for e in epochs})[0]
 
 
 # Products of series up to this length are direct (np.convolve), so the short
@@ -194,8 +225,9 @@ def autocovariance(model: ModelSpec, k_max: int) -> np.ndarray:
         raise ValueError("k_max must be >= 1")
     f, surv_f = _law_arrays(model.on_law, k_max)
     g, surv_g = _law_arrays(model.off_law, k_max)
-    fbar, res_surv_f = _residual_arrays(surv_f, model.on_law.mean())
-    rho = model.rho
+    ex, ey = model.on_law.mean(), model.off_law.mean()
+    fbar, res_surv_f = _residual_arrays(surv_f, ex)
+    rho = ex / (ex + ey)
     b = _reciprocal(surv_f[:k_max] + _shift(_mul(f, surv_g, k_max)), k_max)
     kernel = _shift(_mul(fbar, _shift(_mul(g, surv_f, k_max)), k_max))
     p_on = np.cumsum(_mul(b, kernel, k_max)) + res_surv_f[:k_max]
@@ -227,33 +259,30 @@ def _kernel_index(K):
     return index, upper, after
 
 
-def _tilted_moments(arrays, theta):
-    """log M(theta), the tilted on-probabilities and their covariance, all exact.
+def _off_pairs(arrays, mult):
+    """M' and M' P(off at i and j) of the tilt whose factors are mult, rows (on, off).
 
-    arrays are the _mgf_arrays of horizon K = len(theta); epochs are 0-based.
-    The chain's kernels on[s, c] and off[s, c] are the probability that a
-    period of that phase starting at s is followed by one starting at c (c =
-    K: it reaches the horizon; row 0, the residual period of the stationary
-    start), times the factors of epochs s..c-1. H = on off takes on-starts to
-    on-starts; it is strictly upper triangular, so green = (I - H)^-1 = I + H
-    + H^2 + ... adds only nonnegative terms. Forward, the start masses are
-    x_on = (rho e_0 + (1 - rho) off[0]) green and x_off = x_on on + (1 - rho)
-    e_0. Backward, cont[c] is what follows an on-start at c (cont[K] = 1), so
-    M' = rho cont[0] + (1 - rho) off[0] cont. The sweep's row i, rows[i, c] =
-    sum_(s <= i) x_off[s] off[s, c] for c > i, is the forward mass off at i
-    whose period is followed at c, and M' P(off at i and j) = rows[i] @
-    follow[:, j] for i <= j: follow[c, j] is cont[c] when that off period
-    covers j (c > j), and otherwise the mass from an on-start at c that is
-    off at j, reach = green on times cover, where cover[s, j] is an off
-    period from s that covers j and what follows it. grad log M = 1 - P(off)
-    and Hess log M, the tilted covariance of the indicators, is P(off at i
-    and j) - P(off at i) P(off at j). log M is NaN when M' underflows to 0.
+    arrays are the _mgf_arrays of horizon K; epochs are 0-based. The chain's
+    kernels on[s, c] and off[s, c] are the probability that a period of that
+    phase starting at s is followed by one starting at c (c = K: it reaches
+    the horizon; row 0, the residual period of the stationary start), times
+    the factors of epochs s..c-1. H = on off takes on-starts to on-starts; it
+    is strictly upper triangular, so green = (I - H)^-1 = I + H + H^2 + ...
+    adds only nonnegative terms. Forward, the start masses are x_on = (rho e_0
+    + (1 - rho) off[0]) green and x_off = x_on on + (1 - rho) e_0. Backward,
+    cont[c] is what follows an on-start at c (cont[K] = 1), so M' = rho
+    cont[0] + (1 - rho) off[0] cont. The sweep's row i, rows[i, c] = sum_(s <=
+    i) x_off[s] off[s, c] for c > i, is the forward mass off at i whose period
+    is followed at c, and M' P(off at i and j) = rows[i] @ follow[:, j] for i
+    <= j: follow[c, j] is cont[c] when that off period covers j (c > j), and
+    otherwise the mass from an on-start at c that is off at j, reach = green
+    on times cover, where cover[s, j] is an off period from s that covers j
+    and what follows it.
     """
     table, weight = arrays
-    K = len(theta)
+    K = mult.shape[1]
     index, upper, after = _kernel_index(K)
     kern = table[:, index]
-    mult, shift = _multipliers(theta)
     kern[:, :, 1:] *= np.cumprod(np.where(upper, mult[:, None, :], 1.0), axis=2)
     on, off = kern[0], kern[1]
     green = np.eye(K)
@@ -277,8 +306,30 @@ def _tilted_moments(arrays, theta):
     rows = np.cumsum(x_off[:, None] * off, axis=0)
     rows *= after
     pair = rows @ follow
+    return mprime, np.where(upper, pair, pair.T)
+
+
+def _tilted_moments(arrays, theta):
+    """log M(theta), the tilted on-probabilities and their covariance, all exact.
+
+    arrays are the _mgf_arrays of horizon K = len(theta). _off_pairs gives M'
+    and P(off at i and j) from the scaled factors, all at most 1. Where M' is
+    near underflow, each epoch's factors are divided by the power of two that
+    the forward pass takes out of the mass there, which keeps the chain's
+    masses near 1 and leaves the probabilities as they are; log M then adds
+    the log of those scales. grad log M = 1 - P(off) and Hess log M, the
+    tilted covariance of the indicators, is P(off at i and j) - P(off at i)
+    P(off at j). log M is NaN only when even the rescaled M' is 0 or not
+    finite.
+    """
+    mult, shift = _multipliers(theta)
+    mprime, pair = _off_pairs(arrays, mult)
+    if not mprime >= _RESCALE_BELOW:
+        exps = _forward(arrays, mult[:, None, :])[1][0]
+        with np.errstate(over="ignore"):  # a factor past float range makes M' inf or NaN
+            mprime, pair = _off_pairs(arrays, np.ldexp(mult, -exps))
+        shift += math.log(2.0) * exps.sum()
     pair /= mprime
-    pair = np.where(upper, pair, pair.T)
     p_off = pair.diagonal()
     log_mgf = shift + math.log(mprime) if 0.0 < mprime < math.inf else math.nan
     return log_mgf, 1.0 - p_off, pair - p_off[:, None] * p_off

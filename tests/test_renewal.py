@@ -331,6 +331,28 @@ class TestChainMatchesKnockout:
         log_m = _tilted_moments(_mgf_arrays(GG, 10), np.full(10, 800.0))[0]
         assert log_m == pytest.approx(8000.0 + math.log(GG.rho * 0.7**9), rel=1e-12)
 
+    @pytest.mark.parametrize("K", [1500, 2000])
+    def test_mgf_of_alternating_tilts(self, K):
+        # theta_k = +1, -1 in turn: exp(sum max(theta_k, 0)) = e^(K/2) leaves
+        # float range, M' = M e^(-K/2) is about e^-576 at K = 1500 and
+        # underflows at 2000, and M, about e^(0.1166 K), stays finite
+        theta = (-1.0) ** np.arange(K)
+        expect = knockout_mgf(knockout_arrays(GG, K), theta[None])[0]
+        assert joint_mgf(GG, theta) == pytest.approx(expect, rel=1e-13)
+
+    def test_moments_past_underflow(self):
+        # +30, -30 in turn on a model that switches with probability 1e-6:
+        # M' = e^-811 underflows, and the moments are taken again under the
+        # forward pass's scales; log M = 900 - 811 carries about 1e-16 (900 +
+        # 811) of rounding
+        slow = ModelSpec(on_law=Geometric(1e-6), off_law=Geometric(1e-6), n=10)
+        theta = 30.0 * (-1.0) ** np.arange(60)
+        log_m, p_on, cov = _tilted_moments(_mgf_arrays(slow, 60), theta)
+        mgf, want_p_on, want_cov = knockout_moments(slow, theta)
+        assert log_m == pytest.approx(math.log(mgf), abs=1e-12)
+        assert np.max(np.abs(p_on - want_p_on)) <= 1e-13
+        assert np.max(np.abs(cov - want_cov)) <= 1e-13
+
     def test_moments_cost_at_long_horizon(self):
         # O(K^3): a few ms at K = 160, where the O(K^4) knockout batch took
         # about 1.3 s
