@@ -11,6 +11,7 @@ from .asymp import (
     DivergenceWarning,
     MomentCov,
     ParamCov,
+    closed_form_cov,
     delta_method_cov,
     finiteness_check,
     general_moment_cov,
@@ -48,10 +49,7 @@ from .moments import (
     MomentSet,
     empirical_moments,
     estimate_from_subgraph,
-    estimate_gg,
     estimate_pareto_geo,
-    estimate_parpar,
-    estimate_weibull_geo,
     fit,
     theoretical_moment_set,
     theoretical_moments,

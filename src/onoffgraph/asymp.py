@@ -6,7 +6,8 @@ theorem over one on/off cycle of an edge, and the cross-edge part of v1 as
 one series of squared autocovariances. ``geometric_moment_cov`` takes the
 same renewal-reward limits and sums that series in closed form, as the
 autocovariance of a geometric pair decays geometrically.
-``delta_method_cov`` propagates either result to the (p, q) estimators.
+``delta_method_cov`` propagates either result to the (p, q) estimators;
+``closed_form_cov`` decides from the law types where that applies.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class ParamCov:
     sigma2: float
     tau2: float
     rho_cov: float
-    gamma: tuple[float, float] = (0.0, 0.0)
 
     def sd(self, K: int) -> tuple[float, float]:
         """Predicted standard deviations of (p_hat, q_hat) at trace length K."""
@@ -87,16 +87,38 @@ def geometric_moment_cov(n: int, p: float, q: float) -> MomentCov:
 
 
 def delta_method_cov(n: int, p: float, q: float, mc: MomentCov) -> ParamCov:
-    """Propagate the moment covariance to the (p_hat, q_hat) estimators."""
+    """Propagate the moment covariance to p_hat = D / mu_hat(0), q_hat = D / (n - mu_hat(0)).
+
+    (g0, g1) and (h0, h1) are their Jacobian rows in (mu_hat(0), mu_hat(1)) at
+    the exact moments s0, s1, where D = mu_hat(0) - mu_hat(1) + (1 - 1/n) mu_hat(0)^2
+    takes the value p s0, so that dD/dmu_hat(0) = g0 s0 + p and D / (n - s0) = q.
+    """
     rho = q / (p + q)
     s0 = n * rho
     s1 = n * rho * (1 - p) + (n * n - n) * rho * rho
     g0 = s1 / s0**2 + 1.0 - 1.0 / n
     g1 = -1.0 / s0
-    sigma2 = g0 * g0 * mc.v0 + 2 * g0 * g1 * mc.c01 + g1 * g1 * mc.v1
-    tau2 = sigma2 * (q / p) ** 2
-    rho_cov = sigma2 * (q / p)
-    return ParamCov(sigma2=sigma2, tau2=tau2, rho_cov=rho_cov, gamma=(g0, g1))
+    h0 = (g0 * s0 + p + q) / (n - s0)
+    h1 = -1.0 / (n - s0)
+
+    def cross(a0, a1, b0, b1):
+        return a0 * b0 * mc.v0 + (a0 * b1 + a1 * b0) * mc.c01 + a1 * b1 * mc.v1
+
+    return ParamCov(sigma2=cross(g0, g1, g0, g1), tau2=cross(h0, h1, h0, h1),
+                    rho_cov=cross(g0, g1, h0, h1))
+
+
+def closed_form_cov(model: ModelSpec, mc: MomentCov | None = None):
+    """(geometric_moment_cov or the given mc, its delta_method_cov) for geometric laws.
+
+    Only geometric on- and off-times have this closed form; other laws give None.
+    """
+    on, off = model.on_law, model.off_law
+    if not (isinstance(on, Geometric) and isinstance(off, Geometric)):
+        return None
+    if mc is None:
+        mc = geometric_moment_cov(model.n, on.p, off.p)
+    return mc, delta_method_cov(model.n, on.p, off.p, mc)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymp import finiteness_check, general_moment_cov
+from .asymp import closed_form_cov, finiteness_check, general_moment_cov
 from .errors import COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError
 from .harness import ExperimentConfig, emit_outputs, run_campaign
-from .moments import family_entry, fit, infer_family
+from .moments import fit, infer_family
 from .renewal import joint_distribution, joint_mgf
 from .simulate import ModelSpec, load_trace, save_trace, simulate_trace, whole_number
 
@@ -145,23 +145,17 @@ def _dispatch(args, cfg, model) -> int:
         ok, why = finiteness_check(model)
         if not ok:
             raise InfiniteMeanError(f"limiting covariances are infinite: {why}")
-        try:
-            entry = family_entry(infer_family(model))
-        except ValueError:  # no estimator family for these laws
-            entry = None
-        closed = entry is not None and entry.moment_cov is not None
-        params = entry.params_of(model) if closed else ()
-        if closed and not args.general:
-            mc = entry.moment_cov(model.n, *params)
-        else:
+        closed = closed_form_cov(model)  # None unless the laws have closed forms
+        if closed is None or args.general:
             mc = general_moment_cov(model, model.n)
             if not mc.converged:
                 raise ConvergenceError(
                     f"covariance series did not converge: tail_error={mc.tail_error:.3g}"
                     f" at k={mc.k_used}")
-        out = {"moment_cov": mc.to_json()}
+            closed = closed and closed_form_cov(model, mc)
+        out = {"moment_cov": (closed[0] if closed else mc).to_json()}
         if closed:
-            out["param_cov"] = entry.param_cov(model.n, *params, mc).to_json()
+            out["param_cov"] = closed[1].to_json()
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from .asymp import closed_form_cov
 from .errors import COMPUTE_ERRORS, ParameterError
 from .moments import family_entry, fit, infer_family
 from .simulate import ModelSpec, simulate_trace, whole_number
@@ -181,18 +182,18 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
 
 
 def _predicted_sds(cfg, means):
-    """Delta-method sd prediction, for edge campaigns of a family with a closed form."""
+    """Delta-method sds at the mean estimates, for edge campaigns of laws with a closed form."""
     entry = family_entry(cfg.family)
     vals = [means.get(name) for name in entry.params]
-    if cfg.kind != "edges" or entry.moment_cov is None or None in vals:
+    if cfg.kind != "edges" or None in vals:
         return {}
-    n = cfg.model.n
     try:
-        mc = entry.moment_cov(n, *vals)
+        closed = closed_form_cov(entry.model_of(vals, cfg.model.n))
     except ParameterError:  # the mean estimates lie outside the family's domain
         return {}
-    sds = entry.param_cov(n, *vals, mc).sd(cfg.K)
-    return {name: float(sd) for name, sd in zip(entry.params, sds)}
+    if closed is None:
+        return {}
+    return {name: float(sd) for name, sd in zip(entry.params, closed[1].sd(cfg.K))}
 
 
 def _histogram(vals):

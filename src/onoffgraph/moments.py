@@ -5,20 +5,20 @@ mu_hat(l) = (1/(K-l)) sum_k A(k) A(k+l). For every family the combination
 
     D = mu_hat(0) - mu_hat(1) + (1 - 1/n) mu_hat(0)^2
 
-estimates n rho fbar_1, so fbar_1 = D / mu_hat(0) and gbar_1 = D / (n - mu_hat(0));
-the family-specific parameters come from inverting the matching series sums.
+estimates n rho fbar_1, so the rate targets are fbar_1 = 1/E[X] = D / mu_hat(0)
+and gbar_1 = 1/E[Y] = D / (n - mu_hat(0)). A two-lag family sends them through
+each law kind's rate map; pareto_geometric also reads mu_hat(2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
-from .asymp import delta_method_cov, geometric_moment_cov
 from .errors import IncompatibleMomentsError, ParameterError
 from .laws import (
     DEFAULT_INVERT_TOL,
@@ -57,7 +57,6 @@ class EstimateReport:
     family: str
     params: dict
     residuals: dict = field(default_factory=dict)
-    covariance: dict | None = None
     flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -70,7 +69,6 @@ class EstimateReport:
             "family": self.family,
             "params": {k: float(v) for k, v in self.params.items()},
             "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "covariance": self.covariance,
             "flags": list(self.flags),
             "diagnostics": self.diagnostics,
         }
@@ -112,7 +110,7 @@ def theoretical_moment_set(model: ModelSpec, L: int = 2, K: int = 0) -> MomentSe
 
 
 # ---------------------------------------------------------------------------
-# Edge-count estimators
+# Edge-count rate targets and the three-lag estimator
 # ---------------------------------------------------------------------------
 
 
@@ -124,58 +122,6 @@ def _first_lag_targets(m: MomentSet):
         raise IncompatibleMomentsError(f"need mu_hat(0) in (0, n), got {mu0} with n={n}")
     D = mu0 - mu1 + (1.0 - 1.0 / n) * mu0 * mu0
     return D / mu0, D / (n - mu0), D
-
-
-def estimate_gg(m: MomentSet) -> EstimateReport:
-    """Closed-form (p_hat, q_hat) for geometric on- and off-times."""
-    p_hat, q_hat, _ = _first_lag_targets(m)
-    flags = []
-    if not 0.0 < p_hat < 1.0:
-        flags.append("p_out_of_range")
-    if not 0.0 < q_hat < 1.0:
-        flags.append("q_out_of_range")
-    report = EstimateReport(family="geometric_geometric",
-                            params={"p": p_hat, "q": q_hat}, flags=flags)
-    if not flags:
-        _attach_residuals(report, ModelSpec(
-            on_law=Geometric(p_hat), off_law=Geometric(q_hat), n=m.n), m)
-    return report
-
-
-def estimate_parpar(m: MomentSet) -> EstimateReport:
-    """(alpha_hat, beta_hat) for Pareto(1, alpha) on- and Pareto(1, beta) off-times.
-
-    fbar_1 = 1/E[X] and gbar_1 = 1/E[Y], so the mean sums zeta(alpha), zeta(beta)
-    are read off the first-lag targets and inverted.
-    """
-    fbar1, gbar1, _ = _first_lag_targets(m)
-    if fbar1 <= 0 or gbar1 <= 0 or 1.0 / fbar1 <= 1.0 or 1.0 / gbar1 <= 1.0:
-        raise IncompatibleMomentsError(
-            f"zeta-sum targets must exceed 1, got {1.0 / fbar1 if fbar1 > 0 else fbar1}"
-            f" and {1.0 / gbar1 if gbar1 > 0 else gbar1}")
-    alpha = invert_zeta_like(1.0 / fbar1)
-    beta = invert_zeta_like(1.0 / gbar1)
-    report = EstimateReport(family="pareto_pareto",
-                            params={"alpha": alpha, "beta": beta})
-    _attach_residuals(report, ModelSpec(
-        on_law=Pareto(1.0, alpha), off_law=Pareto(1.0, beta), n=m.n), m)
-    return report
-
-
-def estimate_weibull_geo(m: MomentSet) -> EstimateReport:
-    """(alpha_hat, q_hat) for Weibull(1, alpha) on-times and geometric off-times."""
-    fbar1, q_hat, _ = _first_lag_targets(m)
-    if fbar1 <= 0 or 1.0 / fbar1 <= 1.0:
-        raise IncompatibleMomentsError(
-            f"chi-sum target must exceed 1, got {1.0 / fbar1 if fbar1 > 0 else fbar1}")
-    alpha = invert_chi_like(1.0 / fbar1)
-    flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
-    report = EstimateReport(family="weibull_geometric",
-                            params={"alpha": alpha, "q": q_hat}, flags=flags)
-    if not flags:
-        _attach_residuals(report, ModelSpec(
-            on_law=Weibull(1.0, alpha), off_law=Geometric(q_hat), n=m.n), m)
-    return report
 
 
 def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
@@ -217,12 +163,13 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         diagnostics={"mean_sum_target": T1, "survival_ratio_target": T2},
     )
     if not flags:
-        _attach_residuals(report, ModelSpec(
-            on_law=Pareto(C, alpha), off_law=Geometric(q_hat), n=m.n), m, L=3)
+        _attach_residuals(report, m, L=3)
     return report
 
 
-def _attach_residuals(report, model, m, L=2):
+def _attach_residuals(report, m, L=2):
+    """mu_hat(l) - s_l at the fitted model for l < L; a fitted law outside its domain raises."""
+    model = FAMILIES[report.family].model_of(report.params.values(), m.n)
     try:
         mu = theoretical_moment_set(model, min(L, m.L)).mu
         for ell, value in enumerate(mu):
@@ -232,7 +179,7 @@ def _attach_residuals(report, model, m, L=2):
 
 
 # ---------------------------------------------------------------------------
-# Triangle / wedge moments and the subgraph estimator
+# Triangle / wedge moments and their rate targets
 # ---------------------------------------------------------------------------
 
 
@@ -263,81 +210,82 @@ def _persistence(model):
     return 1.0 - model.on_law.survival(1) / model.on_law.mean()
 
 
-def triangle_moments(model: ModelSpec, lag: int) -> float:
-    """E[T(k)] (lag 0) or E[T(k) T(k+1)] (lag 1) for the dynamic graph on N vertices."""
+# observable -> copies per vertex triple, edges per copy, rho from the mean
+# per copy (the inverse of rho^edges), and E[X(k) X(k+1)] from rho and u
+_SUBGRAPHS = {
+    "triangles": (1, 3, lambda mean: mean ** (1.0 / 3.0), _triangle_pair),
+    "wedges": (3, 2, math.sqrt, _wedge_pair),
+}
+
+
+def _subgraph_moment(model: ModelSpec, lag: int, kind: str) -> float:
     if model.N is None or model.N < 3:
-        raise ValueError("triangle moments need a vertex count N >= 3")
+        raise ValueError(f"{kind[:-1]} moments need a vertex count N >= 3")
+    copies, edges, _, pair = _SUBGRAPHS[kind]
     rho = model.rho
     if lag == 0:
-        return math.comb(model.N, 3) * rho**3
+        return copies * math.comb(model.N, 3) * rho**edges
     if lag == 1:
-        return _triangle_pair(model.N, rho, _persistence(model))
+        return pair(model.N, rho, _persistence(model))
     raise ValueError("lag must be 0 or 1")
+
+
+def triangle_moments(model: ModelSpec, lag: int) -> float:
+    """E[T(k)] (lag 0) or E[T(k) T(k+1)] (lag 1) for the dynamic graph on N vertices."""
+    return _subgraph_moment(model, lag, "triangles")
 
 
 def wedge_moments(model: ModelSpec, lag: int) -> float:
     """E[W(k)] (lag 0) or E[W(k) W(k+1)] (lag 1)."""
-    if model.N is None or model.N < 3:
-        raise ValueError("wedge moments need a vertex count N >= 3")
-    rho = model.rho
-    if lag == 0:
-        return 3 * math.comb(model.N, 3) * rho**2
-    if lag == 1:
-        return _wedge_pair(model.N, rho, _persistence(model))
-    raise ValueError("lag must be 0 or 1")
+    return _subgraph_moment(model, lag, "wedges")
 
 
-def estimate_from_subgraph(m: MomentSet) -> EstimateReport:
-    """(p_hat, q_hat) for geometric/geometric laws from triangle or wedge counts.
+def _subgraph_rate_targets(m: MomentSet):
+    """(1/E[X], 1/E[Y]) and the diagnostics from triangle or wedge moments.
 
     The mean equation pins rho; the lag-1 product equation is monotone in the
-    persistence u = 1 - fbar_1 on [0, 1] and is solved by bracketing. For
-    geometric on-times fbar_1 = p, and q = rho p / (1 - rho).
+    persistence u = 1 - 1/E[X] on [0, 1] and is solved by bracketing. As
+    rho = E[X] / (E[X] + E[Y]), 1/E[Y] = rho (1 - u) / (1 - rho).
     """
     if m.N is None:
         raise ValueError("subgraph estimation needs the vertex count N")
-    if m.kind not in ("triangles", "wedges"):
-        raise ValueError(f"unsupported observable {m.kind!r}")
-    N = m.N
-    c3 = math.comb(N, 3)
+    copies, _, root, pair = _SUBGRAPHS[m.kind]
+    count = copies * math.comb(m.N, 3)
     mu0, mu1 = m.mu[0], m.mu[1]
-    if m.kind == "triangles":
-        if not 0.0 < mu0 < c3:
-            raise IncompatibleMomentsError(f"mean {mu0} outside (0, {c3})")
-        rho = (mu0 / c3) ** (1.0 / 3.0)
-        pair = _triangle_pair
-    else:
-        if not 0.0 < mu0 < 3 * c3:
-            raise IncompatibleMomentsError(f"mean {mu0} outside (0, {3 * c3})")
-        rho = math.sqrt(mu0 / (3 * c3))
-        pair = _wedge_pair
+    if not 0.0 < mu0 < count:
+        raise IncompatibleMomentsError(f"mean {mu0} outside (0, {count})")
+    rho = root(mu0 / count)
 
     def resid(u):
-        return pair(N, rho, u) - mu1
+        return pair(m.N, rho, u) - mu1
 
-    r0, r1 = resid(0.0), resid(1.0)
-    if r0 > 0.0 or r1 < 0.0:
+    if resid(0.0) > 0.0 or resid(1.0) < 0.0:
         raise IncompatibleMomentsError(
             "lag-1 product moment incompatible with any persistence in [0, 1]")
     u = scipy.optimize.brentq(resid, 0.0, 1.0, xtol=DEFAULT_INVERT_TOL)
-    p_hat = 1.0 - u
-    q_hat = rho * p_hat / (1.0 - rho)
-    flags = []
-    if not 0.0 < p_hat < 1.0:
-        flags.append("p_out_of_range")
-    if not 0.0 < q_hat < 1.0:
-        flags.append("q_out_of_range")
-    return EstimateReport(
-        family="geometric_geometric",
-        params={"p": p_hat, "q": q_hat},
-        flags=flags,
-        diagnostics={"rho": rho, "observable": m.kind},
-    )
+    fbar1 = 1.0 - u
+    return (fbar1, rho * fbar1 / (1.0 - rho)), {"rho": rho, "observable": m.kind}
+
+
+def estimate_from_subgraph(m: MomentSet, family: str = "geometric_geometric") -> EstimateReport:
+    """fit(m, family) for triangle or wedge moments; edge moments are refused."""
+    if m.kind not in _SUBGRAPHS:
+        raise ValueError(f"unsupported observable {m.kind!r}")
+    return fit(m, family)
 
 
 # ---------------------------------------------------------------------------
 # The family registry and the one fit path
 # ---------------------------------------------------------------------------
+
+# law kind -> its class, the scale that a family fitting only the shape holds
+# at 1, and the rate map's inverse: the shape from a mean target 1/rate > 1
+# (None for the geometric law, whose parameter is the rate itself)
+_RATE_MAPS = {
+    "geometric": (Geometric, {}, None),
+    "pareto": (Pareto, {"C": 1.0}, invert_zeta_like),
+    "weibull": (Weibull, {"lam": 1.0}, invert_chi_like),
+}
 
 
 @dataclass(frozen=True)
@@ -346,33 +294,61 @@ class EstimatorFamily:
 
     params: tuple  # parameter names, in report and output order
     kinds: tuple  # (on, off) law kinds, as in law configs
-    lags: int  # the fit reads mu_hat(0), ..., mu_hat(lags - 1)
-    estimators: dict  # observable (edges, triangles, wedges) -> fit from its moments
+    lags: int  # reads mu_hat(0..lags-1): 2 for edges, triangles or wedges, 3 for edges only
     attrs: tuple  # (law, attribute) of a ModelSpec that holds each parameter
-    moment_cov: Callable | None = None  # closed-form MomentCov from (n, *params)
-    param_cov: Callable | None = None  # delta-method ParamCov from (n, *params, MomentCov)
 
     def params_of(self, model: ModelSpec) -> tuple:
         """The model's values of the family's parameters, in registry order."""
         return tuple(getattr(getattr(model, law), attr) for law, attr in self.attrs)
 
+    def model_of(self, values, n: int) -> ModelSpec:
+        """The model with the family's laws at the given parameter values, on n edges."""
+        kwargs = {"on_law": {}, "off_law": {}}
+        for (law, attr), value in zip(self.attrs, values):
+            kwargs[law][attr] = value
+        return ModelSpec(*(_RATE_MAPS[kind][0](**{**_RATE_MAPS[kind][1], **kwargs[law]})
+                           for kind, law in zip(self.kinds, kwargs)), n=n)
+
 
 FAMILIES = {
     "geometric_geometric": EstimatorFamily(
-        ("p", "q"), ("geometric", "geometric"), 2,
-        {"edges": estimate_gg, "triangles": estimate_from_subgraph,
-         "wedges": estimate_from_subgraph},
-        (("on_law", "p"), ("off_law", "p")), geometric_moment_cov, delta_method_cov),
+        ("p", "q"), ("geometric", "geometric"), 2, (("on_law", "p"), ("off_law", "p"))),
     "pareto_pareto": EstimatorFamily(
-        ("alpha", "beta"), ("pareto", "pareto"), 2, {"edges": estimate_parpar},
-        (("on_law", "alpha"), ("off_law", "alpha"))),
+        ("alpha", "beta"), ("pareto", "pareto"), 2, (("on_law", "alpha"), ("off_law", "alpha"))),
     "weibull_geometric": EstimatorFamily(
-        ("alpha", "q"), ("weibull", "geometric"), 2, {"edges": estimate_weibull_geo},
-        (("on_law", "alpha"), ("off_law", "p"))),
+        ("alpha", "q"), ("weibull", "geometric"), 2, (("on_law", "alpha"), ("off_law", "p"))),
     "pareto_geometric": EstimatorFamily(
-        ("C", "alpha", "q"), ("pareto", "geometric"), 3, {"edges": estimate_pareto_geo},
+        ("C", "alpha", "q"), ("pareto", "geometric"), 3,
         (("on_law", "C"), ("on_law", "alpha"), ("off_law", "p"))),
 }
+
+
+def _fit_two_lag(m: MomentSet, family: str) -> EstimateReport:
+    """A two-lag family's parameters from the rate targets (1/E[X], 1/E[Y]).
+
+    Edge moments give (D / mu_hat(0), D / (n - mu_hat(0))), triangle and
+    wedge moments _subgraph_rate_targets. A geometric law's parameter is its
+    rate, flagged outside (0, 1); a Pareto or Weibull law's shape inverts its
+    mean target, which must exceed 1.
+    """
+    entry = FAMILIES[family]
+    if m.kind == "edges":
+        rates, diagnostics = _first_lag_targets(m)[:2], {}
+    else:
+        rates, diagnostics = _subgraph_rate_targets(m)
+    inverses = [_RATE_MAPS[kind][2] for kind in entry.kinds]
+    for kind, invert, rate in zip(entry.kinds, inverses, rates):
+        if invert is not None and (rate <= 0 or 1.0 / rate <= 1.0):
+            raise IncompatibleMomentsError(
+                f"{kind} mean target must exceed 1, got {1.0 / rate if rate > 0 else rate}")
+    params = {name: rate if invert is None else invert(1.0 / rate)
+              for name, invert, rate in zip(entry.params, inverses, rates)}
+    flags = [f"{name}_out_of_range" for name, invert, rate in zip(entry.params, inverses, rates)
+             if invert is None and not 0.0 < rate < 1.0]
+    report = EstimateReport(family=family, params=params, flags=flags, diagnostics=diagnostics)
+    if not flags and m.kind == "edges":
+        _attach_residuals(report, m)
+    return report
 
 
 def family_entry(family: str, kind: str = "edges") -> EstimatorFamily:
@@ -381,13 +357,15 @@ def family_entry(family: str, kind: str = "edges") -> EstimatorFamily:
         entry = FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown estimator family {family!r}") from None
-    if kind not in entry.estimators:
+    if kind != "edges" and (kind not in _SUBGRAPHS or entry.lags != 2):
         raise ValueError(f"the {family} family cannot fit {kind} observations")
     return entry
 
 
 def estimator_for(family: str):
-    return family_entry(family).estimators["edges"]
+    """The fit of `family` as a function of edge moments alone."""
+    family_entry(family)
+    return functools.partial(fit, family=family)
 
 
 def moments_needed(family: str) -> int:
@@ -408,4 +386,6 @@ def fit(data: CountTrace | MomentSet, family: str) -> EstimateReport:
     entry = family_entry(family, data.kind)
     if isinstance(data, CountTrace):
         data = empirical_moments(data, entry.lags)
-    return entry.estimators[data.kind](data)
+    if entry.lags == 2:
+        return _fit_two_lag(data, family)
+    return estimate_pareto_geo(data)

@@ -350,9 +350,12 @@ def legendre_transform(model: ModelSpec, counts, n: int):
     It stops on the Newton decrement, since the gradient has a rounding floor.
     Counts at 0 or n are clamped slightly into the interior, where the
     supremum is attained. The covariance comes from the _tilted_moments call
-    whose Cholesky factor gave the final decrement.
+    whose Cholesky factor gave the final decrement. An empty count vector is
+    refused with a ValueError.
     """
     counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or len(counts) < 1:
+        raise ValueError("counts must be a count vector of length >= 1")
     eps = 1e-6 * n
     counts = np.clip(counts, eps, n - eps)
     theta = np.zeros(len(counts))
@@ -389,8 +392,8 @@ def saddlepoint_logprob(model: ModelSpec, counts, n: int) -> float:
     Returns -(K/2) log(2 pi) - (1/2) log det(n Hess log M) - I at the
     optimizing tilt, where the transform hands back Hess log M.
     """
-    K = len(counts)
     value, _, cov = legendre_transform(model, counts, n)
+    K = len(counts)
     chol = _cholesky(n * cov)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * K * math.log(2 * math.pi) - 0.5 * log_det - value

@@ -11,6 +11,7 @@ from onoffgraph.asymp import (
     K0,
     K_CAP,
     DivergenceWarning,
+    closed_form_cov,
     delta_method_cov,
     finiteness_check,
     general_moment_cov,
@@ -18,6 +19,7 @@ from onoffgraph.asymp import (
 )
 from onoffgraph.errors import ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
+from onoffgraph.moments import MomentSet, fit, theoretical_moment_set
 from onoffgraph.renewal import (
     _law_arrays,
     _residual_arrays,
@@ -405,18 +407,64 @@ class TestClosedFormGeometric:
         assert mc.c01 == pytest.approx(c01, rel=1e-9)
 
 
+def gamma_oracle(n, p, q):
+    """(g0, g1): the Jacobian row of p_hat = D / mu_hat(0) at the exact GG moments."""
+    rho = q / (p + q)
+    s0 = n * rho
+    s1 = n * rho * (1 - p) + (n * n - n) * rho * rho
+    return s1 / s0**2 + 1.0 - 1.0 / n, -1.0 / s0
+
+
+def edge_estimator_jacobian(model, h=1e-2):
+    """Five-point central differences of the code's own GG edge fit at the model's exact moments."""
+    m = theoretical_moment_set(model)
+
+    def params(ell, step):
+        mu = m.mu.copy()
+        mu[ell] += step
+        r = fit(MomentSet(mu=mu, n=m.n, K=0), "geometric_geometric")
+        return np.array([r.params["p"], r.params["q"]])
+
+    cols = [(8 * (params(ell, h) - params(ell, -h)) - params(ell, 2 * h) + params(ell, -2 * h))
+            / (12 * h) for ell in (0, 1)]
+    return np.array(cols).T  # J[i, l] = d param_i / d mu_hat(l)
+
+
 class TestDeltaMethod:
     def test_gamma_example(self):
-        pc = delta_method_cov(100, 0.3, 0.8, geometric_moment_cov(100, 0.3, 0.8))
-        assert pc.gamma[0] == pytest.approx(1.989625, abs=1e-12)
-        assert pc.gamma[1] == pytest.approx(-1.1 / 80, abs=1e-12)
+        g0, g1 = gamma_oracle(100, 0.3, 0.8)
+        assert g0 == pytest.approx(1.989625, abs=1e-12)
+        assert g1 == pytest.approx(-1.1 / 80, abs=1e-12)
 
     def test_scaling_identities(self):
-        for (n, p, q) in [(100, 0.3, 0.8), (20, 0.6, 0.2)]:
-            pc = delta_method_cov(n, p, q, geometric_moment_cov(n, p, q))
-            assert pc.tau2 / pc.sigma2 == pytest.approx((q / p) ** 2, rel=1e-12)
-            # rank-1 structure: rho_cov^2 = sigma^2 tau^2
-            assert pc.rho_cov**2 == pytest.approx(pc.sigma2 * pc.tau2, rel=1e-12)
+        # the delta method is J M J^T, J the Jacobian of the code's own
+        # estimator (p_hat, q_hat) = (D / mu_hat(0), D / (n - mu_hat(0)))
+        for (n, p, q) in [(100, 0.3, 0.8), (20, 0.6, 0.2), (100, 0.05, 0.9)]:
+            mc = geometric_moment_cov(n, p, q)
+            pc = delta_method_cov(n, p, q, mc)
+            J = edge_estimator_jacobian(ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n))
+            want = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
+            assert pc.sigma2 == pytest.approx(want[0, 0], rel=1e-6)
+            assert pc.tau2 == pytest.approx(want[1, 1], rel=1e-6)
+            assert pc.rho_cov == pytest.approx(want[0, 1], rel=1e-6)
+            g0, g1 = gamma_oracle(n, p, q)
+            oracle = g0 * g0 * mc.v0 + 2 * g0 * g1 * mc.c01 + g1 * g1 * mc.v1
+            assert pc.sigma2 == pytest.approx(oracle, rel=1e-12)
+        # q_hat also moves with mu_hat(0): not the rank-1 sigma2 (q/p)^2
+        pc = delta_method_cov(100, 0.05, 0.9, geometric_moment_cov(100, 0.05, 0.9))
+        assert pc.tau2 == pytest.approx(0.9168, abs=1e-4)
+
+    def test_closed_form_by_law_types(self):
+        # geometric laws alone have a closed-form parameter covariance, for any moment covariance
+        gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
+        mc, pc = closed_form_cov(gg)
+        assert mc == geometric_moment_cov(100, 0.3, 0.8)
+        assert pc == delta_method_cov(100, 0.3, 0.8, mc)
+        general = general_moment_cov(gg, 100)
+        assert closed_form_cov(gg, general) == (general, delta_method_cov(100, 0.3, 0.8, general))
+        for model in (HEAVY, PARPAR, ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7),
+                                               n=100)):
+            assert closed_form_cov(model) is None
 
     def test_predicted_sd_matches_reported_value(self):
         pc = delta_method_cov(100, 0.3, 0.8, geometric_moment_cov(100, 0.3, 0.8))

@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onoffgraph import cli, harness
+from onoffgraph import cli, harness, moments
 from onoffgraph.asymp import MomentCov
 from onoffgraph.errors import ParameterError
 from onoffgraph.harness import (
@@ -22,7 +21,6 @@ from onoffgraph.harness import (
     run_campaign,
 )
 from onoffgraph.laws import Geometric, Pareto, Weibull
-from onoffgraph.moments import FAMILIES
 from onoffgraph.simulate import ModelSpec
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
@@ -69,9 +67,13 @@ class TestConfig:
         assert clone.param_names == ("p", "q")
 
     def test_subgraph_requires_geometric(self):
+        # every two-lag family fits subgraph counts; the three-lag pareto_geometric does not
         m = ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=6)
-        with pytest.raises(ValueError):
-            ExperimentConfig(model=m, kind="triangles")
+        assert ExperimentConfig(model=m, kind="triangles").family == "weibull_geometric"
+        m = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), N=6)
+        for kind in ("triangles", "wedges"):
+            with pytest.raises(ValueError, match="cannot fit"):
+                ExperimentConfig(model=m, kind=kind)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -180,9 +182,7 @@ class TestCampaign:
         def broken(moms):
             raise TypeError("estimator bug")
 
-        entry = FAMILIES["geometric_geometric"]
-        entry = dataclasses.replace(entry, estimators={**entry.estimators, "edges": broken})
-        monkeypatch.setitem(FAMILIES, "geometric_geometric", entry)
+        monkeypatch.setattr(moments, "_first_lag_targets", broken)
         cfg = ExperimentConfig(model=GG, K=200, R=2, base_seed=1, workers=1)
         with pytest.raises(TypeError, match="estimator bug"):
             run_campaign(cfg)
@@ -285,6 +285,22 @@ class TestCli:
         monkeypatch.setattr(cli, "general_moment_cov", lambda model, n: partial)
         assert cli.main(["cov", "--config", gg, "--general"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
+
+    def test_cov_param_cov_by_law_types(self, tmp_path, capsys):
+        # geometric laws report the delta-method covariance with either moment route
+        gg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.05},
+            "off": {"kind": "geometric", "p": 0.9}, "n": 100})
+        for extra in ([], ["--general"]):
+            assert cli.main(["cov", "--config", gg, *extra]) == 0
+            body = json.loads(capsys.readouterr().out)
+            assert set(body["param_cov"]) == {"sigma2", "tau2", "rho_cov"}
+            assert body["param_cov"]["tau2"] == pytest.approx(0.9168, abs=1e-4)
+        pp = self._write_cfg(tmp_path, {
+            "on": {"kind": "pareto", "C": 1.0, "alpha": 3.0},
+            "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5}, "n": 100})
+        assert cli.main(["cov", "--config", pp]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"moment_cov"}
 
     @pytest.mark.parametrize("off", [{"kind": "geometric", "p": 0.5},
                                      {"kind": "pareto", "C": 1.0, "alpha": 2.5}],
@@ -399,8 +415,8 @@ class TestCli:
     def test_estimate_refuses_what_campaign_refuses(self, tmp_path):
         # a family without subgraph support fails the same way in both commands
         cfg = self._write_cfg(tmp_path, {
-            "on": {"kind": "pareto", "C": 1.0, "alpha": 3.0},
-            "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5},
+            "on": {"kind": "pareto", "C": 2.0, "alpha": 4.0},
+            "off": {"kind": "geometric", "p": 0.7},
             "N": 6, "kind": "triangles"})
         trace = str(tmp_path / "tri.csv")
         res = self._run("simulate", "--config", cfg, "--k", "200",
@@ -412,6 +428,22 @@ class TestCli:
         assert est.returncode == camp.returncode == 2
         assert json.loads(est.stdout) == json.loads(camp.stdout)
         assert json.loads(est.stdout)["error"] == "ValueError"
+
+    def test_pareto_pareto_triangle_campaign(self, tmp_path, capsys):
+        # a two-lag family other than geometric/geometric fits triangle counts
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "pareto", "C": 1.0, "alpha": 3.0},
+            "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5},
+            "N": 8, "kind": "triangles"})
+        out = tmp_path / "camp"
+        assert cli.main(["campaign", "--config", cfg, "--k", "2000", "--reps", "3",
+                         "--seed", "1", "--out", str(out)]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert set(body["params"]) == {"alpha", "beta"}
+        assert body["n_flagged"] < 3 and body["params"]["beta"]["mean"] > 1.0
+        assert body["params"]["alpha"]["predicted_sd"] is None
+        header = (out / "estimates.csv").read_text().splitlines()[0]
+        assert header == "rep,seed,alpha,beta,flags"
 
     def test_campaign_files(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {

@@ -478,7 +478,7 @@ class TestInversion:
         a = invert_chi_like(1e250)
         assert chi_like(a) == pytest.approx(1e250, rel=1e-9)
         # a Weibull(1, alpha) law that far out is refused, and so is the fit that needs it
-        from onoffgraph.moments import MomentSet, estimate_weibull_geo
+        from onoffgraph.moments import MomentSet, fit
 
         with pytest.raises(ParameterError):
             Weibull(1.0, a)
@@ -486,7 +486,7 @@ class TestInversion:
         # 1e130, whose alpha (0.0102) lies below the Weibull refusal at 0.0118
         m = MomentSet(mu=np.array([2e-130, 2e-130]), n=2, K=1000)
         with pytest.raises(ParameterError, match="weibull"):
-            estimate_weibull_geo(m)
+            fit(m, "weibull_geometric")
 
     def test_chi_floor_literal(self):
         # the edges the docstrings quote: chi leaves float range where

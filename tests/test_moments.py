@@ -12,18 +12,18 @@ from onoffgraph.moments import (
     MomentSet,
     empirical_moments,
     estimate_from_subgraph,
-    estimate_gg,
     estimate_pareto_geo,
-    estimate_parpar,
+    estimator_for,
     fit,
     infer_family,
+    moments_needed,
     theoretical_moment_set,
     theoretical_moments,
     triangle_moments,
     wedge_moments,
 )
 from onoffgraph.renewal import joint_distribution
-from onoffgraph.simulate import CountTrace, ModelSpec, simulate_edge_trace
+from onoffgraph.simulate import CountTrace, ModelSpec, simulate_edge_trace, simulate_trace
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
 
@@ -142,7 +142,7 @@ class TestTheoreticalMoments:
 
 class TestEdgeEstimators:
     def test_gg_round_trip(self):
-        r = estimate_gg(theoretical_moment_set(GG))
+        r = fit(theoretical_moment_set(GG), "geometric_geometric")
         assert r.params["p"] == pytest.approx(0.3, abs=1e-12)
         assert r.params["q"] == pytest.approx(0.8, abs=1e-12)
         assert r.ok
@@ -152,19 +152,19 @@ class TestEdgeEstimators:
         mu = np.array([60.0, 3650.0])
         m = MomentSet(mu=mu, n=100, K=1000)
         D = mu[0] - mu[1] + (1 - 1 / 100) * mu[0] ** 2
-        r = estimate_gg(m)
+        r = fit(m, "geometric_geometric")
         assert r.params["p"] == D / mu[0]
         assert r.params["q"] == D / (100 - mu[0])
 
     def test_gg_boundary(self):
         m = MomentSet(mu=np.array([100.0, 10000.0]), n=100, K=10)
         with pytest.raises(IncompatibleMomentsError):
-            estimate_gg(m)
+            fit(m, "geometric_geometric")
 
     def test_gg_range_flag(self):
         # crafted moments driving q_hat above 1: estimate still reported
         m = MomentSet(mu=np.array([99.0, 9700.0]), n=100, K=10)
-        r = estimate_gg(m)
+        r = fit(m, "geometric_geometric")
         assert "q_out_of_range" in r.flags
         assert "q" in r.params
 
@@ -176,6 +176,7 @@ class TestEdgeEstimators:
         entry = FAMILIES[family]
         assert infer_family(model) == family
         assert entry.params_of(model) == pytest.approx(truth)
+        assert entry.model_of(truth, model.n) == model
         r = fit(theoretical_moment_set(model, L=entry.lags), family)
         assert r.ok
         assert tuple(r.params) == entry.params
@@ -187,7 +188,7 @@ class TestEdgeEstimators:
         # engineered so D/mu0 > 1, i.e. mean sum < 1
         m.mu[1] = m.mu[0] + (1 - 1 / 100) * m.mu[0] ** 2 - 60.0
         with pytest.raises(IncompatibleMomentsError):
-            estimate_parpar(m)
+            fit(m, "pareto_pareto")
 
     def test_pareto_geo_infeasible_ratio(self):
         model = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=100)
@@ -233,7 +234,7 @@ class TestEdgeEstimators:
             estimate_pareto_geo(theoretical_moment_set(GG, L=2))
 
     def test_report_serializes(self):
-        r = estimate_gg(theoretical_moment_set(GG))
+        r = fit(theoretical_moment_set(GG), "geometric_geometric")
         body = r.to_json()
         assert body["family"] == "geometric_geometric"
         assert set(body["params"]) == {"p", "q"}
@@ -247,7 +248,7 @@ class TestEdgeEstimators:
             errs = []
             for _ in range(50):
                 trace = simulate_edge_trace(GG, K, rng)
-                r = estimate_gg(empirical_moments(trace, 2))
+                r = fit(empirical_moments(trace, 2), "geometric_geometric")
                 errs.append(abs(r.params["p"] - 0.3))
             mean_err.append(np.mean(errs))
         slope = np.polyfit(np.log(Ks), np.log(mean_err), 1)[0]
@@ -302,6 +303,29 @@ class TestSubgraphEstimation:
             assert r.params["p"] == pytest.approx(0.3, abs=1e-8)
             assert r.params["q"] == pytest.approx(0.8, abs=1e-8)
 
+    @pytest.mark.parametrize("family,model,truth", [
+        ("pareto_pareto", ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), N=20),
+         (3.0, 2.5)),
+        ("weibull_geometric", ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=20),
+         (0.5, 0.7)),
+    ])
+    def test_two_lag_families_round_trip(self, family, model, truth):
+        # every two-lag family reads triangles and wedges through its rate maps
+        for kind, fn in [("triangles", triangle_moments), ("wedges", wedge_moments)]:
+            ms = MomentSet(mu=np.array([fn(model, 0), fn(model, 1)]), n=model.n, K=0,
+                           kind=kind, N=20)
+            for r in (fit(ms, family), estimate_from_subgraph(ms, family)):
+                assert r.ok and r.family == family
+                assert list(r.params.values()) == pytest.approx(truth, abs=1e-8)
+                assert r.diagnostics["observable"] == kind
+
+    def test_three_lag_family_refused(self):
+        m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
+        ms = MomentSet(mu=np.array([triangle_moments(m, 0), triangle_moments(m, 1)]),
+                       n=m.n, K=0, kind="triangles", N=20)
+        with pytest.raises(ValueError, match="cannot fit triangles"):
+            fit(ms, "pareto_geometric")
+
     def test_incompatible(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
         ms = MomentSet(mu=np.array([triangle_moments(m, 0), 1e9]), n=m.n, K=0,
@@ -313,3 +337,35 @@ class TestSubgraphEstimation:
         ms = MomentSet(mu=np.array([1.0, 1.0]), n=100, K=0, kind="edges", N=None)
         with pytest.raises(ValueError):
             estimate_from_subgraph(ms)
+
+
+class TestReplayContract:
+    """The step-by-step fit a replay runs equals fit() exactly: params and flags, or the error."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            report = call()
+        except IncompatibleMomentsError as exc:
+            return repr(exc)
+        return report.params, report.flags
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_edge_estimator_matches_fit(self, family):
+        model, _ = FAMILY_MODELS[family]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            trace = simulate_edge_trace(model, 400, rng)
+            m = empirical_moments(trace, moments_needed(family))
+            want = self.outcome(lambda: fit(trace, family))
+            assert self.outcome(lambda: estimator_for(family)(m)) == want
+
+    @pytest.mark.parametrize("kind", ["triangles", "wedges"])
+    def test_subgraph_estimator_matches_fit(self, kind):
+        model = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=12)
+        trace = simulate_trace(model, 400, np.random.default_rng(3), kind=kind)
+        m = empirical_moments(trace, moments_needed("geometric_geometric"))
+        want = self.outcome(lambda: fit(trace, "geometric_geometric"))
+        assert want[0]  # a fit, not an error
+        assert self.outcome(lambda: estimate_from_subgraph(m)) == want
+        assert self.outcome(lambda: fit(m, "geometric_geometric")) == want

@@ -495,6 +495,14 @@ class TestAutocovariance:
 
 
 class TestLegendre:
+    def test_empty_counts_refused(self):
+        # as joint_mgf refuses an empty tilt: a ValueError, not an IndexError
+        for fn in (legendre_transform, saddlepoint_logprob):
+            with pytest.raises(ValueError, match="length >= 1"):
+                fn(GG, [], 100)
+        with pytest.raises(ValueError, match="length >= 1"):
+            joint_mgf(GG, [])
+
     def test_zero_at_mean(self):
         counts = np.full(3, 100 * GG.rho)
         value, theta, _ = legendre_transform(GG, counts, 100)
