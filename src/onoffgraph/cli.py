@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, estimate, campaign, mgf, cov, check. Exit codes:
-0 success, 1 usage error, 2 computational error (reported as a JSON body).
+0 success, 1 usage error, 2 computational error or lack of memory (reported
+as a JSON body).
 A reader that closes stdout early (`... | head`) ends the command with exit 0.
 """
 
@@ -35,10 +36,9 @@ def _build_parser() -> _Parser:
                      description="dynamic on/off random graph simulation and estimation")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, help_text, config_required=True):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required,
-                       help="JSON model/experiment config")
+        p.add_argument("--config", required=True, help="JSON model/experiment config")
         return p
 
     p = add("simulate", "simulate a count trace and write it as CSV")
@@ -94,6 +94,8 @@ def main(argv=None) -> int:
         return 0
     except COMPUTE_ERRORS as exc:
         return _fail(exc)
+    except MemoryError as exc:  # a length or size past this machine's memory
+        return _fail(MemoryError(str(exc) or "out of memory"))
 
 
 def _dispatch(args, cfg, model) -> int:

@@ -10,7 +10,6 @@ count or scheduling.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,7 @@ import scipy
 from .asymp import closed_form_cov
 from .errors import COMPUTE_ERRORS, ParameterError
 from .moments import family_entry, fit, infer_family
-from .simulate import ModelSpec, simulate_trace, whole_number
+from .simulate import ModelSpec, simulate_trace, whole_number, write_csv
 
 _MASK64 = (1 << 64) - 1
 _MIN_BINS = 10  # fewest histogram bins
@@ -237,16 +236,10 @@ def emit_outputs(summary: CampaignSummary, out_dir) -> list:
         names = summary.config.param_names
 
         path = out / "estimates.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "seed", *names, "flags"])
-            for row in summary.rows:
-                params = row["params"] or {}
-                writer.writerow([
-                    row["rep"], row["seed"],
-                    *(repr(params[n]) if n in params else "" for n in names),
-                    ";".join(row["flags"]),
-                ])
+        write_csv(path, ["rep", "seed", *names, "flags"], (
+            [row["rep"], row["seed"], *(repr(row["params"][n]) if row["params"] else ""
+                                        for n in names), ";".join(row["flags"])]
+            for row in summary.rows))
         written.append(path)
 
         path = out / "summary.json"
@@ -256,21 +249,15 @@ def emit_outputs(summary: CampaignSummary, out_dir) -> list:
         for name in names:
             edges, counts = summary.histograms[name]
             path = out / f"hist_{name}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_left", "bin_right", "count"])
-                for i in range(len(counts)):
-                    writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                                     int(counts[i])])
+            write_csv(path, ["bin_left", "bin_right", "count"],
+                      ([repr(float(left)), repr(float(right)), int(count)]
+                       for left, right, count in zip(edges[:-1], edges[1:], counts)))
             written.append(path)
 
             theo, sample = summary.qq[name]
             path = out / f"qq_{name}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["theoretical_quantile", "sample_quantile"])
-                for t, s in zip(theo, sample):
-                    writer.writerow([repr(float(t)), repr(float(s))])
+            write_csv(path, ["theoretical_quantile", "sample_quantile"],
+                      ([repr(float(t)), repr(float(s))] for t, s in zip(theo, sample)))
             written.append(path)
         return written
     except OSError as exc:

@@ -213,7 +213,7 @@ class Weibull(DurationLaw):
             tail = _weibull_tail(lam, a, M)
             second = np.sum(weights * head) + 2.0 * _weibull_tail(lam, a, M, power=1) - tail
             t2 = tails[1] + tail
-            moments = weibull_survival_sum(lam, a), float(second - t2 * t2)
+            moments = float(np.sum(head) + tail), float(second - t2 * t2)
         if not np.isfinite(moments).all():
             raise ParameterError(f"weibull ({lam}, {a}) has a mean or variance past float range")
         object.__setattr__(self, "_moments", moments)

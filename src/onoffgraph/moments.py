@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .errors import IncompatibleMomentsError, ParameterError
+from .errors import IncompatibleMomentsError
 from .laws import (
     DEFAULT_INVERT_TOL,
     Geometric,
@@ -56,7 +56,6 @@ class EstimateReport:
 
     family: str
     params: dict
-    residuals: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -68,7 +67,6 @@ class EstimateReport:
         return {
             "family": self.family,
             "params": {k: float(v) for k, v in self.params.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
             "flags": list(self.flags),
             "diagnostics": self.diagnostics,
         }
@@ -97,7 +95,7 @@ def theoretical_moments(model: ModelSpec, ell: int) -> float:
     return float(theoretical_moment_set(model, ell + 1).mu[ell])
 
 
-def theoretical_moment_set(model: ModelSpec, L: int = 2, K: int = 0) -> MomentSet:
+def theoretical_moment_set(model: ModelSpec, L: int = 2) -> MomentSet:
     """Exact moments s_{n,0..L-1} packed as a MomentSet, all from one autocovariance table.
 
     mu[0] = n rho, and every lag ell >= 1 reads the one-edge autocovariance
@@ -106,7 +104,7 @@ def theoretical_moment_set(model: ModelSpec, L: int = 2, K: int = 0) -> MomentSe
     n, rho = model.n, model.rho
     mu = n * autocovariance(model, L) + (n * rho) ** 2
     mu[0] = n * rho
-    return MomentSet(mu=mu, n=n, K=K, kind="edges", N=model.N)
+    return MomentSet(mu=mu, n=n, K=0, kind="edges", N=model.N)
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +154,19 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
                                1.0 / (1.0 - T2), "the pareto/geometric mean sum")
     C = c_of(alpha)
     flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
-    report = EstimateReport(
-        family="pareto_geometric",
-        params={"C": C, "alpha": alpha, "q": q_hat},
-        flags=flags,
-        diagnostics={"mean_sum_target": T1, "survival_ratio_target": T2},
-    )
+    return _report(m, "pareto_geometric", {"C": C, "alpha": alpha, "q": q_hat}, flags,
+                   {"mean_sum_target": T1, "survival_ratio_target": T2})
+
+
+def _report(m, family, params, flags, diagnostics) -> EstimateReport:
+    """The fit's report; an unflagged fit whose fitted law lies outside its domain raises.
+
+    Building the fitted model is the domain check: each law's constructor
+    refuses its own out-of-domain parameters with a ParameterError.
+    """
     if not flags:
-        _attach_residuals(report, m, L=3)
-    return report
-
-
-def _attach_residuals(report, m, L=2):
-    """mu_hat(l) - s_l at the fitted model for l < L; a fitted law outside its domain raises."""
-    model = FAMILIES[report.family].model_of(report.params.values(), m.n)
-    try:
-        mu = theoretical_moment_set(model, min(L, m.L)).mu
-        for ell, value in enumerate(mu):
-            report.residuals[f"mu{ell}"] = m.mu[ell] - value
-    except (ParameterError, ValueError):
-        report.flags.append("residuals_unavailable")
+        FAMILIES[family].model_of(params.values(), m.n)
+    return EstimateReport(family=family, params=params, flags=flags, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +336,7 @@ def _fit_two_lag(m: MomentSet, family: str) -> EstimateReport:
               for name, invert, rate in zip(entry.params, inverses, rates)}
     flags = [f"{name}_out_of_range" for name, invert, rate in zip(entry.params, inverses, rates)
              if invert is None and not 0.0 < rate < 1.0]
-    report = EstimateReport(family=family, params=params, flags=flags, diagnostics=diagnostics)
-    if not flags and m.kind == "edges":
-        _attach_residuals(report, m)
-    return report
+    return _report(m, family, params, flags, diagnostics)
 
 
 def family_entry(family: str, kind: str = "edges") -> EstimatorFamily:

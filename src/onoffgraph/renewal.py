@@ -173,7 +173,7 @@ def joint_distribution(model: ModelSpec, epochs) -> np.ndarray:
 
 
 # Products of series up to this length are direct (np.convolve), so the short
-# tables the fit residuals read keep their bits; longer ones take one real FFT.
+# tables theoretical_moment_set reads keep their bits; longer ones take one real FFT.
 _DIRECT = 128
 
 

@@ -359,13 +359,17 @@ def sidecar_path(csv_path) -> Path:
     return Path(str(csv_path) + ".meta.json")
 
 
-def save_trace(trace: CountTrace, csv_path) -> None:
-    csv_path = Path(csv_path)
-    with csv_path.open("w", newline="") as fh:
+def write_csv(path, header, rows) -> None:
+    """A header row, then the rows, by csv.writer (CRLF line ends)."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "value"])
-        for k, v in enumerate(trace.values, start=1):
-            writer.writerow([k, int(v)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_trace(trace: CountTrace, csv_path) -> None:
+    values = np.asarray(trace.values, dtype=np.int64).tolist()
+    write_csv(csv_path, ["k", "value"], zip(range(1, len(values) + 1), values))
     meta = {
         "kind": trace.kind,
         "n": trace.n,
@@ -381,8 +385,9 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
                kind: str | None = None) -> CountTrace:
     """Read a trace; the caller's n and kind must match the sidecar, or stand in for it.
 
-    A count outside 0..n (0..2^63 - 1 where the kind is not given as edges)
-    is refused with a ValueError naming its line.
+    Row j must read k = j, and a count outside 0..n (0..2^63 - 1 where the
+    kind is not given as edges) is refused: each with a ValueError naming its
+    line. A row count other than the sidecar's K is a TraceMismatchError.
     """
     csv_path = Path(csv_path)
     meta_file = sidecar_path(csv_path)
@@ -402,14 +407,21 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
         reader = csv.reader(fh)
         if next(reader, [])[:2] != ["k", "value"]:
             raise ValueError(f"{csv_path}, line 1: expected header 'k,value'")
-        for row in reader:
+        for epoch, row in enumerate(reader, start=1):
             try:
-                values.append(int(row[1]))
+                k, value = int(row[0]), int(row[1])
             except (IndexError, ValueError):
                 raise ValueError(f"{csv_path}, line {reader.line_num}: expected a row 'k,value'") from None
-            if not 0 <= values[-1] <= top:
+            if not 0 <= value <= top:
                 raise ValueError(
                     f"{csv_path}, line {reader.line_num}: count {row[1]} outside 0..{top}")
+            if k != epoch:
+                raise ValueError(
+                    f"{csv_path}, line {reader.line_num}: k={row[0]}, but this row is epoch {epoch}")
+            values.append(value)
+    if meta.get("K") not in (None, len(values)):
+        raise TraceMismatchError(
+            f"{meta_file} records K={meta['K']}, but {csv_path} has {len(values)} rows")
     return CountTrace(
         kind=kind or "edges",
         values=np.array(values, dtype=np.int64),

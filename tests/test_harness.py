@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onoffgraph import cli, harness, moments
+from onoffgraph import cli, harness, moments, simulate
 from onoffgraph.asymp import MomentCov
 from onoffgraph.errors import ParameterError
 from onoffgraph.harness import (
@@ -382,6 +382,17 @@ class TestCli:
         assert res.returncode == 2
         assert json.loads(res.stdout)["error"] == "TraceMismatchError"
 
+    def test_cut_trace_exit_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        trace = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--config", cfg, "--k", "1000", "--out", str(trace)]) == 0
+        trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:301]))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", cfg, "--trace", str(trace)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "TraceMismatchError"
+
     @pytest.mark.parametrize("text", ["", "k,value\n1,3\n2\n", "k,value\n1,3\n2,99999999999999999999\n",
                                       "k,value\n1,-3\n", "k,value\n1,3\n2,101\n"],
                              ids=["empty", "short_row", "past_int64", "negative", "above_n"])
@@ -559,6 +570,24 @@ class TestCli:
         out = tmp_path / "t.csv"
         assert cli.main(["simulate", "--config", cfg, "--k", "0", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "campaign"])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # a K past this machine's memory fails the simulator's first allocation;
+        # a stub raises it here, so nothing that large is ever allocated
+        def no_memory(model, K, rng):
+            raise MemoryError()
+
+        monkeypatch.setattr(simulate, "simulate_edge_trace", no_memory)
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 20, "reps": 2, "workers": 1})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--k", str(10**15), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": "MemoryError", "message": "out of memory"}
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["triangles", "wedges"])

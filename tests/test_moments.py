@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from onoffgraph import moments
-from onoffgraph.errors import IncompatibleMomentsError
+from onoffgraph.errors import IncompatibleMomentsError, ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.moments import (
     FAMILIES,
     MomentSet,
+    _triangle_pair,
     empirical_moments,
     estimate_from_subgraph,
     estimate_pareto_geo,
@@ -212,22 +213,31 @@ class TestEdgeEstimators:
         assert report.params["C"] == pytest.approx(300.0, rel=1e-8)
         assert report.params["q"] == pytest.approx(0.7, rel=1e-8)
 
-    def test_pareto_geo_residuals_read_one_table(self, monkeypatch):
-        # the three residuals of one fit come from a single autocovariance table
-        model = ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=100)
-        m = theoretical_moment_set(model, L=3)
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_fitted_model_reproduces_moments(self, family):
+        # the oracle of the forward map: as many moment equations as parameters,
+        # so the fitted model's exact moments are the observed ones
+        model, _ = FAMILY_MODELS[family]
+        entry = FAMILIES[family]
+        for seed in (1, 2, 3):
+            m = empirical_moments(simulate_edge_trace(model, 5000, np.random.default_rng(seed)),
+                                  entry.lags)
+            r = fit(m, family)
+            assert r.ok
+            fitted = theoretical_moment_set(entry.model_of(r.params.values(), m.n), entry.lags)
+            assert np.max(np.abs(fitted.mu - m.mu)) <= 1e-6 * m.mu[1]
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_fit_reads_no_renewal_table(self, family, monkeypatch):
+        model, _ = FAMILY_MODELS[family]
+        m = theoretical_moment_set(model, FAMILIES[family].lags)
+        trace = simulate_edge_trace(model, 2000, np.random.default_rng(4))
         calls = []
         table = moments.autocovariance
-
-        def counting_table(*args):
-            calls.append(args[1])
-            return table(*args)
-
-        monkeypatch.setattr(moments, "autocovariance", counting_table)
-        report = estimate_pareto_geo(m)
-        assert calls == [3]
-        assert set(report.residuals) == {"mu0", "mu1", "mu2"}
-        assert max(abs(v) for v in report.residuals.values()) <= 1e-6 * m.mu[1]
+        monkeypatch.setattr(moments, "autocovariance", lambda *a: calls.append(a) or table(*a))
+        assert fit(m, family).ok
+        fit(trace, family)
+        assert calls == []
 
     def test_pareto_geo_needs_three_moments(self):
         with pytest.raises(ValueError):
@@ -318,6 +328,14 @@ class TestSubgraphEstimation:
                 assert r.ok and r.family == family
                 assert list(r.params.values()) == pytest.approx(truth, abs=1e-8)
                 assert r.diagnostics["observable"] == kind
+
+    def test_fitted_law_outside_its_domain_refused(self):
+        # rho = 1e-20 gives q_hat = 5e-21 in (0, 1), but 1 - q_hat rounds to 1
+        N, rho = 10, 1e-20
+        ms = MomentSet(mu=np.array([math.comb(N, 3) * rho**3, _triangle_pair(N, rho, 0.5)]),
+                       n=45, K=1000, kind="triangles", N=N)
+        with pytest.raises(ParameterError, match="geometric"):
+            fit(ms, "geometric_geometric")
 
     def test_three_lag_family_refused(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)

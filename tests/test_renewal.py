@@ -458,7 +458,7 @@ class TestAutocovariance:
             gamma = autocovariance(model, k_max)
             old = model.rho * (loop_autocovariance(model, k_max)[2] - model.rho)
             assert np.max(np.abs(gamma - old)) <= 1e-12 * model.rho
-            if k_max <= 3:  # the tables the fit residuals read keep their bits
+            if k_max <= 3:  # the tables theoretical_moment_set reads keep their bits
                 assert np.array_equal(gamma, old)
 
     def test_loop_oracle_refuses_long_tables(self):

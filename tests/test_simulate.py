@@ -462,6 +462,23 @@ class TestPersistence:
         assert load_trace(path, n=15, kind="triangles").kind == "triangles"
         assert load_trace(path, n=15).kind == "edges"
 
+    def test_rows_must_match_the_sidecar(self, tmp_path):
+        trace = simulate_edge_trace(GG, 1000, np.random.default_rng(5))
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        # a cut trace no longer has the sidecar's K rows
+        path.write_text(header + "".join(rows[:300]))
+        with pytest.raises(TraceMismatchError, match="K=1000"):
+            load_trace(path)
+        # the same rows in reverse order: k = 300 sits on the first row
+        path.write_text(header + "".join(reversed(rows[:300])))
+        with pytest.raises(ValueError, match="trace.csv, line 2: k=300"):
+            load_trace(path, n=100)
+        path.write_text(header + "".join(rows[:1] + rows[2:3]))  # k = 1, 3
+        with pytest.raises(ValueError, match="trace.csv, line 3: k=3"):
+            load_trace(path)
+
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,count\n1,2\n")
