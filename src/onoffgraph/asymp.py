@@ -171,8 +171,9 @@ def _cross_edge_series(model: ModelSpec, n: int, k0: int):
 
 
 # Table sizes of general_moment_cov: the cross-edge series is summed to
-# k0 = K0 first, and k0 is doubled, up to k_cap (K_CAP by default), until the
-# series converges. A power-law tail beyond k0 is added in closed form.
+# k0 = K0 first (_K0_MIN where no tail is fitted), and k0 is doubled, up to
+# k_cap (K_CAP by default), until the series converges. A power-law tail
+# beyond k0 is added in closed form.
 K0 = 1024
 K_CAP = 1 << 15
 _K0_MIN = 64  # the tail fits at K0 / 2 need a window of some width
@@ -241,7 +242,10 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     v0, c01 and the one-edge part of v1 are exact (_reward_cov). The rest of
     v1, the cross-edge series, is summed on one set of renewal tables to k0,
     which starts at min(K0, k_cap) and doubles, up to k_cap, until the series
-    converges. For Pareto laws its increments decay as powers of k; a
+    converges. A finite model with no tail exponent at that start tries
+    k0 = _K0_MIN first, and goes on from min(K0, k_cap) only if that table
+    does not converge: light tails mixing fast reach the floor within a few
+    dozen lags. For Pareto laws its increments decay as powers of k; a
     least-squares fit over the largest lags gives their sum beyond k0 in
     closed form (tail_correction, whose v0 and c01 entries are 0). A law with
     C >= k0 still decays geometrically there and adds no tail exponent, nor
@@ -263,9 +267,13 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     if not finite:
         warnings.warn(f"covariance limits are infinite: {why}", DivergenceWarning)
     v0, c01, v1_one_edge = _reward_cov(model, n)
-    k0 = min(K0, k_cap)
+    k_start = min(K0, k_cap)
+    # a finite model with no tail exponent at k_start tries _K0_MIN lags first;
+    # that table keeps the start's exponents (none), though a steep power can
+    # be in float range at _K0_MIN when it is not at k_start
+    k0 = _K0_MIN if finite and not _tail_exponents(model, k_start) else k_start
     while True:
-        gammas = _tail_exponents(model, k0) if finite else []
+        gammas = _tail_exponents(model, max(k0, k_start)) if finite else []
         ks, inc, head = _cross_edge_series(model, n, k0)
         v1, half, tail, last = _floored_sums(ks, inc, v1_one_edge + head, gammas, k0)
         # increments below the rounding floor were dropped, so v1 is known to that floor at best
@@ -273,7 +281,7 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
         converged = bool(finite and tail_error <= _TOL * max(1.0, abs(v0), abs(v1), abs(c01)))
         if not finite or k0 >= k_cap or converged and (gammas or 2 * last <= k0):
             break
-        k0 = min(2 * k0, k_cap)
+        k0 = min(max(2 * k0, k_start), k_cap)
     return MomentCov(v0=v0, v1=v1, c01=c01, method="general_series",
                      converged=converged, k_used=k0,
                      tail_correction=(0.0, tail, 0.0), tail_error=tail_error)

@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
         model = ModelSpec.from_config(cfg)
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"onoffgraph: bad config: {exc}", file=sys.stderr)
         return 1
     except COMPUTE_ERRORS as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -199,9 +200,9 @@ class Weibull(DurationLaw):
         # where (i - 1)^alpha overflows, survival reads exp(-inf) = 0: right only
         # if lam times the largest float already puts exp(-lam y^alpha) below 5e-324
         lam, a = self.lam, self.alpha
-        if not (lam * sys.float_info.max >= 746.0 and a > 0.0):
+        if not (lam * sys.float_info.max >= 746.0 and lam < math.inf and 0.0 < a < math.inf):
             raise ParameterError(
-                f"weibull needs lambda >= 746 / (largest float) and alpha > 0, got ({lam}, {a})")
+                f"weibull needs finite lambda >= 746 / (largest float) and alpha > 0, got ({lam}, {a})")
         # the mean and variance series: the head terms, then _weibull_tail from y = M
         head = _weibull_head(lam, a)
         M = head.size
@@ -261,9 +262,9 @@ class Pareto(DurationLaw):
     alpha: float
 
     def __post_init__(self):
-        if self.C <= 0.0 or self.alpha <= 0.0:
+        if not (0.0 < self.C < math.inf and 0.0 < self.alpha < math.inf):  # NaN fails too
             raise ParameterError(
-                f"pareto needs C > 0 and alpha > 0, got ({self.C}, {self.alpha})"
+                f"pareto needs finite C > 0 and alpha > 0, got ({self.C}, {self.alpha})"
             )
         _pareto_scale(self.C, self.alpha)  # so mean() and tail_sum() stay in float range
 
@@ -561,15 +562,32 @@ def invert_chi_like(target):
 
 
 def law_from_config(cfg: dict) -> DurationLaw:
-    """Build a law from {"kind": ..., ...} as used in config files."""
+    """Build a law from {"kind": ..., ...} as used in config files.
+
+    A cfg that is not a dict is a TypeError, a missing key a KeyError. A
+    parameter that is no number (a bool, text, a list, null) or whose int
+    leaves float range is a ParameterError, as is one the law refuses.
+    """
+    if not isinstance(cfg, dict):
+        raise TypeError(f"a law must be an object with a kind, got {cfg!r}")
     kind = cfg.get("kind")
+
+    def real(key):
+        v = cfg[key]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ParameterError(f"{kind} {key} must be a number, got {v!r}")
+        try:
+            return float(v)
+        except OverflowError:
+            raise ParameterError(f"{kind} {key} is past float range") from None
+
     try:
         if kind == "geometric":
-            return Geometric(p=float(cfg["p"]))
+            return Geometric(p=real("p"))
         if kind == "weibull":
-            return Weibull(lam=float(cfg["lambda"]), alpha=float(cfg["alpha"]))
+            return Weibull(lam=real("lambda"), alpha=real("alpha"))
         if kind == "pareto":
-            return Pareto(C=float(cfg["C"]), alpha=float(cfg["alpha"]))
+            return Pareto(C=real("C"), alpha=real("alpha"))
     except KeyError as exc:
         raise KeyError(f"{kind} law needs key {exc}") from None
     raise ParameterError(f"unknown law kind {kind!r}")

@@ -341,11 +341,11 @@ def _fit_two_lag(m: MomentSet, family: str) -> EstimateReport:
 
 def family_entry(family: str, kind: str = "edges") -> EstimatorFamily:
     """The registry entry of `family`, refusing an observable it cannot fit."""
-    try:
-        entry = FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown estimator family {family!r}") from None
-    if kind != "edges" and (kind not in _SUBGRAPHS or entry.lags != 2):
+    entry = FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None:
+        raise ValueError(f"unknown estimator family {family!r}")
+    if kind != "edges" and (not isinstance(kind, str) or kind not in _SUBGRAPHS
+                            or entry.lags != 2):
         raise ValueError(f"the {family} family cannot fit {kind} observations")
     return entry
 

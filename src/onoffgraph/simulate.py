@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,8 @@ class ModelSpec:
             object.__setattr__(self, "n", n)
         if self.n is None or self.n < 1:
             raise ValueError("need a positive edge count n or a vertex count N")
+        if self.n >= 2**63:  # counts are int64
+            raise ParameterError(f"edge count n={self.n} is past int64 range")
 
     @property
     def rho(self) -> float:
@@ -77,6 +80,8 @@ class ModelSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelSpec":
+        if not isinstance(cfg, dict):
+            raise TypeError(f"a model config must be an object, got {type(cfg).__name__}")
         return cls(
             on_law=law_from_config(cfg["on"]),
             off_law=law_from_config(cfg["off"]),
@@ -367,9 +372,18 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+_SAVE_ROWS = 1 << 16  # rows formatted at once, so a long trace needs no copy of itself as text
+
+
 def save_trace(trace: CountTrace, csv_path) -> None:
-    values = np.asarray(trace.values, dtype=np.int64).tolist()
-    write_csv(csv_path, ["k", "value"], zip(range(1, len(values) + 1), values))
+    """The rows 'k,value' as csv.writer writes them (CRLF line ends), one format pass a block."""
+    values = np.asarray(trace.values, dtype=np.int64)
+    with Path(csv_path).open("w", newline="") as fh:
+        fh.write("k,value\r\n")
+        for start in range(0, len(values), _SAVE_ROWS):
+            block = values[start:start + _SAVE_ROWS]
+            rows = np.column_stack((np.arange(start + 1, start + len(block) + 1), block))
+            fh.write(("%d,%d\r\n" * len(block)) % tuple(rows.ravel().tolist()))
     meta = {
         "kind": trace.kind,
         "n": trace.n,
@@ -402,6 +416,53 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
         raise ValueError(f"{csv_path}: no sidecar {meta_file.name}; the edge count n is needed")
     kind = meta.get("kind") or kind
     top = n if kind == "edges" else 2**63 - 1
+    values = _parse_whole(csv_path, top)
+    if values is None:  # the line loop names the bad line, or reads what only csv takes
+        values = _parse_lines(csv_path, top)
+    if meta.get("K") not in (None, len(values)):
+        raise TraceMismatchError(
+            f"{meta_file} records K={meta['K']}, but {csv_path} has {len(values)} rows")
+    return CountTrace(
+        kind=kind or "edges",
+        values=np.array(values, dtype=np.int64),
+        n=n,
+        N=meta.get("N") or N,
+        seed=meta.get("seed"),
+        model_config=meta.get("model"),
+    )
+
+
+def _parse_whole(csv_path: Path, top: int):
+    """The counts of a plain 'k,value' file in one np.loadtxt pass, or None.
+
+    None where any row would need a look: a header other than 'k,value', a
+    field that loadtxt cannot read as int64, a blank row (loadtxt skips it,
+    so its row count falls short of the file's lines), a row whose k is not
+    its epoch, or a count outside 0..top.
+    """
+    data = csv_path.read_bytes()
+    if not data.startswith((b"k,value\r\n", b"k,value\n")):
+        return None
+    # the rows after the header, with line ends counted as universal newlines
+    rows = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") - 1
+    rows += not data.endswith((b"\n", b"\r"))
+    if not rows:
+        return np.empty(0, dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns where only blank rows follow
+            table = np.loadtxt(csv_path, dtype=np.int64, delimiter=",", skiprows=1,
+                               comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape != (rows, 2) or np.any(table[:, 0] != np.arange(1, rows + 1)):
+        return None
+    values = table[:, 1]
+    return values if 0 <= values.min() and values.max() <= top else None
+
+
+def _parse_lines(csv_path: Path, top: int) -> list:
+    """The counts read row by row; the first bad row raises a ValueError naming its line."""
     values = []
     with csv_path.open() as fh:
         reader = csv.reader(fh)
@@ -419,14 +480,4 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
                 raise ValueError(
                     f"{csv_path}, line {reader.line_num}: k={row[0]}, but this row is epoch {epoch}")
             values.append(value)
-    if meta.get("K") not in (None, len(values)):
-        raise TraceMismatchError(
-            f"{meta_file} records K={meta['K']}, but {csv_path} has {len(values)} rows")
-    return CountTrace(
-        kind=kind or "edges",
-        values=np.array(values, dtype=np.int64),
-        n=n,
-        N=meta.get("N") or N,
-        seed=meta.get("seed"),
-        model_config=meta.get("model"),
-    )
+    return values

@@ -28,10 +28,14 @@ from onoffgraph.renewal import (
 )
 from onoffgraph.simulate import ModelSpec, simulate_edge_trace
 
-from test_renewal import ALL_MODELS, loop_autocovariance
+from test_renewal import ALL_MODELS, EXTREME_LAWS, loop_autocovariance
 
 HEAVY = ModelSpec(on_law=Pareto(1.0, 4.0), off_law=Geometric(0.5), n=100)
 PARPAR = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.5), n=100)
+# light and heavy laws, fast and slow mixing, with the extremes of test_renewal
+SCHEDULE_LAWS = [Geometric(0.3), Geometric(0.05), Weibull(1.0, 0.5), Weibull(0.3, 0.7),
+                 Pareto(1.0, 3.0), Pareto(2.0, 4.0), Pareto(3e4, 40.0), Pareto(1.0, 60.0),
+                 *EXTREME_LAWS]
 
 
 def geometric_pattern_probs(p, q, rho, K):
@@ -538,6 +542,39 @@ class TestGeneralSeries:
         model = ModelSpec(on_law=Weibull(0.3, 0.7), off_law=Geometric(0.5), n=10)
         g = general_moment_cov(model, 10)
         assert g.converged and g.tail_correction == (0.0, 0.0, 0.0)
+
+    def test_light_tails_start_at_the_short_table(self):
+        # GG's increments reach the rounding floor within a few lags
+        g = general_moment_cov(ALL_MODELS[0], 100)
+        assert g.converged and g.k_used == asymp._K0_MIN
+        assert g.tail_correction == (0.0, 0.0, 0.0)
+
+    def test_slow_light_tails_keep_their_table(self, monkeypatch):
+        # the short table fails, and the schedule goes on from K0 as before
+        model = ModelSpec(on_law=Geometric(0.002), off_law=Geometric(0.003), n=10)
+        g = general_moment_cov(model, 10)
+        monkeypatch.setattr(asymp, "_K0_MIN", K0)
+        assert general_moment_cov(model, 10).k_used == g.k_used > K0
+
+    @pytest.mark.parametrize("on", SCHEDULE_LAWS, ids=repr)
+    def test_short_start_matches_the_k0_schedule(self, on, monkeypatch):
+        # against the schedule that starts every model at K0: the same limits
+        # and flags on no longer a table, and bit for bit where a tail is fitted
+        models = [ModelSpec(on_law=on, off_law=off, n=10) for off in SCHEDULE_LAWS]
+        models = [m for m in models if finiteness_check(m)[0]]
+        got = [general_moment_cov(m, 10) for m in models]
+        monkeypatch.setattr(asymp, "_K0_MIN", K0)
+        for model, g in zip(models, got):
+            ref = general_moment_cov(model, 10)
+            if asymp._tail_exponents(model, K0):
+                assert g == ref
+                continue
+            scale = max(1.0, abs(ref.v0), abs(ref.v1), abs(ref.c01))
+            assert g.converged == ref.converged and g.k_used <= ref.k_used
+            for a, b in [(g.v0, ref.v0), (g.v1, ref.v1), (g.c01, ref.c01),
+                         (g.tail_error, ref.tail_error),
+                         *zip(g.tail_correction, ref.tail_correction)]:
+                assert abs(a - b) <= 1e-12 * scale
 
     @pytest.mark.parametrize("on,off,n", [(Weibull(0.02, 0.5), Geometric(0.05), 10),
                                           (Pareto(1.0, 2.1), Geometric(0.5), 100)],

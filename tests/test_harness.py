@@ -24,6 +24,8 @@ from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.simulate import ModelSpec
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
+# every command that reads a model config
+CONFIG_COMMANDS = ["simulate", "campaign", "estimate", "cov", "check", "mgf"]
 
 
 def _dirs_equal(a, b):
@@ -626,6 +628,54 @@ class TestCli:
         res = subprocess.run([sys.executable, "-m", "onoffgraph"],
                              capture_output=True, text=True, env=env, cwd=tmp_path)
         assert res.returncode == 1 and "usage: onoffgraph" in res.stderr
+
+    @pytest.mark.parametrize("cfg,code,commands", [
+        ([{"kind": "geometric", "p": 0.3}], 1, CONFIG_COMMANDS),
+        ("geometric", 1, CONFIG_COMMANDS),
+        ({"on": "geometric"}, 1, CONFIG_COMMANDS),
+        ({"on": None}, 1, CONFIG_COMMANDS),
+        ({"on": {"kind": "geometric"}}, 1, CONFIG_COMMANDS),
+        ({"on": {"kind": "geometric", "p": [0.3]}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "geometric", "p": None}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "geometric", "p": "0.3"}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "geometric", "p": 10**400}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "pareto", "C": float("nan"), "alpha": 3.0}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "pareto", "C": 1.0, "alpha": float("nan")}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "pareto", "C": float("inf"), "alpha": 3.0}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "pareto", "C": True, "alpha": 3.0}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "pareto", "C": -1.0, "alpha": 3.0}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "weibull", "lambda": float("inf"), "alpha": 1.0}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "weibull", "lambda": 1.0, "alpha": float("inf")}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "weibull", "lambda": True, "alpha": 1.0}}, 2, CONFIG_COMMANDS),
+        ({"n": 10**400}, 2, CONFIG_COMMANDS),
+        ({"n": -1}, 2, CONFIG_COMMANDS),
+        ({"kind": ["edges"]}, 2, ["simulate", "campaign", "estimate"]),
+        ({"family": ["geometric_geometric"]}, 2, ["campaign", "estimate"])],
+        ids=["list", "text", "on_text", "on_null", "p_missing", "p_list", "p_null", "p_text",
+             "p_huge", "C_nan", "alpha_nan", "C_inf", "C_true", "C_negative", "lambda_inf",
+             "weibull_alpha_inf", "lambda_true", "n_huge", "n_negative", "kind_list",
+             "family_list"])
+    def test_malformed_config_is_refused(self, tmp_path, capsys, cfg, code, commands):
+        # no traceback: exit 1 as a bad config, or exit 2 with a JSON body
+        good = {"on": {"kind": "geometric", "p": 0.3},
+                "off": {"kind": "geometric", "p": 0.8}, "n": 10}
+        trace = tmp_path / "t.csv"
+        simulate.save_trace(simulate.simulate_trace(
+            ModelSpec.from_config(good), 20, np.random.default_rng(0)), trace)
+        path = self._write_cfg(tmp_path, {**good, **cfg} if isinstance(cfg, dict) else cfg)
+        args = {"simulate": ["--k", "20", "--out", str(tmp_path / "o.csv")],
+                "campaign": ["--k", "20", "--reps", "2", "--workers", "1",
+                             "--out", str(tmp_path / "out")],
+                "estimate": ["--trace", str(trace)], "mgf": ["--theta", "0,0"]}
+        for command in commands:
+            capsys.readouterr()
+            assert cli.main([command, "--config", path, *args.get(command, [])]) == code
+            captured = capsys.readouterr()
+            if code == 2:
+                assert set(json.loads(captured.out)) == {"error", "message"}
+            else:
+                assert "bad config" in captured.err and not captured.out
+            assert not (tmp_path / "o.csv").exists() and not (tmp_path / "out").exists()
 
     def test_weibull_config_keys(self, tmp_path):
         # the Weibull config as the README writes it; a missing key is named

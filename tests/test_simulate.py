@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -478,6 +479,41 @@ class TestPersistence:
         path.write_text(header + "".join(rows[:1] + rows[2:3]))  # k = 1, 3
         with pytest.raises(ValueError, match="trace.csv, line 3: k=3"):
             load_trace(path)
+
+    def test_saved_bytes_are_csv_writer_rows(self, tmp_path):
+        # the one-pass format writes what csv.writer writes, CRLF line ends included
+        values = np.array([0, 7, 100, 3, 2**40])
+        for K in (0, 1, 5):
+            trace = CountTrace(kind="wedges", values=values[:K], n=100)
+            save_trace(trace, tmp_path / "fast.csv")
+            simulate.write_csv(tmp_path / "rows.csv", ["k", "value"],
+                               zip(range(1, K + 1), values[:K].tolist()))
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+            # and a saved file is read in one pass
+            whole = simulate._parse_whole(tmp_path / "fast.csv", 2**63 - 1)
+            assert whole.tolist() == values[:K].tolist()
+
+    @pytest.mark.parametrize("text", [
+        "k,value\r\n", "k,value\n1,2", "k,value\r\n1,2\r\n2,3\r\n", "k,value\r1,2\r2,3\r",
+        "k,value\n1,2\r2,3\n", "k,value\n1,2\r\r\n", "k,value\r\n1,2\r\n\r\n",
+        "k,value\n1,2\n\n", "k,value\n1,\"2\"\n", "k,value\n1,2,9\n2,3\n",
+        "k,value,x\n1,2\n", " k,value\n1,2\n", "k,value\n 1 , 2\n", "k,value\n1,+2\n",
+        "k,value\n1,2\n2,3_0\n", "k,value\n1,2\n#2,3\n", "k,value\n1,5\n",
+        "k,value\n2,1\n"],
+        ids=range(18))
+    def test_whole_file_parse_reads_what_the_line_loop_reads(self, tmp_path, text):
+        # the one-pass reader either returns the line loop's counts or defers to it
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        try:
+            expect = simulate._parse_lines(path, 4)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                load_trace(path, n=4, kind="edges")
+        else:
+            assert load_trace(path, n=4, kind="edges").values.tolist() == expect
+            whole = simulate._parse_whole(path, 4)
+            assert whole is None or whole.tolist() == expect
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
