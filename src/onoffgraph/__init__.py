@@ -32,18 +32,7 @@ from .harness import (
     mix_seed,
     run_campaign,
 )
-from .laws import (
-    Geometric,
-    Pareto,
-    Weibull,
-    chi_like,
-    hurwitz_like,
-    invert_chi_like,
-    invert_hurwitz_like,
-    invert_zeta_like,
-    law_from_config,
-    zeta_like,
-)
+from .laws import Geometric, Pareto, Weibull, law_from_config
 from .moments import (
     EstimateReport,
     MomentSet,

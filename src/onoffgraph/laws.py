@@ -1,4 +1,4 @@
-"""Discrete positive-integer duration laws and the series functions used to invert them.
+"""Discrete positive-integer duration laws and their mean maps.
 
 Three parametric families are supported, all with support {1, 2, ...}:
 
@@ -6,8 +6,10 @@ Three parametric families are supported, all with support {1, 2, ...}:
 * discrete Weibull, survival exp(-lambda * (i-1)^alpha)
 * Pareto/Lomax, survival C^alpha / (C + i - 1)^alpha
 
-Each law exposes its survival function, pmf, mean, an exact inverse-transform
-sampler, and its residual (equilibrium) law.
+Each law exposes its survival function, pmf, an exact inverse-transform
+sampler, its residual (equilibrium) law and its mean map over the free shape
+(p, or alpha at a fixed scale): mean(), its exact slope mean_slope() and the
+inverse, the class method shape_for_mean().
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import InfiniteMeanError, OutOfRangeError, ParameterError
-
-DEFAULT_INVERT_TOL = 1e-10
+from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
 
 # Draws beyond int64 range (possible as Pareto alpha -> 1 or C -> inf) are returned as this cap.
 RESIDUAL_CAP = 2**62
@@ -55,6 +55,8 @@ _SUBNORMAL_U = 2.0**-900
 
 class DurationLaw:
     """Shared behaviour of the parametric families."""
+
+    UNIT_SCALE = {}  # the scale at which a family that fits only the shape holds the law
 
     def survival(self, i):
         """P(Z >= i) for integer i >= 1 (scalar or array)."""
@@ -110,14 +112,14 @@ class DurationLaw:
         u = np.atleast_1d(u)
         if not u.size:
             return np.empty(u.shape, dtype=np.int64)
-        u_min = u.min()  # NaN if any u is NaN
-        if not (u_min > 0.0 and u.max() <= 1.0) and (np.any(u <= 0.0) or np.any(u > 1.0)):
+        u_min = u.min()  # NaN if any u is NaN, which fails the test as it must
+        if not (u_min > 0.0 and u.max() <= 1.0):
             raise ValueError("u must lie in (0, 1]")
-        # inf and NaN are outcomes here: inf is capped, NaN goes to the search
+        # inf is an outcome here (a quantile past float range), and is capped
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self._quantile(u)
             i = np.floor(x)
-            top = x.max()  # NaN if any x is NaN
+            top = x.max()
             x -= i  # frac(x), exact as _quantile gives no x < 0; NaN where x is inf
             # the whole block at once: _slack does not decrease in x, so
             # _slack(top) bounds every draw's slack, and a block whose
@@ -144,10 +146,9 @@ class DurationLaw:
             if not u_min >= _SUBNORMAL_U:
                 done &= u >= _SUBNORMAL_U
             i += 1.0
-            if not i.max() < RESIDUAL_CAP:  # NaN if any x is NaN
+            if not i.max() < RESIDUAL_CAP:  # inf where x is
                 done |= i >= RESIDUAL_CAP
                 np.minimum(i, RESIDUAL_CAP, out=i)
-                np.nan_to_num(i, copy=False, nan=1.0)
         i = i.astype(np.int64)
         if not done.all():
             search = ~done
@@ -173,6 +174,15 @@ class Geometric(DurationLaw):
     def mean(self):
         return 1.0 / self.p
 
+    def mean_slope(self):
+        return -1.0 / self.p**2
+
+    @classmethod
+    def shape_for_mean(cls, target):
+        if not 1.0 < target < math.inf:
+            raise OutOfRangeError(f"target {target} is outside the range of the geometric mean")
+        return 1.0 / target
+
     def tail_sum(self, k):
         return self.survival(k) / self.p
 
@@ -196,6 +206,8 @@ class Weibull(DurationLaw):
     lam: float
     alpha: float
 
+    UNIT_SCALE = {"lam": 1.0}
+
     def __post_init__(self):
         # where (i - 1)^alpha overflows, survival reads exp(-inf) = 0: right only
         # if lam times the largest float already puts exp(-lam y^alpha) below 5e-324
@@ -204,7 +216,7 @@ class Weibull(DurationLaw):
             raise ParameterError(
                 f"weibull needs finite lambda >= 746 / (largest float) and alpha > 0, got ({lam}, {a})")
         # the mean and variance series: the head terms, then _weibull_tail from y = M
-        head = _weibull_head(lam, a)
+        _, head = _weibull_head(lam, a)
         M = head.size
         tails = np.zeros(M + 1)  # tails[j] = sum_{y=j}^{M-1} exp(-lam y^alpha)
         tails[:-1] = np.cumsum(head[::-1])[::-1]
@@ -226,6 +238,33 @@ class Weibull(DurationLaw):
 
     def mean(self):
         return self._moments[0]
+
+    def mean_slope(self):
+        return _weibull_mean_slope(self.lam, self.alpha)[1]
+
+    @classmethod
+    def shape_for_mean(cls, target):
+        """The alpha with Weibull(1, alpha).mean() = target, climbed from where halving reaches it.
+
+        The mean falls toward 1 + 1/e; targets at or below that, or past the
+        means in float range (alpha near 0.004; the law is refused below 0.0118),
+        are refused. Where alpha halved, the climb starts from the Newton step
+        off 2 alpha instead if that lands past alpha and not below the target.
+        """
+        if not 1.0 + math.exp(-1.0) < target < math.inf:
+            raise OutOfRangeError(f"target {target} is outside the range of the weibull mean")
+        alpha, first = 1.0, _weibull_mean_slope(1.0, 1.0)
+        while first[0] < target:
+            alpha, right = alpha / 2.0, first
+            first = _weibull_mean_slope(1.0, alpha)
+        if not first[0] < math.inf:
+            raise OutOfRangeError(f"target {target} is past the weibull means in float range")
+        if alpha < 1.0:  # right of the root, a step on a convex map lands left of it
+            b = 2.0 * alpha + _newton_step(target, *right)
+            near = _weibull_mean_slope(1.0, b) if alpha < b else (0.0, 0.0)
+            if near[0] >= target - 4.0 * math.ulp(target):  # left of the root, or at it
+                alpha, first = b, near
+        return _climb(lambda a: _weibull_mean_slope(1.0, a), target, alpha, first)
 
     def variance(self):
         return self._moments[1]
@@ -261,6 +300,8 @@ class Pareto(DurationLaw):
     C: float
     alpha: float
 
+    UNIT_SCALE = {"C": 1.0}
+
     def __post_init__(self):
         if not (0.0 < self.C < math.inf and 0.0 < self.alpha < math.inf):  # NaN fails too
             raise ParameterError(
@@ -275,7 +316,22 @@ class Pareto(DurationLaw):
     def mean(self):
         if self.alpha <= 1.0:
             raise InfiniteMeanError(f"pareto mean is infinite for alpha={self.alpha} <= 1")
-        return hurwitz_like(self.C, self.alpha)
+        return _pareto_tail(self.C, self.alpha, self.C)
+
+    def mean_slope(self):
+        self.mean()  # refuses alpha <= 1
+        return _pareto_slope(self.C, self.alpha)
+
+    @classmethod
+    def shape_for_mean(cls, target, scale=1.0):
+        """The alpha with Pareto(scale, alpha).mean() = target > 1, by _climb from _pareto_start.
+
+        Where C^alpha overflows on the way, the law at the root is refused too.
+        """
+        if not 1.0 < target < math.inf:
+            raise OutOfRangeError(f"target {target} is outside the range of the pareto mean")
+        return _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
+                      target, _pareto_start(scale, target))
 
     def tail_sum(self, k):
         return _pareto_tail(self.C, self.alpha, self.C + _as_index(k) - 1.0)
@@ -327,7 +383,7 @@ class ResidualLaw:
         Draws that would exceed RESIDUAL_CAP are returned as RESIDUAL_CAP.
         """
         u = np.asarray(u, dtype=np.float64)
-        if np.any(u <= 0.0) or np.any(u > 1.0):
+        if not np.all((u > 0.0) & (u <= 1.0)):  # NaN fails too
             raise ValueError("u must lie in (0, 1]")
         k = _bracket(self.survival, u.ravel(), np.ones(u.size, dtype=np.int64))
         return int(k[0]) if u.ndim == 0 else k.reshape(u.shape)
@@ -363,30 +419,17 @@ def _bracket(survival, u, start):
 
 
 # ---------------------------------------------------------------------------
-# Series functions: Riemann zeta, the Pareto normalization zeta(C, .), and chi
+# Mean maps: the series, their slopes in the shape, and the climb that inverts them
 # ---------------------------------------------------------------------------
 
 
 def _pareto_scale(C, alpha):
     """C^alpha, refused with ParameterError where it leaves float range."""
     try:
-        return C**alpha
+        return float(C) ** float(alpha)  # floats, so that overflow raises
     except OverflowError:
         raise ParameterError(
             f"pareto scale C^alpha overflows for C={C}, alpha={alpha}") from None
-
-
-def hurwitz_like(C, alpha):
-    """zeta(C, alpha) := sum_{i>=1} C^alpha / (C + i - 1)^alpha, alpha > 1.
-
-    This is C^alpha times scipy's Hurwitz zeta(alpha, C), refused where
-    C^alpha leaves float range.
-    """
-    if C <= 0.0:
-        raise ParameterError(f"C must be positive, got {C}")
-    if alpha <= 1.0:
-        raise OutOfRangeError(f"series diverges for alpha={alpha} <= 1")
-    return _pareto_tail(C, alpha, C)
 
 
 def _pareto_tail(C, alpha, x):
@@ -398,15 +441,39 @@ def _pareto_tail(C, alpha, x):
     scale = _pareto_scale(C, alpha)
     with np.errstate(invalid="ignore"):
         value = scale * scipy.special.zeta(alpha, x)
-    if np.all(np.isfinite(value)):
+    if np.isfinite(value).all():
         return value
     fallback = 1.0 + scale * scipy.special.zeta(alpha, C + 1.0)
     return np.where(np.isfinite(value), value, fallback)[()]
 
 
-def zeta_like(alpha):
-    """Riemann zeta as the series sum_{i>=1} i^-alpha, alpha > 1."""
-    return hurwitz_like(1.0, alpha)
+def _pareto_start(C, target):
+    """1 + C / (target - 1/2) rounded down, at or left of the alpha of Pareto(C, alpha) mean target.
+
+    The mean, whose terms are convex in j, exceeds C / (alpha - 1) + 1/2. A
+    start at 1 is refused.
+    """
+    start = math.nextafter(1.0 + C / (target - 0.5), 1.0)
+    if start <= 1.0:
+        raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1")
+    return start
+
+
+def _pareto_slope(C, alpha):
+    """d/d alpha of the Pareto mean, sum_{j>=1} h, h = r^alpha L, r = C / (C + j), L = ln r.
+
+    Summed for j < M, x = C + M >= 32 (alpha + 4), then Euler-Maclaurin (DLMF
+    2.10.1): the integral x r^alpha (L / (alpha - 1) - 1 / (alpha - 1)^2) and
+    h/2 - h'/12 + h'''/720 at x; each derivative adds a factor near alpha / x.
+    """
+    M = max(1, math.ceil(32.0 * (alpha + 4.0) - C))
+    L = -np.log1p(np.arange(1.0, M + 1.0) / C)  # ln r for j = 1..M
+    r = np.exp(alpha * L)
+    x, Lx, rx = C + M, float(L[-1]), float(r[-1])
+    b, a1 = alpha * Lx + 1.0, alpha - 1.0
+    h3 = (alpha + 2.0) * ((alpha + 1.0) * b + alpha) + alpha * (alpha + 1.0)
+    tail = x * rx * (Lx / a1 - 1.0 / a1**2) + rx * (Lx / 2.0 + b / (12.0 * x) - h3 / (720.0 * x**3))
+    return float(r[:-1] @ L[:-1]) + tail
 
 
 def _weibull_integral(lam, alpha, a, power=0):
@@ -414,6 +481,33 @@ def _weibull_integral(lam, alpha, a, power=0):
     s = (power + 1) / alpha
     scale = np.exp(scipy.special.gammaln(s) - math.log(alpha) - s * math.log(lam))
     return scale * scipy.special.gammaincc(s, lam * np.asarray(a, dtype=np.float64) ** alpha)
+
+
+_laguerre_rule = functools.cache(lambda: np.polynomial.laguerre.laggauss(64))
+
+
+def _weibull_log_integral(lam, alpha, x):
+    """integral_x^inf g ln y exp(-g) dy, g = lam y^alpha: J / (alpha^2 lam^(1/alpha)) with
+    J = integral_{t0}^inf t^(s-1) ln(t / lam) e^-t dt, s = 1 + 1/alpha, t0 = lam x^alpha.
+
+    Past the peak of t^(s-1) e^-t (t0 >= s), Gauss-Laguerre on t = t0 + c v,
+    c flattening what the power adds to e^-t; before it, Gamma(s) (psi(s) -
+    ln lam) less the lower integral, the s-derivative of the series of the
+    lower incomplete gamma, sum_k t0^(s+k) e^-t0 / (s (s + 1) ... (s + k)).
+    """
+    s, t0 = 1.0 + 1.0 / alpha, float(lam * x**alpha)
+    log_pre = -2.0 * math.log(alpha) - math.log(lam) / alpha
+    if t0 >= s:
+        v, w = _laguerre_rule()
+        c = 1.0 / (1.0 - min((s - 1.0) / t0, 0.5))
+        terms = w * np.exp((s - 1.0) * np.log1p(c * v / t0) - (c - 1.0) * v) * np.log(
+            (t0 + c * v) / lam)
+        return c * np.exp(log_pre - t0 + (s - 1.0) * math.log(t0)) * float(np.sum(terms))
+    k = np.arange(math.ceil(t0 + 12.0 * math.sqrt(t0) + 40.0))
+    log_c = np.cumsum(np.log(t0 / (s + k))) + (s - 1.0) * math.log(t0) - t0 + log_pre
+    lower = np.exp(log_c) * (math.log(t0 / lam) - np.cumsum(1.0 / (s + k)))
+    whole = np.exp(math.lgamma(s) + log_pre) * (scipy.special.digamma(s) - math.log(lam))
+    return whole - float(np.sum(lower))
 
 
 def _weibull_split(alpha):
@@ -428,19 +522,20 @@ def _weibull_split(alpha):
 
 
 def _weibull_head(lam, alpha):
-    """exp(-lam y^alpha) for y = 0, 1, ..., _weibull_split(alpha) - 1."""
+    """g = lam y^alpha and exp(-g) for y = 0, 1, ..., _weibull_split(alpha) - 1."""
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(-lam * np.arange(_weibull_split(alpha), dtype=np.float64) ** alpha)
+        g = lam * np.arange(_weibull_split(alpha), dtype=np.float64) ** alpha
+        return g, np.exp(-g)
 
 
 def _weibull_tail(lam, alpha, x, power=0):
-    """sum_{y>=x} y^power exp(-lam y^alpha) for whole x >= _weibull_split(alpha), power 0 or 1.
+    """sum_{y>=x} h f, f = exp(-g), g = lam y^alpha, for whole x >= _weibull_split(alpha).
 
-    Euler-Maclaurin (DLMF 2.10.1) for h(y) = y^power f(y), f = exp(-g) and
-    g = lam y^alpha: the integral from x, plus h/2 - h'/12 + h'''/720 at x.
-    In units of f, f' = -g', f'' = g'^2 - g'' and f''' = -g'^3 + 3 g' g'' - g''';
-    for h = y f, h' = f + y f' and h''' = 3 f'' + y f'''. The first term left
-    out, h^(5)(x)/30240, stays below 1e-15 of the sum on the laws accepted
+    h is y^power (power 0 or 1), or g ln y for power "log" (scalar x).
+    Euler-Maclaurin (DLMF 2.10.1): the integral from x, plus H/2 - H'/12 +
+    H'''/720 at x, H = h f; in units of f, f' = -g', f'' = g'^2 - g'' and
+    f''' = -g'^3 + 3 g' g'' - g'''. The first term left out, H^(5)(x)/30240,
+    stays below 1e-15 of the mean and variance sums on the laws accepted
     (tests/test_laws.py checks a grid). Where f(x) underflows, the tail is 0.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -452,108 +547,89 @@ def _weibull_tail(lam, alpha, x, power=0):
         g3 = (alpha - 2.0) * g2 / x
         d1, d2, d3 = -g1, g1 * g1 - g2, -g1**3 + 3.0 * g1 * g2 - g3
         h = 1.0
-        if power:
-            h, d1, d3 = x, 1.0 + x * d1, 3.0 * d2 + x * d3
-        tail = _weibull_integral(lam, alpha, x, power) + f * (h / 2.0 - d1 / 12.0 + d3 / 720.0)
-        return np.where(f > 0.0, tail, 0.0)[()]
-
-
-def weibull_survival_sum(lam, alpha):
-    """sum_{i>=1} exp(-lam * (i-1)^alpha); equals chi(alpha) when lam = 1.
-
-    The head terms are summed and the rest is _weibull_tail; a sum past
-    float range is inf.
-    """
-    if lam <= 0.0 or alpha <= 0.0:
-        raise OutOfRangeError(f"series needs lam > 0, alpha > 0, got ({lam}, {alpha})")
-    head = _weibull_head(lam, alpha)
-    with np.errstate(over="ignore"):
-        return float(np.sum(head) + _weibull_tail(lam, alpha, head.size))
-
-
-def chi_like(alpha):
-    """chi(alpha) := sum_{i>=1} exp(-(i-1)^alpha), alpha > 0."""
-    return weibull_survival_sum(1.0, alpha)
-
-
-# _invert_decreasing grows its bracket out of `start`: the upper end doubles
-# and the lower end halves its distance to `floor`, each at most _MAX_STEPS
-# times, and each steps back toward start wherever fn is refused or not finite.
-_MAX_STEPS = 64
-
-
-def _bracket_end(fn, a, step, reached):
-    """Walk a, step(a), ... to the first point where fn is reached.
-
-    Returns it (or None), the last finite point passed (a if none) and any
-    refusal; from a refused or non-finite point it steps back halfway.
-    """
-    good, bad, refusal = a, None, None
-    for _ in range(_MAX_STEPS):
-        try:
-            value = fn(a)
-        except ParameterError as exc:
-            value, refusal = math.nan, exc
-        if not math.isfinite(value):
-            if a == good:  # refused at start itself: there is nothing to step back to
-                break
-            bad, a = a, (good + a) / 2.0
-        elif reached(value):
-            return a, good, refusal
+        if power == "log":
+            L = np.log(x)
+            h, q1, q2 = g * L, g1 * L + g / x, g2 * L + (2.0 * g1 - g / x) / x
+            q3 = g3 * L + (3.0 * g2 - (3.0 * g1 - 2.0 * g / x) / x) / x
+            d1, d3 = q1 + h * d1, q3 + 3.0 * q2 * d1 + 3.0 * q1 * d2 + h * d3
+            integral = _weibull_log_integral(lam, alpha, x)
         else:
-            good, a = a, step(a) if bad is None else (a + bad) / 2.0
-    return None, good, refusal
+            if power:
+                h, d1, d3 = x, 1.0 + x * d1, 3.0 * d2 + x * d3
+            integral = _weibull_integral(lam, alpha, x, power)
+        return np.where(f > 0.0, integral + f * (h / 2.0 - d1 / 12.0 + d3 / 720.0), 0.0)[()]
 
 
-def _invert_decreasing(fn, target, floor, start, limit, name, xtol=DEFAULT_INVERT_TOL):
-    """The a > floor with fn(a) = target, for fn strictly decreasing toward limit.
+def _weibull_mean_slope(lam, alpha):
+    """The Weibull mean sum_{y>=0} exp(-g), g = lam y^alpha, and its slope in alpha.
 
-    Targets at or below limit are refused. The bracket's upper end walks up from
-    start (_bracket_end), and if fn(start) is already at or below the target its
-    lower end walks down; brentq finds the root in it to xtol. Without a bracket,
-    the ParameterError met on the way is raised, or else OutOfRangeError.
+    The mean has Weibull.mean()'s bits; the slope is -sum_{y>=1} g ln y exp(-g).
+    No law is built, so shapes that the law refuses have them too.
     """
-    if not np.isfinite(target) or target <= limit:
-        raise OutOfRangeError(
-            f"target {target} is outside the range of {name} (must exceed {limit})"
-        )
-    hi, lo, refusal = _bracket_end(fn, start, lambda a: 2.0 * a, lambda v: v <= target)
-    if hi is not None and lo == hi:
-        lo, hi, refusal = _bracket_end(fn, start, lambda a: floor + (a - floor) / 2.0,
-                                       lambda v: v >= target)
-    if hi is None or lo is None:
-        raise refusal or OutOfRangeError(f"could not bracket target {target} for {name}")
-    return scipy.optimize.brentq(lambda a: fn(a) - target, lo, hi, xtol=xtol)
+    g, head = _weibull_head(lam, alpha)
+    M = head.size
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mean = float(np.sum(head) + _weibull_tail(lam, alpha, M))
+        # past g = 745, g exp(-g) is 0: capping g keeps inf * 0 out
+        slope = np.sum(np.minimum(g[1:], 800.0) * np.log(np.arange(1.0, M)) * head[1:])
+        return mean, -float(slope + _weibull_tail(lam, alpha, M, "log"))
 
 
-# The smallest argument of each inversion: Pareto laws need alpha > 1, and chi alpha > 0.
-_PARETO_FLOOR = math.nextafter(1.0, 2.0)
+_CLIMB_STEPS = 200  # a climb that evaluates its map this often cannot follow it
 
 
-def invert_zeta_like(target):
-    """alpha with zeta(alpha) = target; requires target > 1."""
-    return invert_hurwitz_like(1.0, target)
+def _newton_step(target, value, slope, limit=1.0):
+    """Newton's step toward mean = target on ln(mean - limit), from a mean and its slope."""
+    return float((math.log(target - limit) - math.log(value - limit)) * (value - limit) / slope)
 
 
-def invert_hurwitz_like(C, target):
-    """alpha with zeta(C, alpha) = target; requires target > 1."""
-    return _invert_decreasing(
-        lambda a: hurwitz_like(C, a), target, _PARETO_FLOOR, 2.0, 1.0, "hurwitz"
-    )
+def _climb(fn, target, a, first=None, limit=1.0):
+    """The root of mean(a) = target, from a at or left of it, for a mean falling toward limit.
 
-
-def invert_chi_like(target):
-    """alpha with chi(alpha) = target; requires 1 + exp(-1) < target.
-
-    chi(alpha) -> 1 + e^-1 as alpha -> inf because the i = 2 term never
-    decays, so targets at or below that level are unreachable. As alpha -> 0,
-    chi grows like Gamma(1 + 1/alpha) and leaves float range near alpha = 0.0058;
-    targets past the last finite chi are refused. There an absolute 1e-10 in
-    alpha moves chi by 1e-7 of itself, so alpha is solved to float precision
-    (brentq's relative 4 eps).
+    fn(a) gives the mean and its slope (first, if given, is fn(a)). Newton
+    runs on ln(mean - limit), for a Pareto law (limit 1) a log-sum-exp of
+    affine maps of alpha, so convex: each step lands at or left of the root.
+    A step landing past it (a map not known to be convex; one within 4 ulps
+    of the root is taken) or refused by fn (ParameterError) ends the bracket.
+    A step past that end is cut to regula falsi on ln(mean - limit), kept
+    1/16 of the way from either end, or to half the way to a refusal; once
+    the way is within 4 ulps, a refusal there is raised.
     """
-    return _invert_decreasing(chi_like, target, 0.0, 1.0, 1.0 + math.exp(-1.0), "chi",
-                              xtol=math.ulp(0.0))
+    def newton(a, value, slope):  # the step, and whether a is at the root as far as rounding tells
+        step = _newton_step(target, value, slope, limit)
+        return step, abs(value - target) <= 4.0 * math.ulp(target) or abs(step) <= 4.0 * math.ulp(a)
+
+    a, (value, slope) = float(a), first or fn(a)
+    step, done = newton(a, value, slope)
+    if value < target and not done:
+        raise OutOfRangeError(f"the climb to {target} starts past its root, at {a}")
+    end, end_gap, refusal = math.inf, None, None
+    for _ in range(_CLIMB_STEPS):
+        if a + step >= end:
+            gap = math.log(value - limit) - math.log(target - limit)
+            cut = 0.5 if end_gap is None else min(max(gap / (gap - end_gap), 1 / 16), 15 / 16)
+            step = (end - a) * cut
+        if done or 0.0 < step <= 4.0 * math.ulp(a):
+            if done or refusal is None:
+                return a
+            raise refusal
+        if not 0.0 < step < math.inf:
+            break
+        try:
+            v, s = fn(a + step)
+        except ParameterError as exc:
+            end, end_gap, refusal = a + step, None, exc
+            continue
+        if v >= target or v > limit and (near := newton(a + step, v, s))[1]:
+            a, value = a + step, v
+            step, done = near if v < target else newton(a, v, s)
+        else:
+            end, refusal = a + step, None
+            end_gap = math.log(v - limit) - math.log(target - limit) if v > limit else None
+    raise ConvergenceError(f"no root for target {target} in {_CLIMB_STEPS} steps", best=a)
+
+
+invert_zeta_like = Pareto.shape_for_mean  # the name the benchmark calls
 
 
 # ---------------------------------------------------------------------------

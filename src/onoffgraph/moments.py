@@ -20,17 +20,8 @@ import numpy as np
 import scipy
 
 from .errors import IncompatibleMomentsError
-from .laws import (
-    DEFAULT_INVERT_TOL,
-    Geometric,
-    Pareto,
-    Weibull,
-    _PARETO_FLOOR,
-    _invert_decreasing,
-    hurwitz_like,
-    invert_chi_like,
-    invert_zeta_like,
-)
+from .laws import (Geometric, Pareto, Weibull, _climb, _pareto_scale, _pareto_slope, _pareto_start,
+                   _pareto_tail)
 from .renewal import autocovariance
 from .simulate import CountTrace, ModelSpec
 
@@ -129,7 +120,11 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         zeta(C, alpha) = mu_hat(0) / D        (mean sum)
         (C/(C+1))^alpha = q_hat - (mu_hat(2) - mu_hat(1)) / D
     and is solved by eliminating C = t/(1-t) with t = T2^(1/alpha), leaving a
-    monotone scalar equation in alpha.
+    mean P(C(alpha), alpha) that decreases toward 1 / (1 - T2), climbed from
+    _pareto_start(C(1), T1) (C(alpha) >= C(1) for alpha >= 1) with the slope
+    dP/dalpha + dP/dC C'(alpha), where dP/dC = (alpha / C) sum_{j>=1} r^alpha (1 - r),
+    r = C / (C + j), is C^alpha (zeta(alpha, C + 1) - C zeta(alpha + 1, C + 1))
+    alpha / C: no C^(alpha + 1), which can overflow where P does not, is formed.
     """
     if m.L < 3:
         raise ValueError("pareto/geometric estimation needs moments up to lag 2")
@@ -150,8 +145,14 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         t = float(T2) ** (1.0 / alpha)
         return t / (1.0 - t)
 
-    alpha = _invert_decreasing(lambda a: hurwitz_like(c_of(a), a), T1, _PARETO_FLOOR, 2.0,
-                               1.0 / (1.0 - T2), "the pareto/geometric mean sum")
+    def mean_sum(alpha):
+        C, zeta = c_of(alpha), scipy.special.zeta
+        dP_dC = alpha / C * _pareto_scale(C, alpha) * (
+            zeta(alpha, C + 1.0) - C * zeta(alpha + 1.0, C + 1.0))
+        dC = -C * (1.0 + C) * math.log(T2) / alpha**2
+        return _pareto_tail(C, alpha, C), _pareto_slope(C, alpha) + dP_dC * dC
+
+    alpha = _climb(mean_sum, T1, _pareto_start(c_of(1.0), T1), limit=1.0 / (1.0 - T2))
     C = c_of(alpha)
     flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
     return _report(m, "pareto_geometric", {"C": C, "alpha": alpha, "q": q_hat}, flags,
@@ -234,9 +235,12 @@ def wedge_moments(model: ModelSpec, lag: int) -> float:
 def _subgraph_rate_targets(m: MomentSet):
     """(1/E[X], 1/E[Y]) and the diagnostics from triangle or wedge moments.
 
-    The mean equation pins rho; the lag-1 product equation is monotone in the
-    persistence u = 1 - 1/E[X] on [0, 1] and is solved by bracketing. As
-    rho = E[X] / (E[X] + E[Y]), 1/E[Y] = rho (1 - u) / (1 - rho).
+    The mean equation pins rho; the lag-1 product equation increases in the
+    persistence u = 1 - 1/E[X] on [0, 1] and is refused where it has no root
+    there. The root is taken in closed form where nothing cancels: Cardano's
+    w - p / 3w as q / (w^2 + p/3 + (p/3w)^2) for the triangles' cubic
+    u^3 + p u = q, 2R / (B + sqrt(B^2 + 12 R)) for the wedges' 3 u^2 + B u = R.
+    As rho = E[X] / (E[X] + E[Y]), 1/E[Y] = rho (1 - u) / (1 - rho).
     """
     if m.N is None:
         raise ValueError("subgraph estimation needs the vertex count N")
@@ -246,15 +250,18 @@ def _subgraph_rate_targets(m: MomentSet):
     if not 0.0 < mu0 < count:
         raise IncompatibleMomentsError(f"mean {mu0} outside (0, {count})")
     rho = root(mu0 / count)
-
-    def resid(u):
-        return pair(m.N, rho, u) - mu1
-
-    if resid(0.0) > 0.0 or resid(1.0) < 0.0:
+    if pair(m.N, rho, 0.0) > mu1 or pair(m.N, rho, 1.0) < mu1:
         raise IncompatibleMomentsError(
             "lag-1 product moment incompatible with any persistence in [0, 1]")
-    u = scipy.optimize.brentq(resid, 0.0, 1.0, xtol=DEFAULT_INVERT_TOL)
-    fbar1 = 1.0 - u
+    c3, a0, a1, a2, _ = _share_coeffs(m.N)  # a3 = 1
+    if m.kind == "triangles":
+        p, q = a2 * rho**2, (mu1 / c3 - (a0 + a1) * rho**6) / rho**3
+        w = np.cbrt(q / 2.0 + np.sqrt(q * q / 4.0 + p**3 / 27.0))
+        u = q / (w * w + p / 3.0 + (p / (3.0 * w)) ** 2) if q > 0.0 else 0.0
+    else:
+        B, R = (4 * a2 + 6) * rho, (mu1 / c3 - (9 * a0 + 9 * a1 + 5 * a2) * rho**4) / rho**2
+        u = 2.0 * R / (B + np.sqrt(B * B + 12.0 * R))
+    fbar1 = 1.0 - min(max(u, 0.0), 1.0)
     return (fbar1, rho * fbar1 / (1.0 - rho)), {"rho": rho, "observable": m.kind}
 
 
@@ -269,22 +276,12 @@ def estimate_from_subgraph(m: MomentSet, family: str = "geometric_geometric") ->
 # The family registry and the one fit path
 # ---------------------------------------------------------------------------
 
-# law kind -> its class, the scale that a family fitting only the shape holds
-# at 1, and the rate map's inverse: the shape from a mean target 1/rate > 1
-# (None for the geometric law, whose parameter is the rate itself)
-_RATE_MAPS = {
-    "geometric": (Geometric, {}, None),
-    "pareto": (Pareto, {"C": 1.0}, invert_zeta_like),
-    "weibull": (Weibull, {"lam": 1.0}, invert_chi_like),
-}
-
-
 @dataclass(frozen=True)
 class EstimatorFamily:
     """One registry entry: how a pair of duration-law families is fitted."""
 
     params: tuple  # parameter names, in report and output order
-    kinds: tuple  # (on, off) law kinds, as in law configs
+    laws: tuple  # (on, off) law classes
     lags: int  # reads mu_hat(0..lags-1): 2 for edges, triangles or wedges, 3 for edges only
     attrs: tuple  # (law, attribute) of a ModelSpec that holds each parameter
 
@@ -297,19 +294,19 @@ class EstimatorFamily:
         kwargs = {"on_law": {}, "off_law": {}}
         for (law, attr), value in zip(self.attrs, values):
             kwargs[law][attr] = value
-        return ModelSpec(*(_RATE_MAPS[kind][0](**{**_RATE_MAPS[kind][1], **kwargs[law]})
-                           for kind, law in zip(self.kinds, kwargs)), n=n)
+        return ModelSpec(*(cls(**{**cls.UNIT_SCALE, **kwargs[law]})
+                           for cls, law in zip(self.laws, kwargs)), n=n)
 
 
 FAMILIES = {
     "geometric_geometric": EstimatorFamily(
-        ("p", "q"), ("geometric", "geometric"), 2, (("on_law", "p"), ("off_law", "p"))),
+        ("p", "q"), (Geometric, Geometric), 2, (("on_law", "p"), ("off_law", "p"))),
     "pareto_pareto": EstimatorFamily(
-        ("alpha", "beta"), ("pareto", "pareto"), 2, (("on_law", "alpha"), ("off_law", "alpha"))),
+        ("alpha", "beta"), (Pareto, Pareto), 2, (("on_law", "alpha"), ("off_law", "alpha"))),
     "weibull_geometric": EstimatorFamily(
-        ("alpha", "q"), ("weibull", "geometric"), 2, (("on_law", "alpha"), ("off_law", "p"))),
+        ("alpha", "q"), (Weibull, Geometric), 2, (("on_law", "alpha"), ("off_law", "p"))),
     "pareto_geometric": EstimatorFamily(
-        ("C", "alpha", "q"), ("pareto", "geometric"), 3,
+        ("C", "alpha", "q"), (Pareto, Geometric), 3,
         (("on_law", "C"), ("on_law", "alpha"), ("off_law", "p"))),
 }
 
@@ -319,23 +316,22 @@ def _fit_two_lag(m: MomentSet, family: str) -> EstimateReport:
 
     Edge moments give (D / mu_hat(0), D / (n - mu_hat(0))), triangle and
     wedge moments _subgraph_rate_targets. A geometric law's parameter is its
-    rate, flagged outside (0, 1); a Pareto or Weibull law's shape inverts its
-    mean target, which must exceed 1.
+    rate, flagged outside (0, 1); a Pareto or Weibull law's shape is its
+    class's shape_for_mean at the mean target, which must exceed 1.
     """
     entry = FAMILIES[family]
     if m.kind == "edges":
         rates, diagnostics = _first_lag_targets(m)[:2], {}
     else:
         rates, diagnostics = _subgraph_rate_targets(m)
-    inverses = [_RATE_MAPS[kind][2] for kind in entry.kinds]
-    for kind, invert, rate in zip(entry.kinds, inverses, rates):
-        if invert is not None and (rate <= 0 or 1.0 / rate <= 1.0):
-            raise IncompatibleMomentsError(
-                f"{kind} mean target must exceed 1, got {1.0 / rate if rate > 0 else rate}")
-    params = {name: rate if invert is None else invert(1.0 / rate)
-              for name, invert, rate in zip(entry.params, inverses, rates)}
-    flags = [f"{name}_out_of_range" for name, invert, rate in zip(entry.params, inverses, rates)
-             if invert is None and not 0.0 < rate < 1.0]
+    for law, rate in zip(entry.laws, rates):
+        if law is not Geometric and (rate <= 0 or 1.0 / rate <= 1.0):
+            raise IncompatibleMomentsError(f"{law.__name__.lower()} mean target must exceed 1, "
+                                           f"got {1.0 / rate if rate > 0 else rate}")
+    params = {name: rate if law is Geometric else law.shape_for_mean(1.0 / rate)
+              for name, law, rate in zip(entry.params, entry.laws, rates)}
+    flags = [f"{name}_out_of_range" for name, law, rate in zip(entry.params, entry.laws, rates)
+             if law is Geometric and not 0.0 < rate < 1.0]
     return _report(m, family, params, flags, diagnostics)
 
 
@@ -361,11 +357,12 @@ def moments_needed(family: str) -> int:
 
 
 def infer_family(model: ModelSpec) -> str:
-    """The registry family whose (on, off) law kinds are the model's."""
-    kinds = (model.on_law.to_config()["kind"], model.off_law.to_config()["kind"])
+    """The registry family whose (on, off) law classes are the model's."""
+    laws = (type(model.on_law), type(model.off_law))
     for name, entry in FAMILIES.items():
-        if entry.kinds == kinds:
+        if entry.laws == laws:
             return name
+    kinds = tuple(law.__name__.lower() for law in laws)
     raise ValueError(f"no estimator family for law kinds {kinds}")
 
 

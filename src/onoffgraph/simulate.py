@@ -399,8 +399,8 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
                kind: str | None = None) -> CountTrace:
     """Read a trace; the caller's n and kind must match the sidecar, or stand in for it.
 
-    Row j must read k = j, and a count outside 0..n (0..2^63 - 1 where the
-    kind is not given as edges) is refused: each with a ValueError naming its
+    Row j must read k = j, and a count outside 0..n (0..2^63 - 1 for a kind,
+    edges by default, not edges) is refused: each with a ValueError naming its
     line. A row count other than the sidecar's K is a TraceMismatchError.
     """
     csv_path = Path(csv_path)
@@ -414,7 +414,7 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
     n = meta.get("n") or n
     if n is None:
         raise ValueError(f"{csv_path}: no sidecar {meta_file.name}; the edge count n is needed")
-    kind = meta.get("kind") or kind
+    kind = meta.get("kind") or kind or "edges"
     top = n if kind == "edges" else 2**63 - 1
     values = _parse_whole(csv_path, top)
     if values is None:  # the line loop names the bad line, or reads what only csv takes
@@ -423,7 +423,7 @@ def load_trace(csv_path, n: int | None = None, N: int | None = None,
         raise TraceMismatchError(
             f"{meta_file} records K={meta['K']}, but {csv_path} has {len(values)} rows")
     return CountTrace(
-        kind=kind or "edges",
+        kind=kind,
         values=np.array(values, dtype=np.int64),
         n=n,
         N=meta.get("N") or N,

@@ -68,7 +68,7 @@ class TestConfig:
         assert clone.to_json() == cfg.to_json()
         assert clone.param_names == ("p", "q")
 
-    def test_subgraph_requires_geometric(self):
+    def test_subgraph_needs_a_two_lag_family(self):
         # every two-lag family fits subgraph counts; the three-lag pareto_geometric does not
         m = ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=6)
         assert ExperimentConfig(model=m, kind="triangles").family == "weibull_geometric"
@@ -480,7 +480,8 @@ class TestCli:
         assert json.loads(res.stdout)["finite"] is True
 
     def test_import_footprint(self):
-        # the CLI loads none of these scipy modules; each loads at its first use
+        # the CLI loads none of these scipy modules; scipy.special and
+        # scipy.linalg load at their first use, and no fit loads scipy.optimize
         script = "\n".join([
             "import sys",
             "import numpy as np",
@@ -488,15 +489,22 @@ class TestCli:
             "heavy = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special', 'scipy.linalg')",
             "         if m in sys.modules]",
             "assert not heavy, heavy",
-            "from onoffgraph import (Geometric, ModelSpec, MomentSet, fit, invert_zeta_like,",
+            "from onoffgraph import (Geometric, ModelSpec, MomentSet, Pareto, Weibull, fit,",
             "                        triangle_moments)",
-            "assert abs(invert_zeta_like(2.0) - 1.7286472389981836) < 1e-9",
+            "assert abs(Pareto.shape_for_mean(2.0) - 1.7286472389981836) < 1e-9",
+            "assert abs(Weibull.shape_for_mean(2.0) - 0.6519837463611663) < 1e-9",
             "m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)",
             "ms = MomentSet(mu=np.array([triangle_moments(m, 0), triangle_moments(m, 1)]),",
             "               n=m.n, K=0, kind='triangles', N=20)",
             "r = fit(ms, 'geometric_geometric')",
             "assert abs(r.params['p'] - 0.3) < 1e-8 and abs(r.params['q'] - 0.8) < 1e-8",
-            "assert 'scipy.optimize' in sys.modules and 'scipy.stats' not in sys.modules",
+            "from onoffgraph import theoretical_moment_set",
+            "for on, off, family in ((Pareto(1.0, 3.0), Pareto(1.0, 2.5), 'pareto_pareto'),",
+            "                        (Weibull(1.0, 0.5), Geometric(0.7), 'weibull_geometric'),",
+            "                        (Pareto(2.0, 4.0), Geometric(0.7), 'pareto_geometric')):",
+            "    exact = theoretical_moment_set(ModelSpec(on_law=on, off_law=off, n=100), 3)",
+            "    assert fit(exact, family).ok",
+            "assert 'scipy.optimize' not in sys.modules and 'scipy.stats' not in sys.modules",
             "from onoffgraph import Pareto, saddlepoint_logprob",
             "assert abs(Pareto(1.0, 3.0).mean() - 1.2020569031595942) < 1e-12",  # zeta(3)
             "gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)",

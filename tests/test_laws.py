@@ -16,14 +16,8 @@ from onoffgraph.laws import (
     Geometric,
     Pareto,
     Weibull,
-    chi_like,
-    hurwitz_like,
-    invert_chi_like,
-    invert_hurwitz_like,
-    invert_zeta_like,
     law_from_config,
-    zeta_like,
-    _invert_decreasing,
+    _weibull_mean_slope,
     _weibull_split,
 )
 from onoffgraph.simulate import ModelSpec, _phase_switches
@@ -160,7 +154,6 @@ class TestMean:
     def test_pareto_tiny_scale(self):
         # C^alpha underflows to 0 while zeta(alpha, C) overflows: the mean is 1, not 0 * inf
         assert Pareto(1e-9, 300.0).mean() == 1.0
-        assert hurwitz_like(1e-9, 300.0) == 1.0
         # the tail sum T(1) is the same sum: scalar, in an array, and behind the residual law
         law = Pareto(1e-9, 300.0)
         assert law.tail_sum(1) == 1.0
@@ -180,7 +173,7 @@ class TestMean:
         assert calls == [(1.0, 0.25)]
         assert law.variance() > 0.0 and len(calls) == 1
         monkeypatch.undo()
-        assert law.mean() == laws.weibull_survival_sum(1.0, 0.25)  # the same bits
+        assert law.mean() == _weibull_mean_slope(1.0, 0.25)[0]  # the inversion's bits
 
     def test_mean_equals_survival_sum(self):
         i = np.arange(1, 200_000)
@@ -290,10 +283,9 @@ class TestWeibullSeries:
                 call()
                 times.append(time.perf_counter() - start)
             return min(times)
-        invert_chi_like(20.0)  # brentq's first import
         assert best(lambda: Weibull(1.0, 0.25).variance()) < 0.02
-        assert best(lambda: invert_chi_like(20.0)) < 0.02
-        a = invert_chi_like(20.0)
+        assert best(lambda: Weibull.shape_for_mean(20.0)) < 0.02
+        a = Weibull.shape_for_mean(20.0)
         assert weibull_series(1.0, a) == pytest.approx(20.0, rel=1e-13)
 
     @pytest.mark.parametrize("lam,alpha,mean", [
@@ -377,113 +369,156 @@ SERIES_ALPHAS = [1.01, 1.05, 1.5, 2.5, 4.0, 8.0]
 
 class TestSeries:
     def test_zeta(self):
-        assert zeta_like(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-11)
+        assert Pareto(1.0, 2.0).mean() == pytest.approx(math.pi**2 / 6, abs=1e-11)
         for a in SERIES_ALPHAS:
-            assert zeta_like(a) == pytest.approx(euler_maclaurin_hurwitz(1.0, a),
-                                                 abs=1e-11, rel=1e-12)
+            assert Pareto(1.0, a).mean() == pytest.approx(euler_maclaurin_hurwitz(1.0, a),
+                                                          abs=1e-11, rel=1e-12)
 
     def test_chi(self):
-        assert chi_like(1.0) == pytest.approx(1 / (1 - math.exp(-1)), abs=1e-11)
+        assert Weibull(1.0, 1.0).mean() == pytest.approx(1 / (1 - math.exp(-1)), abs=1e-11)
 
     def test_hurwitz(self):
         for C in [0.5, 1.0, 2.0, 5.0]:
             for a in SERIES_ALPHAS:
-                assert hurwitz_like(C, a) == pytest.approx(euler_maclaurin_hurwitz(C, a),
-                                                           abs=1e-11, rel=1e-12)
+                assert Pareto(C, a).mean() == pytest.approx(euler_maclaurin_hurwitz(C, a),
+                                                            abs=1e-11, rel=1e-12)
         # brute force with generous tail for C != 1
         i = np.arange(1, 2_000_000, dtype=np.float64)
         brute = float(np.sum((2.0 / (2.0 + i - 1.0)) ** 4))
-        assert hurwitz_like(2.0, 4.0) == pytest.approx(brute, rel=1e-9)
+        assert Pareto(2.0, 4.0).mean() == pytest.approx(brute, rel=1e-9)
 
     def test_divergence_boundary(self):
-        with pytest.raises(OutOfRangeError):
-            zeta_like(1.0)
-        with pytest.raises(OutOfRangeError):
-            hurwitz_like(2.0, 0.9)
-        with pytest.raises(OutOfRangeError):
-            chi_like(0.0)
+        with pytest.raises(InfiniteMeanError):
+            Pareto(1.0, 1.0).mean()
+        with pytest.raises(InfiniteMeanError):
+            Pareto(2.0, 0.9).mean_slope()
+        with pytest.raises(ParameterError):
+            Weibull(1.0, 0.0)
         # small alpha is summed in closed form, not refused: chi(0.2) is about 5!
-        assert chi_like(0.2) == pytest.approx(120.750724652, rel=1e-11)
+        assert Weibull(1.0, 0.2).mean() == pytest.approx(120.750724652, rel=1e-11)
 
     def test_scale_overflow_is_refused(self):
         # C^alpha past float range is a typed refusal, not an OverflowError
         with pytest.raises(ParameterError):
-            hurwitz_like(100.0, 200.0)
-        with pytest.raises(ParameterError):
             Pareto(100.0, 200.0)
         with pytest.raises(ParameterError):
-            invert_hurwitz_like(100.0, 1.0001)
+            Pareto(np.float64(100.0), np.float64(200.0))
+        with pytest.raises(ParameterError):
+            Pareto.shape_for_mean(1.0001, 100.0)  # the root lies past alpha = 154
         # 100^150 = 1e300 is still in range, and so is the law
         direct = float(np.sum((100.0 / (100.0 + np.arange(20_000.0))) ** 150))
-        assert hurwitz_like(100.0, 150.0) == pytest.approx(direct, rel=1e-12)
-        assert Pareto(100.0, 150.0).tail_sum(1) == hurwitz_like(100.0, 150.0)
+        assert Pareto(100.0, 150.0).mean() == pytest.approx(direct, rel=1e-12)
+        assert Pareto(100.0, 150.0).tail_sum(1) == Pareto(100.0, 150.0).mean()
+
+
+def five_point_slope(mean, x, h):
+    """The five-point central difference of mean at x with step h."""
+    return (mean(x - 2 * h) - 8 * mean(x - h) + 8 * mean(x + h) - mean(x + 2 * h)) / (12 * h)
+
+
+# shapes from the floors (Pareto alpha > 1, Weibull alpha >= 0.0118, where its
+# variance stays in float range) up to 300
+SLOPE_SHAPES = ([1.0 + 1e-4, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 300.0],
+                [0.0118, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0,
+                 100.0, 300.0])
+
+
+class TestMeanSlope:
+    def test_geometric(self):
+        for p in (1e-12, 0.3, 0.999):
+            assert Geometric(p).mean_slope() == -1.0 / p**2
+            assert five_point_slope(lambda q: Geometric(q).mean(), p, 1e-3 * min(p, 1 - p)) \
+                == pytest.approx(Geometric(p).mean_slope(), rel=1e-8)
+
+    @pytest.mark.parametrize("law", [Pareto(1.0, a) for a in SLOPE_SHAPES[0]]
+                             + [Weibull(1.0, a) for a in SLOPE_SHAPES[1]]
+                             + [law for law in EXTREME_LAWS + ALL_LAWS
+                                if not isinstance(law, Geometric)
+                                and not (isinstance(law, Pareto) and law.alpha <= 1.0)], ids=str)
+    def test_matches_five_point_difference(self, law):
+        # the exact slope in alpha against a central difference, 1e-8 relative,
+        # of the mean less the terms that alpha leaves alone (summed apart, so
+        # that a mean near its limit keeps its digits); the step moves that
+        # excess by about 1e-3 of itself
+        kind, scale = type(law), law.C if isinstance(law, Pareto) else law.lam
+        slope = law.mean_slope()
+        assert slope <= 0.0
+        if slope == 0.0:  # every term that moves with alpha is below float range
+            assert _excess(kind, scale, law.alpha >= 1.0, law.alpha) == 0.0
+            return
+        excess = functools.partial(_excess, kind, scale, law.alpha >= 1.0)
+        h = 1e-3 * excess(law.alpha) / -slope
+        assert slope == pytest.approx(five_point_slope(excess, law.alpha, h), rel=1e-8)
+
+
+def _excess(kind, scale, summed, alpha):
+    """The mean less the terms that do not move with alpha, summed on its own (a test oracle).
+
+    For a Pareto law that is C^alpha zeta(alpha, C + 1), the terms j >= 1. For
+    a Weibull law it is mean - 1, or where summed (alpha near or above 1,
+    where the mean nears 1 + exp(-lam)) the terms y >= 2 summed directly.
+    """
+    if kind is Pareto:
+        return scale**alpha * float(scipy_zeta(alpha, scale + 1.0))
+    if not summed:
+        return _weibull_mean_slope(scale, alpha)[0] - 1.0
+    with np.errstate(over="ignore"):
+        return math.fsum(np.exp(-scale * np.arange(2.0, 20_000.0) ** alpha))
 
 
 class TestInversion:
     def test_examples(self):
-        assert invert_zeta_like(math.pi**2 / 6) == pytest.approx(2.0, abs=1e-8)
-        assert invert_chi_like(1 / (1 - math.exp(-1))) == pytest.approx(1.0, abs=1e-8)
+        assert Pareto.shape_for_mean(math.pi**2 / 6) == pytest.approx(2.0, abs=1e-12)
+        assert Weibull.shape_for_mean(1 / (1 - math.exp(-1))) == pytest.approx(1.0, abs=1e-12)
+        assert Geometric.shape_for_mean(4.0) == 0.25
 
     def test_out_of_range(self):
+        for target in (0.9, 1.0, math.inf, math.nan):
+            for kind in (Geometric, Pareto):
+                with pytest.raises(OutOfRangeError):
+                    kind.shape_for_mean(target)
         with pytest.raises(OutOfRangeError):
-            invert_zeta_like(0.9)
+            Pareto.shape_for_mean(1e16)  # its alpha lies within rounding of 1
         with pytest.raises(OutOfRangeError):
-            invert_zeta_like(1.0)
+            Weibull.shape_for_mean(1.0 + math.exp(-1))  # infimum of the chi range
         with pytest.raises(OutOfRangeError):
-            invert_chi_like(1.0 + math.exp(-1))  # infimum of the chi range
+            Weibull.shape_for_mean(math.inf)
         with pytest.raises(OutOfRangeError):
-            invert_chi_like(math.inf)
-        with pytest.raises(OutOfRangeError):
-            invert_chi_like(sys.float_info.max)  # above the last finite chi
+            Weibull.shape_for_mean(sys.float_info.max)  # above the last finite chi
         # chi leaves float range only near alpha = 0.0058, so 1e3 has a root
-        assert chi_like(invert_chi_like(1e3)) == pytest.approx(1e3, rel=1e-13)
+        a = Weibull.shape_for_mean(1e3)
+        assert Weibull(1.0, a).mean() == pytest.approx(1e3, rel=1e-13)
 
     def test_round_trip_grid(self):
+        # each inverse's mean meets its target to 1e-13 relative
         for t in [1.05, 1.2, 1.5, 2.0, 5.0, 20.0]:
-            assert zeta_like(invert_zeta_like(t)) == pytest.approx(t, abs=1e-9)
+            assert Pareto(1.0, Pareto.shape_for_mean(t)).mean() == pytest.approx(t, rel=1e-13)
         for t in [1.4, 1.6, 2.0, 4.0, 10.0]:
-            assert chi_like(invert_chi_like(t)) == pytest.approx(t, abs=1e-9)
+            assert Weibull(1.0, Weibull.shape_for_mean(t)).mean() == pytest.approx(t, rel=1e-13)
         for C in [0.5, 2.0, 5.0]:
             for t in [1.1, 1.5, 3.0]:
-                a = invert_hurwitz_like(C, t)
-                assert hurwitz_like(C, a) == pytest.approx(t, abs=1e-9)
+                a = Pareto.shape_for_mean(t, C)
+                assert Pareto(C, a).mean() == pytest.approx(t, rel=1e-13)
 
-    def test_bracket_steps_back_from_refusals(self):
-        # fn is refused from a = 50 on; the root at 40 is still found
-        def fn(a):
-            if a >= 50.0:
-                raise ParameterError("outside the domain")
-            return 1.0 + 1.0 / a
-        assert _invert_decreasing(fn, 1.025, 1.0, 2.0, 1.0, "f") == pytest.approx(40.0, rel=1e-9)
-        # with the root past the refusal, that refusal is raised
-        with pytest.raises(ParameterError):
-            _invert_decreasing(fn, 1.01, 1.0, 2.0, 1.0, "f")
-        # a non-finite value is stepped back from in the same way
-        assert _invert_decreasing(lambda a: 1.0 + 1.0 / a if a < 50.0 else math.inf,
-                                  1.025, 1.0, 2.0, 1.0, "f") == pytest.approx(40.0, rel=1e-9)
-        # refused at start: raised after that one evaluation
-        calls = []
-
-        def refused(a):
-            calls.append(a)
-            raise ParameterError("outside the domain")
-        with pytest.raises(ParameterError):
-            _invert_decreasing(refused, 1.025, 1.0, 2.0, 1.0, "f")
-        assert calls == [2.0]
-        calls.clear()
-        with pytest.raises(OutOfRangeError):
-            _invert_decreasing(lambda a: calls.append(a) or math.nan, 1.025, 1.0, 2.0, 1.0, "f")
-        assert calls == [2.0]
+    def test_laws_at_the_root_reproduce_their_shape(self):
+        for law in ALL_LAWS + [Pareto(1.0, 1.5), Pareto(0.5, 8.0), Weibull(1.0, 2.0)]:
+            args = (law.C,) if isinstance(law, Pareto) else ()
+            shape = law.p if isinstance(law, Geometric) else law.alpha
+            assert type(law).shape_for_mean(law.mean(), *args) == pytest.approx(shape, rel=1e-9)
 
     def test_chi_floor(self):
-        # the chi range reaches toward float range: its lower end steps back from inf
-        a = invert_chi_like(1e250)
-        assert chi_like(a) == pytest.approx(1e250, rel=1e-9)
-        # a Weibull(1, alpha) law that far out is refused, and so is the fit that needs it
-        from onoffgraph.moments import MomentSet, fit
-
+        # the chi range reaches toward float range: the inverse of 1e200 lies
+        # below the Weibull refusal at alpha = 0.0118, and 1e250 past the mean
+        # at alpha = 1/256, where the halving start leaves float range
+        a = Weibull.shape_for_mean(1e200)
+        assert _weibull_mean_slope(1.0, a)[0] == pytest.approx(1e200, rel=1e-12)
         with pytest.raises(ParameterError):
             Weibull(1.0, a)
+        with pytest.raises(OutOfRangeError):
+            Weibull.shape_for_mean(1e250)
+        # the fit that needs such a law is refused:
+        from onoffgraph.moments import MomentSet, fit
+
         # mu0 = mu1 = 2e-130 with n = 2: fbar1 = mu0 / 2, so the chi target is
         # 1e130, whose alpha (0.0102) lies below the Weibull refusal at 0.0118
         m = MomentSet(mu=np.array([2e-130, 2e-130]), n=2, K=1000)
@@ -494,11 +529,14 @@ class TestInversion:
         # the edges the docstrings quote: chi leaves float range where
         # Gamma(1 + 1/alpha) does (alpha near 0.0058), and a Weibull(1, alpha)
         # law is refused where its variance does, with Gamma(1 + 2/alpha) (0.0118)
+        from scipy.optimize import brentq
+
         log_max = math.log(sys.float_info.max)
-        edge = _invert_decreasing(lambda a: gammaln(1.0 + 1.0 / a), log_max, 0.0, 1.0, 0.0, "lg")
+        edge = brentq(lambda a: gammaln(1.0 + 1.0 / a) - log_max, 1e-3, 1.0, xtol=1e-12)
         assert edge == pytest.approx(0.0058, abs=1e-4)
-        assert math.isfinite(chi_like(1.01 * edge)) and chi_like(0.99 * edge) == math.inf
-        edge = _invert_decreasing(lambda a: gammaln(1.0 + 2.0 / a), log_max, 0.0, 1.0, 0.0, "lg")
+        assert math.isfinite(_weibull_mean_slope(1.0, 1.01 * edge)[0])
+        assert _weibull_mean_slope(1.0, 0.99 * edge)[0] == math.inf
+        edge = brentq(lambda a: gammaln(1.0 + 2.0 / a) - log_max, 1e-3, 1.0, xtol=1e-12)
         assert edge == pytest.approx(0.0118, abs=1e-4)
         Weibull(1.0, 1.01 * edge)
         with pytest.raises(ParameterError):
@@ -509,6 +547,16 @@ class TestSampling:
     def test_examples(self):
         assert Geometric(0.5).sample(0.9) == 1
         assert Geometric(0.5).sample(0.3) == 2
+
+    def test_nan_draws_are_refused(self):
+        # NaN lies outside (0, 1] as any other bad draw does; empty draws stay empty
+        for law in [Geometric(0.3), Pareto(1.0, 3.0), Weibull(1.0, 0.5)]:
+            for sampler in (law, law.residual()):
+                for u in (math.nan, np.array([0.5, math.nan]), np.array([[math.nan]])):
+                    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                        sampler.sample(u)
+            assert law.sample(np.empty(0)).shape == (0,)
+            assert law.residual().sample(np.empty((0, 2))).shape == (0, 2)
 
     def test_bracketing_postcondition(self):
         # the contract: survival(i+1) < u <= survival(i)
@@ -643,12 +691,12 @@ class TestSampling:
             for bad in (0.0, -0.5, 1.5, np.array([0.5, 0.0]), np.array([np.nan, 1.5])):
                 with pytest.raises(ValueError):
                     sample(bad)
-            # a NaN u is accepted and drawn as 1, beside its block's own draws
-            assert sample(np.nan) == 1
-            block = sample(np.array([0.3, np.nan, 1e-5]))
-            assert block.tolist() == [sample(0.3), 1, sample(1e-5)]
-        capped = Pareto(1e6, 1.0001).sample(np.array([2.0**-53, np.nan, 0.5]))
-        assert capped.tolist() == [RESIDUAL_CAP, 1, Pareto(1e6, 1.0001).sample(0.5)]
+            # a NaN u lies outside (0, 1] too, alone or in a block
+            for bad in (np.nan, np.array([0.3, np.nan, 1e-5])):
+                with pytest.raises(ValueError):
+                    sample(bad)
+        capped = Pareto(1e6, 1.0001).sample(np.array([2.0**-53, 0.5]))
+        assert capped.tolist() == [RESIDUAL_CAP, Pareto(1e6, 1.0001).sample(0.5)]
 
     def test_blocks_mixing_small_and_large_x(self):
         # u = 1 puts x on the integer 0, so these blocks take the per-draw

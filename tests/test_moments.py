@@ -1,11 +1,12 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from onoffgraph import moments
-from onoffgraph.errors import IncompatibleMomentsError, ParameterError
+from onoffgraph.errors import COMPUTE_ERRORS, IncompatibleMomentsError, ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.moments import (
     FAMILIES,
@@ -25,6 +26,8 @@ from onoffgraph.moments import (
 )
 from onoffgraph.renewal import joint_distribution
 from onoffgraph.simulate import CountTrace, ModelSpec, simulate_edge_trace, simulate_trace
+
+from test_renewal import EXTREME_LAWS
 
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
 
@@ -387,3 +390,41 @@ class TestReplayContract:
         assert want[0]  # a fit, not an error
         assert self.outcome(lambda: estimate_from_subgraph(m)) == want
         assert self.outcome(lambda: fit(m, "geometric_geometric")) == want
+
+
+# the extreme laws of test_renewal and one ordinary law of each kind, in every ordered pair
+GATE_LAWS = EXTREME_LAWS + [Geometric(0.3), Pareto(1.0, 3.0), Weibull(1.0, 0.5)]
+
+
+def _exact_moment_sets(model):
+    """The model's exact edge moments (three lags) and triangle moments, those it has."""
+    sets = []
+    for build in (lambda: theoretical_moment_set(model, 3),
+                  lambda: MomentSet(mu=np.array([triangle_moments(model, 0),
+                                                 triangle_moments(model, 1)]),
+                                    n=model.n, K=0, kind="triangles", N=model.N)):
+        try:
+            sets.append(build())
+        except COMPUTE_ERRORS:
+            pass
+    return sets
+
+
+@pytest.mark.parametrize("on_law", GATE_LAWS, ids=repr)
+def test_fit_of_exact_moments_is_finite_or_typed(on_law):
+    # every family that reads the observable fits the exact moments of every
+    # pair within its time bound, to finite parameters and flags or a typed
+    # refusal; the slowest fit of this grid took about 0.3 s
+    for off_law in GATE_LAWS:
+        for m in _exact_moment_sets(ModelSpec(on_law=on_law, off_law=off_law, N=5)):
+            for family, entry in FAMILIES.items():
+                if m.kind != "edges" and entry.lags != 2:
+                    continue
+                start = time.perf_counter()
+                try:
+                    report = fit(m, family)
+                    assert np.isfinite(list(report.params.values())).all()
+                    assert all(isinstance(flag, str) for flag in report.flags)
+                except COMPUTE_ERRORS:
+                    pass
+                assert time.perf_counter() - start < 2.0, (family, m.kind, off_law)

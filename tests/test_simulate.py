@@ -461,7 +461,10 @@ class TestPersistence:
         assert load_trace(path, n=15, kind="wedges").kind == "wedges"
         sidecar_path(path).unlink()
         assert load_trace(path, n=15, kind="triangles").kind == "triangles"
-        assert load_trace(path, n=15).kind == "edges"
+        # with no kind named it is an edge trace, whose counts must lie in 0..n
+        assert trace.values.max() > 15
+        with pytest.raises(ValueError, match="outside 0..15"):
+            load_trace(path, n=15)
 
     def test_rows_must_match_the_sidecar(self, tmp_path):
         trace = simulate_edge_trace(GG, 1000, np.random.default_rng(5))
@@ -542,3 +545,12 @@ class TestPersistence:
                 load_trace(bad, n=4, kind=kind)
         bad.write_text(f"k,value\n1,4\n2,{2**63 - 1}\n")
         assert load_trace(bad, n=4, kind="wedges").values[-1] == 2**63 - 1
+
+    def test_trace_of_no_named_kind_is_an_edge_trace_in_range(self, tmp_path):
+        # without a sidecar or a kind the trace loads as edges, so its counts lie in 0..n
+        bad = tmp_path / "bad.csv"
+        bad.write_text("k,value\n1,5\n")
+        with pytest.raises(ValueError, match="bad.csv, line 2: count"):
+            load_trace(bad, n=4)
+        bad.write_text("k,value\n1,4\n")
+        assert load_trace(bad, n=4).kind == "edges"
