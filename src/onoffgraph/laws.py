@@ -174,15 +174,6 @@ class Geometric(DurationLaw):
     def mean(self):
         return 1.0 / self.p
 
-    def mean_slope(self):
-        return -1.0 / self.p**2
-
-    @classmethod
-    def shape_for_mean(cls, target):
-        if not 1.0 < target < math.inf:
-            raise OutOfRangeError(f"target {target} is outside the range of the geometric mean")
-        return 1.0 / target
-
     def tail_sum(self, k):
         return self.survival(k) / self.p
 
@@ -216,17 +207,16 @@ class Weibull(DurationLaw):
             raise ParameterError(
                 f"weibull needs finite lambda >= 746 / (largest float) and alpha > 0, got ({lam}, {a})")
         # the mean and variance series: the head terms, then _weibull_tail from y = M
-        _, head = _weibull_head(lam, a)
+        _, head, tail, mean = _weibull_head(lam, a)
         M = head.size
         tails = np.zeros(M + 1)  # tails[j] = sum_{y=j}^{M-1} exp(-lam y^alpha)
         tails[:-1] = np.cumsum(head[::-1])[::-1]
         # with y = i - 1, sum_{i>=2} (2i - 3) S(i) = sum_{y>=1} (2y - 1) exp(-lam y^alpha)
         weights = np.maximum(2.0 * np.arange(M) - 1.0, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            tail = _weibull_tail(lam, a, M)
             second = np.sum(weights * head) + 2.0 * _weibull_tail(lam, a, M, power=1) - tail
             t2 = tails[1] + tail
-            moments = float(np.sum(head) + tail), float(second - t2 * t2)
+            moments = mean, float(second - t2 * t2)
         if not np.isfinite(moments).all():
             raise ParameterError(f"weibull ({lam}, {a}) has a mean or variance past float range")
         object.__setattr__(self, "_moments", moments)
@@ -244,25 +234,34 @@ class Weibull(DurationLaw):
 
     @classmethod
     def shape_for_mean(cls, target):
-        """The alpha with Weibull(1, alpha).mean() = target, climbed from where halving reaches it.
+        """The alpha with Weibull(1, alpha).mean() = target, climbed from left of it.
 
-        The mean falls toward 1 + 1/e; targets at or below that, or past the
-        means in float range (alpha near 0.004; the law is refused below 0.0118),
-        are refused. Where alpha halved, the climb starts from the Newton step
-        off 2 alpha instead if that lands past alpha and not below the target.
+        The mean exceeds 1 + 1/e + exp(-2^alpha), so the start is log2(-ln(target
+        - 1 - 1/e)) or 1. Where that falls short, alpha halves, and bisects where
+        the mean or slope leaves float range; with only the slope out, the root
+        is bisected. A convex mean's tangent at the last alpha that fell short
+        lands left of the root, where the climb starts if that is closer.
         """
-        if not 1.0 + math.exp(-1.0) < target < math.inf:
+        gap = target - 1.0 - math.exp(-1.0)
+        if not 0.0 < gap < math.inf:
             raise OutOfRangeError(f"target {target} is outside the range of the weibull mean")
-        alpha, first = 1.0, _weibull_mean_slope(1.0, 1.0)
-        while first[0] < target:
-            alpha, right = alpha / 2.0, first
+        alpha = max(1.0, math.log2(-math.log(gap))) if gap < math.exp(-1.0) else 1.0
+        lo, lo_mean, hi, right = 0.0, math.inf, math.inf, None
+        first = _weibull_mean_slope(1.0, alpha)
+        while not (first[0] >= target and first[1] > -math.inf):
+            if first[0] < target:
+                hi, right = alpha, first
+            else:
+                lo, lo_mean = alpha, first[0]
+            alpha = hi / 2.0 if lo == 0.0 else lo + (hi - lo) / 2.0
+            if not lo < alpha < hi:
+                if lo_mean < math.inf:
+                    return lo
+                raise OutOfRangeError(f"target {target} is past the weibull means in float range")
             first = _weibull_mean_slope(1.0, alpha)
-        if not first[0] < math.inf:
-            raise OutOfRangeError(f"target {target} is past the weibull means in float range")
-        if alpha < 1.0:  # right of the root, a step on a convex map lands left of it
-            b = 2.0 * alpha + _newton_step(target, *right)
-            near = _weibull_mean_slope(1.0, b) if alpha < b else (0.0, 0.0)
-            if near[0] >= target - 4.0 * math.ulp(target):  # left of the root, or at it
+        if right and alpha < (b := hi + (target - right[0]) / right[1]):
+            near = _weibull_mean_slope(1.0, b)  # within 4 ulps of the target, the climb's end
+            if near[0] >= target - 4.0 * math.ulp(target) and near[1] > -math.inf:
                 alpha, first = b, near
         return _climb(lambda a: _weibull_mean_slope(1.0, a), target, alpha, first)
 
@@ -324,14 +323,18 @@ class Pareto(DurationLaw):
 
     @classmethod
     def shape_for_mean(cls, target, scale=1.0):
-        """The alpha with Pareto(scale, alpha).mean() = target > 1, by _climb from _pareto_start.
+        """The alpha with Pareto(scale, alpha).mean() = target > 1, by _climb from below it.
 
         Where C^alpha overflows on the way, the law at the root is refused too.
         """
         if not 1.0 < target < math.inf:
             raise OutOfRangeError(f"target {target} is outside the range of the pareto mean")
+        # the mean, whose terms are convex in j, exceeds C / (alpha - 1) + 1/2: start there
+        start = math.nextafter(1.0 + scale / (target - 0.5), 1.0)
+        if start <= 1.0:
+            raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1")
         return _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
-                      target, _pareto_start(scale, target))
+                      target, start)
 
     def tail_sum(self, k):
         return _pareto_tail(self.C, self.alpha, self.C + _as_index(k) - 1.0)
@@ -447,18 +450,6 @@ def _pareto_tail(C, alpha, x):
     return np.where(np.isfinite(value), value, fallback)[()]
 
 
-def _pareto_start(C, target):
-    """1 + C / (target - 1/2) rounded down, at or left of the alpha of Pareto(C, alpha) mean target.
-
-    The mean, whose terms are convex in j, exceeds C / (alpha - 1) + 1/2. A
-    start at 1 is refused.
-    """
-    start = math.nextafter(1.0 + C / (target - 0.5), 1.0)
-    if start <= 1.0:
-        raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1")
-    return start
-
-
 def _pareto_slope(C, alpha):
     """d/d alpha of the Pareto mean, sum_{j>=1} h, h = r^alpha L, r = C / (C + j), L = ln r.
 
@@ -522,10 +513,13 @@ def _weibull_split(alpha):
 
 
 def _weibull_head(lam, alpha):
-    """g = lam y^alpha and exp(-g) for y = 0, 1, ..., _weibull_split(alpha) - 1."""
-    with np.errstate(over="ignore", under="ignore"):
+    """g = lam y^alpha and exp(-g) for y = 0, 1, ..., M - 1, M = _weibull_split(alpha),
+    the tail sum_{y>=M} exp(-g) and the mean sum_{y>=0} exp(-g), inf past float range."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         g = lam * np.arange(_weibull_split(alpha), dtype=np.float64) ** alpha
-        return g, np.exp(-g)
+        head = np.exp(-g)
+        tail = _weibull_tail(lam, alpha, head.size)
+        return g, head, tail, float(np.sum(head) + tail)
 
 
 def _weibull_tail(lam, alpha, x, power=0):
@@ -566,21 +560,14 @@ def _weibull_mean_slope(lam, alpha):
     The mean has Weibull.mean()'s bits; the slope is -sum_{y>=1} g ln y exp(-g).
     No law is built, so shapes that the law refuses have them too.
     """
-    g, head = _weibull_head(lam, alpha)
-    M = head.size
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        mean = float(np.sum(head) + _weibull_tail(lam, alpha, M))
+    g, head, _, mean = _weibull_head(lam, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
         # past g = 745, g exp(-g) is 0: capping g keeps inf * 0 out
-        slope = np.sum(np.minimum(g[1:], 800.0) * np.log(np.arange(1.0, M)) * head[1:])
-        return mean, -float(slope + _weibull_tail(lam, alpha, M, "log"))
+        slope = np.sum(np.minimum(g[1:], 800.0) * np.log(np.arange(1.0, head.size)) * head[1:])
+        return mean, -float(slope + _weibull_tail(lam, alpha, head.size, "log"))
 
 
 _CLIMB_STEPS = 200  # a climb that evaluates its map this often cannot follow it
-
-
-def _newton_step(target, value, slope, limit=1.0):
-    """Newton's step toward mean = target on ln(mean - limit), from a mean and its slope."""
-    return float((math.log(target - limit) - math.log(value - limit)) * (value - limit) / slope)
 
 
 def _climb(fn, target, a, first=None, limit=1.0):
@@ -589,26 +576,24 @@ def _climb(fn, target, a, first=None, limit=1.0):
     fn(a) gives the mean and its slope (first, if given, is fn(a)). Newton
     runs on ln(mean - limit), for a Pareto law (limit 1) a log-sum-exp of
     affine maps of alpha, so convex: each step lands at or left of the root.
-    A step landing past it (a map not known to be convex; one within 4 ulps
-    of the root is taken) or refused by fn (ParameterError) ends the bracket.
-    A step past that end is cut to regula falsi on ln(mean - limit), kept
-    1/16 of the way from either end, or to half the way to a refusal; once
-    the way is within 4 ulps, a refusal there is raised.
+    A step landing past it (one within 4 ulps of the root is taken) or refused
+    by fn (ParameterError) ends the bracket, and a step past that end goes half
+    the way there; once the way is within 4 ulps, a refusal there is raised.
+    A slope past float range gives a step of 0, which ends the climb unsolved.
     """
     def newton(a, value, slope):  # the step, and whether a is at the root as far as rounding tells
-        step = _newton_step(target, value, slope, limit)
-        return step, abs(value - target) <= 4.0 * math.ulp(target) or abs(step) <= 4.0 * math.ulp(a)
+        step = (math.log(target - limit) - math.log(value - limit)) * (value - limit) / slope
+        return step, (abs(value - target) <= 4.0 * math.ulp(target)
+                      or abs(step) <= 4.0 * math.ulp(a) and slope > -math.inf)
 
     a, (value, slope) = float(a), first or fn(a)
     step, done = newton(a, value, slope)
     if value < target and not done:
         raise OutOfRangeError(f"the climb to {target} starts past its root, at {a}")
-    end, end_gap, refusal = math.inf, None, None
+    end, refusal = math.inf, None
     for _ in range(_CLIMB_STEPS):
         if a + step >= end:
-            gap = math.log(value - limit) - math.log(target - limit)
-            cut = 0.5 if end_gap is None else min(max(gap / (gap - end_gap), 1 / 16), 15 / 16)
-            step = (end - a) * cut
+            step = (end - a) / 2.0
         if done or 0.0 < step <= 4.0 * math.ulp(a):
             if done or refusal is None:
                 return a
@@ -618,14 +603,13 @@ def _climb(fn, target, a, first=None, limit=1.0):
         try:
             v, s = fn(a + step)
         except ParameterError as exc:
-            end, end_gap, refusal = a + step, None, exc
+            end, refusal = a + step, exc
             continue
         if v >= target or v > limit and (near := newton(a + step, v, s))[1]:
-            a, value = a + step, v
+            a = a + step
             step, done = near if v < target else newton(a, v, s)
         else:
             end, refusal = a + step, None
-            end_gap = math.log(v - limit) - math.log(target - limit) if v > limit else None
     raise ConvergenceError(f"no root for target {target} in {_CLIMB_STEPS} steps", best=a)
 
 

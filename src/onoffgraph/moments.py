@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .errors import IncompatibleMomentsError
-from .laws import (Geometric, Pareto, Weibull, _climb, _pareto_scale, _pareto_slope, _pareto_start,
-                   _pareto_tail)
+from .errors import IncompatibleMomentsError, OutOfRangeError
+from .laws import Geometric, Pareto, Weibull, _climb, _pareto_scale, _pareto_slope
 from .renewal import autocovariance
 from .simulate import CountTrace, ModelSpec
 
@@ -120,11 +119,13 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         zeta(C, alpha) = mu_hat(0) / D        (mean sum)
         (C/(C+1))^alpha = q_hat - (mu_hat(2) - mu_hat(1)) / D
     and is solved by eliminating C = t/(1-t) with t = T2^(1/alpha), leaving a
-    mean P(C(alpha), alpha) that decreases toward 1 / (1 - T2), climbed from
-    _pareto_start(C(1), T1) (C(alpha) >= C(1) for alpha >= 1) with the slope
-    dP/dalpha + dP/dC C'(alpha), where dP/dC = (alpha / C) sum_{j>=1} r^alpha (1 - r),
-    r = C / (C + j), is C^alpha (zeta(alpha, C + 1) - C zeta(alpha + 1, C + 1))
-    alpha / C: no C^(alpha + 1), which can overflow where P does not, is formed.
+    mean P(C(alpha), alpha) that decreases toward 1 / (1 - T2). Its terms
+    r^alpha, r = C / (C + j), are convex in j and the first is T2, so P exceeds
+    1 + T2/2 + T2 (C + 1)/(alpha - 1) and alpha -> 1 + K / (1 - t), K = T2 / (T1 - 1 - T2/2),
+    rises from alpha = 1 toward the root without passing it. The climb starts
+    where that levels off, with the slope dP/dalpha + dP/dC C'(alpha), where
+    dP/dC = (alpha / C) C^alpha (zeta(alpha, C + 1) - C zeta(alpha + 1, C + 1))
+    forms no C^(alpha + 1), which can overflow where P does not.
     """
     if m.L < 3:
         raise ValueError("pareto/geometric estimation needs moments up to lag 2")
@@ -147,12 +148,20 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
 
     def mean_sum(alpha):
         C, zeta = c_of(alpha), scipy.special.zeta
-        dP_dC = alpha / C * _pareto_scale(C, alpha) * (
-            zeta(alpha, C + 1.0) - C * zeta(alpha + 1.0, C + 1.0))
-        dC = -C * (1.0 + C) * math.log(T2) / alpha**2
-        return _pareto_tail(C, alpha, C), _pareto_slope(C, alpha) + dP_dC * dC
+        scale, z = _pareto_scale(C, alpha), zeta(alpha, C + 1.0)
+        # dP/dC C'(alpha), with C'(alpha) = -C (1 + C) ln T2 / alpha^2 and alpha / C cancelled
+        chain = scale * (z - C * zeta(alpha + 1.0, C + 1.0)) * (1.0 + C) * -math.log(T2) / alpha
+        return 1.0 + scale * z, _pareto_slope(C, alpha) + chain
 
-    alpha = _climb(mean_sum, T1, _pareto_start(c_of(1.0), T1), limit=1.0 / (1.0 - T2))
+    alpha, K = 1.0, T2 / (T1 - 1.0 - T2 / 2.0)
+    for _ in range(64):
+        step = 1.0 + K / -math.expm1(math.log(T2) / alpha) - alpha
+        if not step > 1e-3 * (alpha - 1.0):
+            break
+        alpha += step
+    if alpha <= 1.0:
+        raise OutOfRangeError(f"mean-sum target {T1} needs an alpha within rounding of 1")
+    alpha = _climb(mean_sum, T1, alpha, limit=1.0 / (1.0 - T2))
     C = c_of(alpha)
     flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
     return _report(m, "pareto_geometric", {"C": C, "alpha": alpha, "q": q_hat}, flags,

@@ -9,14 +9,15 @@ from scipy.special import gammaincc, gammaln
 from scipy.special import zeta as scipy_zeta
 
 from onoffgraph import laws
-from onoffgraph.errors import (COMPUTE_ERRORS, InfiniteMeanError, OutOfRangeError,
-                               ParameterError)
+from onoffgraph.errors import (COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError,
+                               OutOfRangeError, ParameterError)
 from onoffgraph.laws import (
     RESIDUAL_CAP,
     Geometric,
     Pareto,
     Weibull,
     law_from_config,
+    _climb,
     _weibull_mean_slope,
     _weibull_split,
 )
@@ -424,12 +425,6 @@ SLOPE_SHAPES = ([1.0 + 1e-4, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 1
 
 
 class TestMeanSlope:
-    def test_geometric(self):
-        for p in (1e-12, 0.3, 0.999):
-            assert Geometric(p).mean_slope() == -1.0 / p**2
-            assert five_point_slope(lambda q: Geometric(q).mean(), p, 1e-3 * min(p, 1 - p)) \
-                == pytest.approx(Geometric(p).mean_slope(), rel=1e-8)
-
     @pytest.mark.parametrize("law", [Pareto(1.0, a) for a in SLOPE_SHAPES[0]]
                              + [Weibull(1.0, a) for a in SLOPE_SHAPES[1]]
                              + [law for law in EXTREME_LAWS + ALL_LAWS
@@ -470,11 +465,10 @@ class TestInversion:
     def test_examples(self):
         assert Pareto.shape_for_mean(math.pi**2 / 6) == pytest.approx(2.0, abs=1e-12)
         assert Weibull.shape_for_mean(1 / (1 - math.exp(-1))) == pytest.approx(1.0, abs=1e-12)
-        assert Geometric.shape_for_mean(4.0) == 0.25
 
     def test_out_of_range(self):
         for target in (0.9, 1.0, math.inf, math.nan):
-            for kind in (Geometric, Pareto):
+            for kind in (Weibull, Pareto):
                 with pytest.raises(OutOfRangeError):
                     kind.shape_for_mean(target)
         with pytest.raises(OutOfRangeError):
@@ -502,23 +496,65 @@ class TestInversion:
 
     def test_laws_at_the_root_reproduce_their_shape(self):
         for law in ALL_LAWS + [Pareto(1.0, 1.5), Pareto(0.5, 8.0), Weibull(1.0, 2.0)]:
-            args = (law.C,) if isinstance(law, Pareto) else ()
-            shape = law.p if isinstance(law, Geometric) else law.alpha
-            assert type(law).shape_for_mean(law.mean(), *args) == pytest.approx(shape, rel=1e-9)
+            if not isinstance(law, Geometric):
+                args = (law.C,) if isinstance(law, Pareto) else ()
+                assert type(law).shape_for_mean(law.mean(), *args) \
+                    == pytest.approx(law.alpha, rel=1e-9)
+
+    def test_climb_steps_back_from_refusals_and_overshoots(self):
+        def refused_from_50(slope_factor):
+            def fn(a):
+                if a >= 50.0:
+                    raise ParameterError("outside the domain")
+                return 1.0 + 1.0 / a, -slope_factor / a**2
+            return fn
+        # exact slopes on a convex map climb to the root at 40 without passing it
+        assert _climb(refused_from_50(1.0), 1.025, 2.0) == pytest.approx(40.0, rel=1e-12)
+        # slopes ten times too flat overshoot into the refusal and past the root:
+        # both end the bracket, and halving back still finds the root
+        assert _climb(refused_from_50(0.1), 1.025, 2.0) == pytest.approx(40.0, rel=1e-12)
+        # with the root at 100, past the refusal, that refusal is raised
+        with pytest.raises(ParameterError):
+            _climb(refused_from_50(1.0), 1.01, 2.0)
+        # refused at start: raised from that one evaluation
+        calls = []
+
+        def refused(a):
+            calls.append(a)
+            raise ParameterError("outside the domain")
+        with pytest.raises(ParameterError):
+            _climb(refused, 1.025, 2.0)
+        assert calls == [2.0]
+        # a start past the root is refused, and so is a climb that cannot follow its map
+        with pytest.raises(OutOfRangeError):
+            _climb(refused_from_50(1.0), 1.025, 45.0)
+        with pytest.raises(ConvergenceError):
+            _climb(refused_from_50(1e6), 1.025, 2.0)
+        # a slope past float range gives a step of 0, which does not make a root
+        with pytest.raises(ConvergenceError):
+            _climb(lambda a: (1.0 + 1.0 / a, -math.inf), 1.025, 2.0)
+
+    def test_climb_on_a_concave_map(self):
+        # ln(mean - 1) = -a^2 is concave: every Newton step from the left lands
+        # past the root at 2, and is halved back
+        def fn(a):
+            return 1.0 + math.exp(-a * a), -2.0 * a * math.exp(-a * a)
+        assert _climb(fn, 1.0 + math.exp(-4.0), 0.5) == pytest.approx(2.0, rel=1e-12)
 
     def test_chi_floor(self):
-        # the chi range reaches toward float range: the inverse of 1e200 lies
-        # below the Weibull refusal at alpha = 0.0118, and 1e250 past the mean
-        # at alpha = 1/256, where the halving start leaves float range
-        a = Weibull.shape_for_mean(1e200)
-        assert _weibull_mean_slope(1.0, a)[0] == pytest.approx(1e200, rel=1e-12)
-        with pytest.raises(ParameterError):
-            Weibull(1.0, a)
-        with pytest.raises(OutOfRangeError):
-            Weibull.shape_for_mean(1e250)
-        # the fit that needs such a law is refused:
+        # the chi range reaches toward float range: halving alpha from 1 leaves
+        # it at 1/256, and a start for 1e250 is bisected back from there
+        a = Weibull.shape_for_mean(1e250)
+        assert _weibull_mean_slope(1.0, a)[0] == pytest.approx(1e250, rel=1e-9)
+        # past about 1e303 the slope leaves float range first: the root is bisected
+        a = Weibull.shape_for_mean(1e305)
+        assert _weibull_mean_slope(1.0, a)[1] == -math.inf
+        assert _weibull_mean_slope(1.0, a)[0] == pytest.approx(1e305, rel=1e-12)
+        # a Weibull(1, alpha) law that far out is refused, and so is the fit that needs it
         from onoffgraph.moments import MomentSet, fit
 
+        with pytest.raises(ParameterError):
+            Weibull(1.0, a)
         # mu0 = mu1 = 2e-130 with n = 2: fbar1 = mu0 / 2, so the chi target is
         # 1e130, whose alpha (0.0102) lies below the Weibull refusal at 0.0118
         m = MomentSet(mu=np.array([2e-130, 2e-130]), n=2, K=1000)
