@@ -326,6 +326,8 @@ class Pareto(DurationLaw):
         """The alpha with Pareto(scale, alpha).mean() = target > 1, by _climb from below it.
 
         Where C^alpha overflows on the way, the law at the root is refused too.
+        So is a root whose mean misses the target by over 1e-6 relative: near
+        alpha = 1 one ulp of alpha moves the mean by about C eps / (alpha - 1)^2.
         """
         if not 1.0 < target < math.inf:
             raise OutOfRangeError(f"target {target} is outside the range of the pareto mean")
@@ -333,8 +335,13 @@ class Pareto(DurationLaw):
         start = math.nextafter(1.0 + scale / (target - 0.5), 1.0)
         if start <= 1.0:
             raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1")
-        return _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
-                      target, start)
+        alpha = _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
+                       target, start)
+        mean = _pareto_tail(scale, alpha, scale)
+        if abs(mean - target) > 1e-6 * target:
+            raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1: "
+                                  f"the root found, {alpha}, has mean {mean}")
+        return alpha
 
     def tail_sum(self, k):
         return _pareto_tail(self.C, self.alpha, self.C + _as_index(k) - 1.0)
@@ -442,10 +449,16 @@ def _pareto_tail(C, alpha, x):
     as S(1) + T(2) = 1 + C^alpha zeta(alpha, C + 1).
     """
     scale = _pareto_scale(C, alpha)
-    with np.errstate(invalid="ignore"):
-        value = scale * scipy.special.zeta(alpha, x)
-    if np.isfinite(value).all():
-        return value
+    zeta = scipy.special.zeta(alpha, x)
+    if np.ndim(zeta) == 0 and zeta < math.inf:  # a scalar with no 0 * inf to silence
+        value = scale * zeta
+        if value < math.inf:
+            return value
+    else:
+        with np.errstate(invalid="ignore"):
+            value = scale * zeta
+        if np.isfinite(value).all():
+            return value
     fallback = 1.0 + scale * scipy.special.zeta(alpha, C + 1.0)
     return np.where(np.isfinite(value), value, fallback)[()]
 

@@ -137,10 +137,15 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
     if not 0.0 < T2 < 1.0:
         raise IncompatibleMomentsError(
             f"survival-ratio target must lie in (0, 1), got {T2}")
-    # The mean sum decreases in alpha toward 1/(1 - T2); solvable only above it.
-    if T1 <= 1.0 / (1.0 - T2):
+    # The mean sum decreases in alpha toward 1/(1 - T2); solvable only above it,
+    # and only where T1 clears the rounding of T1 and that limit: D cancels
+    # mu_hat(1) and mu_hat(2), and 1 - T2 cancels T2, to relative eps
+    # (mu_hat(1) + mu_hat(2)) / (D (1 - T2)) or so
+    limit = 1.0 / (1.0 - T2)
+    rounding = 4.0 * math.ulp(1.0) * (m.mu[1] + m.mu[2]) / (D * (1.0 - T2))
+    if T1 <= limit * (1.0 + rounding):
         raise IncompatibleMomentsError(
-            f"mean-sum target {T1} unreachable for survival ratio {T2}")
+            f"mean-sum target {T1} unreachable for survival ratio {T2}, whose limit is {limit}")
 
     def c_of(alpha):  # a Python float, so that C^alpha past float range is refused
         t = float(T2) ** (1.0 / alpha)
@@ -161,7 +166,7 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
         alpha += step
     if alpha <= 1.0:
         raise OutOfRangeError(f"mean-sum target {T1} needs an alpha within rounding of 1")
-    alpha = _climb(mean_sum, T1, alpha, limit=1.0 / (1.0 - T2))
+    alpha = _climb(mean_sum, T1, alpha, limit=limit)
     C = c_of(alpha)
     flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
     return _report(m, "pareto_geometric", {"C": C, "alpha": alpha, "q": q_hat}, flags,

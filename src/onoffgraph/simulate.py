@@ -151,13 +151,12 @@ def _running_sum(cum):
 def _phase_switches(model: ModelSpec, K: int, rng, init=None):
     """Initial on-states of all edges and a generator of their phase switches from time 2.
 
-    The generator yields one (edges, times, enters_on) triple per block:
-    column c of the (2 pairs) x edges.size matrix `times` holds the switch
-    times of edge edges[c] in increasing order, and enters_on[c] whether its
-    first switch (row 0) enters the on-phase; row r enters that phase for
-    even r and the other for odd r. The last times of a column may pass K;
-    consumers drop them, and may overwrite `times`. A phase drawn at time t
-    with duration d holds for t, ..., t+d-1, so the next switch is at t+d.
+    The generator yields one (edges, ons, offs) triple per block: column c of
+    the pairs x edges.size matrices `ons` and `offs` holds the times at which
+    edge edges[c] switches on and off, in increasing order, one of each per
+    on/off cycle. Times past K read K + 1; consumers drop them, and may
+    overwrite both matrices. A phase drawn at time t with duration d holds
+    for t, ..., t+d-1, so the next switch is at t+d.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -174,12 +173,13 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
     cut = longest > (2**63 - 1 - K) // _BLOCK_DRAWS
 
     def draws(law, shape):
-        u = rng.random(shape)
-        return law.sample(np.subtract(1.0, u, out=u))
+        # drawn edges x pairs, written epoch-major (pairs x edges) by the 1 - u pass
+        d = law.sample(np.subtract(1.0, rng.random(shape).T, order="C"))
+        return np.minimum(d, K, out=d) if cut else d
 
     def switches():
         # per edge: time of its next switch and the phase that switch enters;
-        # every block draws an even number of durations, so `enters` is fixed
+        # every block draws whole on/off cycles, so `enters` is fixed
         nxt = remaining + 1
         enters = ~on
         edges = np.flatnonzero(nxt <= K)
@@ -187,22 +187,27 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
             t, ph = nxt[edges], enters[edges]
             pairs = int(1.2 * (K - t).mean() / cycle) + 1
             pairs = max(1, min(pairs, _BLOCK_DRAWS // (2 * edges.size)))
-            dx = draws(model.on_law, (edges.size, pairs)).T
-            dy = draws(model.off_law, (edges.size, pairs)).T
-            # epoch-major: row 0 is t, then the durations of phase ph, other,
-            # ph, ...; the cumulative sums down each column are the switch
-            # times, the last row the next block's t
-            cum = np.empty((2 * pairs + 1, edges.size), dtype=np.int64)
+            dx = draws(model.on_law, (edges.size, pairs))
+            dy = draws(model.off_law, (edges.size, pairs))
+            # row 0 is t, then one on/off cycle a row; the cumulative sums down
+            # each column are the times of the cycles' first switches, the last
+            # row the next block's t
+            cum = np.empty((pairs + 1, edges.size), dtype=np.int64)
             cum[0] = t
-            np.copyto(cum[1::2], dy)
-            np.copyto(cum[1::2], dx, where=ph)
-            np.copyto(cum[2::2], dx)
-            np.copyto(cum[2::2], dy, where=ph)
-            if cut:
-                np.minimum(cum[1:], K, out=cum[1:])
+            np.add(dx, dy, out=cum[1:])
             _running_sum(cum)
             nxt[edges] = cum[-1]
-            yield edges, cum[:-1], ph
+            starts = cum[:-1]
+            # an edge entering on switches off a duration dx later; one
+            # entering off switches on a duration dy later
+            dx *= ph
+            dy *= ~ph
+            dx += starts
+            dy += starts
+            if cum[-1].max() > K:  # every time in a column precedes its next block's t
+                np.minimum(dx, K + 1, out=dx)
+                np.minimum(dy, K + 1, out=dy)
+            yield edges, dy, dx
             edges = edges[nxt[edges] <= K]
 
     return on, switches()
@@ -219,15 +224,12 @@ def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
     # times past K collect in bin K + 1, which is never read. Each block is
     # counted over its own window of times only (columns of times increase).
     hits = np.zeros((2, K + 2), dtype=np.int64)
-    for _, times, enters_on in switches:
-        np.minimum(times, K + 1, out=times)
-        lo = int(times[0].min())
-        width = int(times[-1].max()) + 1 - lo
-        # into on at [0, width), into off at [width, 2 width); rows alternate phase
-        first = np.where(enters_on, -lo, width - lo)
-        times[0::2] += first
-        times[1::2] += width - 2 * lo - first
-        hits[:, lo:lo + width] += np.bincount(times.ravel(), minlength=2 * width).reshape(2, width)
+    for _, ons, offs in switches:
+        for row, times in zip(hits, (ons, offs)):
+            lo = int(times[0].min())
+            times -= lo
+            counts = np.bincount(times.ravel())
+            row[lo:lo + counts.size] += counts
     values = np.cumsum(hits[0, 1:K + 1] - hits[1, 1:K + 1])
     values += np.count_nonzero(on)
     return CountTrace(kind="edges", values=values, n=model.n, N=model.N,
@@ -244,10 +246,10 @@ def edge_indicator_matrix(model: ModelSpec, K: int, rng) -> np.ndarray:
     on, switches = _phase_switches(model, K, rng)
     buf = np.zeros((model.n, K + 1), dtype=bool)
     flat = buf.reshape(-1)
-    for edges, times, _ in switches:
-        np.minimum(times, K + 1, out=times)
-        times += edges * (K + 1) - 1
-        flat[times] = True
+    for edges, ons, offs in switches:
+        for times in (ons, offs):
+            times += edges * (K + 1) - 1
+            flat[times] = True
     mat = buf[:, :K]
     mat[:, 0] = on
     np.logical_xor.accumulate(mat, axis=1, out=mat)

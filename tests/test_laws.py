@@ -161,6 +161,26 @@ class TestMean:
         assert list(law.tail_sum(np.array([1, 2, 3]))) == [1.0, 0.0, 0.0]
         assert law.residual().survival(1) == 1.0
 
+    def test_pareto_tail_scalar_has_the_array_bits(self):
+        # the scalar path against the same x in a 1-element array, bit for bit,
+        # on a (C, alpha, x) grid with the tiny-C fallback of Pareto(1e-9, 300)
+        checked = 0
+        for C in (1e-9, 1e-3, 0.5, 1.0, 2.0, 300.0, 1e19):
+            for a in (1.0001, 1.5, 3.0, 50.0, 300.0):
+                try:
+                    Pareto(C, a)
+                except ParameterError:  # C^alpha past float range
+                    continue
+                for x in (C, C + 1.0, C + 4.0, C + 1e6):
+                    array = laws._pareto_tail(C, a, np.array([x]))
+                    for scalar in (x, np.float64(x), np.array(x)):
+                        value = laws._pareto_tail(C, a, scalar)
+                        assert type(value) is np.float64
+                        assert np.array([value]).tobytes() == array.tobytes(), (C, a, x)
+                    checked += 1
+        assert checked > 100
+        assert laws._pareto_tail(1e-9, 300.0, 1e-9) == 1.0
+
     def test_weibull_mean_is_summed_once(self, monkeypatch):
         from onoffgraph.simulate import simulate_edge_trace
 
@@ -473,6 +493,10 @@ class TestInversion:
                     kind.shape_for_mean(target)
         with pytest.raises(OutOfRangeError):
             Pareto.shape_for_mean(1e16)  # its alpha lies within rounding of 1
+        # the root lies about 2 ulps above alpha = 1, where no float alpha has a
+        # mean near 3.9e10 (the climb's, 1 + 1 ulp, has 9.0e10): refused
+        with pytest.raises(OutOfRangeError, match="has mean"):
+            Pareto.shape_for_mean(3.9e10, 2.0e-5)
         with pytest.raises(OutOfRangeError):
             Weibull.shape_for_mean(1.0 + math.exp(-1))  # infimum of the chi range
         with pytest.raises(OutOfRangeError):

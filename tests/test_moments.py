@@ -207,6 +207,22 @@ class TestEdgeEstimators:
         with pytest.raises(IncompatibleMomentsError):
             estimate_pareto_geo(theoretical_moment_set(model, L=3))
 
+    def test_pareto_geo_target_at_its_limit(self, monkeypatch):
+        # exact geometric on-time moments put the mean-sum target at the map's
+        # limit 1/(1 - T2) up to rounding (above it here, by 0.6 to 3.4e6 eps relative):
+        # refused before the climb evaluates the map once
+        calls = []
+        slope = moments._pareto_slope
+        monkeypatch.setattr(moments, "_pareto_slope", lambda *a: calls.append(a) or slope(*a))
+        for p, q, n in ((0.3, 0.3, 100), (0.8, 0.8, 10), (0.99, 0.5, 100), (0.05, 0.9, 10_000),
+                        (0.001, 0.5, 100)):
+            m = theoretical_moment_set(ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n), L=3)
+            fbar1, q_hat, D = moments._first_lag_targets(m)
+            assert 1.0 / fbar1 > 1.0 / (1.0 - (q_hat - (m.mu[2] - m.mu[1]) / D))
+            with pytest.raises(IncompatibleMomentsError, match="unreachable"):
+                estimate_pareto_geo(m)
+        assert calls == []
+
     def test_pareto_geo_large_alpha(self):
         # the bracket passes alpha = 100 into 128, where C^alpha leaves float
         # range; it steps back below that point instead of doubling past it

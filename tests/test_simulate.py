@@ -197,6 +197,30 @@ class TestEdgeTrace:
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
         assert runs[0][0].min() < runs[0][0].max()  # the cut trace switches
 
+    def test_pair_cycles_match_interleaved_switches(self, monkeypatch):
+        # every edge switches at the same times, in the same directions, as in
+        # the interleaved layout below (times past K read K + 1): on the
+        # consumer models, on blocks one cycle deep, on the cut path and on
+        # N = 64 (the row-wise running sum)
+        cut = ModelSpec(on_law=Pareto(1e19, 3.0), off_law=Pareto(1e19, 3.0), n=45)
+        cut_init = [(k % 2 == 0, k) for k in range(1, 46)]
+        cases = [(m, 300, None) for m in CONSUMER_MODELS] + [
+            (cut, 60, cut_init),
+            (ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64), 300, None)]
+        for draws in (simulate._BLOCK_DRAWS, 1):
+            monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
+            for m, K, init in cases:
+                on, blocks = simulate._phase_switches(m, K, np.random.default_rng(34), init)
+                old_on, old_blocks = interleaved_switches(m, K, np.random.default_rng(34), init)
+                assert np.array_equal(on, old_on)
+                new = [(np.broadcast_to(edges, ons.shape), times, np.full(ons.shape, into_on))
+                       for edges, ons, offs in blocks
+                       for times, into_on in ((ons, True), (offs, False))]
+                old = [(np.broadcast_to(edges, times.shape), np.minimum(times, K + 1),
+                        (np.arange(len(times)) % 2 == 0)[:, None] == enters_on)
+                       for edges, times, enters_on in old_blocks]
+                assert switch_table(new) == switch_table(old)
+
     def test_k_is_checked(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=5)
         for K in (0, -3):
@@ -248,6 +272,59 @@ class TestEdgeTrace:
         a = simulate_edge_trace(GG, 300, np.random.default_rng(99))
         b = simulate_edge_trace(GG, 300, np.random.default_rng(99))
         assert np.array_equal(a.values, b.values)
+
+
+def interleaved_switches(model, K, rng, init=None):
+    """The switch generator with on and off durations interleaved down each column (an oracle).
+
+    It yields (edges, times, enters_on): column c of the (2 pairs) x edges.size
+    matrix `times` holds edge edges[c]'s switch times, row r entering the on
+    phase for even r where enters_on[c] and for odd r where not.
+    """
+    if init is None:
+        on, remaining = stationary_init(model, rng)
+    else:
+        on = np.array([bool(o) for o, _ in init])
+        remaining = np.array([int(d) for _, d in init], dtype=np.int64)
+    cycle = model.on_law.mean() + model.off_law.mean()
+    longest = max(model.on_law.sample(2.0**-53), model.off_law.sample(2.0**-53))
+    cut = longest > (2**63 - 1 - K) // simulate._BLOCK_DRAWS
+
+    def draws(law, shape):
+        u = rng.random(shape)
+        return law.sample(np.subtract(1.0, u, out=u))
+
+    def switches():
+        nxt = remaining + 1
+        enters = ~on
+        edges = np.flatnonzero(nxt <= K)
+        while edges.size:
+            t, ph = nxt[edges], enters[edges]
+            pairs = int(1.2 * (K - t).mean() / cycle) + 1
+            pairs = max(1, min(pairs, simulate._BLOCK_DRAWS // (2 * edges.size)))
+            dx = draws(model.on_law, (edges.size, pairs)).T
+            dy = draws(model.off_law, (edges.size, pairs)).T
+            cum = np.empty((2 * pairs + 1, edges.size), dtype=np.int64)
+            cum[0] = t
+            np.copyto(cum[1::2], dy)
+            np.copyto(cum[1::2], dx, where=ph)
+            np.copyto(cum[2::2], dx)
+            np.copyto(cum[2::2], dy, where=ph)
+            if cut:
+                np.minimum(cum[1:], K, out=cum[1:])
+            np.cumsum(cum, axis=0, out=cum)
+            nxt[edges] = cum[-1]
+            yield edges, cum[:-1], ph
+            edges = edges[nxt[edges] <= K]
+
+    return on, switches()
+
+
+def switch_table(blocks):
+    """(edge, time, enters on) of every switch in (edges, times, into_on) arrays, sorted."""
+    edge, time, into_on = (np.concatenate([b[i].ravel() for b in blocks]) for i in range(3))
+    order = np.lexsort((into_on, time, edge))
+    return [edge[order].tolist(), time[order].tolist(), into_on[order].tolist()]
 
 
 def _brute_triangles(adj, N):
