@@ -335,13 +335,8 @@ class Pareto(DurationLaw):
         start = math.nextafter(1.0 + scale / (target - 0.5), 1.0)
         if start <= 1.0:
             raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1")
-        alpha = _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
-                       target, start)
-        mean = _pareto_tail(scale, alpha, scale)
-        if abs(mean - target) > 1e-6 * target:
-            raise OutOfRangeError(f"target {target} needs a pareto alpha within rounding of 1: "
-                                  f"the root found, {alpha}, has mean {mean}")
-        return alpha
+        return _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
+                      target, start, miss=1e-6)
 
     def tail_sum(self, k):
         return _pareto_tail(self.C, self.alpha, self.C + _as_index(k) - 1.0)
@@ -449,16 +444,10 @@ def _pareto_tail(C, alpha, x):
     as S(1) + T(2) = 1 + C^alpha zeta(alpha, C + 1).
     """
     scale = _pareto_scale(C, alpha)
-    zeta = scipy.special.zeta(alpha, x)
-    if np.ndim(zeta) == 0 and zeta < math.inf:  # a scalar with no 0 * inf to silence
-        value = scale * zeta
-        if value < math.inf:
-            return value
-    else:
-        with np.errstate(invalid="ignore"):
-            value = scale * zeta
-        if np.isfinite(value).all():
-            return value
+    with np.errstate(invalid="ignore"):
+        value = scale * scipy.special.zeta(alpha, x)
+    if np.isfinite(value).all():
+        return value
     fallback = 1.0 + scale * scipy.special.zeta(alpha, C + 1.0)
     return np.where(np.isfinite(value), value, fallback)[()]
 
@@ -583,7 +572,7 @@ def _weibull_mean_slope(lam, alpha):
 _CLIMB_STEPS = 200  # a climb that evaluates its map this often cannot follow it
 
 
-def _climb(fn, target, a, first=None, limit=1.0):
+def _climb(fn, target, a, first=None, limit=1.0, miss=math.inf):
     """The root of mean(a) = target, from a at or left of it, for a mean falling toward limit.
 
     fn(a) gives the mean and its slope (first, if given, is fn(a)). Newton
@@ -593,6 +582,7 @@ def _climb(fn, target, a, first=None, limit=1.0):
     by fn (ParameterError) ends the bracket, and a step past that end goes half
     the way there; once the way is within 4 ulps, a refusal there is raised.
     A slope past float range gives a step of 0, which ends the climb unsolved.
+    A root whose mean misses the target by over miss relative is refused.
     """
     def newton(a, value, slope):  # the step, and whether a is at the root as far as rounding tells
         step = (math.log(target - limit) - math.log(value - limit)) * (value - limit) / slope
@@ -608,9 +598,12 @@ def _climb(fn, target, a, first=None, limit=1.0):
         if a + step >= end:
             step = (end - a) / 2.0
         if done or 0.0 < step <= 4.0 * math.ulp(a):
-            if done or refusal is None:
-                return a
-            raise refusal
+            if refusal is not None and not done:
+                raise refusal
+            if abs(value - target) > miss * target:
+                raise OutOfRangeError(f"no float root for target {target}: "
+                                      f"the closest found, {a}, has mean {value}")
+            return a
         if not 0.0 < step < math.inf:
             break
         try:
@@ -619,8 +612,8 @@ def _climb(fn, target, a, first=None, limit=1.0):
             end, refusal = a + step, exc
             continue
         if v >= target or v > limit and (near := newton(a + step, v, s))[1]:
-            a = a + step
-            step, done = near if v < target else newton(a, v, s)
+            a, value = a + step, v
+            step, done = near if v < target else newton(a, value, s)
         else:
             end, refusal = a + step, None
     raise ConvergenceError(f"no root for target {target} in {_CLIMB_STEPS} steps", best=a)

@@ -162,8 +162,8 @@ class TestMean:
         assert law.residual().survival(1) == 1.0
 
     def test_pareto_tail_scalar_has_the_array_bits(self):
-        # the scalar path against the same x in a 1-element array, bit for bit,
-        # on a (C, alpha, x) grid with the tiny-C fallback of Pareto(1e-9, 300)
+        # a scalar x against the same x in a 1-element array, bit for bit, on a
+        # (C, alpha, x) grid with the tiny-C fallback of Pareto(1e-9, 300)
         checked = 0
         for C in (1e-9, 1e-3, 0.5, 1.0, 2.0, 300.0, 1e19):
             for a in (1.0001, 1.5, 3.0, 50.0, 300.0):
