@@ -11,11 +11,11 @@ from .asymp import (
     DivergenceWarning,
     MomentCov,
     ParamCov,
-    closed_form_cov,
-    delta_method_cov,
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
+    moment_cov,
+    param_cov,
 )
 from .errors import (
     ConvergenceError,
@@ -41,7 +41,6 @@ from .moments import (
     estimate_pareto_geo,
     fit,
     theoretical_moment_set,
-    theoretical_moments,
     triangle_moments,
     wedge_moments,
 )

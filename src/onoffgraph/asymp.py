@@ -3,11 +3,10 @@
 ``general_moment_cov`` computes the limits for any pair of laws: v0, c01
 and the one-edge part of v1 exactly, from the renewal-reward central limit
 theorem over one on/off cycle of an edge, and the cross-edge part of v1 as
-one series of squared autocovariances. ``geometric_moment_cov`` takes the
-same renewal-reward limits and sums that series in closed form, as the
-autocovariance of a geometric pair decays geometrically.
-``delta_method_cov`` propagates either result to the (p, q) estimators;
-``closed_form_cov`` decides from the law types where that applies.
+one series of squared autocovariances. ``geometric_moment_cov`` sums that
+series in closed form for geometric laws; ``moment_cov`` picks one by the
+law types. ``param_cov`` propagates it by the delta method to the
+parameters of every two-lag family.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import numpy as np
 import scipy
 
 from .laws import Geometric, Pareto, Weibull
+from .moments import FAMILIES, rate_jacobian
 from .renewal import autocovariance
 from .simulate import ModelSpec
 
@@ -45,14 +45,18 @@ class MomentCov:
 
 @dataclass
 class ParamCov:
-    """2x2 limit covariance of sqrt(K) (p_hat - p, q_hat - q)."""
+    """2x2 limit covariance of sqrt(K) (theta_hat - theta), theta a two-lag family's parameters.
+
+    sigma2 is the variance of the first parameter in registry order, tau2 that
+    of the second and rho_cov their covariance.
+    """
 
     sigma2: float
     tau2: float
     rho_cov: float
 
     def sd(self, K: int) -> tuple[float, float]:
-        """Predicted standard deviations of (p_hat, q_hat) at trace length K."""
+        """Predicted standard deviations of the two parameters at trace length K."""
         return (np.sqrt(self.sigma2 / K), np.sqrt(self.tau2 / K))
 
     def to_json(self) -> dict:
@@ -86,39 +90,35 @@ def geometric_moment_cov(n: int, p: float, q: float) -> MomentCov:
     return MomentCov(v0=v0, v1=v1_one_edge + cross, c01=c01, method="closed_form_geometric")
 
 
-def delta_method_cov(n: int, p: float, q: float, mc: MomentCov) -> ParamCov:
-    """Propagate the moment covariance to p_hat = D / mu_hat(0), q_hat = D / (n - mu_hat(0)).
+def moment_cov(model: ModelSpec) -> MomentCov:
+    """geometric_moment_cov where both laws are geometric, general_moment_cov otherwise."""
+    if isinstance(model.on_law, Geometric) and isinstance(model.off_law, Geometric):
+        return geometric_moment_cov(model.n, model.on_law.p, model.off_law.p)
+    return general_moment_cov(model, model.n)
 
-    (g0, g1) and (h0, h1) are their Jacobian rows in (mu_hat(0), mu_hat(1)) at
-    the exact moments s0, s1, where D = mu_hat(0) - mu_hat(1) + (1 - 1/n) mu_hat(0)^2
-    takes the value p s0, so that dD/dmu_hat(0) = g0 s0 + p and D / (n - s0) = q.
+
+def param_cov(model: ModelSpec, mc: MomentCov | None = None) -> ParamCov | None:
+    """J M J^T for the parameters of the two-lag family whose laws the model has.
+
+    M is mc or moment_cov(model); J, the fit's Jacobian at the exact moments, is
+    moments.rate_jacobian times -E[Z]^2 / mean_slope() by row (1 for a geometric
+    p). None, with no series summed, where no two-lag family holds the model at
+    its unit scale or finiteness_check fails; None too where M's series did not
+    converge or J M J^T leaves float range (a mean all but flat in its shape).
     """
-    rho = q / (p + q)
-    s0 = n * rho
-    s1 = n * rho * (1 - p) + (n * n - n) * rho * rho
-    g0 = s1 / s0**2 + 1.0 - 1.0 / n
-    g1 = -1.0 / s0
-    h0 = (g0 * s0 + p + q) / (n - s0)
-    h1 = -1.0 / (n - s0)
-
-    def cross(a0, a1, b0, b1):
-        return a0 * b0 * mc.v0 + (a0 * b1 + a1 * b0) * mc.c01 + a1 * b1 * mc.v1
-
-    return ParamCov(sigma2=cross(g0, g1, g0, g1), tau2=cross(h0, h1, h0, h1),
-                    rho_cov=cross(g0, g1, h0, h1))
-
-
-def closed_form_cov(model: ModelSpec, mc: MomentCov | None = None):
-    """(geometric_moment_cov or the given mc, its delta_method_cov) for geometric laws.
-
-    Only geometric on- and off-times have this closed form; other laws give None.
-    """
-    on, off = model.on_law, model.off_law
-    if not (isinstance(on, Geometric) and isinstance(off, Geometric)):
+    laws = (model.on_law, model.off_law)
+    fits = any(e.lags == 2 and e.laws == tuple(map(type, laws)) for e in FAMILIES.values())
+    if not (fits and all(getattr(law, k) == v for law in laws for k, v in law.UNIT_SCALE.items())
+            and finiteness_check(model)[0]):
         return None
-    if mc is None:
-        mc = geometric_moment_cov(model.n, on.p, off.p)
-    return mc, delta_method_cov(model.n, on.p, off.p, mc)
+    mc = moment_cov(model) if mc is None else mc
+    slopes = np.array([[law.mean_slope()] for law in laws])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        J = rate_jacobian(model) * ([[-law.mean() ** 2] for law in laws] / slopes)
+        cov = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
+    if not (mc.converged and np.isfinite(cov).all()):
+        return None
+    return ParamCov(sigma2=float(cov[0, 0]), tau2=float(cov[1, 1]), rho_cov=float(cov[0, 1]))
 
 
 # ---------------------------------------------------------------------------

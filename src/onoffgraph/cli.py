@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymp import closed_form_cov, finiteness_check, general_moment_cov
+from .asymp import finiteness_check, moment_cov, param_cov
 from .errors import COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError
 from .harness import ExperimentConfig, emit_outputs, run_campaign
 from .moments import fit, infer_family
@@ -61,9 +61,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", help="comma-separated tilt vector (entries may be -inf)")
     p.add_argument("--epochs", help="comma-separated epochs for the joint law")
 
-    p = add("cov", "limiting covariances of the moment statistics")
-    p.add_argument("--general", action="store_true",
-                   help="force the general series even for geometric laws")
+    add("cov", "limiting covariances of the moment statistics and of the parameters")
 
     add("check", "report whether the limiting covariances are finite")
     return parser
@@ -147,17 +145,15 @@ def _dispatch(args, cfg, model) -> int:
         ok, why = finiteness_check(model)
         if not ok:
             raise InfiniteMeanError(f"limiting covariances are infinite: {why}")
-        closed = closed_form_cov(model)  # None unless the laws have closed forms
-        if closed is None or args.general:
-            mc = general_moment_cov(model, model.n)
-            if not mc.converged:
-                raise ConvergenceError(
-                    f"covariance series did not converge: tail_error={mc.tail_error:.3g}"
-                    f" at k={mc.k_used}")
-            closed = closed and closed_form_cov(model, mc)
-        out = {"moment_cov": (closed[0] if closed else mc).to_json()}
-        if closed:
-            out["param_cov"] = closed[1].to_json()
+        mc = moment_cov(model)
+        if not mc.converged:
+            raise ConvergenceError(
+                f"covariance series did not converge: tail_error={mc.tail_error:.3g}"
+                f" at k={mc.k_used}")
+        out = {"moment_cov": mc.to_json()}
+        pc = param_cov(model, mc)  # None unless a two-lag family fits the model
+        if pc is not None:
+            out["param_cov"] = pc.to_json()
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 

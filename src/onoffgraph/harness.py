@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .asymp import closed_form_cov
+from .asymp import param_cov
 from .errors import COMPUTE_ERRORS, ParameterError
 from .moments import family_entry, fit, infer_family
 from .simulate import ModelSpec, simulate_trace, whole_number, write_csv
@@ -181,18 +181,16 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
 
 
 def _predicted_sds(cfg, means):
-    """Delta-method sds at the mean estimates, for edge campaigns of laws with a closed form."""
+    """Delta-method sds at the mean estimates, for edge campaigns that param_cov covers."""
     entry = family_entry(cfg.family)
     vals = [means.get(name) for name in entry.params]
     if cfg.kind != "edges" or None in vals:
         return {}
     try:
-        closed = closed_form_cov(entry.model_of(vals, cfg.model.n))
+        pc = param_cov(entry.model_of(vals, cfg.model.n))
     except ParameterError:  # the mean estimates lie outside the family's domain
-        return {}
-    if closed is None:
-        return {}
-    return {name: float(sd) for name, sd in zip(entry.params, closed[1].sd(cfg.K))}
+        pc = None
+    return {} if pc is None else dict(zip(entry.params, map(float, pc.sd(cfg.K))))
 
 
 def _histogram(vals):

@@ -8,8 +8,8 @@ Three parametric families are supported, all with support {1, 2, ...}:
 
 Each law exposes its survival function, pmf, an exact inverse-transform
 sampler, its residual (equilibrium) law and its mean map over the free shape
-(p, or alpha at a fixed scale): mean(), its exact slope mean_slope() and the
-inverse, the class method shape_for_mean().
+(p, or alpha at a fixed scale): mean(), its exact slope mean_slope() and,
+for a shape, the inverse, the class method shape_for_mean().
 """
 
 from __future__ import annotations
@@ -173,6 +173,9 @@ class Geometric(DurationLaw):
 
     def mean(self):
         return 1.0 / self.p
+
+    def mean_slope(self):  # d(1/p)/dp = -1/p^2, as the mean's own square
+        return -self.mean() ** 2
 
     def tail_sum(self, k):
         return self.survival(k) / self.p

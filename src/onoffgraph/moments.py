@@ -75,16 +75,6 @@ def empirical_moments(trace: CountTrace, L: int = 2) -> MomentSet:
     return MomentSet(mu=mu, n=trace.n, K=K, kind=trace.kind, N=trace.N)
 
 
-def theoretical_moments(model: ModelSpec, ell: int) -> float:
-    """s_{n,ell} = E[A(k) A(k+ell)] (ell = 0: E[A(k)]) for the edge process.
-
-    The entry ell of theoretical_moment_set(model, ell + 1).
-    """
-    if ell < 0:
-        raise ValueError("lag must be >= 0")
-    return float(theoretical_moment_set(model, ell + 1).mu[ell])
-
-
 def theoretical_moment_set(model: ModelSpec, L: int = 2) -> MomentSet:
     """Exact moments s_{n,0..L-1} packed as a MomentSet, all from one autocovariance table.
 
@@ -110,6 +100,19 @@ def _first_lag_targets(m: MomentSet):
         raise IncompatibleMomentsError(f"need mu_hat(0) in (0, n), got {mu0} with n={n}")
     D = mu0 - mu1 + (1.0 - 1.0 / n) * mu0 * mu0
     return D / mu0, D / (n - mu0), D
+
+
+def rate_jacobian(model: ModelSpec) -> np.ndarray:
+    """d(fbar1_hat, gbar1_hat) / d(mu_hat(0), mu_hat(1)) at the model's exact moments.
+
+    dD/dmu_hat(0) = 1 + 2 (1 - 1/n) mu_hat(0), dD/dmu_hat(1) = -1, and there
+    mu_hat(0) = s0 = n rho and D = s0 / E[X]: only n, rho and E[X] are read.
+    """
+    n, rho = model.n, model.rho
+    s0 = n * rho
+    D, dD = s0 / model.on_law.mean(), 1.0 + 2.0 * (1.0 - 1.0 / n) * s0
+    return np.array([[(dD - D / s0) / s0, -1.0 / s0],
+                     [(dD + D / (n - s0)) / (n - s0), -1.0 / (n - s0)]])
 
 
 def estimate_pareto_geo(m: MomentSet) -> EstimateReport:

@@ -11,9 +11,9 @@ import math
 import time
 
 import numpy as np
-from scipy.stats import binom
+from scipy.stats import binom, chi2
 
-from onoffgraph.asymp import delta_method_cov, general_moment_cov, geometric_moment_cov
+from onoffgraph.asymp import general_moment_cov, geometric_moment_cov, param_cov
 from onoffgraph.harness import ExperimentConfig, emit_outputs, run_campaign
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.moments import triangle_moments, wedge_moments
@@ -49,13 +49,27 @@ def test_criterion_01_geometric_recovery():
     elapsed = time.perf_counter() - t0
     dp = abs(summary.means["p"] - 0.3)
     dq = abs(summary.means["q"] - 0.8)
-    pc = delta_method_cov(100, 0.3, 0.8, geometric_moment_cov(100, 0.3, 0.8))
-    pred = pc.sd(10_000)[0]
+    pred = param_cov(GG).sd(10_000)[0]
     ratio = summary.sds["p"] / pred
     ok = (dp <= 0.003 and dq <= 0.008 and 0.7 <= ratio <= 1.3 and elapsed <= 120.0)
     _report(1, ok,
             f"|mean p-0.3|={dp:.5f} (<=0.003), |mean q-0.8|={dq:.5f} (<=0.008), "
             f"sd(p)/predicted={ratio:.3f} (in [0.7,1.3]), {elapsed:.1f}s (<=120s)")
+
+
+def _sd_ratios(summary):
+    """sd / predicted_sd per parameter, and whether each lies in its 99% chi-square interval.
+
+    With R replications, (R - 1) sd^2 / sd_true^2 is chi-square on R - 1
+    degrees of freedom, so at R = 100 the ratio lies in [0.820, 1.185] with
+    probability 0.99 where the predicted sd is the true one.
+    """
+    dof = summary.config.R - 1
+    lo, hi = np.sqrt(chi2.ppf([0.005, 0.995], dof) / dof)
+    ratios = {name: summary.sds[name] / summary.predicted_sds[name]
+              for name in summary.config.param_names}
+    text = ", ".join(f"sd({name})/predicted={r:.3f}" for name, r in ratios.items())
+    return all(lo <= r <= hi for r in ratios.values()), f"{text} (in [{lo:.3f},{hi:.3f}])"
 
 
 def test_criterion_02_pareto_pareto_recovery():
@@ -64,9 +78,11 @@ def test_criterion_02_pareto_pareto_recovery():
     summary = run_campaign(cfg)
     da = abs(summary.means["alpha"] - 3.0)
     db = abs(summary.means["beta"] - 2.5)
-    ok = da <= 0.09 and db <= 0.05 and summary.n_flagged == 0
+    sd_ok, sd_text = _sd_ratios(summary)
+    ok = da <= 0.09 and db <= 0.05 and summary.n_flagged == 0 and sd_ok
     _report(2, ok, f"|mean alpha-3|={da:.4f} (<=0.09), "
-                   f"|mean beta-2.5|={db:.4f} (<=0.05), flagged={summary.n_flagged}")
+                   f"|mean beta-2.5|={db:.4f} (<=0.05), flagged={summary.n_flagged}, "
+                   f"{sd_text}")
 
 
 def test_criterion_03_weibull_geo_and_pareto_geo_recovery():
@@ -84,11 +100,12 @@ def test_criterion_03_weibull_geo_and_pareto_geo_recovery():
     dq2 = abs(s2.means["q"] - 0.7)
 
     tol = math.sqrt(10.0)
-    ok = (da <= 0.0014 * tol and dq <= 0.0028 * tol
+    sd_ok, sd_text = _sd_ratios(s1)
+    ok = (da <= 0.0014 * tol and dq <= 0.0028 * tol and sd_ok
           and dC <= 0.3239 * tol and da2 <= 0.4705 * tol and dq2 <= 0.0078 * tol)
     _report(3, ok,
             f"W/G: |alpha-0.5|={da:.5f} (<={0.0014*tol:.4f}), "
-            f"|q-0.7|={dq:.5f} (<={0.0028*tol:.4f}); "
+            f"|q-0.7|={dq:.5f} (<={0.0028*tol:.4f}), {sd_text}; "
             f"Par/G: |C-2|={dC:.3f} (<={0.3239*tol:.2f}), "
             f"|alpha-4|={da2:.3f} (<={0.4705*tol:.2f}), "
             f"|q-0.7|={dq2:.5f} (<={0.0078*tol:.4f})")

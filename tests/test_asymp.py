@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,13 @@ from onoffgraph.asymp import (
     K0,
     K_CAP,
     DivergenceWarning,
-    closed_form_cov,
-    delta_method_cov,
+    MomentCov,
+    ParamCov,
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
+    moment_cov,
+    param_cov,
 )
 from onoffgraph.errors import ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
@@ -419,19 +422,55 @@ def gamma_oracle(n, p, q):
     return s1 / s0**2 + 1.0 - 1.0 / n, -1.0 / s0
 
 
-def edge_estimator_jacobian(model, h=1e-2):
-    """Five-point central differences of the code's own GG edge fit at the model's exact moments."""
+def delta_method_cov(n, p, q, mc):
+    """GG oracle: the hand-derived Jacobian of p_hat = D / mu_hat(0), q_hat = D / (n - mu_hat(0)).
+
+    (g0, g1) and (h0, h1) are their rows in (mu_hat(0), mu_hat(1)) at the
+    exact moments s0, s1, where D = mu_hat(0) - mu_hat(1) + (1 - 1/n) mu_hat(0)^2
+    takes the value p s0, so that dD/dmu_hat(0) = g0 s0 + p and D / (n - s0) = q.
+    """
+    g0, g1 = gamma_oracle(n, p, q)
+    s0 = n * q / (p + q)
+    h0 = (g0 * s0 + p + q) / (n - s0)
+    h1 = -1.0 / (n - s0)
+
+    def cross(a0, a1, b0, b1):
+        return a0 * b0 * mc.v0 + (a0 * b1 + a1 * b0) * mc.c01 + a1 * b1 * mc.v1
+
+    return ParamCov(sigma2=cross(g0, g1, g0, g1), tau2=cross(h0, h1, h0, h1),
+                    rho_cov=cross(g0, g1, h0, h1))
+
+
+def edge_estimator_jacobian(model, family, h=1e-3):
+    """Five-point central differences of the code's own edge fit at the model's exact moments.
+
+    D moves by about 2 mu_hat(0) per unit of mu_hat(0), so a Pareto/Pareto or
+    Weibull/geometric fit at n = 100 bends within a step of 1e-2 (1.5e-4
+    relative error in J M J^T); at 1e-3 the error is about 2e-8.
+    """
     m = theoretical_moment_set(model)
 
     def params(ell, step):
         mu = m.mu.copy()
         mu[ell] += step
-        r = fit(MomentSet(mu=mu, n=m.n, K=0), "geometric_geometric")
-        return np.array([r.params["p"], r.params["q"]])
+        return np.array(list(fit(MomentSet(mu=mu, n=m.n, K=0), family).params.values()))
 
     cols = [(8 * (params(ell, h) - params(ell, -h)) - params(ell, 2 * h) + params(ell, -2 * h))
             / (12 * h) for ell in (0, 1)]
     return np.array(cols).T  # J[i, l] = d param_i / d mu_hat(l)
+
+
+def _as_matrix(pc):
+    return np.array([[pc.sigma2, pc.rho_cov], [pc.rho_cov, pc.tau2]])
+
+
+GG_POINTS = [(100, 0.3, 0.8), (20, 0.6, 0.2), (100, 0.05, 0.9)]
+# a model of each two-lag family, with its family's name
+TWO_LAG_MODELS = [
+    (ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100), "geometric_geometric"),
+    (PARPAR, "pareto_pareto"),
+    (ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=100), "weibull_geometric"),
+]
 
 
 class TestDeltaMethod:
@@ -440,38 +479,81 @@ class TestDeltaMethod:
         assert g0 == pytest.approx(1.989625, abs=1e-12)
         assert g1 == pytest.approx(-1.1 / 80, abs=1e-12)
 
+    @pytest.mark.parametrize("model,family", TWO_LAG_MODELS, ids=[f for _, f in TWO_LAG_MODELS])
+    def test_matches_differenced_fit(self, model, family):
+        # param_cov is J M J^T, J the Jacobian of the code's own fit of the
+        # family's parameters in (mu_hat(0), mu_hat(1))
+        mc = moment_cov(model)
+        J = edge_estimator_jacobian(model, family)
+        want = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
+        np.testing.assert_allclose(_as_matrix(param_cov(model)), want, rtol=1e-6)
+
     def test_scaling_identities(self):
-        # the delta method is J M J^T, J the Jacobian of the code's own
-        # estimator (p_hat, q_hat) = (D / mu_hat(0), D / (n - mu_hat(0)))
-        for (n, p, q) in [(100, 0.3, 0.8), (20, 0.6, 0.2), (100, 0.05, 0.9)]:
+        # the hand-derived GG delta method is J M J^T, J the Jacobian of the
+        # code's own estimator (p_hat, q_hat) = (D / mu_hat(0), D / (n - mu_hat(0))),
+        # and param_cov is that delta method to rounding
+        for (n, p, q) in GG_POINTS:
+            model = ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n)
             mc = geometric_moment_cov(n, p, q)
             pc = delta_method_cov(n, p, q, mc)
-            J = edge_estimator_jacobian(ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n))
+            J = edge_estimator_jacobian(model, "geometric_geometric")
             want = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
-            assert pc.sigma2 == pytest.approx(want[0, 0], rel=1e-6)
-            assert pc.tau2 == pytest.approx(want[1, 1], rel=1e-6)
-            assert pc.rho_cov == pytest.approx(want[0, 1], rel=1e-6)
+            np.testing.assert_allclose(_as_matrix(pc), want, rtol=1e-6)
             g0, g1 = gamma_oracle(n, p, q)
             oracle = g0 * g0 * mc.v0 + 2 * g0 * g1 * mc.c01 + g1 * g1 * mc.v1
             assert pc.sigma2 == pytest.approx(oracle, rel=1e-12)
+            np.testing.assert_allclose(_as_matrix(param_cov(model)), _as_matrix(pc), rtol=1e-11)
         # q_hat also moves with mu_hat(0): not the rank-1 sigma2 (q/p)^2
-        pc = delta_method_cov(100, 0.05, 0.9, geometric_moment_cov(100, 0.05, 0.9))
+        pc = param_cov(ModelSpec(on_law=Geometric(0.05), off_law=Geometric(0.9), n=100))
         assert pc.tau2 == pytest.approx(0.9168, abs=1e-4)
 
     def test_closed_form_by_law_types(self):
-        # geometric laws alone have a closed-form parameter covariance, for any moment covariance
+        # geometric laws alone take the closed-form moment covariance, and
+        # param_cov propagates any moment covariance it is given
         gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
-        mc, pc = closed_form_cov(gg)
-        assert mc == geometric_moment_cov(100, 0.3, 0.8)
-        assert pc == delta_method_cov(100, 0.3, 0.8, mc)
+        assert moment_cov(gg) == geometric_moment_cov(100, 0.3, 0.8)
         general = general_moment_cov(gg, 100)
-        assert closed_form_cov(gg, general) == (general, delta_method_cov(100, 0.3, 0.8, general))
-        for model in (HEAVY, PARPAR, ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7),
-                                               n=100)):
-            assert closed_form_cov(model) is None
+        np.testing.assert_allclose(_as_matrix(param_cov(gg, general)),
+                                   _as_matrix(delta_method_cov(100, 0.3, 0.8, general)), rtol=1e-11)
+        for model, _ in TWO_LAG_MODELS[1:]:
+            assert moment_cov(model) == general_moment_cov(model, 100)
+
+    def test_param_cov_none_by_model(self, monkeypatch):
+        # no two-lag family at its unit scale, or infinite limits: None, with no
+        # series summed and no DivergenceWarning
+        def summed(*args, **kwargs):
+            raise AssertionError("a series was summed")
+
+        models = [HEAVY,  # pareto/geometric is a three-lag family
+                  ModelSpec(on_law=Pareto(2.0, 3.0), off_law=Pareto(1.0, 2.5), n=100),
+                  ModelSpec(on_law=Weibull(2.0, 0.5), off_law=Geometric(0.7), n=100),
+                  ModelSpec(on_law=Geometric(0.3), off_law=Weibull(1.0, 0.5), n=100),
+                  ModelSpec(on_law=Pareto(1.0, 2.0), off_law=Pareto(1.0, 2.5), n=100),
+                  ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 1.5), n=100)]
+        monkeypatch.setattr(asymp, "general_moment_cov", summed)
+        monkeypatch.setattr(asymp, "geometric_moment_cov", summed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            for model in models:
+                assert param_cov(model) is None, model
+
+    def test_param_cov_flat_mean(self):
+        # the Weibull(1, alpha) mean's slope falls to 1e-109 at alpha = 8, 1e-220
+        # at 9 (J M J^T past float range) and 0 at 20: finite or None
+        for alpha, finite in ((8.0, True), (9.0, False), (20.0, False)):
+            model = ModelSpec(on_law=Weibull(1.0, alpha), off_law=Geometric(0.5), n=100)
+            pc = param_cov(model)
+            assert (pc is not None) == finite
+            assert pc is None or np.isfinite(_as_matrix(pc)).all() and pc.tau2 > 0.0
+
+    def test_param_cov_none_unconverged(self):
+        partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
+                            converged=False, k_used=1024, tail_error=1.0)
+        assert param_cov(PARPAR, partial) is None
+        assert param_cov(PARPAR, general_moment_cov(PARPAR, 100, k_cap=64)) is None
 
     def test_predicted_sd_matches_reported_value(self):
-        pc = delta_method_cov(100, 0.3, 0.8, geometric_moment_cov(100, 0.3, 0.8))
+        pc = param_cov(ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100))
         sd_p, sd_q = pc.sd(10_000)
         assert sd_p == pytest.approx(0.0028, abs=2e-4)
         assert sd_q == pytest.approx(0.0074, abs=4e-4)

@@ -169,6 +169,21 @@ class TestCampaign:
         assert set(body["params"]) == {"p", "q"}
         assert body["params"]["p"]["predicted_sd"] > 0
 
+    @pytest.mark.filterwarnings("error::onoffgraph.asymp.DivergenceWarning")
+    def test_predicted_sd_by_family(self):
+        # two-lag edge families other than GG predict their sds at the mean
+        # estimates; a mean Pareto index at or below 2 has infinite limits and
+        # predicts none, with no DivergenceWarning
+        for on, off in ((Pareto(1.0, 3.0), Pareto(1.0, 2.5)), (Weibull(1.0, 0.5), Geometric(0.7))):
+            cfg = ExperimentConfig(model=ModelSpec(on_law=on, off_law=off, n=100), K=2000, R=4,
+                                   base_seed=1)
+            params = run_campaign(cfg).to_json()["params"]
+            assert all(body["predicted_sd"] > 0 for body in params.values())
+        heavy = ModelSpec(on_law=Pareto(1.0, 1.8), off_law=Pareto(1.0, 2.5), n=100)
+        summary = run_campaign(ExperimentConfig(model=heavy, K=2000, R=4, base_seed=1))
+        assert summary.means["alpha"] <= 2.0
+        assert summary.to_json()["params"]["alpha"]["predicted_sd"] is None
+
     def test_flagged_replication(self):
         # K=2 pareto/pareto traces often produce incompatible moments; flags
         # must be recorded without aborting the campaign
@@ -276,33 +291,42 @@ class TestCli:
         gg = self._write_cfg(tmp_path, {
             "on": {"kind": "geometric", "p": 0.3},
             "off": {"kind": "geometric", "p": 0.8}, "n": 100})
-        assert cli.main(["cov", "--config", gg, "--general"]) == 0
+        assert cli.main(["cov", "--config", gg]) == 0
         converged = json.loads(capsys.readouterr().out)["moment_cov"]
         assert converged["converged"] is True
-        assert converged["k_used"] > 0
+        assert converged["method"] == "closed_form_geometric"
         # a stub pins the exit path; real models land on either side of the
         # tolerance only through their fitted tails
         partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
                             converged=False, k_used=1024, tail_error=1.0)
-        monkeypatch.setattr(cli, "general_moment_cov", lambda model, n: partial)
-        assert cli.main(["cov", "--config", gg, "--general"]) == 2
+        monkeypatch.setattr(cli, "moment_cov", lambda model: partial)
+        assert cli.main(["cov", "--config", gg]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
 
     def test_cov_param_cov_by_law_types(self, tmp_path, capsys):
-        # geometric laws report the delta-method covariance with either moment route
+        # every two-lag family at its unit scale reports the delta-method covariance
         gg = self._write_cfg(tmp_path, {
             "on": {"kind": "geometric", "p": 0.05},
             "off": {"kind": "geometric", "p": 0.9}, "n": 100})
-        for extra in ([], ["--general"]):
-            assert cli.main(["cov", "--config", gg, *extra]) == 0
-            body = json.loads(capsys.readouterr().out)
-            assert set(body["param_cov"]) == {"sigma2", "tau2", "rho_cov"}
-            assert body["param_cov"]["tau2"] == pytest.approx(0.9168, abs=1e-4)
+        assert cli.main(["cov", "--config", gg]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert set(body["param_cov"]) == {"sigma2", "tau2", "rho_cov"}
+        assert body["param_cov"]["tau2"] == pytest.approx(0.9168, abs=1e-4)
         pp = self._write_cfg(tmp_path, {
             "on": {"kind": "pareto", "C": 1.0, "alpha": 3.0},
             "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5}, "n": 100})
         assert cli.main(["cov", "--config", pp]) == 0
-        assert set(json.loads(capsys.readouterr().out)) == {"moment_cov"}
+        pc = json.loads(capsys.readouterr().out)["param_cov"]
+        assert [pc["sigma2"], pc["tau2"], pc["rho_cov"]] == pytest.approx(
+            [76.02, 24.99, 43.16], abs=0.01)
+        # pareto/geometric is a three-lag family, and Pareto(2, 3) is off the unit scale
+        for on, off in (({"kind": "pareto", "C": 2.0, "alpha": 4.0},
+                         {"kind": "geometric", "p": 0.7}),
+                        ({"kind": "pareto", "C": 2.0, "alpha": 3.0},
+                         {"kind": "pareto", "C": 1.0, "alpha": 2.5})):
+            cfg = self._write_cfg(tmp_path, {"on": on, "off": off, "n": 100})
+            assert cli.main(["cov", "--config", cfg]) == 0
+            assert set(json.loads(capsys.readouterr().out)) == {"moment_cov"}
 
     @pytest.mark.parametrize("off", [{"kind": "geometric", "p": 0.5},
                                      {"kind": "pareto", "C": 1.0, "alpha": 2.5}],
@@ -311,7 +335,7 @@ class TestCli:
         alpha = 4.0 if off["kind"] == "geometric" else 3.0
         cfg = self._write_cfg(tmp_path, {
             "on": {"kind": "pareto", "C": 1.0, "alpha": alpha}, "off": off, "n": 100})
-        res = self._run("cov", "--config", cfg, "--general")
+        res = self._run("cov", "--config", cfg)
         assert res.returncode == 0, res.stdout + res.stderr
         mc = json.loads(res.stdout)["moment_cov"]
         assert mc["converged"] is True
@@ -523,7 +547,7 @@ class TestCli:
             "on": {"kind": "geometric", "p": 0.3},
             "off": {"kind": "geometric", "p": 0.8}, **count})
         args = (["simulate", "--k", "50", "--out", str(tmp_path / "t.csv")]
-                if command == "simulate" else ["cov", "--general"])
+                if command == "simulate" else ["cov"])
         assert cli.main([*args, "--config", cfg]) == code
         if code == 2:
             assert json.loads(capsys.readouterr().out)["error"] == "ParameterError"

@@ -448,22 +448,25 @@ class TestMeanSlope:
     @pytest.mark.parametrize("law", [Pareto(1.0, a) for a in SLOPE_SHAPES[0]]
                              + [Weibull(1.0, a) for a in SLOPE_SHAPES[1]]
                              + [law for law in EXTREME_LAWS + ALL_LAWS
-                                if not isinstance(law, Geometric)
-                                and not (isinstance(law, Pareto) and law.alpha <= 1.0)], ids=str)
+                                if not (isinstance(law, Pareto) and law.alpha <= 1.0)], ids=str)
     def test_matches_five_point_difference(self, law):
-        # the exact slope in alpha against a central difference, 1e-8 relative,
-        # of the mean less the terms that alpha leaves alone (summed apart, so
-        # that a mean near its limit keeps its digits); the step moves that
-        # excess by about 1e-3 of itself
-        kind, scale = type(law), law.C if isinstance(law, Pareto) else law.lam
+        # the exact slope in the shape (alpha, or a geometric law's p) against a
+        # central difference, 1e-8 relative, of the mean less the terms that
+        # the shape leaves alone (summed apart, so that a mean near its limit
+        # keeps its digits); the step moves that excess by about 1e-3 of itself
         slope = law.mean_slope()
         assert slope <= 0.0
+        if isinstance(law, Geometric):  # all of the mean 1/p moves with p
+            shape, excess = law.p, lambda p: 1.0 / p
+        else:
+            kind, scale = type(law), law.C if isinstance(law, Pareto) else law.lam
+            shape = law.alpha
+            excess = functools.partial(_excess, kind, scale, shape >= 1.0)
         if slope == 0.0:  # every term that moves with alpha is below float range
-            assert _excess(kind, scale, law.alpha >= 1.0, law.alpha) == 0.0
+            assert excess(shape) == 0.0
             return
-        excess = functools.partial(_excess, kind, scale, law.alpha >= 1.0)
-        h = 1e-3 * excess(law.alpha) / -slope
-        assert slope == pytest.approx(five_point_slope(excess, law.alpha, h), rel=1e-8)
+        h = 1e-3 * excess(shape) / -slope
+        assert slope == pytest.approx(five_point_slope(excess, shape, h), rel=1e-8)
 
 
 def _excess(kind, scale, summed, alpha):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from onoffgraph import moments
+from onoffgraph.asymp import param_cov
 from onoffgraph.errors import COMPUTE_ERRORS, IncompatibleMomentsError, ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
 from onoffgraph.moments import (
@@ -20,7 +21,6 @@ from onoffgraph.moments import (
     infer_family,
     moments_needed,
     theoretical_moment_set,
-    theoretical_moments,
     triangle_moments,
     wedge_moments,
 )
@@ -117,13 +117,15 @@ class TestEmpiricalMoments:
 class TestTheoreticalMoments:
     def test_lag0(self):
         for model in [GG, ModelSpec(on_law=Pareto(2.0, 4.0), off_law=Geometric(0.7), n=10)]:
-            assert theoretical_moments(model, 0) == pytest.approx(model.n * model.rho, rel=1e-14)
+            mu0 = theoretical_moment_set(model, 1).mu[0]
+            assert mu0 == pytest.approx(model.n * model.rho, rel=1e-14)
 
     def test_lag1_geometric(self):
         n, rho = 100, GG.rho
         expect = n * rho * 0.7 + (n * n - n) * rho * rho
-        assert theoretical_moments(GG, 1) == pytest.approx(expect, rel=1e-14)
-        assert theoretical_moments(GG, 1) == pytest.approx(5287.27, abs=0.01)
+        mu1 = theoretical_moment_set(GG, 2).mu[1]
+        assert mu1 == pytest.approx(expect, rel=1e-14)
+        assert mu1 == pytest.approx(5287.27, abs=0.01)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_closed_forms_vs_joint_route(self, ell):
@@ -133,7 +135,8 @@ class TestTheoreticalMoments:
             n, rho = model.n, model.rho
             route = n * joint_distribution(model, [1, 1 + ell])[-1] + (n * n - n) * rho * rho
             oracle = hand_enumerated_moment(model, ell)
-            assert theoretical_moments(model, ell) == pytest.approx(oracle, abs=1e-10)
+            mu = theoretical_moment_set(model, ell + 1).mu[ell]
+            assert mu == pytest.approx(oracle, abs=1e-10)
             assert route == pytest.approx(oracle, abs=1e-10)
 
     def test_higher_lags(self):
@@ -141,7 +144,7 @@ class TestTheoreticalMoments:
         n, rho, f = 100, GG.rho, -0.1
         for ell in [5, 7]:
             expect = n * rho * (rho + (1 - rho) * f**ell) + (n * n - n) * rho**2
-            assert theoretical_moments(GG, ell) == pytest.approx(expect, rel=1e-12)
+            assert theoretical_moment_set(GG, ell + 1).mu[ell] == pytest.approx(expect, rel=1e-12)
 
 
 class TestEdgeEstimators:
@@ -426,13 +429,24 @@ def _exact_moment_sets(model):
     return sets
 
 
+@pytest.mark.filterwarnings("error::onoffgraph.asymp.DivergenceWarning")
 @pytest.mark.parametrize("on_law", GATE_LAWS, ids=repr)
 def test_fit_of_exact_moments_is_finite_or_typed(on_law):
     # every family that reads the observable fits the exact moments of every
     # pair within its time bound, to finite parameters and flags or a typed
-    # refusal; the slowest fit of this grid took about 0.3 s
+    # refusal; the slowest fit of this grid took about 0.3 s. So does
+    # param_cov, to a finite covariance, None or a typed refusal, and it
+    # issues no DivergenceWarning
     for off_law in GATE_LAWS:
-        for m in _exact_moment_sets(ModelSpec(on_law=on_law, off_law=off_law, N=5)):
+        model = ModelSpec(on_law=on_law, off_law=off_law, N=5)
+        start = time.perf_counter()
+        try:
+            pc = param_cov(model)
+            assert pc is None or np.isfinite([pc.sigma2, pc.tau2, pc.rho_cov]).all()
+        except COMPUTE_ERRORS:
+            pass
+        assert time.perf_counter() - start < 2.0, ("param_cov", off_law)
+        for m in _exact_moment_sets(model):
             for family, entry in FAMILIES.items():
                 if m.kind != "edges" and entry.lags != 2:
                     continue
