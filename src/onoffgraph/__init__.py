@@ -41,8 +41,6 @@ from .moments import (
     estimate_pareto_geo,
     fit,
     theoretical_moment_set,
-    triangle_moments,
-    wedge_moments,
 )
 from .renewal import (
     autocovariance,

@@ -24,10 +24,6 @@ class TraceMismatchError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solver did not reach its tolerance."""
 
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 class DegenerateSaddleError(RuntimeError):
     """The Hessian at the saddlepoint is not positive definite."""

@@ -26,6 +26,9 @@ from .simulate import ModelSpec, simulate_trace, whole_number, write_csv
 
 _MASK64 = (1 << 64) - 1
 _MIN_BINS = 10  # fewest histogram bins
+# config key -> ExperimentConfig field; an absent key keeps the field's default
+_CONFIG_FIELDS = {"kind": "kind", "K": "K", "reps": "R", "seed": "base_seed",
+                  "family": "family", "workers": "workers"}
 
 
 def mix_seed(base_seed: int, rep: int) -> int:
@@ -59,7 +62,7 @@ class ExperimentConfig:
         self.base_seed = whole_number("seed", self.base_seed)
         if self.base_seed > _MASK64:  # mix_seed keeps 64 bits: 2^64 would replay seed 0
             raise ParameterError(f"seed must be below 2^64, got {self.base_seed}")
-        self.workers = whole_number("workers", self.workers) or _default_workers()
+        self.workers = whole_number("workers", self.workers) or 1
         if self.R < 1:
             raise ValueError("need R >= 1")
         if self.K < 2:
@@ -81,28 +84,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, cfg: dict, **overrides) -> "ExperimentConfig":
         model = ModelSpec.from_config(cfg)
-        kwargs = {
-            "kind": cfg.get("kind", "edges"),
-            "K": cfg.get("K", 10_000),
-            "R": cfg.get("reps", 100),
-            "base_seed": cfg.get("seed", 0),
-            "family": cfg.get("family"),
-            "workers": cfg.get("workers", 0),
-        }
+        kwargs = {field: cfg[key] for key, field in _CONFIG_FIELDS.items() if key in cfg}
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(model=model, **kwargs)
-
-
-def _default_workers() -> int:
-    """RG_WORKERS as a whole number (0 or unset for 1); anything else is refused."""
-    env = os.environ.get("RG_WORKERS")
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        value = env  # a text whole_number refuses, naming RG_WORKERS
-    return whole_number("RG_WORKERS", value) or 1
 
 
 @dataclass

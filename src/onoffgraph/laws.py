@@ -619,7 +619,7 @@ def _climb(fn, target, a, first=None, limit=1.0, miss=math.inf):
             step, done = near if v < target else newton(a, value, s)
         else:
             end, refusal = a + step, None
-    raise ConvergenceError(f"no root for target {target} in {_CLIMB_STEPS} steps", best=a)
+    raise ConvergenceError(f"no root for target {target} in {_CLIMB_STEPS} steps")
 
 
 invert_zeta_like = Pareto.shape_for_mean  # the name the benchmark calls

@@ -75,16 +75,31 @@ def empirical_moments(trace: CountTrace, L: int = 2) -> MomentSet:
     return MomentSet(mu=mu, n=trace.n, K=K, kind=trace.kind, N=trace.N)
 
 
-def theoretical_moment_set(model: ModelSpec, L: int = 2) -> MomentSet:
-    """Exact moments s_{n,0..L-1} packed as a MomentSet, all from one autocovariance table.
+def theoretical_moment_set(model: ModelSpec, L: int = 2, kind: str = "edges") -> MomentSet:
+    """Exact moments of the `kind` counts at lags 0..L-1, packed as a MomentSet.
 
-    mu[0] = n rho, and every lag ell >= 1 reads the one-edge autocovariance
-    gamma: the n edges are independent, so mu[ell] = n gamma(ell) + (n rho)^2.
+    Edges: mu[0] = n rho, and every lag ell >= 1 reads the one-edge
+    autocovariance gamma: the n edges are independent, so
+    mu[ell] = n gamma(ell) + (n rho)^2. Triangles and wedges (L <= 2, N >= 3):
+    mu[0] = copies C(N, 3) rho^edges, and mu[1] is the pair moment at the
+    edge persistence u = P(on at k+1 | on at k) = 1 - 1/E[X].
     """
-    n, rho = model.n, model.rho
-    mu = n * autocovariance(model, L) + (n * rho) ** 2
-    mu[0] = n * rho
-    return MomentSet(mu=mu, n=n, K=0, kind="edges", N=model.N)
+    if kind == "edges":
+        n, rho = model.n, model.rho
+        mu = n * autocovariance(model, L) + (n * rho) ** 2
+        mu[0] = n * rho
+        return MomentSet(mu=mu, n=n, K=0, kind=kind, N=model.N)
+    if kind not in _SUBGRAPHS:
+        raise ValueError(f"unsupported observable {kind!r}")
+    if model.N is None or model.N < 3:
+        raise ValueError(f"{kind[:-1]} moments need a vertex count N >= 3")
+    if not 1 <= L <= 2:
+        raise ValueError(f"{kind[:-1]} moments need L in 1..2, got {L}")
+    copies, edges, _, pair = _SUBGRAPHS[kind]
+    rho = model.rho
+    mu = [copies * math.comb(model.N, 3) * rho**edges,
+          pair(model.N, rho, 1.0 - 1.0 / model.on_law.mean())]
+    return MomentSet(mu=np.array(mu[:L]), n=model.n, K=0, kind=kind, N=model.N)
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +230,12 @@ def _wedge_pair(N, rho, u):
                  + 6 * a3 * rho**3 * u)
 
 
-def _persistence(model):
-    return 1.0 - model.on_law.survival(1) / model.on_law.mean()
-
-
 # observable -> copies per vertex triple, edges per copy, rho from the mean
 # per copy (the inverse of rho^edges), and E[X(k) X(k+1)] from rho and u
 _SUBGRAPHS = {
     "triangles": (1, 3, lambda mean: mean ** (1.0 / 3.0), _triangle_pair),
     "wedges": (3, 2, math.sqrt, _wedge_pair),
 }
-
-
-def _subgraph_moment(model: ModelSpec, lag: int, kind: str) -> float:
-    if model.N is None or model.N < 3:
-        raise ValueError(f"{kind[:-1]} moments need a vertex count N >= 3")
-    copies, edges, _, pair = _SUBGRAPHS[kind]
-    rho = model.rho
-    if lag == 0:
-        return copies * math.comb(model.N, 3) * rho**edges
-    if lag == 1:
-        return pair(model.N, rho, _persistence(model))
-    raise ValueError("lag must be 0 or 1")
-
-
-def triangle_moments(model: ModelSpec, lag: int) -> float:
-    """E[T(k)] (lag 0) or E[T(k) T(k+1)] (lag 1) for the dynamic graph on N vertices."""
-    return _subgraph_moment(model, lag, "triangles")
-
-
-def wedge_moments(model: ModelSpec, lag: int) -> float:
-    """E[W(k)] (lag 0) or E[W(k) W(k+1)] (lag 1)."""
-    return _subgraph_moment(model, lag, "wedges")
 
 
 def _subgraph_rate_targets(m: MomentSet):
@@ -299,8 +288,12 @@ class EstimatorFamily:
 
     params: tuple  # parameter names, in report and output order
     laws: tuple  # (on, off) law classes
-    lags: int  # reads mu_hat(0..lags-1): 2 for edges, triangles or wedges, 3 for edges only
     attrs: tuple  # (law, attribute) of a ModelSpec that holds each parameter
+
+    @property
+    def lags(self) -> int:
+        """One moment equation per parameter: the fit reads mu_hat(0..lags-1)."""
+        return len(self.params)
 
     def params_of(self, model: ModelSpec) -> tuple:
         """The model's values of the family's parameters, in registry order."""
@@ -317,13 +310,13 @@ class EstimatorFamily:
 
 FAMILIES = {
     "geometric_geometric": EstimatorFamily(
-        ("p", "q"), (Geometric, Geometric), 2, (("on_law", "p"), ("off_law", "p"))),
+        ("p", "q"), (Geometric, Geometric), (("on_law", "p"), ("off_law", "p"))),
     "pareto_pareto": EstimatorFamily(
-        ("alpha", "beta"), (Pareto, Pareto), 2, (("on_law", "alpha"), ("off_law", "alpha"))),
+        ("alpha", "beta"), (Pareto, Pareto), (("on_law", "alpha"), ("off_law", "alpha"))),
     "weibull_geometric": EstimatorFamily(
-        ("alpha", "q"), (Weibull, Geometric), 2, (("on_law", "alpha"), ("off_law", "p"))),
+        ("alpha", "q"), (Weibull, Geometric), (("on_law", "alpha"), ("off_law", "p"))),
     "pareto_geometric": EstimatorFamily(
-        ("C", "alpha", "q"), (Pareto, Geometric), 3,
+        ("C", "alpha", "q"), (Pareto, Geometric),
         (("on_law", "C"), ("on_law", "alpha"), ("off_law", "p"))),
 }
 

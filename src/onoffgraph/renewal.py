@@ -382,8 +382,7 @@ def legendre_transform(model: ModelSpec, counts, n: int):
             break
         theta = cand
         log_mgf, p_on, cov = moments
-    raise ConvergenceError(
-        f"Legendre Newton did not converge (decrement={decrement:.3g})", best=(value, theta))
+    raise ConvergenceError(f"Legendre Newton did not converge (decrement={decrement:.3g})")
 
 
 def saddlepoint_logprob(model: ModelSpec, counts, n: int) -> float:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfiniteMeanError, ParameterError, TraceMismatchError
-from .laws import DurationLaw, ResidualLaw, law_from_config
+from .laws import DurationLaw, law_from_config
 
 
 def whole_number(name, v) -> int:
@@ -67,9 +67,6 @@ class ModelSpec:
             raise InfiniteMeanError(f"stationary law undefined: {exc}") from exc
         return ex / (ex + ey)
 
-    def residuals(self) -> tuple[ResidualLaw, ResidualLaw]:
-        return self.on_law.residual(), self.off_law.residual()
-
     def to_config(self) -> dict:
         cfg = {"on": self.on_law.to_config(), "off": self.off_law.to_config()}
         if self.N is not None:
@@ -110,7 +107,7 @@ def stationary_init(model: ModelSpec, rng):
     Each edge is on with probability rho independently; the remaining time in
     the current phase comes from the matching residual law.
     """
-    res_on, res_off = model.residuals()
+    res_on, res_off = model.on_law.residual(), model.off_law.residual()
     rho = model.rho
     n = model.n
     on = rng.random(n) < rho

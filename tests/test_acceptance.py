@@ -16,7 +16,7 @@ from scipy.stats import binom, chi2
 from onoffgraph.asymp import general_moment_cov, geometric_moment_cov, param_cov
 from onoffgraph.harness import ExperimentConfig, emit_outputs, run_campaign
 from onoffgraph.laws import Geometric, Pareto, Weibull
-from onoffgraph.moments import triangle_moments, wedge_moments
+from onoffgraph.moments import theoretical_moment_set
 from onoffgraph.renewal import (
     autocovariance,
     joint_distribution,
@@ -250,8 +250,8 @@ def test_criterion_07_subgraph_estimation():
     for N in range(4, 9):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=N)
         rho, u = m.rho, 0.7
-        for fn, kind in ((triangle_moments, "triangles"), (wedge_moments, "wedges")):
-            val = fn(m, 1)
+        for kind in ("triangles", "wedges"):
+            val = theoretical_moment_set(m, 2, kind).mu[1]
             ref = brute_subgraph_pair_moment(N, rho, u, kind)
             brute_ok &= abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 

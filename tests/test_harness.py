@@ -88,20 +88,11 @@ class TestConfig:
         cfg = ExperimentConfig(model=GG, base_seed=2**64 - 1, workers=2.0)
         assert cfg.base_seed == 2**64 - 1
         assert cfg.workers == 2 and type(cfg.workers) is int
-
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.setenv("RG_WORKERS", "3")
-        assert ExperimentConfig(model=GG, workers=0).workers == 3
-        monkeypatch.delenv("RG_WORKERS")
+        # workers 0, or no workers key, means one process
         assert ExperimentConfig(model=GG, workers=0).workers == 1
-
-    @pytest.mark.parametrize("env", ["-5", "2.5", "two"])
-    def test_env_workers_must_be_whole(self, monkeypatch, env):
-        monkeypatch.setenv("RG_WORKERS", env)
-        with pytest.raises(ParameterError, match="RG_WORKERS"):
-            ExperimentConfig(model=GG, workers=0)
-        # a config or --workers value takes the place of the variable
-        assert ExperimentConfig(model=GG, workers=2).workers == 2
+        model_cfg = GG.to_config()
+        for config in ({**model_cfg, "workers": 0}, model_cfg):
+            assert ExperimentConfig.from_json(config).workers == 1
 
 
 class TestCampaign:
@@ -266,17 +257,6 @@ class TestCli:
         assert self._run().returncode == 1
         assert self._run("frobnicate").returncode == 1
         assert self._run("campaign", "--out", "x").returncode == 1  # no --config
-
-    def test_bad_env_workers_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RG_WORKERS", "-5")
-        cfg = self._write_cfg(tmp_path, {
-            "on": {"kind": "geometric", "p": 0.3},
-            "off": {"kind": "geometric", "p": 0.8}, "n": 20, "K": 100, "reps": 2})
-        out = tmp_path / "out"
-        assert cli.main(["campaign", "--config", cfg, "--out", str(out)]) == 2
-        body = json.loads(capsys.readouterr().out)
-        assert body["error"] == "ParameterError" and "RG_WORKERS" in body["message"]
-        assert not out.exists()
 
     def test_compute_error_exit_2(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {
@@ -513,16 +493,13 @@ class TestCli:
             "heavy = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special', 'scipy.linalg')",
             "         if m in sys.modules]",
             "assert not heavy, heavy",
-            "from onoffgraph import (Geometric, ModelSpec, MomentSet, Pareto, Weibull, fit,",
-            "                        triangle_moments)",
+            "from onoffgraph import (Geometric, ModelSpec, Pareto, Weibull, fit,",
+            "                        theoretical_moment_set)",
             "assert abs(Pareto.shape_for_mean(2.0) - 1.7286472389981836) < 1e-9",
             "assert abs(Weibull.shape_for_mean(2.0) - 0.6519837463611663) < 1e-9",
             "m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)",
-            "ms = MomentSet(mu=np.array([triangle_moments(m, 0), triangle_moments(m, 1)]),",
-            "               n=m.n, K=0, kind='triangles', N=20)",
-            "r = fit(ms, 'geometric_geometric')",
+            "r = fit(theoretical_moment_set(m, 2, 'triangles'), 'geometric_geometric')",
             "assert abs(r.params['p'] - 0.3) < 1e-8 and abs(r.params['q'] - 0.8) < 1e-8",
-            "from onoffgraph import theoretical_moment_set",
             "for on, off, family in ((Pareto(1.0, 3.0), Pareto(1.0, 2.5), 'pareto_pareto'),",
             "                        (Weibull(1.0, 0.5), Geometric(0.7), 'weibull_geometric'),",
             "                        (Pareto(2.0, 4.0), Geometric(0.7), 'pareto_geometric')):",

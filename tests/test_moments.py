@@ -21,8 +21,6 @@ from onoffgraph.moments import (
     infer_family,
     moments_needed,
     theoretical_moment_set,
-    triangle_moments,
-    wedge_moments,
 )
 from onoffgraph.renewal import joint_distribution
 from onoffgraph.simulate import CountTrace, ModelSpec, simulate_edge_trace, simulate_trace
@@ -290,15 +288,17 @@ class TestEdgeEstimators:
 class TestSubgraphMoments:
     def test_triangle_mean(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
-        assert triangle_moments(m, 0) == pytest.approx(1140 * m.rho**3, rel=1e-14)
-        assert triangle_moments(m, 0) == pytest.approx(438.5, abs=0.1)
-        assert wedge_moments(m, 0) == pytest.approx(3 * 1140 * m.rho**2, rel=1e-14)
+        (triangles,) = theoretical_moment_set(m, 1, "triangles").mu
+        assert triangles == pytest.approx(1140 * m.rho**3, rel=1e-14)
+        assert triangles == pytest.approx(438.5, abs=0.1)
+        assert theoretical_moment_set(m, 1, "wedges").mu[0] == pytest.approx(
+            3 * 1140 * m.rho**2, rel=1e-14)
 
     def test_n4_coefficients(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=4)
         rho, u = m.rho, 0.7
         expect = 4 * (3 * rho**5 * u + rho**3 * u**3)
-        assert triangle_moments(m, 1) == pytest.approx(expect, rel=1e-12)
+        assert theoretical_moment_set(m, 2, "triangles").mu[1] == pytest.approx(expect, rel=1e-12)
 
     def test_complete_graph_consistency(self):
         # rho -> 1, persistence -> 1 degenerates to the deterministic counts
@@ -312,26 +312,39 @@ class TestSubgraphMoments:
     def test_brute_force_enumeration(self, N):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=N)
         rho, u = m.rho, 1 - 0.3
-        assert triangle_moments(m, 1) == pytest.approx(
-            brute_subgraph_pair_moment(N, rho, u, "triangles"), rel=1e-10)
-        assert wedge_moments(m, 1) == pytest.approx(
-            brute_subgraph_pair_moment(N, rho, u, "wedges"), rel=1e-10)
+        for kind in ("triangles", "wedges"):
+            assert theoretical_moment_set(m, 2, kind).mu[1] == pytest.approx(
+                brute_subgraph_pair_moment(N, rho, u, kind), rel=1e-10)
+
+    @pytest.mark.parametrize("N", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("family", ["pareto_pareto", "weibull_geometric",
+                                        "pareto_geometric"])
+    def test_brute_force_through_joint_law(self, family, N):
+        # rho and the persistence u = P(on, on) / rho come from the tilted
+        # chain's joint law of epochs 1 and 2, not from the laws' means
+        on_off = FAMILY_MODELS[family][0]
+        m = ModelSpec(on_law=on_off.on_law, off_law=on_off.off_law, N=N)
+        probs = joint_distribution(m, [1, 2])  # bit j: on at epoch j + 1
+        rho = probs[1] + probs[3]
+        u = probs[3] / rho
+        for kind in ("triangles", "wedges"):
+            assert theoretical_moment_set(m, 2, kind).mu[1] == pytest.approx(
+                brute_subgraph_pair_moment(N, rho, u, kind), rel=1e-12)
 
     def test_lag_validation(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=5)
-        with pytest.raises(ValueError):
-            triangle_moments(m, 2)
-        with pytest.raises(ValueError):
-            triangle_moments(GG, 0)  # no N
+        for bad in ((m, 3, "triangles"), (m, 0, "wedges"), (GG, 2, "triangles"),  # no N
+                    (ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=2), 2,
+                     "wedges"), (m, 2, "stars")):
+            with pytest.raises(ValueError):
+                theoretical_moment_set(*bad)
 
 
 class TestSubgraphEstimation:
     def test_round_trips(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
-        for kind, fn in [("triangles", triangle_moments), ("wedges", wedge_moments)]:
-            ms = MomentSet(mu=np.array([fn(m, 0), fn(m, 1)]), n=m.n, K=0,
-                           kind=kind, N=20)
-            r = estimate_from_subgraph(ms)
+        for kind in ("triangles", "wedges"):
+            r = estimate_from_subgraph(theoretical_moment_set(m, 2, kind))
             assert r.params["p"] == pytest.approx(0.3, abs=1e-8)
             assert r.params["q"] == pytest.approx(0.8, abs=1e-8)
 
@@ -343,9 +356,8 @@ class TestSubgraphEstimation:
     ])
     def test_two_lag_families_round_trip(self, family, model, truth):
         # every two-lag family reads triangles and wedges through its rate maps
-        for kind, fn in [("triangles", triangle_moments), ("wedges", wedge_moments)]:
-            ms = MomentSet(mu=np.array([fn(model, 0), fn(model, 1)]), n=model.n, K=0,
-                           kind=kind, N=20)
+        for kind in ("triangles", "wedges"):
+            ms = theoretical_moment_set(model, 2, kind)
             for r in (fit(ms, family), estimate_from_subgraph(ms, family)):
                 assert r.ok and r.family == family
                 assert list(r.params.values()) == pytest.approx(truth, abs=1e-8)
@@ -361,15 +373,13 @@ class TestSubgraphEstimation:
 
     def test_three_lag_family_refused(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
-        ms = MomentSet(mu=np.array([triangle_moments(m, 0), triangle_moments(m, 1)]),
-                       n=m.n, K=0, kind="triangles", N=20)
         with pytest.raises(ValueError, match="cannot fit triangles"):
-            fit(ms, "pareto_geometric")
+            fit(theoretical_moment_set(m, 2, "triangles"), "pareto_geometric")
 
     def test_incompatible(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
-        ms = MomentSet(mu=np.array([triangle_moments(m, 0), 1e9]), n=m.n, K=0,
-                       kind="triangles", N=20)
+        ms = theoretical_moment_set(m, 2, "triangles")
+        ms.mu[1] = 1e9
         with pytest.raises(IncompatibleMomentsError):
             estimate_from_subgraph(ms)
 
@@ -418,12 +428,9 @@ GATE_LAWS = EXTREME_LAWS + [Geometric(0.3), Pareto(1.0, 3.0), Weibull(1.0, 0.5)]
 def _exact_moment_sets(model):
     """The model's exact edge moments (three lags) and triangle moments, those it has."""
     sets = []
-    for build in (lambda: theoretical_moment_set(model, 3),
-                  lambda: MomentSet(mu=np.array([triangle_moments(model, 0),
-                                                 triangle_moments(model, 1)]),
-                                    n=model.n, K=0, kind="triangles", N=model.N)):
+    for L, kind in ((3, "edges"), (2, "triangles")):
         try:
-            sets.append(build())
+            sets.append(theoretical_moment_set(model, L, kind))
         except COMPUTE_ERRORS:
             pass
     return sets
