@@ -11,8 +11,9 @@ count or scheduling.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,7 +118,7 @@ class CampaignSummary:
 
 
 def _run_replication(args):
-    """One simulate-and-estimate unit; must stay module-level for pickling."""
+    """One simulate-and-estimate unit."""
     cfg, rep = args
     seed = mix_seed(cfg.base_seed, rep)
     rng = np.random.default_rng(seed)
@@ -132,19 +133,60 @@ def _run_replication(args):
     return rep, row
 
 
+def _child(tasks, conn):
+    """A child's entry point, module-level so that spawn can pickle it: send its
+    batch's rows, or the error that stopped it."""
+    try:
+        conn.send(([_run_replication(task) for task in tasks], None))
+    except Exception as exc:  # re-raised by the caller, this traceback as its cause
+        conn.send((exc, traceback.format_exc()))
+
+
+def _receive(proc, conn):
+    """The rows a child sends; its error, or its exit without an answer, raises here."""
+    try:
+        result, child_tb = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"campaign worker {proc.pid} exited with code {proc.exitcode} "
+                           "before sending its rows") from None
+    if child_tb is not None:
+        raise result from RuntimeError(f"in campaign worker {proc.pid}:\n{child_tb}")
+    return result
+
+
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Run all replications and aggregate; output is scheduling-independent.
 
-    The pool starts at most one process per replication and per CPU; where
-    that is one, the replications run in this process.
+    Work is split over min(`workers`, R, CPUs this process may run on)
+    processes: this one runs replications 1, 1 + w, 1 + 2w, ..., and each of
+    the w - 1 children the next stride, returning its rows over a pipe. A
+    child's error, or its exit before it answers, raises here; no child
+    outlives the call.
     """
     tasks = [(cfg, rep) for rep in range(1, cfg.R + 1)]
-    workers = min(cfg.workers, cfg.R, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replication, tasks, chunksize=1))
-    else:
-        results = [_run_replication(t) for t in tasks]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.workers, cfg.R, cpus)
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            with send:  # the child holds the one write end, so its exit reads as EOF
+                proc = multiprocessing.Process(target=_child, args=(tasks[w::workers], send))
+                proc.start()
+            children.append((proc, recv))
+        results = [_run_replication(task) for task in tasks[::workers]]
+        for proc, recv in children:
+            results += _receive(proc, recv)
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            recv.close()
+            proc.join()
     results.sort(key=lambda item: item[0])
     rows = [row for _, row in results]
 

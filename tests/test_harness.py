@@ -1,5 +1,6 @@
 import filecmp
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -26,6 +27,24 @@ from onoffgraph.simulate import ModelSpec
 GG = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
 # every command that reads a model config
 CONFIG_COMMANDS = ["simulate", "campaign", "estimate", "cov", "check", "mgf"]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The children run_campaign starts, on two CPUs unless a test says otherwise.
+
+    They fork, so that they inherit the test's monkeypatches.
+    """
+    started = []
+
+    class RecordingProcess(multiprocessing.get_context("fork").Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(harness.multiprocessing, "Process", RecordingProcess)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return started
 
 
 def _dirs_equal(a, b):
@@ -119,33 +138,29 @@ class TestCampaign:
                 ExperimentConfig(model=GG, K=300, R=6, base_seed=11)), tmp_path / d)
         assert _dirs_equal(tmp_path / "a", tmp_path / "b")
 
-    def test_pool_is_bounded(self, monkeypatch):
-        # the pool is recorded, not started: at most one process per
-        # replication and per CPU, and none where that bound is one
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_is_bounded(self, monkeypatch, started):
+        # min(workers, R, CPUs) - 1 children start, the calling process
+        # running one share; the CPU count is os.cpu_count() where the
+        # platform has no affinity mask
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
         want = run_campaign(ExperimentConfig(model=GG, K=200, R=3, base_seed=4)).rows
-        for cpus, workers, R, pool in ((2, 5000, 3, [2]), (64, 5000, 3, [3]), (64, 5000, 1, []),
-                                       (None, 5000, 3, []), (64, 2, 3, [2])):
+        for cpus, workers, R, children in ((2, 5000, 3, 1), (64, 5000, 3, 2), (64, 5000, 1, 0),
+                                           (None, 5000, 3, 0), (64, 2, 3, 1)):
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-            sizes.clear()
+            started.clear()
             cfg = ExperimentConfig(model=GG, K=200, R=R, base_seed=4, workers=workers)
             assert run_campaign(cfg).rows == want[:R]
-            assert sizes == pool
+            assert len(started) == children
+        assert not multiprocessing.active_children()
+
+    def test_pool_is_bounded_by_affinity(self, monkeypatch, started):
+        # a process pinned to one CPU starts no child, however many the host has
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        serial = run_campaign(ExperimentConfig(model=GG, K=200, R=3, base_seed=4)).rows
+        cfg = ExperimentConfig(model=GG, K=200, R=3, base_seed=4, workers=2)
+        assert run_campaign(cfg).rows == serial
+        assert started == []
 
     def test_worker_count_invariance(self, tmp_path):
         for d, workers in (("w1", 1), ("w2", 2)):
@@ -185,15 +200,59 @@ class TestCampaign:
         assert summary.n_flagged == sum(1 for r in summary.rows if r["flags"])
         assert summary.n_flagged > 0
 
-    def test_estimator_bug_fails_campaign(self, monkeypatch):
+    def test_estimator_bug_fails_campaign(self, monkeypatch, started):
         # only compute errors are flagged; a programming error must propagate
-        def broken(moms):
-            raise TypeError("estimator bug")
+        # with its type, from the calling process's share or from a child's
+        caller, targets = os.getpid(), moments._first_lag_targets
+        for workers, where in ((1, "caller"), (2, "child"), (2, "caller")):
+            def broken(moms):
+                if (os.getpid() == caller) == (where == "caller"):
+                    raise TypeError("estimator bug")
+                return targets(moms)
 
-        monkeypatch.setattr(moments, "_first_lag_targets", broken)
-        cfg = ExperimentConfig(model=GG, K=200, R=2, base_seed=1, workers=1)
-        with pytest.raises(TypeError, match="estimator bug"):
+            monkeypatch.setattr(moments, "_first_lag_targets", broken)
+            started.clear()
+            cfg = ExperimentConfig(model=GG, K=200, R=2, base_seed=1, workers=workers)
+            with pytest.raises(TypeError, match="estimator bug") as info:
+                run_campaign(cfg)
+            assert len(started) == workers - 1
+            assert ("in campaign worker" in str(info.value.__cause__)) == (where == "child")
+            assert not multiprocessing.active_children()
+
+    def test_lost_child_fails_campaign(self, monkeypatch, started):
+        # a child that exits without answering fails the campaign at once
+        caller, replicate = os.getpid(), harness._run_replication
+
+        def dies_in_child(task):
+            if os.getpid() != caller:
+                os._exit(3)
+            return replicate(task)
+
+        monkeypatch.setattr(harness, "_run_replication", dies_in_child)
+        cfg = ExperimentConfig(model=GG, K=200, R=4, base_seed=1, workers=2)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
             run_campaign(cfg)
+        assert len(started) == 1
+        assert not multiprocessing.active_children()
+
+    def test_spawned_children_match_serial(self):
+        # the default start method on macOS and Windows: the child's entry
+        # point and its batch pickle, and a 2-worker campaign keeps the rows
+        script = "\n".join([
+            "import multiprocessing, os",
+            "from onoffgraph.harness import ExperimentConfig, run_campaign",
+            "from onoffgraph import Geometric, ModelSpec",
+            "multiprocessing.set_start_method('spawn')",
+            "os.sched_getaffinity = lambda pid: {0, 1}",  # two CPUs on any host
+            "gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)",
+            "rows = [run_campaign(ExperimentConfig(model=gg, K=200, R=4, base_seed=7,",
+            "                                      workers=w)).rows for w in (1, 2)]",
+            "assert rows[0] == rows[1], rows",
+            "assert not multiprocessing.active_children()",
+        ])
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
 
     def test_qq_slope_near_one(self):
         # estimates are asymptotically normal: central QQ slope close to 1
@@ -493,6 +552,7 @@ class TestCli:
             "heavy = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special', 'scipy.linalg')",
             "         if m in sys.modules]",
             "assert not heavy, heavy",
+            "assert 'concurrent.futures' not in sys.modules and 'logging' not in sys.modules",
             "from onoffgraph import (Geometric, ModelSpec, Pareto, Weibull, fit,",
             "                        theoretical_moment_set)",
             "assert abs(Pareto.shape_for_mean(2.0) - 1.7286472389981836) < 1e-9",
