@@ -250,8 +250,11 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     closed form (tail_correction, whose v0 and c01 entries are 0). A law with
     C >= k0 still decays geometrically there and adds no tail exponent, nor
     does one whose exponents pass float range. tail_error is the series' move
-    between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|), and
-    converged means tail_error <= _TOL * scale, scale the largest of 1, |v0|,
+    between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|): it bounds
+    the truncation only, not the rounding in the renewal tables. On 72 of
+    188 converged GG grid models the error against geometric_moment_cov
+    exceeds it, by up to 499 times, at most 5.3e-9 relative. converged
+    means tail_error <= _TOL * scale, scale the largest of 1, |v0|,
     |v1| and |c01|. With no tail exponent that move can understate what is
     left of a slowly decaying series, so k0 also doubles until the increments
     reach the floor by k0 / 2; at k_cap, converged rests on tail_error alone.

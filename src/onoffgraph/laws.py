@@ -57,6 +57,7 @@ class DurationLaw:
     """Shared behaviour of the parametric families."""
 
     UNIT_SCALE = {}  # the scale at which a family that fits only the shape holds the law
+    _head = None  # survival(2) where sample() runs its head test, else None
 
     def survival(self, i):
         """P(Z >= i) for integer i >= 1 (scalar or array)."""
@@ -84,6 +85,12 @@ class DurationLaw:
         """How far float rounding may move x, or the bracket's edges, relative to an integer."""
         raise NotImplementedError
 
+    def _set_head(self):
+        """Turn sample()'s head test on where survival(2) < 1/2, for a quantile that takes a power."""
+        head = float(self.survival(2))
+        if head < 0.5:
+            object.__setattr__(self, "_head", head)
+
     def pmf(self, k):
         """P(Z = k) = survival(k) - survival(k+1)."""
         k = np.asarray(k)
@@ -95,17 +102,30 @@ class DurationLaw:
     def sample(self, u):
         """Inverse-transform sample: the unique i with survival(i+1) < u <= survival(i).
 
-        The candidate floor(x) + 1 from the closed-form quantile x is the
-        bracket in exact arithmetic. The bracket is searched for (_bracket,
-        from the candidate) only where rounding could have moved it: x within
-        its _slack(x) of an integer, x not finite, or u so small that survival
-        goes subnormal. A block whose every x keeps the slack of its largest x
-        from every positive integer (the edge at 0 is exact) skips the
-        per-draw test. Float survival does not increase with i, so the bracket
-        is unique and skipping the others returns what searching every entry
-        would. Candidates at or past
-        RESIDUAL_CAP are returned as RESIDUAL_CAP without a search. u itself
-        is never written to.
+        u must lie in (0, 1] (checked on every draw first) and is never
+        written to; a scalar gives an int, an array an int64 array of its
+        shape. The draws are taken by three rules, each exact draw by draw:
+
+        * Head test. A law whose quantile takes a power (Pareto, Weibull) and
+          whose survival(2) is below 1/2 returns every u > survival(2) as 1
+          after one comparison, since survival(1) = 1 (whatever float
+          survival(2) is, 0 too). Only the other draws go on to the rules
+          below. A geometric quantile is one log, no dearer than that split.
+        * Certificate. The candidate floor(x) + 1 from the closed-form
+          quantile x is the bracket in exact arithmetic, and float rounding
+          can move it only where x is within its _slack(x) of an integer, x
+          is not finite, or u < 2^-900, where survival goes subnormal. _slack
+          does not decrease in x, so a block whose u all lie at or above
+          2^-900, whose largest x lies below 2^52 and whose fractional parts
+          all keep the slack of that largest x from 1 and from 0 (the edge
+          at 0 is exact, so a block failing only there is retried on i >= 1
+          alone) is returned at once. Any other block takes the per-draw
+          near-an-integer test.
+        * Search. Only the draws that fail that test are searched (_bracket,
+          from the candidate). Float survival does not increase in i, so the
+          bracket is unique and the result equals searching every draw.
+          Candidates at or past RESIDUAL_CAP are returned as RESIDUAL_CAP
+          unsearched.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
@@ -115,6 +135,19 @@ class DurationLaw:
         u_min = u.min()  # NaN if any u is NaN, which fails the test as it must
         if not (u_min > 0.0 and u.max() <= 1.0):
             raise ValueError("u must lie in (0, 1]")
+        if self._head is None:
+            i = self._invert(u, u_min)
+        else:
+            # flat indices: a 2-d boolean mask gathers and scatters far slower.
+            # The least u is among the rest whenever the rest is not empty
+            rest = np.flatnonzero(u <= self._head)
+            i = np.ones(u.shape, dtype=np.int64)
+            if rest.size:
+                i.ravel()[rest] = self._invert(u.take(rest), u_min)
+        return int(i[0]) if scalar else i
+
+    def _invert(self, u, u_min):
+        """The brackets of the validated draws u (ndim >= 1, least u_min) by certificate and search."""
         # inf is an outcome here (a quantile past float range), and is capped
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self._quantile(u)
@@ -132,8 +165,7 @@ class DurationLaw:
                 if x.max() < 1.0 - edge and (
                         edge < x.min() or edge < np.where(i > 0.0, x, 1.0).min()):
                     i += 1.0
-                    i = i.astype(np.int64)
-                    return int(i[0]) if scalar else i
+                    return i.astype(np.int64)
             x += i  # x again, with inf as NaN: both fail the test below
             slack = self._slack(x)
             # |frac(x) - 1/2| < 1/2 - slack: farther than slack from an integer.
@@ -153,7 +185,7 @@ class DurationLaw:
         if not done.all():
             search = ~done
             i[search] = _bracket(self.survival, u[search], i[search])
-        return int(i[0]) if scalar else i
+        return i
 
     def to_config(self):
         raise NotImplementedError
@@ -224,6 +256,7 @@ class Weibull(DurationLaw):
             raise ParameterError(f"weibull ({lam}, {a}) has a mean or variance past float range")
         object.__setattr__(self, "_moments", moments)
         object.__setattr__(self, "_tails", tails)
+        self._set_head()
 
     def survival(self, i):
         with np.errstate(over="ignore", under="ignore"):
@@ -310,6 +343,7 @@ class Pareto(DurationLaw):
                 f"pareto needs finite C > 0 and alpha > 0, got ({self.C}, {self.alpha})"
             )
         _pareto_scale(self.C, self.alpha)  # so mean() and tail_sum() stay in float range
+        self._set_head()
 
     def survival(self, i):
         # i - 1 first, so survival(1) is exactly 1 however small C is

@@ -710,17 +710,57 @@ class TestSampling:
             assert blocks > 10 and searched == []
             assert len(slack_ndims) == 2 * blocks and set(slack_ndims) == {0}
 
+    def test_head_draws_skip_the_quantile(self, monkeypatch):
+        # on the switch blocks of n = 100, K = 10,000 campaigns, Pareto draws
+        # above survival(2) are 1 by one comparison, so _quantile sees exactly
+        # the draws at or below it; geometric blocks pass every draw to
+        # _quantile. u is never written to
+        drawn, quantile_sizes = [], []
+        sample = laws.DurationLaw.sample
+
+        def recording_sample(self, u):
+            before = np.array(u, dtype=np.float64)
+            i = sample(self, u)
+            assert np.array_equal(u, before)
+            drawn.append((self, before))
+            return i
+
+        for cls in (Geometric, Pareto):
+            def recording_quantile(self, u, quantile=cls._quantile):
+                quantile_sizes.append(u.size)
+                return quantile(self, u)
+
+            monkeypatch.setattr(cls, "_quantile", recording_quantile)
+        monkeypatch.setattr(laws.DurationLaw, "sample", recording_sample)
+        for on, off in ((Geometric(0.3), Geometric(0.8)), (Pareto(1.0, 3.0), Pareto(1.0, 2.5))):
+            drawn.clear()
+            quantile_sizes.clear()
+            model = ModelSpec(on_law=on, off_law=off, n=100)
+            blocks = sum(1 for _ in _phase_switches(model, 10_000, np.random.default_rng(3))[1])
+            total = sum(u.size for _, u in drawn)
+            assert blocks > 10 and len(drawn) == 2 * blocks + 2
+            if isinstance(on, Geometric):
+                assert quantile_sizes == [u.size for _, u in drawn]
+            else:
+                rest = sum(np.count_nonzero(u <= law.survival(2)) for law, u in drawn)
+                assert sum(quantile_sizes) == rest < 0.2 * total
+
     def test_blocks_with_draws_below_one_are_certified(self, monkeypatch):
-        # Weibull(1, 0.5) puts a draw or so per 100 x 163 block within the
-        # slack of x = 0, where the bracket edge is exact: the certificate's
-        # retry without that bound passes every block, which then equals the
-        # search on every draw
-        law = Weibull(1.0, 0.5)
+        # Weibull(0.5, 0.5) has survival(2) = exp(-1/2) above 1/2, so its
+        # blocks reach the certificate whole, with a draw or so per 100 x 163
+        # block within the slack of x = 0, where the bracket edge is exact.
+        # The first bound fails on those blocks; the certificate's retry
+        # without that bound passes every block, which then equals the search
+        # on every draw
+        law = Weibull(0.5, 0.5)
         rng = np.random.default_rng(5)
         blocks = [1.0 - rng.random((100, 163)) for _ in range(20)]
-        assert sum(np.any(law._quantile(u) < law._slack(law._quantile(u).max()))
-                   for u in blocks) > 10
-        slack_ndims = []
+        quantiles, slack_ndims = [], []
+
+        def recording_quantile(self, u, quantile=Weibull._quantile):
+            x = quantile(self, u)
+            quantiles.append(x.copy())
+            return x
 
         def recording(self, x, slack=Weibull._slack):
             slack_ndims.append(np.ndim(x))
@@ -729,11 +769,15 @@ class TestSampling:
         def no_search(survival, u, start):
             raise AssertionError(f"{u.size} draws searched")
 
+        monkeypatch.setattr(Weibull, "_quantile", recording_quantile)
         monkeypatch.setattr(Weibull, "_slack", recording)
         monkeypatch.setattr(laws, "_bracket", no_search)
         drawn = [law.sample(u) for u in blocks]
         monkeypatch.undo()
         assert slack_ndims == [0] * len(blocks)
+        assert [x.shape for x in quantiles] == [u.shape for u in blocks]
+        # blocks certified although a fraction lies within the slack of 0: the retry ran
+        assert sum(x.min() <= law._slack(x.max()) for x in quantiles) > 10
         for u, got in zip(blocks, drawn):
             assert np.array_equal(got, loop_sample(law, u))
 

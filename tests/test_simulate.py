@@ -262,6 +262,17 @@ class TestEdgeTrace:
             m = ModelSpec(on_law=on, off_law=off, n=20)
             trace = simulate_edge_trace(m, 60, np.random.default_rng(2024))
             assert trace.values.tolist() == values, name
+        # at campaign scale, n = 100 and K = 10,000, where the switch blocks are wide
+        digests = {
+            "gg": ("e70e102d7139557ed3d8b4fe7d2062a0e9cfaef415f99d36a66ddb14bb623211",
+                   Geometric(0.3), Geometric(0.8)),
+            "pp": ("f0cf5fd7628cb864c9efa21518f56c11494517c037c35d7a0026344470617d28",
+                   Pareto(1.0, 3.0), Pareto(1.0, 2.5)),
+        }
+        for name, (digest, on, off) in digests.items():
+            m = ModelSpec(on_law=on, off_law=off, n=100)
+            trace = simulate_edge_trace(m, 10_000, np.random.default_rng(3))
+            assert hashlib.sha256(trace.values.tobytes()).hexdigest() == digest, name
         m = ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Geometric(0.5), N=12)
         mat = edge_indicator_matrix(m, 200, np.random.default_rng(2024))
         assert mat.shape == (66, 200) and int(mat.sum()) == 4957
