@@ -57,7 +57,6 @@ class DurationLaw:
     """Shared behaviour of the parametric families."""
 
     UNIT_SCALE = {}  # the scale at which a family that fits only the shape holds the law
-    _head = None  # survival(2) where sample() runs its head test, else None
 
     def survival(self, i):
         """P(Z >= i) for integer i >= 1 (scalar or array)."""
@@ -85,11 +84,13 @@ class DurationLaw:
         """How far float rounding may move x, or the bracket's edges, relative to an integer."""
         raise NotImplementedError
 
-    def _set_head(self):
-        """Turn sample()'s head test on where survival(2) < 1/2, for a quantile that takes a power."""
-        head = float(self.survival(2))
-        if head < 0.5:
-            object.__setattr__(self, "_head", head)
+    @functools.cached_property
+    def _head(self):
+        """survival(2), taken at the first sample(): every u above it draws 1.
+
+        A law whose sample() takes no head test sets this to None.
+        """
+        return float(self.survival(2))
 
     def pmf(self, k):
         """P(Z = k) = survival(k) - survival(k+1)."""
@@ -106,21 +107,20 @@ class DurationLaw:
         written to; a scalar gives an int, an array an int64 array of its
         shape. The draws are taken by three rules, each exact draw by draw:
 
-        * Head test. A law whose quantile takes a power (Pareto, Weibull) and
-          whose survival(2) is below 1/2 returns every u > survival(2) as 1
-          after one comparison, since survival(1) = 1 (whatever float
-          survival(2) is, 0 too). Only the other draws go on to the rules
-          below. A geometric quantile is one log, no dearer than that split.
+        * Head test. A law whose quantile takes a power (Pareto, Weibull)
+          returns every u > survival(2) as 1 after one comparison, since
+          survival(1) = 1 (whatever float survival(2) is, 0 too). Only the
+          other draws, whose x is at least 1, go on to the rules below. A
+          geometric quantile is one log, cheaper than the split: its blocks
+          go on whole.
         * Certificate. The candidate floor(x) + 1 from the closed-form
           quantile x is the bracket in exact arithmetic, and float rounding
           can move it only where x is within its _slack(x) of an integer, x
           is not finite, or u < 2^-900, where survival goes subnormal. _slack
           does not decrease in x, so a block whose u all lie at or above
           2^-900, whose largest x lies below 2^52 and whose fractional parts
-          all keep the slack of that largest x from 1 and from 0 (the edge
-          at 0 is exact, so a block failing only there is retried on i >= 1
-          alone) is returned at once. Any other block takes the per-draw
-          near-an-integer test.
+          all keep the slack of that largest x from 0 and 1 is returned at
+          once. Any other block takes the per-draw near-an-integer test.
         * Search. Only the draws that fail that test are searched (_bracket,
           from the candidate). Float survival does not increase in i, so the
           bracket is unique and the result equals searching every draw.
@@ -157,13 +157,10 @@ class DurationLaw:
             # the whole block at once: _slack does not decrease in x, so
             # _slack(top) bounds every draw's slack, and a block whose
             # fractions all keep that far from an integer needs no per-draw
-            # test (below 2^52 every i + 1 is exact and under RESIDUAL_CAP).
-            # The bracket edge at x = 0 is exact, so a block that fails only
-            # on a fraction near 0 is retried with that bound on i >= 1 alone
+            # test (below 2^52 every i + 1 is exact and under RESIDUAL_CAP)
             if u_min >= _SUBNORMAL_U and top < 2.0**52:
                 edge = self._slack(top)
-                if x.max() < 1.0 - edge and (
-                        edge < x.min() or edge < np.where(i > 0.0, x, 1.0).min()):
+                if x.max() < 1.0 - edge and edge < x.min():
                     i += 1.0
                     return i.astype(np.int64)
             x += i  # x again, with inf as NaN: both fail the test below
@@ -194,6 +191,8 @@ class DurationLaw:
 @dataclass(frozen=True)
 class Geometric(DurationLaw):
     p: float
+
+    _head = None  # no head test in sample(): the one-log quantile costs less than the split
 
     def __post_init__(self):
         # 1 - p must round below 1, or survival is 1 everywhere
@@ -256,7 +255,6 @@ class Weibull(DurationLaw):
             raise ParameterError(f"weibull ({lam}, {a}) has a mean or variance past float range")
         object.__setattr__(self, "_moments", moments)
         object.__setattr__(self, "_tails", tails)
-        self._set_head()
 
     def survival(self, i):
         with np.errstate(over="ignore", under="ignore"):
@@ -343,7 +341,6 @@ class Pareto(DurationLaw):
                 f"pareto needs finite C > 0 and alpha > 0, got ({self.C}, {self.alpha})"
             )
         _pareto_scale(self.C, self.alpha)  # so mean() and tail_sum() stay in float range
-        self._set_head()
 
     def survival(self, i):
         # i - 1 first, so survival(1) is exactly 1 however small C is

@@ -685,38 +685,16 @@ class TestSampling:
 
     def test_campaign_blocks_are_not_searched(self, monkeypatch):
         # every switch block of n = 100, K = 10,000 campaigns on GG and on
-        # Pareto(1,3)/Pareto(1,2.5) passes the block-wide certificate: no
-        # draw is searched, and _slack is taken only at a block's largest x
-        searched, slack_ndims = [], []
-        bracket = laws._bracket
+        # Pareto(1,3)/Pareto(1,2.5) is drawn without a search, and u is left
+        # unwritten. Pareto draws above survival(2) are 1 by one comparison,
+        # so _quantile sees exactly the others; GG blocks reach it whole.
+        # _slack is taken once per _quantile call, at its largest x
+        searched, slack_ndims, drawn, quantile_sizes = [], [], [], []
+        bracket, sample = laws._bracket, laws.DurationLaw.sample
 
         def counting(survival, u, start):
             searched.append(u.size)
             return bracket(survival, u, start)
-
-        for cls in (Geometric, Pareto):
-            def recording(self, x, slack=cls._slack):
-                slack_ndims.append(np.ndim(x))
-                return slack(self, x)
-
-            monkeypatch.setattr(cls, "_slack", recording)
-        for on, off in ((Geometric(0.3), Geometric(0.8)), (Pareto(1.0, 3.0), Pareto(1.0, 2.5))):
-            model = ModelSpec(on_law=on, off_law=off, n=100)
-            _, switches = _phase_switches(model, 10_000, np.random.default_rng(3))
-            slack_ndims.clear()
-            monkeypatch.setattr(laws, "_bracket", counting)
-            blocks = sum(1 for _ in switches)
-            monkeypatch.setattr(laws, "_bracket", bracket)
-            assert blocks > 10 and searched == []
-            assert len(slack_ndims) == 2 * blocks and set(slack_ndims) == {0}
-
-    def test_head_draws_skip_the_quantile(self, monkeypatch):
-        # on the switch blocks of n = 100, K = 10,000 campaigns, Pareto draws
-        # above survival(2) are 1 by one comparison, so _quantile sees exactly
-        # the draws at or below it; geometric blocks pass every draw to
-        # _quantile. u is never written to
-        drawn, quantile_sizes = [], []
-        sample = laws.DurationLaw.sample
 
         def recording_sample(self, u):
             before = np.array(u, dtype=np.float64)
@@ -726,41 +704,42 @@ class TestSampling:
             return i
 
         for cls in (Geometric, Pareto):
+            def recording(self, x, slack=cls._slack):
+                slack_ndims.append(np.ndim(x))
+                return slack(self, x)
+
             def recording_quantile(self, u, quantile=cls._quantile):
                 quantile_sizes.append(u.size)
                 return quantile(self, u)
 
+            monkeypatch.setattr(cls, "_slack", recording)
             monkeypatch.setattr(cls, "_quantile", recording_quantile)
         monkeypatch.setattr(laws.DurationLaw, "sample", recording_sample)
         for on, off in ((Geometric(0.3), Geometric(0.8)), (Pareto(1.0, 3.0), Pareto(1.0, 2.5))):
-            drawn.clear()
-            quantile_sizes.clear()
             model = ModelSpec(on_law=on, off_law=off, n=100)
-            blocks = sum(1 for _ in _phase_switches(model, 10_000, np.random.default_rng(3))[1])
-            total = sum(u.size for _, u in drawn)
-            assert blocks > 10 and len(drawn) == 2 * blocks + 2
-            if isinstance(on, Geometric):
-                assert quantile_sizes == [u.size for _, u in drawn]
-            else:
-                rest = sum(np.count_nonzero(u <= law.survival(2)) for law, u in drawn)
-                assert sum(quantile_sizes) == rest < 0.2 * total
+            _, switches = _phase_switches(model, 10_000, np.random.default_rng(3))
+            for record in (slack_ndims, drawn, quantile_sizes):
+                record.clear()
+            monkeypatch.setattr(laws, "_bracket", counting)
+            blocks = sum(1 for _ in switches)
+            monkeypatch.setattr(laws, "_bracket", bracket)
+            assert blocks > 10 and searched == [] and len(drawn) == 2 * blocks
+            rest = [u.size if isinstance(law, Geometric) else np.count_nonzero(u <= law.survival(2))
+                    for law, u in drawn]
+            assert quantile_sizes == [size for size in rest if size]
+            assert len(slack_ndims) == len(quantile_sizes) and set(slack_ndims) == {0}
 
     def test_blocks_with_draws_below_one_are_certified(self, monkeypatch):
-        # Weibull(0.5, 0.5) has survival(2) = exp(-1/2) above 1/2, so its
-        # blocks reach the certificate whole, with a draw or so per 100 x 163
-        # block within the slack of x = 0, where the bracket edge is exact.
-        # The first bound fails on those blocks; the certificate's retry
-        # without that bound passes every block, which then equals the search
-        # on every draw
-        law = Weibull(0.5, 0.5)
+        # Weibull(1, 0.5) puts a draw or so per 100 x 163 block within the
+        # slack of x = 0, where the bracket edge is exact. Those draws are 1
+        # by the head test, so the certificate passes every block, which then
+        # equals the search on every draw
+        law = Weibull(1.0, 0.5)
         rng = np.random.default_rng(5)
         blocks = [1.0 - rng.random((100, 163)) for _ in range(20)]
-        quantiles, slack_ndims = [], []
-
-        def recording_quantile(self, u, quantile=Weibull._quantile):
-            x = quantile(self, u)
-            quantiles.append(x.copy())
-            return x
+        assert sum(np.any(law._quantile(u) < law._slack(law._quantile(u).max()))
+                   for u in blocks) > 10
+        slack_ndims = []
 
         def recording(self, x, slack=Weibull._slack):
             slack_ndims.append(np.ndim(x))
@@ -769,15 +748,11 @@ class TestSampling:
         def no_search(survival, u, start):
             raise AssertionError(f"{u.size} draws searched")
 
-        monkeypatch.setattr(Weibull, "_quantile", recording_quantile)
         monkeypatch.setattr(Weibull, "_slack", recording)
         monkeypatch.setattr(laws, "_bracket", no_search)
         drawn = [law.sample(u) for u in blocks]
         monkeypatch.undo()
         assert slack_ndims == [0] * len(blocks)
-        assert [x.shape for x in quantiles] == [u.shape for u in blocks]
-        # blocks certified although a fraction lies within the slack of 0: the retry ran
-        assert sum(x.min() <= law._slack(x.max()) for x in quantiles) > 10
         for u, got in zip(blocks, drawn):
             assert np.array_equal(got, loop_sample(law, u))
 
