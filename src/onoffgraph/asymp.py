@@ -1,12 +1,12 @@
-"""Limiting covariance of the moment statistics and of the estimators.
+"""Limiting covariance matrices of the moment statistics and of the estimators.
 
-``general_moment_cov`` computes the limits for any pair of laws: v0, c01
-and the one-edge part of v1 exactly, from the renewal-reward central limit
-theorem over one on/off cycle of an edge, and the cross-edge part of v1 as
-one series of squared autocovariances. ``geometric_moment_cov`` sums that
-series in closed form for geometric laws; ``moment_cov`` picks one by the
-law types. ``param_cov`` propagates it by the delta method to the
-parameters of every two-lag family.
+``general_moment_cov`` computes the 2 x 2 matrix of (mu_hat(0), mu_hat(1))
+for any pair of laws: the one-edge matrix exactly, from the renewal-reward
+central limit theorem over one on/off cycle of an edge, plus the cross-edge
+part of entry [1, 1] as one series of squared autocovariances.
+``geometric_moment_cov`` sums that series in closed form for geometric laws;
+``moment_cov`` picks one by the law types. ``param_cov`` propagates the
+matrix by the delta method to the parameters of every two-lag family.
 """
 
 from __future__ import annotations
@@ -26,16 +26,18 @@ from .simulate import ModelSpec
 
 @dataclass
 class MomentCov:
-    """Per-sqrt(K) limiting covariance of (mu_hat(0), mu_hat(1))."""
+    """Per-sqrt(K) limiting covariance matrix of (mu_hat(0), mu_hat(1)); v0, v1, c01 view it."""
 
-    v0: float
-    v1: float
-    c01: float
+    matrix: np.ndarray
     method: str = "closed_form_geometric"
     converged: bool = True
     k_used: int = 0
     tail_correction: tuple[float, float, float] = (0.0, 0.0, 0.0)
     tail_error: float = 0.0
+
+    v0 = property(lambda self: float(self.matrix[0, 0]))
+    v1 = property(lambda self: float(self.matrix[1, 1]))
+    c01 = property(lambda self: float(self.matrix[0, 1]))
 
     def to_json(self) -> dict:
         return {"v0": self.v0, "v1": self.v1, "c01": self.c01, "method": self.method,
@@ -45,22 +47,18 @@ class MomentCov:
 
 @dataclass
 class ParamCov:
-    """2x2 limit covariance of sqrt(K) (theta_hat - theta), theta a two-lag family's parameters.
+    """Limit covariance matrix of sqrt(K) (theta_hat - theta) over a two-lag family's params."""
 
-    sigma2 is the variance of the first parameter in registry order, tau2 that
-    of the second and rho_cov their covariance.
-    """
+    params: tuple
+    matrix: np.ndarray
 
-    sigma2: float
-    tau2: float
-    rho_cov: float
-
-    def sd(self, K: int) -> tuple[float, float]:
-        """Predicted standard deviations of the two parameters at trace length K."""
-        return (np.sqrt(self.sigma2 / K), np.sqrt(self.tau2 / K))
+    def sd(self, K: int) -> dict:
+        """Predicted standard deviation of each parameter at trace length K, by name."""
+        return dict(zip(self.params, map(float, np.sqrt(np.diag(self.matrix) / K))))
 
     def to_json(self) -> dict:
-        return {"sigma2": self.sigma2, "tau2": self.tau2, "rho_cov": self.rho_cov}
+        m = self.matrix
+        return {"sigma2": float(m[0, 0]), "tau2": float(m[1, 1]), "rho_cov": float(m[0, 1])}
 
 
 class DivergenceWarning(UserWarning):
@@ -73,21 +71,20 @@ class DivergenceWarning(UserWarning):
 
 
 def geometric_moment_cov(n: int, p: float, q: float) -> MomentCov:
-    """Closed-form v0, v1, c01 for geometric on/off laws.
+    """Closed-form moment covariance matrix for geometric on/off laws.
 
-    v0, c01 and the one-edge part of v1 are the renewal-reward limits of
-    _reward_cov. The one-edge autocovariance is gamma(d) = c f^|d|, with
-    c = rho (1 - rho) and f = 1 - p - q, so v1's cross-edge series
-    n (n - 1) sum_d [gamma(d)^2 + gamma(d - 1) gamma(d + 1)] sums to
-    n (n - 1) c^2 (1 + 4 f^2 - f^4) / (1 - f^2). p or q outside the
-    Geometric domain raises ParameterError.
+    The one-edge matrix is _reward_cov's. The one-edge autocovariance is
+    gamma(d) = c f^|d|, with c = rho (1 - rho) and f = 1 - p - q, so v1's
+    cross-edge series n (n - 1) sum_d [gamma(d)^2 + gamma(d - 1) gamma(d + 1)]
+    sums to n (n - 1) c^2 (1 + 4 f^2 - f^4) / (1 - f^2), added to entry [1, 1].
+    p or q outside the Geometric domain raises ParameterError.
     """
-    v0, c01, v1_one_edge = _reward_cov(ModelSpec(Geometric(p), Geometric(q), n), n)
+    cov = _reward_cov(ModelSpec(Geometric(p), Geometric(q), n), n)
     f = 1.0 - p - q
     c = p * q / (p + q) ** 2
     # 1 - f^2 = (p + q)(1 + f), which keeps its bits when p + q is small
-    cross = n * (n - 1) * c * c * (1.0 + 4.0 * f * f - f**4) / ((p + q) * (1.0 + f))
-    return MomentCov(v0=v0, v1=v1_one_edge + cross, c01=c01, method="closed_form_geometric")
+    cov[1, 1] += n * (n - 1) * c * c * (1.0 + 4.0 * f * f - f**4) / ((p + q) * (1.0 + f))
+    return MomentCov(cov, method="closed_form_geometric")
 
 
 def moment_cov(model: ModelSpec) -> MomentCov:
@@ -100,25 +97,26 @@ def moment_cov(model: ModelSpec) -> MomentCov:
 def param_cov(model: ModelSpec, mc: MomentCov | None = None) -> ParamCov | None:
     """J M J^T for the parameters of the two-lag family whose laws the model has.
 
-    M is mc or moment_cov(model); J, the fit's Jacobian at the exact moments, is
-    moments.rate_jacobian times -E[Z]^2 / mean_slope() by row (1 for a geometric
-    p). None, with no series summed, where no two-lag family holds the model at
-    its unit scale or finiteness_check fails; None too where M's series did not
-    converge or J M J^T leaves float range (a mean all but flat in its shape).
+    M is the matrix of mc or moment_cov(model), J the fit's Jacobian at the exact
+    moments: moments.rate_jacobian times -E[Z]^2 / mean_slope() by row (1 for a
+    geometric p). The names come from the family's registry entry. None, with no
+    series summed, where no two-lag family holds the model at its unit scale or
+    finiteness_check fails; None too where M's series did not converge or
+    J M J^T leaves float range (a mean all but flat in its shape).
     """
     laws = (model.on_law, model.off_law)
-    fits = any(e.lags == 2 and e.laws == tuple(map(type, laws)) for e in FAMILIES.values())
-    if not (fits and all(getattr(law, k) == v for law in laws for k, v in law.UNIT_SCALE.items())
+    entry = {e.laws: e for e in FAMILIES.values() if e.lags == 2}.get(tuple(map(type, laws)))
+    if not (entry and all(getattr(law, k) == v for law in laws for k, v in law.UNIT_SCALE.items())
             and finiteness_check(model)[0]):
         return None
     mc = moment_cov(model) if mc is None else mc
     slopes = np.array([[law.mean_slope()] for law in laws])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         J = rate_jacobian(model) * ([[-law.mean() ** 2] for law in laws] / slopes)
-        cov = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
+        cov = J @ mc.matrix @ J.T
     if not (mc.converged and np.isfinite(cov).all()):
         return None
-    return ParamCov(sigma2=float(cov[0, 0]), tau2=float(cov[1, 1]), rho_cov=float(cov[0, 1]))
+    return ParamCov(entry.params, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +124,8 @@ def param_cov(model: ModelSpec, mc: MomentCov | None = None) -> ParamCov | None:
 # ---------------------------------------------------------------------------
 
 
-def _reward_cov(model: ModelSpec, n: int):
-    """v0, c01 and the one-edge part of v1 as renewal-reward limits.
+def _reward_cov(model: ModelSpec, n: int) -> np.ndarray:
+    """The one-edge moment covariance matrix, over lags (0, 1), as renewal-reward limits.
 
     Over one cycle of an edge (on for X epochs, then off for Y) its part of
     sum_k (A(k) - n rho) is R0 = (1 - rho) X - rho Y, and its part of
@@ -138,8 +136,9 @@ def _reward_cov(model: ModelSpec, n: int):
     other pair. By the renewal-reward CLT (Glynn and Whitt 1993) the limits
     are n E[Ra Rb] / E[X + Y] after centring each reward at its rate times
     X + Y; that rate is 0 for R0 and gamma(1) = rho (1 - rho) - 1 / E[X + Y]
-    for R1. Both centred rewards are linear in X and Y, so the limits take
-    only the variances of X and Y, each exact to rounding.
+    for R1. Both centred rewards are linear in X and Y, with coefficient
+    vectors x and y over (R0, R1), so the matrix is
+    n (Var X x x^T + Var Y y y^T) / E[X + Y], each entry exact to rounding.
     """
     on, off = model.on_law, model.off_law
     ex, ey = float(on.mean()), float(off.mean())
@@ -149,11 +148,8 @@ def _reward_cov(model: ModelSpec, n: int):
     h00 = -2 * n * rho**2 + rho**2
     r1 = rho * rho_bar - 1.0 / mu
     # the coefficients of X and Y in R0 and in R1 - r1 (X + Y)
-    x0, y0 = rho_bar, -rho
-    x1, y1 = h11 - r1, h00 - r1
-    vx, vy = on.variance(), off.variance()
-    weights = ((x0 * x0, y0 * y0), (x0 * x1, y0 * y1), (x1 * x1, y1 * y1))
-    return [n * (wx * vx + wy * vy) / mu for wx, wy in weights]
+    x, y = np.array([[rho_bar, h11 - r1], [-rho, h00 - r1]])
+    return n * (np.outer(x, x) * on.variance() + np.outer(y, y) * off.variance()) / mu
 
 
 def _cross_edge_series(model: ModelSpec, n: int, k0: int):
@@ -237,10 +233,10 @@ def _floored_sums(ks, inc, head, gammas, k0):
 
 
 def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCov:
-    """v0, v1, c01 for arbitrary on/off laws: renewal-reward closed forms and one series.
+    """Moment covariance matrix for any on/off laws: renewal-reward limits and one series.
 
-    v0, c01 and the one-edge part of v1 are exact (_reward_cov). The rest of
-    v1, the cross-edge series, is summed on one set of renewal tables to k0,
+    The one-edge matrix is exact (_reward_cov). The rest of v1, entry [1, 1],
+    the cross-edge series, is summed on one set of renewal tables to k0,
     which starts at min(K0, k_cap) and doubles, up to k_cap, until the series
     converges. A finite model with no tail exponent at that start tries
     k0 = _K0_MIN first, and goes on from min(K0, k_cap) only if that table
@@ -269,7 +265,7 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     finite, why = finiteness_check(model)
     if not finite:
         warnings.warn(f"covariance limits are infinite: {why}", DivergenceWarning)
-    v0, c01, v1_one_edge = _reward_cov(model, n)
+    cov = _reward_cov(model, n)
     k_start = min(K0, k_cap)
     # a finite model with no tail exponent at k_start tries _K0_MIN lags first;
     # that table keeps the start's exponents (none), though a steep power can
@@ -278,15 +274,15 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     while True:
         gammas = _tail_exponents(model, max(k0, k_start)) if finite else []
         ks, inc, head = _cross_edge_series(model, n, k0)
-        v1, half, tail, last = _floored_sums(ks, inc, v1_one_edge + head, gammas, k0)
+        v1, half, tail, last = _floored_sums(ks, inc, cov[1, 1] + head, gammas, k0)
         # increments below the rounding floor were dropped, so v1 is known to that floor at best
         tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
-        converged = bool(finite and tail_error <= _TOL * max(1.0, abs(v0), abs(v1), abs(c01)))
+        converged = bool(finite and tail_error <= _TOL * max(1.0, *abs(cov[0]), abs(v1)))
         if not finite or k0 >= k_cap or converged and (gammas or 2 * last <= k0):
             break
         k0 = min(max(2 * k0, k_start), k_cap)
-    return MomentCov(v0=v0, v1=v1, c01=c01, method="general_series",
-                     converged=converged, k_used=k0,
+    cov[1, 1] = v1
+    return MomentCov(cov, method="general_series", converged=converged, k_used=k0,
                      tail_correction=(0.0, tail, 0.0), tail_error=tail_error)
 
 

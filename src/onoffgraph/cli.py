@@ -41,6 +41,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON model/experiment config")
         return p
 
+    def comma_list(kind):
+        def parse(text):  # a bad entry is a usage error
+            return [kind(x) for x in text.split(",")]
+        parse.__name__ = f"comma-separated {kind.__name__}"
+        return parse
+
     p = add("simulate", "simulate a count trace and write it as CSV")
     p.add_argument("--k", type=int, help="trace length")
     p.add_argument("--seed", type=int, default=0)
@@ -58,8 +64,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int)
 
     p = add("mgf", "evaluate the joint MGF or a joint on-pattern law")
-    p.add_argument("--theta", help="comma-separated tilt vector (entries may be -inf)")
-    p.add_argument("--epochs", help="comma-separated epochs for the joint law")
+    p.add_argument("--theta", type=comma_list(float),
+                   help="comma-separated tilt vector (entries may be -inf)")
+    p.add_argument("--epochs", type=comma_list(int), help="the joint law's comma-separated epochs")
 
     add("cov", "limiting covariances of the moment statistics and of the parameters")
 
@@ -127,17 +134,14 @@ def _dispatch(args, cfg, model) -> int:
             return 1
         out = {}
         if args.theta is not None:
-            theta = np.array([float(x) for x in args.theta.split(",")])
             with np.errstate(over="ignore", invalid="ignore"):
-                out["mgf"] = joint_mgf(model, theta)
+                out["mgf"] = joint_mgf(model, args.theta)
             if not np.isfinite(out["mgf"]):  # JSON has no token for it
                 raise ValueError(f"the joint MGF overflows float64 at theta={args.theta}")
         if args.epochs is not None:
-            epochs = [int(x) for x in args.epochs.split(",")]
-            probs = joint_distribution(model, epochs)
-            out["epochs"] = epochs
-            out["joint"] = {format(s, f"0{len(epochs)}b")[::-1]: float(p)
-                            for s, p in enumerate(probs)}
+            out["epochs"] = args.epochs
+            out["joint"] = {format(s, f"0{len(args.epochs)}b")[::-1]: float(p)
+                            for s, p in enumerate(joint_distribution(model, args.epochs))}
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 

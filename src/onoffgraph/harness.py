@@ -216,7 +216,7 @@ def _predicted_sds(cfg, means):
         pc = param_cov(entry.model_of(vals, cfg.model.n))
     except ParameterError:  # the mean estimates lie outside the family's domain
         pc = None
-    return {} if pc is None else dict(zip(entry.params, map(float, pc.sd(cfg.K))))
+    return {} if pc is None else pc.sd(cfg.K)
 
 
 def _histogram(vals):

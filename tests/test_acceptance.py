@@ -49,7 +49,7 @@ def test_criterion_01_geometric_recovery():
     elapsed = time.perf_counter() - t0
     dp = abs(summary.means["p"] - 0.3)
     dq = abs(summary.means["q"] - 0.8)
-    pred = param_cov(GG).sd(10_000)[0]
+    pred = param_cov(GG).sd(10_000)["p"]
     ratio = summary.sds["p"] / pred
     ok = (dp <= 0.003 and dq <= 0.008 and 0.7 <= ratio <= 1.3 and elapsed <= 120.0)
     _report(1, ok,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import warnings
@@ -22,7 +23,8 @@ from onoffgraph.asymp import (
 )
 from onoffgraph.errors import ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
-from onoffgraph.moments import MomentSet, fit, theoretical_moment_set
+from onoffgraph.harness import ExperimentConfig, emit_outputs, run_campaign
+from onoffgraph.moments import FAMILIES, MomentSet, fit, theoretical_moment_set
 from onoffgraph.renewal import (
     _law_arrays,
     _residual_arrays,
@@ -437,8 +439,8 @@ def delta_method_cov(n, p, q, mc):
     def cross(a0, a1, b0, b1):
         return a0 * b0 * mc.v0 + (a0 * b1 + a1 * b0) * mc.c01 + a1 * b1 * mc.v1
 
-    return ParamCov(sigma2=cross(g0, g1, g0, g1), tau2=cross(h0, h1, h0, h1),
-                    rho_cov=cross(g0, g1, h0, h1))
+    s, t, r = cross(g0, g1, g0, g1), cross(h0, h1, h0, h1), cross(g0, g1, h0, h1)
+    return ParamCov(("p", "q"), np.array([[s, r], [r, t]]))
 
 
 def edge_estimator_jacobian(model, family, h=1e-3):
@@ -458,10 +460,6 @@ def edge_estimator_jacobian(model, family, h=1e-3):
     cols = [(8 * (params(ell, h) - params(ell, -h)) - params(ell, 2 * h) + params(ell, -2 * h))
             / (12 * h) for ell in (0, 1)]
     return np.array(cols).T  # J[i, l] = d param_i / d mu_hat(l)
-
-
-def _as_matrix(pc):
-    return np.array([[pc.sigma2, pc.rho_cov], [pc.rho_cov, pc.tau2]])
 
 
 GG_POINTS = [(100, 0.3, 0.8), (20, 0.6, 0.2), (100, 0.05, 0.9)]
@@ -485,8 +483,8 @@ class TestDeltaMethod:
         # family's parameters in (mu_hat(0), mu_hat(1))
         mc = moment_cov(model)
         J = edge_estimator_jacobian(model, family)
-        want = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
-        np.testing.assert_allclose(_as_matrix(param_cov(model)), want, rtol=1e-6)
+        want = J @ mc.matrix @ J.T
+        np.testing.assert_allclose(param_cov(model).matrix, want, rtol=1e-6)
 
     def test_scaling_identities(self):
         # the hand-derived GG delta method is J M J^T, J the Jacobian of the
@@ -497,26 +495,26 @@ class TestDeltaMethod:
             mc = geometric_moment_cov(n, p, q)
             pc = delta_method_cov(n, p, q, mc)
             J = edge_estimator_jacobian(model, "geometric_geometric")
-            want = J @ np.array([[mc.v0, mc.c01], [mc.c01, mc.v1]]) @ J.T
-            np.testing.assert_allclose(_as_matrix(pc), want, rtol=1e-6)
+            want = J @ mc.matrix @ J.T
+            np.testing.assert_allclose(pc.matrix, want, rtol=1e-6)
             g0, g1 = gamma_oracle(n, p, q)
             oracle = g0 * g0 * mc.v0 + 2 * g0 * g1 * mc.c01 + g1 * g1 * mc.v1
-            assert pc.sigma2 == pytest.approx(oracle, rel=1e-12)
-            np.testing.assert_allclose(_as_matrix(param_cov(model)), _as_matrix(pc), rtol=1e-11)
+            assert pc.matrix[0, 0] == pytest.approx(oracle, rel=1e-12)
+            np.testing.assert_allclose(param_cov(model).matrix, pc.matrix, rtol=1e-11)
         # q_hat also moves with mu_hat(0): not the rank-1 sigma2 (q/p)^2
         pc = param_cov(ModelSpec(on_law=Geometric(0.05), off_law=Geometric(0.9), n=100))
-        assert pc.tau2 == pytest.approx(0.9168, abs=1e-4)
+        assert pc.matrix[1, 1] == pytest.approx(0.9168, abs=1e-4)
 
     def test_closed_form_by_law_types(self):
         # geometric laws alone take the closed-form moment covariance, and
         # param_cov propagates any moment covariance it is given
         gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
-        assert moment_cov(gg) == geometric_moment_cov(100, 0.3, 0.8)
+        assert moment_cov(gg).to_json() == geometric_moment_cov(100, 0.3, 0.8).to_json()
         general = general_moment_cov(gg, 100)
-        np.testing.assert_allclose(_as_matrix(param_cov(gg, general)),
-                                   _as_matrix(delta_method_cov(100, 0.3, 0.8, general)), rtol=1e-11)
+        np.testing.assert_allclose(param_cov(gg, general).matrix,
+                                   delta_method_cov(100, 0.3, 0.8, general).matrix, rtol=1e-11)
         for model, _ in TWO_LAG_MODELS[1:]:
-            assert moment_cov(model) == general_moment_cov(model, 100)
+            assert moment_cov(model).to_json() == general_moment_cov(model, 100).to_json()
 
     def test_param_cov_none_by_model(self, monkeypatch):
         # no two-lag family at its unit scale, or infinite limits: None, with no
@@ -544,19 +542,30 @@ class TestDeltaMethod:
             model = ModelSpec(on_law=Weibull(1.0, alpha), off_law=Geometric(0.5), n=100)
             pc = param_cov(model)
             assert (pc is not None) == finite
-            assert pc is None or np.isfinite(_as_matrix(pc)).all() and pc.tau2 > 0.0
+            assert pc is None or np.isfinite(pc.matrix).all() and pc.matrix[1, 1] > 0.0
 
     def test_param_cov_none_unconverged(self):
-        partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
+        partial = MomentCov(np.array([[1.0, 0.5], [0.5, 2.0]]), method="general_series",
                             converged=False, k_used=1024, tail_error=1.0)
         assert param_cov(PARPAR, partial) is None
         assert param_cov(PARPAR, general_moment_cov(PARPAR, 100, k_cap=64)) is None
 
-    def test_predicted_sd_matches_reported_value(self):
+    def test_predicted_sd_matches_reported_value(self, tmp_path):
         pc = param_cov(ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100))
-        sd_p, sd_q = pc.sd(10_000)
-        assert sd_p == pytest.approx(0.0028, abs=2e-4)
-        assert sd_q == pytest.approx(0.0074, abs=4e-4)
+        sd = pc.sd(10_000)
+        assert sd["p"] == pytest.approx(0.0028, abs=2e-4)
+        assert sd["q"] == pytest.approx(0.0074, abs=4e-4)
+        # each two-lag family at its unit scale: symmetric matrices, the registry's
+        # parameter names, and sd(K) keyed as a campaign's summary.json params
+        for model, family in TWO_LAG_MODELS:
+            mc, pc = moment_cov(model), param_cov(model)
+            assert np.array_equal(mc.matrix, mc.matrix.T)
+            np.testing.assert_allclose(pc.matrix, pc.matrix.T, rtol=1e-12)
+            assert pc.params == FAMILIES[family].params
+            cfg = ExperimentConfig(model=model, K=200, R=2, family=family)
+            emit_outputs(run_campaign(cfg), tmp_path / family)
+            summary = json.loads((tmp_path / family / "summary.json").read_text())
+            assert set(pc.sd(cfg.K)) == set(summary["params"])
 
 
 class TestGeneralTables:
@@ -649,7 +658,7 @@ class TestGeneralSeries:
         for model, g in zip(models, got):
             ref = general_moment_cov(model, 10)
             if asymp._tail_exponents(model, K0):
-                assert g == ref
+                assert g.to_json() == ref.to_json()
                 continue
             scale = max(1.0, abs(ref.v0), abs(ref.v1), abs(ref.c01))
             assert g.converged == ref.converged and g.k_used <= ref.k_used

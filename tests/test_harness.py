@@ -302,6 +302,46 @@ class TestOutputs:
             assert np.array_equal(theo, norm.ppf((np.arange(1, R + 1) - 0.5) / R))
 
 
+# `onoffgraph cov` bodies at n = 100, exact to the bit under numpy 2.4.6 and
+# scipy 1.17.1: GG(0.05, 0.9) gives tau2 = 0.9168, as q_hat also moves with
+# mu_hat(0); pareto/geometric is a three-lag family, so it has no param_cov
+COV_PINS = [
+    ({"kind": "geometric", "p": 0.3}, {"kind": "geometric", "p": 0.8}, {
+        "moment_cov": {"c01": 2362.1337340345594, "converged": True, "k_used": 0,
+                       "method": "closed_form_geometric", "tail_correction": [0.0, 0.0, 0.0],
+                       "tail_error": 0.0, "v0": 16.22839969947407, "v1": 344234.19493204},
+        "param_cov": {"rho_cov": 0.2062611570247729, "sigma2": 0.08023543388429012,
+                      "tau2": 0.5558964187327124}}),
+    ({"kind": "geometric", "p": 0.05}, {"kind": "geometric", "p": 0.9}, {
+        "moment_cov": {"c01": 1043.7212728570223, "converged": True, "k_used": 0,
+                       "method": "closed_form_geometric", "tail_correction": [0.0, 0.0, 0.0],
+                       "tail_error": 0.0, "v0": 5.511007435486222, "v1": 197694.12612477475},
+        "param_cov": {"rho_cov": 0.04998115406240842, "sigma2": 0.003278119670133776,
+                      "tau2": 0.9167607731246901}}),
+    ({"kind": "pareto", "C": 1.0, "alpha": 3.0},
+     {"kind": "pareto", "C": 1.0, "alpha": 2.5}, {
+        "moment_cov": {"c01": 2385.2379869174647, "converged": True, "k_used": 1024,
+                       "method": "general_series",
+                       "tail_correction": [0.0, 6.738726487682903e-05, 0.0],
+                       "tail_error": 2.2782657447773085e-08, "v0": 25.326636164380112,
+                       "v1": 227826.57447773084},
+        "param_cov": {"rho_cov": 43.15535469805631, "sigma2": 76.01724020614071,
+                      "tau2": 24.987744620147385}}),
+    ({"kind": "weibull", "lambda": 1.0, "alpha": 0.5}, {"kind": "geometric", "p": 0.7}, {
+        "moment_cov": {"c01": 8343.3323904925, "converged": True, "k_used": 1024,
+                       "method": "general_series", "tail_correction": [0.0, 0.0, 0.0],
+                       "tail_error": 1.0905044449657323e-07, "v0": 63.891162066679335,
+                       "v1": 1090504.4449657323},
+        "param_cov": {"rho_cov": 0.4003026770181578, "sigma2": 0.2143842564759438,
+                      "tau2": 0.8046737241745313}}),
+    ({"kind": "pareto", "C": 2.0, "alpha": 4.0}, {"kind": "geometric", "p": 0.7}, {
+        "moment_cov": {"c01": 1231.5035131387456, "converged": True, "k_used": 1024,
+                       "method": "general_series", "tail_correction": [0.0, 0.0, 0.0],
+                       "tail_error": 1.1992840485072403e-08, "v0": 12.81493253232454,
+                       "v1": 119928.40485072404}}),
+]
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "onoffgraph.cli", *args],
@@ -336,28 +376,19 @@ class TestCli:
         assert converged["method"] == "closed_form_geometric"
         # a stub pins the exit path; real models land on either side of the
         # tolerance only through their fitted tails
-        partial = MomentCov(v0=1.0, v1=2.0, c01=0.5, method="general_series",
+        partial = MomentCov(np.array([[1.0, 0.5], [0.5, 2.0]]), method="general_series",
                             converged=False, k_used=1024, tail_error=1.0)
         monkeypatch.setattr(cli, "moment_cov", lambda model: partial)
         assert cli.main(["cov", "--config", gg]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
 
     def test_cov_param_cov_by_law_types(self, tmp_path, capsys):
-        # every two-lag family at its unit scale reports the delta-method covariance
-        gg = self._write_cfg(tmp_path, {
-            "on": {"kind": "geometric", "p": 0.05},
-            "off": {"kind": "geometric", "p": 0.9}, "n": 100})
-        assert cli.main(["cov", "--config", gg]) == 0
-        body = json.loads(capsys.readouterr().out)
-        assert set(body["param_cov"]) == {"sigma2", "tau2", "rho_cov"}
-        assert body["param_cov"]["tau2"] == pytest.approx(0.9168, abs=1e-4)
-        pp = self._write_cfg(tmp_path, {
-            "on": {"kind": "pareto", "C": 1.0, "alpha": 3.0},
-            "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5}, "n": 100})
-        assert cli.main(["cov", "--config", pp]) == 0
-        pc = json.loads(capsys.readouterr().out)["param_cov"]
-        assert [pc["sigma2"], pc["tau2"], pc["rho_cov"]] == pytest.approx(
-            [76.02, 24.99, 43.16], abs=0.01)
+        # every two-lag family at its unit scale reports the delta-method
+        # covariance; each body is pinned to the bit
+        for on, off, want in COV_PINS:
+            cfg = self._write_cfg(tmp_path, {"on": on, "off": off, "n": 100})
+            assert cli.main(["cov", "--config", cfg]) == 0
+            assert json.loads(capsys.readouterr().out) == want
         # pareto/geometric is a three-lag family, and Pareto(2, 3) is off the unit scale
         for on, off in (({"kind": "pareto", "C": 2.0, "alpha": 4.0},
                          {"kind": "geometric", "p": 0.7}),
@@ -632,6 +663,18 @@ class TestCli:
         assert body["error"] == "ValueError" and message in body["message"]
         assert cli.main(["mgf", "--config", cfg, "--theta=-inf,0"]) == 0
         assert json.loads(capsys.readouterr().out)["mgf"] == pytest.approx(1 - GG.rho, rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--theta=abc", "--epochs=1,x"], ids=["theta", "epochs"])
+    def test_mgf_malformed_exit_1(self, tmp_path, capsys, flag):
+        # an entry that is no number is a usage error, not a computational one
+        cfg = self._write_cfg(tmp_path, {
+            "on": {"kind": "geometric", "p": 0.3},
+            "off": {"kind": "geometric", "p": 0.8}, "n": 100})
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["mgf", "--config", cfg, flag])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid comma-separated" in captured.err
 
     def test_simulate_k_zero(self, tmp_path, capsys):
         # --k 0 is a length, not "unset": refused as campaign --k 0 is

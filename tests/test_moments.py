@@ -449,7 +449,7 @@ def test_fit_of_exact_moments_is_finite_or_typed(on_law):
         start = time.perf_counter()
         try:
             pc = param_cov(model)
-            assert pc is None or np.isfinite([pc.sigma2, pc.tau2, pc.rho_cov]).all()
+            assert pc is None or np.isfinite(pc.matrix).all()
         except COMPUTE_ERRORS:
             pass
         assert time.perf_counter() - start < 2.0, ("param_cov", off_law)
