@@ -14,7 +14,6 @@ from .asymp import (
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
-    moment_cov,
     param_cov,
 )
 from .errors import (

@@ -4,8 +4,8 @@
 for any pair of laws: the one-edge matrix exactly, from the renewal-reward
 central limit theorem over one on/off cycle of an edge, plus the cross-edge
 part of entry [1, 1] as one series of squared autocovariances.
-``geometric_moment_cov`` sums that series in closed form for geometric laws;
-``moment_cov`` picks one by the law types. ``param_cov`` propagates the
+It serves every model; ``geometric_moment_cov`` sums the series in closed
+form for geometric laws and stays as its oracle. ``param_cov`` propagates the
 matrix by the delta method to the parameters of every two-lag family.
 """
 
@@ -29,7 +29,7 @@ class MomentCov:
     """Per-sqrt(K) limiting covariance matrix of (mu_hat(0), mu_hat(1)); v0, v1, c01 view it."""
 
     matrix: np.ndarray
-    method: str = "closed_form_geometric"
+    method: str = "general_series"
     converged: bool = True
     k_used: int = 0
     tail_correction: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -87,33 +87,28 @@ def geometric_moment_cov(n: int, p: float, q: float) -> MomentCov:
     return MomentCov(cov, method="closed_form_geometric")
 
 
-def moment_cov(model: ModelSpec) -> MomentCov:
-    """geometric_moment_cov where both laws are geometric, general_moment_cov otherwise."""
-    if isinstance(model.on_law, Geometric) and isinstance(model.off_law, Geometric):
-        return geometric_moment_cov(model.n, model.on_law.p, model.off_law.p)
-    return general_moment_cov(model, model.n)
-
-
 def param_cov(model: ModelSpec, mc: MomentCov | None = None) -> ParamCov | None:
     """J M J^T for the parameters of the two-lag family whose laws the model has.
 
-    M is the matrix of mc or moment_cov(model), J the fit's Jacobian at the exact
-    moments: moments.rate_jacobian times -E[Z]^2 / mean_slope() by row (1 for a
-    geometric p). The names come from the family's registry entry. None, with no
-    series summed, where no two-lag family holds the model at its unit scale or
-    finiteness_check fails; None too where M's series did not converge or
-    J M J^T leaves float range (a mean all but flat in its shape).
+    M is the matrix of mc or general_moment_cov(model, model.n), J the fit's
+    Jacobian at the exact moments: moments.rate_jacobian times -E[Z]^2 /
+    mean_slope() by row (1 for a geometric p). The product is symmetrised,
+    which keeps its diagonal's bits. The names come from the family's registry
+    entry. None, with no series summed, where no two-lag family holds the model
+    at its unit scale or finiteness_check fails; None too where M's series did
+    not converge or J M J^T leaves float range (a mean all but flat in its shape).
     """
     laws = (model.on_law, model.off_law)
     entry = {e.laws: e for e in FAMILIES.values() if e.lags == 2}.get(tuple(map(type, laws)))
     if not (entry and all(getattr(law, k) == v for law in laws for k, v in law.UNIT_SCALE.items())
             and finiteness_check(model)[0]):
         return None
-    mc = moment_cov(model) if mc is None else mc
+    mc = general_moment_cov(model, model.n) if mc is None else mc
     slopes = np.array([[law.mean_slope()] for law in laws])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         J = rate_jacobian(model) * ([[-law.mean() ** 2] for law in laws] / slopes)
         cov = J @ mc.matrix @ J.T
+        cov = (cov + cov.T) / 2
     if not (mc.converged and np.isfinite(cov).all()):
         return None
     return ParamCov(entry.params, cov)
@@ -169,12 +164,13 @@ def _cross_edge_series(model: ModelSpec, n: int, k0: int):
 # Table sizes of general_moment_cov: the cross-edge series is summed to
 # k0 = K0 first (_K0_MIN where no tail is fitted), and k0 is doubled, up to
 # k_cap (K_CAP by default), until the series converges. A power-law tail
-# beyond k0 is added in closed form.
+# beyond k0, or on the last table a geometric one, is added in closed form.
 K0 = 1024
 K_CAP = 1 << 15
 _K0_MIN = 64  # the tail fits at K0 / 2 need a window of some width
 _FLOOR = 1e-13  # rounding floor of the increments, relative to the series scale
 _TOL = 1e-6  # the relative tail error general_moment_cov accepts as converged
+_GEO_AGREE = 1e-3  # the relative agreement in 1 - r that a geometric tail needs
 
 
 def _tail_exponents(model: ModelSpec, k_end: int) -> list[float]:
@@ -201,8 +197,16 @@ def _tail(ks, inc, gammas, k_end):
     """sum_{k > k_end} of the least-squares fit sum_j c_j k^-gamma_j to inc on (k_end/4, k_end].
 
     The basis is scaled to 1 at k_end, so its j-th term sums to
-    k_end^gamma_j zeta(gamma_j, k_end + 1) beyond k_end.
+    k_end^gamma_j zeta(gamma_j, k_end + 1) beyond k_end. gammas None: inc[k_end]
+    r / (1 - r), r fitted on (k_end/2, k_end], or 0 unless the 1 - r fitted on
+    its two halves agree to _GEO_AGREE, which a ringing series fails.
     """
+    if gammas is None:
+        a, b, c = inc[k_end - 1 - k_end // 4 * np.array([2, 1, 0])]  # lags h apart, h = k_end // 4
+        with np.errstate(all="ignore"):  # nan where the increments change sign
+            u = -np.expm1(np.log([b / a, c / b, c / a]) / (k_end // 4 * np.array([1, 1, 2])))
+        agree = u[2] > 0.0 and abs(u[0] - u[1]) <= _GEO_AGREE * u[2]
+        return float(c * (1.0 - u[2]) / u[2]) if agree else 0.0
     if not len(gammas):
         return 0.0
     gammas = np.asarray(gammas)
@@ -224,12 +228,10 @@ def _floored_sums(ks, inc, head, gammas, k0):
     above = np.nonzero(np.abs(inc) > _FLOOR * scale)[0]
     last = ks[above[-1]] if len(above) else 0
     kept = np.where(ks <= last, inc, 0.0)
-    sums = []
-    for k_end in (k0, k0 // 2):
-        tail = _tail(ks, kept, gammas, k_end) if last >= k_end else 0.0
-        sums.append((head + float(np.sum(kept[ks <= k_end])) + tail, tail))
-    (full, tail), (half, _) = sums
-    return full, half, tail, last
+    ends = (k0, k0 // 2)
+    tails = [_tail(ks, kept, gammas, k_end) if last >= k_end else 0.0 for k_end in ends]
+    full, half = (head + float(np.sum(kept[ks <= k_end])) + t for k_end, t in zip(ends, tails))
+    return full, half, tails[0], last
 
 
 def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCov:
@@ -246,18 +248,19 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     closed form (tail_correction, whose v0 and c01 entries are 0). A law with
     C >= k0 still decays geometrically there and adds no tail exponent, nor
     does one whose exponents pass float range. tail_error is the series' move
-    between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|): it bounds
-    the truncation only, not the rounding in the renewal tables. On 72 of
-    188 converged GG grid models the error against geometric_moment_cov
-    exceeds it, by up to 499 times, at most 5.3e-9 relative. converged
-    means tail_error <= _TOL * scale, scale the largest of 1, |v0|,
-    |v1| and |c01|. With no tail exponent that move can understate what is
-    left of a slowly decaying series, so k0 also doubles until the increments
-    reach the floor by k0 / 2; at k_cap, converged rests on tail_error alone.
-    k_used is the final k0. _TOL sits far above the relative tail errors
-    measured on 864 Pareto models with indices from 2.05 to 20 (at most
-    1.5e-9). Where finiteness_check fails, a DivergenceWarning is issued, the
-    variances are infinite and so are v0 and v1, converged is False and k0
+    between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|): it bounds the
+    truncation only, not the rounding in the renewal tables. On 72 of 188 GG
+    grid models the error against geometric_moment_cov exceeds it, by up to
+    499 times, at most 5.3e-9 relative. converged means tail_error <= _TOL *
+    scale, scale the largest of 1, |v0|, |v1| and |c01|. With no tail exponent
+    that move can understate what is left of a slowly decaying series, so k0
+    also doubles until the increments reach the floor by k0 / 2; at k_cap,
+    converged rests on tail_error alone, and where it fails that table tries a
+    geometric tail (GG with |1 - p - q| within 2e-6 of 1 converges so, to
+    7.5e-11 of v1). k_used is the final k0. _TOL sits far above the relative
+    tail errors measured on 864 Pareto models with indices from 2.05 to 20 (at
+    most 1.5e-9). Where finiteness_check fails, a DivergenceWarning is issued,
+    the variances are infinite and so are v0 and v1, converged is False and k0
     is not doubled.
     """
     if k_cap < _K0_MIN:
@@ -274,16 +277,19 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     while True:
         gammas = _tail_exponents(model, max(k0, k_start)) if finite else []
         ks, inc, head = _cross_edge_series(model, n, k0)
-        v1, half, tail, last = _floored_sums(ks, inc, cov[1, 1] + head, gammas, k0)
-        # increments below the rounding floor were dropped, so v1 is known to that floor at best
-        tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
-        converged = bool(finite and tail_error <= _TOL * max(1.0, *abs(cov[0]), abs(v1)))
+        for tails in (gammas, None):  # None: a geometric tail, on a light tail's last table
+            v1, half, tail, last = _floored_sums(ks, inc, cov[1, 1] + head, tails, k0)
+            # increments below the rounding floor were dropped, so v1 is known to that floor at best
+            tail_error = float(abs(v1 - half)) + _FLOOR * max(1.0, abs(v1)) if finite else math.inf
+            converged = bool(finite and tail_error <= _TOL * max(1.0, *abs(cov[0]), abs(v1)))
+            if converged or gammas or k0 < k_cap or not finite:
+                break
         if not finite or k0 >= k_cap or converged and (gammas or 2 * last <= k0):
             break
         k0 = min(max(2 * k0, k_start), k_cap)
     cov[1, 1] = v1
-    return MomentCov(cov, method="general_series", converged=converged, k_used=k0,
-                     tail_correction=(0.0, tail, 0.0), tail_error=tail_error)
+    return MomentCov(cov, converged=converged, k_used=k0, tail_correction=(0.0, tail, 0.0),
+                     tail_error=tail_error)
 
 
 # ---------------------------------------------------------------------------

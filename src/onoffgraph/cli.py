@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymp import finiteness_check, moment_cov, param_cov
+from .asymp import finiteness_check, general_moment_cov, param_cov
 from .errors import COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError
 from .harness import ExperimentConfig, emit_outputs, run_campaign
 from .moments import fit, infer_family
@@ -149,7 +149,7 @@ def _dispatch(args, cfg, model) -> int:
         ok, why = finiteness_check(model)
         if not ok:
             raise InfiniteMeanError(f"limiting covariances are infinite: {why}")
-        mc = moment_cov(model)
+        mc = general_moment_cov(model, model.n)
         if not mc.converged:
             raise ConvergenceError(
                 f"covariance series did not converge: tail_error={mc.tail_error:.3g}"

@@ -1,9 +1,11 @@
+import ast
 import itertools
 import json
 import math
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from onoffgraph.asymp import (
     finiteness_check,
     general_moment_cov,
     geometric_moment_cov,
-    moment_cov,
     param_cov,
 )
 from onoffgraph.errors import ParameterError
@@ -481,7 +482,7 @@ class TestDeltaMethod:
     def test_matches_differenced_fit(self, model, family):
         # param_cov is J M J^T, J the Jacobian of the code's own fit of the
         # family's parameters in (mu_hat(0), mu_hat(1))
-        mc = moment_cov(model)
+        mc = general_moment_cov(model, model.n)
         J = edge_estimator_jacobian(model, family)
         want = J @ mc.matrix @ J.T
         np.testing.assert_allclose(param_cov(model).matrix, want, rtol=1e-6)
@@ -500,21 +501,19 @@ class TestDeltaMethod:
             g0, g1 = gamma_oracle(n, p, q)
             oracle = g0 * g0 * mc.v0 + 2 * g0 * g1 * mc.c01 + g1 * g1 * mc.v1
             assert pc.matrix[0, 0] == pytest.approx(oracle, rel=1e-12)
-            np.testing.assert_allclose(param_cov(model).matrix, pc.matrix, rtol=1e-11)
+            np.testing.assert_allclose(param_cov(model, mc).matrix, pc.matrix, rtol=1e-11)
+            # the series M's v1 is within 2.5e-14 of the closed form's here, and
+            # J M J^T cancels about four digits of it (1.5e-10 at (0.05, 0.9))
+            np.testing.assert_allclose(param_cov(model).matrix, pc.matrix, rtol=1e-9)
         # q_hat also moves with mu_hat(0): not the rank-1 sigma2 (q/p)^2
         pc = param_cov(ModelSpec(on_law=Geometric(0.05), off_law=Geometric(0.9), n=100))
         assert pc.matrix[1, 1] == pytest.approx(0.9168, abs=1e-4)
 
-    def test_closed_form_by_law_types(self):
-        # geometric laws alone take the closed-form moment covariance, and
-        # param_cov propagates any moment covariance it is given
-        gg = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
-        assert moment_cov(gg).to_json() == geometric_moment_cov(100, 0.3, 0.8).to_json()
-        general = general_moment_cov(gg, 100)
-        np.testing.assert_allclose(param_cov(gg, general).matrix,
-                                   delta_method_cov(100, 0.3, 0.8, general).matrix, rtol=1e-11)
-        for model, _ in TWO_LAG_MODELS[1:]:
-            assert moment_cov(model).to_json() == general_moment_cov(model, 100).to_json()
+    def test_one_route_for_every_law_type(self):
+        # param_cov sums general_moment_cov for every family, geometric laws too
+        for model, _ in TWO_LAG_MODELS:
+            general = general_moment_cov(model, model.n)
+            assert np.array_equal(param_cov(model).matrix, param_cov(model, general).matrix)
 
     def test_param_cov_none_by_model(self, monkeypatch):
         # no two-lag family at its unit scale, or infinite limits: None, with no
@@ -558,9 +557,9 @@ class TestDeltaMethod:
         # each two-lag family at its unit scale: symmetric matrices, the registry's
         # parameter names, and sd(K) keyed as a campaign's summary.json params
         for model, family in TWO_LAG_MODELS:
-            mc, pc = moment_cov(model), param_cov(model)
+            mc, pc = general_moment_cov(model, model.n), param_cov(model)
             assert np.array_equal(mc.matrix, mc.matrix.T)
-            np.testing.assert_allclose(pc.matrix, pc.matrix.T, rtol=1e-12)
+            assert np.array_equal(pc.matrix, pc.matrix.T)
             assert pc.params == FAMILIES[family].params
             cfg = ExperimentConfig(model=model, K=200, R=2, family=family)
             emit_outputs(run_campaign(cfg), tmp_path / family)
@@ -814,6 +813,67 @@ class TestGeneralSeries:
         assert np.isfinite([g.v0, g.v1, g.c01]).all()
         assert g.converged
         assert 0.0 < g.tail_error <= 1e-6 * max(1.0, g.v0, g.v1, abs(g.c01))
+
+
+# p, q and n of the GG grid on which the series route stands in for the closed form
+GRID_PQ = [1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9, 1 - 1e-6]
+GRID_N = [2, 10, 100, 10**4]
+
+
+def timed_moment_cov(model):
+    """general_moment_cov(model, model.n), which must return within a second."""
+    start = time.perf_counter()
+    g = general_moment_cov(model, model.n)
+    assert time.perf_counter() - start < 1.0, model
+    return g
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_gg_grid_matches_closed_form(self, n):
+        # every GG model converges on the series route; v0 and c01 are the same
+        # renewal-reward limits on both routes. |1 - p - q| within 2e-6 of 1
+        # converges only by the geometric tail on the K_CAP table
+        for p, q in itertools.product(GRID_PQ, GRID_PQ):
+            g = timed_moment_cov(ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n))
+            mc = geometric_moment_cov(n, p, q)
+            assert g.converged, (n, p, q)
+            assert g.v0 == mc.v0 and g.c01 == mc.c01
+            slow = p == q and abs(1.0 - p - q) > 1.0 - 3e-6
+            assert (g.tail_correction[1] != 0.0) == slow, (n, p, q)
+            if slow:
+                assert g.k_used == K_CAP
+                assert abs(g.v1 - mc.v1) <= 1e-9 * mc.v1
+            else:
+                scale = max(1.0, abs(g.v0), abs(g.v1), abs(g.c01))
+                assert abs(g.v1 - mc.v1) <= asymp._TOL * scale
+
+    def test_weibull_of_unit_shape_is_geometric(self):
+        # Weibull(lambda, 1) is Geometric(1 - e^-lambda); at lambda = 1e-6 the
+        # series converges only by the geometric tail on the K_CAP table
+        g = timed_moment_cov(ModelSpec(on_law=Weibull(1e-6, 1.0), off_law=Geometric(1e-5), n=100))
+        mc = geometric_moment_cov(100, -math.expm1(-1e-6), 1e-5)
+        assert g.converged and g.k_used == K_CAP and g.tail_correction[1] > 0.0
+        for a, b in [(g.v0, mc.v0), (g.v1, mc.v1), (g.c01, mc.c01)]:
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_ringing_series_takes_no_geometric_tail(self):
+        # gamma rings with a period near 1,000: the ratios on the two halves of
+        # the window disagree, so no tail is added and the result stays flagged
+        model = ModelSpec(on_law=Weibull(1e-300, 100.0), off_law=Geometric(0.5), n=100)
+        g = timed_moment_cov(model)
+        assert not g.converged and g.k_used == K_CAP
+        assert g.tail_correction == (0.0, 0.0, 0.0)
+        assert g.tail_error > asymp._TOL * g.v1
+
+    def test_no_route_by_law_type(self):
+        # the closed form is a test oracle: no package module calls it
+        assert not hasattr(asymp, "moment_cov")
+        for path in Path(asymp.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert name != "geometric_moment_cov", f"{path.name}:{node.lineno}"
 
 
 class TestFiniteness:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from onoffgraph import cli, harness, moments, simulate
-from onoffgraph.asymp import MomentCov
+from onoffgraph.asymp import MomentCov, geometric_moment_cov
 from onoffgraph.errors import ParameterError
 from onoffgraph.harness import (
     CampaignSummary,
@@ -304,20 +304,23 @@ class TestOutputs:
 
 # `onoffgraph cov` bodies at n = 100, exact to the bit under numpy 2.4.6 and
 # scipy 1.17.1: GG(0.05, 0.9) gives tau2 = 0.9168, as q_hat also moves with
-# mu_hat(0); pareto/geometric is a three-lag family, so it has no param_cov
+# mu_hat(0); pareto/geometric is a three-lag family, so it has no param_cov.
+# GG takes the series route too, checked against geometric_moment_cov below
 COV_PINS = [
     ({"kind": "geometric", "p": 0.3}, {"kind": "geometric", "p": 0.8}, {
-        "moment_cov": {"c01": 2362.1337340345594, "converged": True, "k_used": 0,
-                       "method": "closed_form_geometric", "tail_correction": [0.0, 0.0, 0.0],
-                       "tail_error": 0.0, "v0": 16.22839969947407, "v1": 344234.19493204},
-        "param_cov": {"rho_cov": 0.2062611570247729, "sigma2": 0.08023543388429012,
-                      "tau2": 0.5558964187327124}}),
+        "moment_cov": {"c01": 2362.1337340345594, "converged": True, "k_used": 64,
+                       "method": "general_series", "tail_correction": [0.0, 0.0, 0.0],
+                       "tail_error": 3.442341949320385e-08, "v0": 16.22839969947407,
+                       "v1": 344234.19493203843},
+        "param_cov": {"rho_cov": 0.2062611570239779, "sigma2": 0.08023543388399301,
+                      "tau2": 0.5558964187305995}}),
     ({"kind": "geometric", "p": 0.05}, {"kind": "geometric", "p": 0.9}, {
-        "moment_cov": {"c01": 1043.7212728570223, "converged": True, "k_used": 0,
-                       "method": "closed_form_geometric", "tail_correction": [0.0, 0.0, 0.0],
-                       "tail_error": 0.0, "v0": 5.511007435486222, "v1": 197694.12612477475},
-        "param_cov": {"rho_cov": 0.04998115406240842, "sigma2": 0.003278119670133776,
-                      "tau2": 0.9167607731246901}}),
+        "moment_cov": {"c01": 1043.7212728570223, "converged": True, "k_used": 64,
+                       "method": "general_series", "tail_correction": [0.0, 0.0, 0.0],
+                       "tail_error": 1.9769412612477092e-08, "v0": 5.511007435486222,
+                       "v1": 197694.1261247709},
+        "param_cov": {"rho_cov": 0.04998115405474077, "sigma2": 0.003278119669705722,
+                      "tau2": 0.9167607729860043}}),
     ({"kind": "pareto", "C": 1.0, "alpha": 3.0},
      {"kind": "pareto", "C": 1.0, "alpha": 2.5}, {
         "moment_cov": {"c01": 2385.2379869174647, "converged": True, "k_used": 1024,
@@ -325,14 +328,14 @@ COV_PINS = [
                        "tail_correction": [0.0, 6.738726487682903e-05, 0.0],
                        "tail_error": 2.2782657447773085e-08, "v0": 25.326636164380112,
                        "v1": 227826.57447773084},
-        "param_cov": {"rho_cov": 43.15535469805631, "sigma2": 76.01724020614071,
+        "param_cov": {"rho_cov": 43.1553546980562, "sigma2": 76.01724020614071,
                       "tau2": 24.987744620147385}}),
     ({"kind": "weibull", "lambda": 1.0, "alpha": 0.5}, {"kind": "geometric", "p": 0.7}, {
         "moment_cov": {"c01": 8343.3323904925, "converged": True, "k_used": 1024,
                        "method": "general_series", "tail_correction": [0.0, 0.0, 0.0],
                        "tail_error": 1.0905044449657323e-07, "v0": 63.891162066679335,
                        "v1": 1090504.4449657323},
-        "param_cov": {"rho_cov": 0.4003026770181578, "sigma2": 0.2143842564759438,
+        "param_cov": {"rho_cov": 0.40030267701818045, "sigma2": 0.2143842564759438,
                       "tau2": 0.8046737241745313}}),
     ({"kind": "pareto", "C": 2.0, "alpha": 4.0}, {"kind": "geometric", "p": 0.7}, {
         "moment_cov": {"c01": 1231.5035131387456, "converged": True, "k_used": 1024,
@@ -373,12 +376,12 @@ class TestCli:
         assert cli.main(["cov", "--config", gg]) == 0
         converged = json.loads(capsys.readouterr().out)["moment_cov"]
         assert converged["converged"] is True
-        assert converged["method"] == "closed_form_geometric"
+        assert converged["method"] == "general_series"
         # a stub pins the exit path; real models land on either side of the
         # tolerance only through their fitted tails
-        partial = MomentCov(np.array([[1.0, 0.5], [0.5, 2.0]]), method="general_series",
-                            converged=False, k_used=1024, tail_error=1.0)
-        monkeypatch.setattr(cli, "moment_cov", lambda model: partial)
+        partial = MomentCov(np.array([[1.0, 0.5], [0.5, 2.0]]), converged=False,
+                            k_used=1024, tail_error=1.0)
+        monkeypatch.setattr(cli, "general_moment_cov", lambda model, n: partial)
         assert cli.main(["cov", "--config", gg]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
 
@@ -389,6 +392,10 @@ class TestCli:
             cfg = self._write_cfg(tmp_path, {"on": on, "off": off, "n": 100})
             assert cli.main(["cov", "--config", cfg]) == 0
             assert json.loads(capsys.readouterr().out) == want
+            if on["kind"] == off["kind"] == "geometric":
+                mc = geometric_moment_cov(100, on["p"], off["p"]).to_json()
+                for key in ("v0", "v1", "c01"):
+                    assert abs(want["moment_cov"][key] - mc[key]) <= 1e-12 * abs(mc[key])
         # pareto/geometric is a three-lag family, and Pareto(2, 3) is off the unit scale
         for on, off in (({"kind": "pareto", "C": 2.0, "alpha": 4.0},
                          {"kind": "geometric", "p": 0.7}),
