@@ -202,7 +202,7 @@ def _tail(ks, inc, gammas, k_end):
     its two halves agree to _GEO_AGREE, which a ringing series fails.
     """
     if gammas is None:
-        a, b, c = inc[k_end - 1 - k_end // 4 * np.array([2, 1, 0])]  # lags h apart, h = k_end // 4
+        a, b, c = inc[k_end - 1 - k_end // 4 * np.array([2, 1, 0])]  # at k_end - 2h, k_end - h, k_end
         with np.errstate(all="ignore"):  # nan where the increments change sign
             u = -np.expm1(np.log([b / a, c / b, c / a]) / (k_end // 4 * np.array([1, 1, 2])))
         agree = u[2] > 0.0 and abs(u[0] - u[1]) <= _GEO_AGREE * u[2]
