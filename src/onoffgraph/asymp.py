@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
@@ -22,6 +22,13 @@ from .laws import Geometric, Pareto, Weibull
 from .moments import FAMILIES, rate_jacobian
 from .renewal import autocovariance
 from .simulate import ModelSpec
+
+
+def _fields_equal(self, other):
+    """Field by field by np.array_equal, where the dataclass __eq__ raises on an ndarray field."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass
@@ -35,6 +42,7 @@ class MomentCov:
     tail_correction: tuple[float, float, float] = (0.0, 0.0, 0.0)
     tail_error: float = 0.0
 
+    __eq__ = _fields_equal
     v0 = property(lambda self: float(self.matrix[0, 0]))
     v1 = property(lambda self: float(self.matrix[1, 1]))
     c01 = property(lambda self: float(self.matrix[0, 1]))
@@ -51,6 +59,8 @@ class ParamCov:
 
     params: tuple
     matrix: np.ndarray
+
+    __eq__ = _fields_equal
 
     def sd(self, K: int) -> dict:
         """Predicted standard deviation of each parameter at trace length K, by name."""

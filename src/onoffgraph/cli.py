@@ -105,8 +105,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args, cfg, model) -> int:
     if args.command == "simulate":
-        K = whole_number("K", args.k if args.k is not None else cfg.get("K", 10_000))
-        kind = args.kind or cfg.get("kind", "edges")
+        K = whole_number("K", args.k if args.k is not None else cfg.get("K", ExperimentConfig.K))
+        kind = args.kind or cfg.get("kind", ExperimentConfig.kind)
         rng = np.random.default_rng(args.seed)
         trace = simulate_trace(model, K, rng, kind=kind)
         trace.seed = args.seed
@@ -115,7 +115,7 @@ def _dispatch(args, cfg, model) -> int:
         return 0
 
     if args.command == "estimate":
-        trace = load_trace(args.trace, n=model.n, N=model.N, kind=cfg.get("kind", "edges"))
+        trace = load_trace(args.trace, n=model.n, N=model.N, kind=cfg.get("kind", ExperimentConfig.kind))
         report = fit(trace, cfg.get("family") or infer_family(model))
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return 0

@@ -222,6 +222,9 @@ class Geometric(DurationLaw):
         # S(x) = (1 - p)^x: 1/|d log S/dx| = 1/|log(1 - p)|, and no cancellation
         return 1e-9 * x + 1e-9 * (1.0 - 1.0 / math.log(1.0 - self.p))
 
+    def residual(self):  # the law itself: S(k) / E[Z] = (1 - p)^(k-1) p is its own pmf
+        return self
+
     def to_config(self):
         return {"kind": "geometric", "p": self.p}
 
@@ -398,12 +401,15 @@ class Pareto(DurationLaw):
         return {"kind": "pareto", "C": self.C, "alpha": self.alpha}
 
 
-class ResidualLaw:
+class ResidualLaw(DurationLaw):
     """Equilibrium law of a duration law: pmf(k) = survival(k) / mean.
 
     Its survival is P(residual >= k) = T(k) / mean with the law's tail sum
-    T(k), so sampling needs no table: _bracket searches k from 1.
+    T(k), so sampling needs no table: DurationLaw.sample draws it, and its
+    _invert searches every draw from 1 (_bracket). Geometric.residual() is the law.
     """
+
+    _head = None  # no quantile to spare past survival(2): every draw is searched
 
     def __init__(self, law: DurationLaw):
         self.law = law
@@ -416,16 +422,8 @@ class ResidualLaw:
         """P(residual >= k) = T(k) / mean."""
         return np.minimum(self.law.tail_sum(k) / self._mean, 1.0)
 
-    def sample(self, u):
-        """Inverse-transform sample: the k with survival(k+1) < u <= survival(k).
-
-        Draws that would exceed RESIDUAL_CAP are returned as RESIDUAL_CAP.
-        """
-        u = np.asarray(u, dtype=np.float64)
-        if not np.all((u > 0.0) & (u <= 1.0)):  # NaN fails too
-            raise ValueError("u must lie in (0, 1]")
-        k = _bracket(self.survival, u.ravel(), np.ones(u.size, dtype=np.int64))
-        return int(k[0]) if u.ndim == 0 else k.reshape(u.shape)
+    def _invert(self, u, u_min):
+        return _bracket(self.survival, u.ravel(), np.ones(u.size, dtype=np.int64)).reshape(u.shape)
 
 
 def _bracket(survival, u, start):

@@ -295,10 +295,6 @@ class EstimatorFamily:
         """One moment equation per parameter: the fit reads mu_hat(0..lags-1)."""
         return len(self.params)
 
-    def params_of(self, model: ModelSpec) -> tuple:
-        """The model's values of the family's parameters, in registry order."""
-        return tuple(getattr(getattr(model, law), attr) for law, attr in self.attrs)
-
     def model_of(self, values, n: int) -> ModelSpec:
         """The model with the family's laws at the given parameter values, on n edges."""
         kwargs = {"on_law": {}, "off_law": {}}

@@ -113,10 +113,8 @@ def stationary_init(model: ModelSpec, rng):
     on = rng.random(n) < rho
     remaining = np.empty(n, dtype=np.int64)
     u = 1.0 - rng.random(n)
-    if on.any():
-        remaining[on] = res_on.sample(u[on])
-    if (~on).any():
-        remaining[~on] = res_off.sample(u[~on])
+    remaining[on] = res_on.sample(u[on])
+    remaining[~on] = res_off.sample(u[~on])
     return on, remaining
 
 
@@ -145,7 +143,7 @@ def _running_sum(cum):
         np.cumsum(cum, axis=0, out=cum)
 
 
-def _phase_switches(model: ModelSpec, K: int, rng, init=None):
+def _phase_switches(model: ModelSpec, K: int, rng):
     """Initial on-states of all edges and a generator of their phase switches from time 2.
 
     The generator yields one (edges, ons, offs) triple per block: column c of
@@ -157,11 +155,7 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if init is None:
-        on, remaining = stationary_init(model, rng)
-    else:
-        on = np.array([bool(o) for o, _ in init])
-        remaining = np.array([int(d) for _, d in init], dtype=np.int64)
+    on, remaining = stationary_init(model, rng)
     cycle = model.on_law.mean() + model.off_law.mean()
     # a block's column sums K and at most _BLOCK_DRAWS durations, each at most
     # the draw at u = 2^-53, the least 1 - rng.random() gives; where that could
@@ -210,13 +204,9 @@ def _phase_switches(model: ModelSpec, K: int, rng, init=None):
     return on, switches()
 
 
-def simulate_edge_trace(model: ModelSpec, K: int, rng, init=None) -> CountTrace:
-    """Aggregate edge count A_n(k) for k = 1..K.
-
-    `init` optionally fixes the initial per-edge states as a list of
-    (on, remaining) pairs, mainly for deterministic tests.
-    """
-    on, switches = _phase_switches(model, K, rng, init)
+def simulate_edge_trace(model: ModelSpec, K: int, rng) -> CountTrace:
+    """Aggregate edge count A_n(k) for k = 1..K, from the stationary start stationary_init draws."""
+    on, switches = _phase_switches(model, K, rng)
     # switches into on (row 0) and into off (row 1) at 2..K count at those bins;
     # times past K collect in bin K + 1, which is never read. Each block is
     # counted over its own window of times only (columns of times increase).

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -486,6 +487,25 @@ class TestDeltaMethod:
         J = edge_estimator_jacobian(model, family)
         want = J @ mc.matrix @ J.T
         np.testing.assert_allclose(param_cov(model).matrix, want, rtol=1e-6)
+
+    def test_covariances_compare_by_value(self):
+        # field by field, the matrix by np.array_equal: the dataclass __eq__
+        # compared the matrices in a tuple and raised ValueError
+        model = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), n=100)
+        mc = general_moment_cov(model, model.n)
+        pc = param_cov(model, mc)
+        for cov in (mc, pc):
+            twin = dataclasses.replace(cov, matrix=cov.matrix.copy())
+            assert cov == twin and not cov != twin
+            moved = cov.matrix.copy()
+            moved[1, 0] += 1.0
+            assert cov != dataclasses.replace(cov, matrix=moved)
+            for foreign in (cov.to_json(), "cov", None):
+                assert cov != foreign and not cov == foreign
+        assert mc != pc
+        assert mc != dataclasses.replace(mc, converged=False)
+        assert mc != dataclasses.replace(mc, tail_correction=(0.0, 1.0, 0.0))
+        assert pc != dataclasses.replace(pc, params=pc.params[::-1])
 
     def test_scaling_identities(self):
         # the hand-derived GG delta method is J M J^T, J the Jacobian of the

@@ -1,7 +1,9 @@
+import ast
 import functools
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ from onoffgraph.errors import (COMPUTE_ERRORS, ConvergenceError, InfiniteMeanErr
                                OutOfRangeError, ParameterError)
 from onoffgraph.laws import (
     RESIDUAL_CAP,
+    DurationLaw,
     Geometric,
     Pareto,
+    ResidualLaw,
     Weibull,
     law_from_config,
+    _bracket,
     _climb,
     _weibull_mean_slope,
     _weibull_split,
@@ -346,10 +351,37 @@ class TestResidual:
         assert res.pmf(2) == pytest.approx(0.25 / (math.pi**2 / 6), rel=1e-12)
 
     def test_geometric_residual_is_geometric(self):
+        # S(k) / E[Z] = (1 - p)^(k-1) p: the equilibrium law is the law, which residual() returns
         p = 0.3
-        res = Geometric(p).residual()
+        law = Geometric(p)
+        assert law.residual() is law
         k = np.arange(1, 60)
-        assert np.max(np.abs(res.pmf(k) - Geometric(p).pmf(k))) <= 1e-14
+        assert np.max(np.abs(ResidualLaw(law).pmf(k) - law.pmf(k))) <= 1e-14
+        # so are its draws, the search from 1 on T(k) / mean and the law's own sampler,
+        # which differ only where u falls between two roundings of one survival value
+        rng = np.random.default_rng(14)
+        for p in (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-6):
+            u = 1.0 - rng.random(10_000)
+            assert np.array_equal(ResidualLaw(Geometric(p)).sample(u), Geometric(p).sample(u))
+
+    def test_residual_draws_search_from_1(self):
+        # DurationLaw.sample draws a residual law by the one _bracket call from 1
+        # that its own sampler made, on the same u: the same bits, u = 1 and the
+        # least u included, and every law's scalar and empty contract
+        rng = np.random.default_rng(15)
+        grid = [1.0, 2.0**-53, np.array([1.0, 2.0**-53, 0.5]), 1.0 - rng.random(500),
+                1.0 - rng.random((20, 7)), np.empty(0)]
+        for law in [law for law in ALL_LAWS if not isinstance(law, Geometric)] + [
+                Pareto(1.0, 1.3), Pareto(1e12, 25.0), Weibull(0.1, 8.0), Weibull(1.0, 0.2)]:
+            res = law.residual()
+            for u in grid:
+                u = np.asarray(u)
+                want = _bracket(res.survival, u.ravel(), np.ones(u.size, dtype=np.int64))
+                got = res.sample(u)
+                if u.ndim:
+                    assert got.dtype == np.int64 and np.array_equal(got, want.reshape(u.shape))
+                else:
+                    assert type(got) is int and got == want[0]
 
     def test_residual_sums_to_one(self):
         for law in ALL_LAWS:
@@ -861,6 +893,18 @@ class TestSampling:
         assert res.survival(RESIDUAL_CAP) >= 0.5
         assert res.sample(0.5) == RESIDUAL_CAP
         assert res.sample(np.array([0.5, 0.999])).tolist() == [RESIDUAL_CAP, 1]
+
+    def test_one_sampler_entry(self):
+        # laws.py defines sample once, on DurationLaw: residual laws draw through it too
+        tree = ast.parse(Path(laws.__file__).read_text())
+        owners = [(cls.name, node.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if getattr(node, "name", None) == "sample"]
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "sample"]
+        assert owners == [("DurationLaw", "sample")] and len(defs) == 1
+        assert issubclass(ResidualLaw, DurationLaw)
+        for cls in (Geometric, Weibull, Pareto, ResidualLaw):
+            assert cls.sample is DurationLaw.sample
 
 
 class TestConfig:

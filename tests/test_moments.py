@@ -180,7 +180,7 @@ class TestEdgeEstimators:
         model, truth = FAMILY_MODELS[family]
         entry = FAMILIES[family]
         assert infer_family(model) == family
-        assert entry.params_of(model) == pytest.approx(truth)
+        assert tuple(getattr(getattr(model, law), attr) for law, attr in entry.attrs) == pytest.approx(truth)
         assert entry.model_of(truth, model.n) == model
         r = fit(theoretical_moment_set(model, L=entry.lags), family)
         assert r.ok

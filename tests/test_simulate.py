@@ -35,6 +35,19 @@ CONSUMER_MODELS = [GG, ModelSpec(on_law=Pareto(1.0, 3.0), off_law=Pareto(1.0, 2.
                    ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), N=12)]
 
 
+def start_at(monkeypatch, model, states):
+    """Start `model`'s edges in the given (on, remaining) states, drawing nothing.
+
+    stationary_init is replaced for `model` alone; every other model still
+    draws its stationary start.
+    """
+    draw = simulate.stationary_init
+    on = np.array([o for o, _ in states])
+    remaining = np.array([d for _, d in states], dtype=np.int64)
+    monkeypatch.setattr(simulate, "stationary_init", lambda m, rng: (
+        (on.copy(), remaining.copy()) if m is model else draw(m, rng)))
+
+
 class TestModelSpec:
     def test_rho_examples(self):
         assert GG.rho == pytest.approx(0.8 / 1.1, rel=1e-14)
@@ -113,10 +126,10 @@ class TestStationaryInit:
 
 
 class TestEdgeTrace:
-    def test_deterministic_alternation(self):
+    def test_deterministic_alternation(self, monkeypatch):
         m = ModelSpec(on_law=DET, off_law=DET, n=2)
-        rng = np.random.default_rng(0)
-        trace = simulate_edge_trace(m, 8, rng, init=[(True, 1), (True, 1)])
+        start_at(monkeypatch, m, [(True, 1), (True, 1)])
+        trace = simulate_edge_trace(m, 8, np.random.default_rng(0))
         assert trace.values.tolist() == [2, 0, 2, 0, 2, 0, 2, 0]
 
     def test_k1(self):
@@ -125,15 +138,17 @@ class TestEdgeTrace:
         assert trace.K == 1
         assert 0 <= trace.values[0] <= GG.n
 
-    def test_durations_past_2_53(self):
+    def test_durations_past_2_53(self, monkeypatch):
         # Pareto(1e19, 3) durations lie past 2^53, where survival steps only
         # every thousand or so durations; each draw still brackets and the trace runs
         m = ModelSpec(on_law=Geometric(0.5), off_law=Pareto(1e19, 3.0), n=5)
-        trace = simulate_edge_trace(m, 50, np.random.default_rng(0), init=[(True, 1)] * 5)
+        start_at(monkeypatch, m, [(True, 1)] * 5)
+        trace = simulate_edge_trace(m, 50, np.random.default_rng(0))
         assert trace.values.tolist() == [5] + [0] * 49
         # two such durations in one column would carry its sum past int64
         m = ModelSpec(on_law=Pareto(1e19, 3.0), off_law=Pareto(1e19, 3.0), n=45)
-        trace = simulate_edge_trace(m, 50, np.random.default_rng(0), init=[(True, 1)] * 45)
+        start_at(monkeypatch, m, [(True, 1)] * 45)
+        trace = simulate_edge_trace(m, 50, np.random.default_rng(0))
         assert trace.values.tolist() == [45] + [0] * 49
 
     def test_stationary_mean(self):
@@ -184,12 +199,12 @@ class TestEdgeTrace:
         # by the crossover: np.add row by row and np.cumsum give the same
         # traces and matrices, also where Pareto(1e19, 3) durations are cut to K
         cut = ModelSpec(on_law=Pareto(1e19, 3.0), off_law=Pareto(1e19, 3.0), n=45)
-        init = [(k % 2 == 0, k) for k in range(1, 46)]
+        start_at(monkeypatch, cut, [(k % 2 == 0, k) for k in range(1, 46)])
         models = CONSUMER_MODELS + [ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64)]
         runs = []
         for edges in (1, math.inf):
             monkeypatch.setattr(simulate, "_ROW_SUM_EDGES", edges)
-            run = [simulate_edge_trace(cut, 60, np.random.default_rng(33), init=init).values]
+            run = [simulate_edge_trace(cut, 60, np.random.default_rng(33)).values]
             for m in models:
                 run.append(simulate_edge_trace(m, 700, np.random.default_rng(33)).values)
                 run.append(edge_indicator_matrix(m, 700, np.random.default_rng(33)))
@@ -203,15 +218,14 @@ class TestEdgeTrace:
         # consumer models, on blocks one cycle deep, on the cut path and on
         # N = 64 (the row-wise running sum)
         cut = ModelSpec(on_law=Pareto(1e19, 3.0), off_law=Pareto(1e19, 3.0), n=45)
-        cut_init = [(k % 2 == 0, k) for k in range(1, 46)]
-        cases = [(m, 300, None) for m in CONSUMER_MODELS] + [
-            (cut, 60, cut_init),
-            (ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64), 300, None)]
+        start_at(monkeypatch, cut, [(k % 2 == 0, k) for k in range(1, 46)])
+        cases = [(m, 300) for m in CONSUMER_MODELS] + [
+            (cut, 60), (ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=64), 300)]
         for draws in (simulate._BLOCK_DRAWS, 1):
             monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
-            for m, K, init in cases:
-                on, blocks = simulate._phase_switches(m, K, np.random.default_rng(34), init)
-                old_on, old_blocks = interleaved_switches(m, K, np.random.default_rng(34), init)
+            for m, K in cases:
+                on, blocks = simulate._phase_switches(m, K, np.random.default_rng(34))
+                old_on, old_blocks = interleaved_switches(m, K, np.random.default_rng(34))
                 assert np.array_equal(on, old_on)
                 new = [(np.broadcast_to(edges, ons.shape), times, np.full(ons.shape, into_on))
                        for edges, ons, offs in blocks
@@ -285,18 +299,14 @@ class TestEdgeTrace:
         assert np.array_equal(a.values, b.values)
 
 
-def interleaved_switches(model, K, rng, init=None):
+def interleaved_switches(model, K, rng):
     """The switch generator with on and off durations interleaved down each column (an oracle).
 
     It yields (edges, times, enters_on): column c of the (2 pairs) x edges.size
     matrix `times` holds edge edges[c]'s switch times, row r entering the on
     phase for even r where enters_on[c] and for odd r where not.
     """
-    if init is None:
-        on, remaining = stationary_init(model, rng)
-    else:
-        on = np.array([bool(o) for o, _ in init])
-        remaining = np.array([int(d) for _, d in init], dtype=np.int64)
+    on, remaining = simulate.stationary_init(model, rng)
     cycle = model.on_law.mean() + model.off_law.mean()
     longest = max(model.on_law.sample(2.0**-53), model.off_law.sample(2.0**-53))
     cut = longest > (2**63 - 1 - K) // simulate._BLOCK_DRAWS
