@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy
 
-from .laws import Geometric, Pareto, Weibull
+from .laws import Geometric, Pareto
 from .moments import FAMILIES, rate_jacobian
 from .renewal import autocovariance
 from .simulate import ModelSpec
@@ -308,23 +308,11 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
 
 
 def finiteness_check(model: ModelSpec) -> tuple[bool, str]:
-    """Whether the limiting variances v0, v1, c01 are finite.
-
-    Geometric and Weibull tails decay faster than any power; a Pareto tail
-    has index alpha and needs alpha > 2.
-    """
+    """Whether the limiting variances v0, v1, c01 are finite: whether each law's
+    tail_index (inf for geometric and Weibull laws, alpha for Pareto) exceeds 2."""
     verdicts = []
-    ok = True
     for name, law in (("on", model.on_law), ("off", model.off_law)):
-        if isinstance(law, Pareto):
-            if law.alpha > 2.0:
-                verdicts.append(f"{name}-time Pareto tail index {law.alpha} > 2")
-            else:
-                verdicts.append(f"{name}-time Pareto tail index {law.alpha} <= 2")
-                ok = False
-        elif isinstance(law, (Geometric, Weibull)):
-            verdicts.append(f"{name}-time {type(law).__name__} tail is lighter than any power law")
-        else:
-            verdicts.append(f"{name}-time law {type(law).__name__} unknown")
-            ok = False
-    return ok, "; ".join(verdicts)
+        kind, index = type(law).__name__, law.tail_index
+        verdicts.append(f"{name}-time {kind} tail is lighter than any power law" if index == math.inf
+                        else f"{name}-time {kind} tail index {index} {'>' if index > 2.0 else '<='} 2")
+    return bool(min(model.on_law.tail_index, model.off_law.tail_index) > 2.0), "; ".join(verdicts)

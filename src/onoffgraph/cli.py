@@ -51,7 +51,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="trace length")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="trace.csv", help="output CSV path")
-    p.add_argument("--kind", choices=["edges", "triangles", "wedges"])
 
     p = add("estimate", "estimate parameters from a saved trace")
     p.add_argument("--trace", required=True, help="trace CSV path")
@@ -106,12 +105,11 @@ def main(argv=None) -> int:
 def _dispatch(args, cfg, model) -> int:
     if args.command == "simulate":
         K = whole_number("K", args.k if args.k is not None else cfg.get("K", ExperimentConfig.K))
-        kind = args.kind or cfg.get("kind", ExperimentConfig.kind)
-        rng = np.random.default_rng(args.seed)
-        trace = simulate_trace(model, K, rng, kind=kind)
+        trace = simulate_trace(model, K, np.random.default_rng(args.seed),
+                               kind=cfg.get("kind", ExperimentConfig.kind))
         trace.seed = args.seed
         save_trace(trace, args.out)
-        print(json.dumps({"out": str(args.out), "kind": kind, "K": K}))
+        print(json.dumps({"out": str(args.out), "kind": trace.kind, "K": K}))
         return 0
 
     if args.command == "estimate":

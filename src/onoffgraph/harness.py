@@ -117,9 +117,8 @@ class CampaignSummary:
         }
 
 
-def _run_replication(args):
-    """One simulate-and-estimate unit."""
-    cfg, rep = args
+def _run_replication(cfg, rep):
+    """One simulate-and-estimate unit: replication rep's row."""
     seed = mix_seed(cfg.base_seed, rep)
     rng = np.random.default_rng(seed)
     trace = simulate_trace(cfg.model, cfg.K, rng, kind=cfg.kind)
@@ -130,14 +129,14 @@ def _run_replication(args):
         row["flags"] = list(report.flags)
     except COMPUTE_ERRORS as exc:  # flagged, never aborts the campaign
         row["flags"] = [f"error:{type(exc).__name__}:{exc}"]
-    return rep, row
+    return row
 
 
-def _child(tasks, conn):
-    """A child's entry point, module-level so that spawn can pickle it: send its
-    batch's rows, or the error that stopped it."""
+def _child(cfg, reps, conn):
+    """A child's entry point, module-level so that spawn can pickle it: send the
+    rows of replications reps, or the error that stopped it."""
     try:
-        conn.send(([_run_replication(task) for task in tasks], None))
+        conn.send(([_run_replication(cfg, rep) for rep in reps], None))
     except Exception as exc:  # re-raised by the caller, this traceback as its cause
         conn.send((exc, traceback.format_exc()))
 
@@ -164,7 +163,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     child's error, or its exit before it answers, raises here; no child
     outlives the call.
     """
-    tasks = [(cfg, rep) for rep in range(1, cfg.R + 1)]
+    reps = range(1, cfg.R + 1)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cfg.workers, cfg.R, cpus)
@@ -173,12 +172,12 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
         for w in range(1, workers):
             recv, send = multiprocessing.Pipe(duplex=False)
             with send:  # the child holds the one write end, so its exit reads as EOF
-                proc = multiprocessing.Process(target=_child, args=(tasks[w::workers], send))
+                proc = multiprocessing.Process(target=_child, args=(cfg, reps[w::workers], send))
                 proc.start()
             children.append((proc, recv))
-        results = [_run_replication(task) for task in tasks[::workers]]
+        rows = [_run_replication(cfg, rep) for rep in reps[::workers]]
         for proc, recv in children:
-            results += _receive(proc, recv)
+            rows += _receive(proc, recv)
     except BaseException:
         for proc, _ in children:
             proc.terminate()
@@ -187,8 +186,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
         for proc, recv in children:
             recv.close()
             proc.join()
-    results.sort(key=lambda item: item[0])
-    rows = [row for _, row in results]
+    rows.sort(key=lambda row: row["rep"])
 
     names = cfg.param_names
     good = [r["params"] for r in rows if r["params"] is not None and not r["flags"]]

@@ -6,10 +6,10 @@ Three parametric families are supported, all with support {1, 2, ...}:
 * discrete Weibull, survival exp(-lambda * (i-1)^alpha)
 * Pareto/Lomax, survival C^alpha / (C + i - 1)^alpha
 
-Each law exposes its survival function, pmf, an exact inverse-transform
-sampler, its residual (equilibrium) law and its mean map over the free shape
-(p, or alpha at a fixed scale): mean(), its exact slope mean_slope() and,
-for a shape, the inverse, the class method shape_for_mean().
+Each law exposes its survival function, pmf, tail index, an exact sampler,
+its residual (equilibrium) law and its mean map over the free shape (p, or
+alpha at a fixed scale): mean(), its exact slope mean_slope() and, for a
+shape, the inverse, the class method shape_for_mean().
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class DurationLaw:
     """Shared behaviour of the parametric families."""
 
     UNIT_SCALE = {}  # the scale at which a family that fits only the shape holds the law
+    tail_index = math.inf  # survival(i) decays faster than any power of i
 
     def survival(self, i):
         """P(Z >= i) for integer i >= 1 (scalar or array)."""
@@ -185,7 +186,11 @@ class DurationLaw:
         return i
 
     def to_config(self):
-        raise NotImplementedError
+        """{"kind": ..., key: value, ...} in LAW_KINDS' key order, as law_from_config reads it."""
+        for kind, (cls, keys) in LAW_KINDS.items():
+            if type(self) is cls:
+                return {"kind": kind} | {key: getattr(self, attr) for key, attr in keys.items()}
+        raise NotImplementedError(f"{type(self).__name__} has no config kind")
 
 
 @dataclass(frozen=True)
@@ -224,9 +229,6 @@ class Geometric(DurationLaw):
 
     def residual(self):  # the law itself: S(k) / E[Z] = (1 - p)^(k-1) p is its own pmf
         return self
-
-    def to_config(self):
-        return {"kind": "geometric", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -327,9 +329,6 @@ class Weibull(DurationLaw):
         power = 1.0 if a > 1.0 else x ** (1.0 - a)
         return 1e-9 * (1.0 + 1.0 / a) * x + 1e-9 * power / (a * self.lam) + 1e-9
 
-    def to_config(self):
-        return {"kind": "weibull", "lambda": self.lam, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class Pareto(DurationLaw):
@@ -337,6 +336,7 @@ class Pareto(DurationLaw):
     alpha: float
 
     UNIT_SCALE = {"C": 1.0}
+    tail_index = property(lambda self: self.alpha)  # survival(i) falls as i^-alpha
 
     def __post_init__(self):
         if not (0.0 < self.C < math.inf and 0.0 < self.alpha < math.inf):  # NaN fails too
@@ -397,9 +397,6 @@ class Pareto(DurationLaw):
         C, a = self.C, self.alpha
         return 1e-9 * (1.0 + 1.0 / a) * x + 1e-9 * (1.0 + C + C / a)
 
-    def to_config(self):
-        return {"kind": "pareto", "C": self.C, "alpha": self.alpha}
-
 
 class ResidualLaw(DurationLaw):
     """Equilibrium law of a duration law: pmf(k) = survival(k) / mean.
@@ -410,6 +407,7 @@ class ResidualLaw(DurationLaw):
     """
 
     _head = None  # no quantile to spare past survival(2): every draw is searched
+    tail_index = property(lambda self: self.law.tail_index - 1.0)  # T(k) falls one power slower
 
     def __init__(self, law: DurationLaw):
         self.law = law
@@ -658,19 +656,30 @@ invert_zeta_like = Pareto.shape_for_mean  # the name the benchmark calls
 # Config text representation
 # ---------------------------------------------------------------------------
 
+# kind -> (class, {config key: attribute}) with the keys in config order
+LAW_KINDS = {
+    "geometric": (Geometric, {"p": "p"}),
+    "weibull": (Weibull, {"lambda": "lam", "alpha": "alpha"}),
+    "pareto": (Pareto, {"C": "C", "alpha": "alpha"}),
+}
+
 
 def law_from_config(cfg: dict) -> DurationLaw:
     """Build a law from {"kind": ..., ...} as used in config files.
 
-    A cfg that is not a dict is a TypeError, a missing key a KeyError. A
-    parameter that is no number (a bool, text, a list, null) or whose int
-    leaves float range is a ParameterError, as is one the law refuses.
+    A cfg that is not a dict is a TypeError, a missing key a KeyError. A kind
+    not in LAW_KINDS, or a parameter that is no number (a bool, text, a list,
+    null) or whose int leaves float range, is a ParameterError, as is one the law refuses.
     """
     if not isinstance(cfg, dict):
         raise TypeError(f"a law must be an object with a kind, got {cfg!r}")
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in LAW_KINDS:
+        raise ParameterError(f"unknown law kind {kind!r}")
 
     def real(key):
+        if key not in cfg:
+            raise KeyError(f"{kind} law needs key {key!r}")
         v = cfg[key]
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ParameterError(f"{kind} {key} must be a number, got {v!r}")
@@ -679,13 +688,5 @@ def law_from_config(cfg: dict) -> DurationLaw:
         except OverflowError:
             raise ParameterError(f"{kind} {key} is past float range") from None
 
-    try:
-        if kind == "geometric":
-            return Geometric(p=real("p"))
-        if kind == "weibull":
-            return Weibull(lam=real("lambda"), alpha=real("alpha"))
-        if kind == "pareto":
-            return Pareto(C=real("C"), alpha=real("alpha"))
-    except KeyError as exc:
-        raise KeyError(f"{kind} law needs key {exc}") from None
-    raise ParameterError(f"unknown law kind {kind!r}")
+    cls, keys = LAW_KINDS[kind]
+    return cls(**{attr: real(key) for key, attr in keys.items()})

@@ -31,7 +31,6 @@ class MomentSet:
 
     mu: np.ndarray  # mu[l] for l = 0..L-1
     n: int
-    K: int
     kind: str = "edges"
     N: int | None = None
 
@@ -72,7 +71,7 @@ def empirical_moments(trace: CountTrace, L: int = 2) -> MomentSet:
     mu[0] = values.mean()
     for ell in range(1, L):
         mu[ell] = (values[: K - ell] * values[ell:]).mean()
-    return MomentSet(mu=mu, n=trace.n, K=K, kind=trace.kind, N=trace.N)
+    return MomentSet(mu=mu, n=trace.n, kind=trace.kind, N=trace.N)
 
 
 def theoretical_moment_set(model: ModelSpec, L: int = 2, kind: str = "edges") -> MomentSet:
@@ -88,7 +87,7 @@ def theoretical_moment_set(model: ModelSpec, L: int = 2, kind: str = "edges") ->
         n, rho = model.n, model.rho
         mu = n * autocovariance(model, L) + (n * rho) ** 2
         mu[0] = n * rho
-        return MomentSet(mu=mu, n=n, K=0, kind=kind, N=model.N)
+        return MomentSet(mu=mu, n=n, kind=kind, N=model.N)
     if kind not in _SUBGRAPHS:
         raise ValueError(f"unsupported observable {kind!r}")
     if model.N is None or model.N < 3:
@@ -99,7 +98,7 @@ def theoretical_moment_set(model: ModelSpec, L: int = 2, kind: str = "edges") ->
     rho = model.rho
     mu = [copies * math.comb(model.N, 3) * rho**edges,
           pair(model.N, rho, 1.0 - 1.0 / model.on_law.mean())]
-    return MomentSet(mu=np.array(mu[:L]), n=model.n, K=0, kind=kind, N=model.N)
+    return MomentSet(mu=np.array(mu[:L]), n=model.n, kind=kind, N=model.N)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from onoffgraph.renewal import (
 )
 from onoffgraph.simulate import ModelSpec, simulate_edge_trace
 
+import test_laws
 from test_renewal import ALL_MODELS, EXTREME_LAWS, loop_autocovariance
 
 HEAVY = ModelSpec(on_law=Pareto(1.0, 4.0), off_law=Geometric(0.5), n=100)
@@ -457,7 +458,7 @@ def edge_estimator_jacobian(model, family, h=1e-3):
     def params(ell, step):
         mu = m.mu.copy()
         mu[ell] += step
-        return np.array(list(fit(MomentSet(mu=mu, n=m.n, K=0), family).params.values()))
+        return np.array(list(fit(MomentSet(mu=mu, n=m.n), family).params.values()))
 
     cols = [(8 * (params(ell, h) - params(ell, -h)) - params(ell, 2 * h) + params(ell, -2 * h))
             / (12 * h) for ell in (0, 1)]
@@ -913,3 +914,41 @@ class TestFiniteness:
         ok, _ = finiteness_check(
             ModelSpec(on_law=Weibull(1.0, 0.5), off_law=Geometric(0.7), n=2))
         assert ok
+
+    @staticmethod
+    def _by_class(model):
+        """The verdict by law class, as an oracle: Pareto needs alpha > 2, geometric and
+        Weibull laws pass, and each explanation is worded as finiteness_check words it."""
+        verdicts, ok = [], True
+        for name, law in (("on", model.on_law), ("off", model.off_law)):
+            if isinstance(law, Pareto):
+                sign = ">" if law.alpha > 2.0 else "<="
+                verdicts.append(f"{name}-time Pareto tail index {law.alpha} {sign} 2")
+                ok = ok and law.alpha > 2.0
+            else:
+                verdicts.append(f"{name}-time {type(law).__name__} tail is lighter than any power law")
+        return ok, "; ".join(verdicts)
+
+    def test_verdict_by_tail_index(self):
+        # the tail index gives the verdict and the words of a check by class, on
+        # extreme laws and on Pareto indices within 1e-12 of 2 on either side
+        near_two = [Pareto(1.0, a) for a in (2.0 - 1e-12, math.nextafter(2.0, 0.0), 2.0,
+                                             math.nextafter(2.0, 3.0), 2.0 + 1e-12)]
+        laws = list(EXTREME_LAWS) + list(test_laws.EXTREME_LAWS) + near_two
+        for on, off in itertools.product(laws, laws):
+            model = ModelSpec(on_law=on, off_law=off, n=2)
+            assert finiteness_check(model) == self._by_class(model)
+        assert [finiteness_check(ModelSpec(law, law, n=2))[0] for law in near_two] == [
+            False, False, False, True, True]
+
+    def test_no_law_class_listed(self):
+        # laws own their tail index: finiteness_check tests no class, and asymp
+        # imports no law class but those it builds or whose scale it reads
+        tree = ast.parse(Path(asymp.__file__).read_text())
+        (check,) = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "finiteness_check"]
+        calls = {getattr(node.func, "id", None) for node in ast.walk(check) if isinstance(node, ast.Call)}
+        assert "isinstance" not in calls
+        imported = [alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.module == "laws" for alias in node.names]
+        assert imported == ["Geometric", "Pareto"]

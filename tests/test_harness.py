@@ -223,10 +223,10 @@ class TestCampaign:
         # a child that exits without answering fails the campaign at once
         caller, replicate = os.getpid(), harness._run_replication
 
-        def dies_in_child(task):
+        def dies_in_child(cfg, rep):
             if os.getpid() != caller:
                 os._exit(3)
-            return replicate(task)
+            return replicate(cfg, rep)
 
         monkeypatch.setattr(harness, "_run_replication", dies_in_child)
         cfg = ExperimentConfig(model=GG, K=200, R=4, base_seed=1, workers=2)
@@ -293,6 +293,18 @@ class TestOutputs:
         assert qq[0] == "theoretical_quantile,sample_quantile"
         assert len(qq) == 1 + 8
 
+    def test_qq_of_constant_values_is_empty(self):
+        for vals in (np.full(5, 0.3), np.array([2.0]), np.array([])):
+            theo, sample = _qq_pairs(vals)
+            assert theo.size == 0 and sample.size == 0
+
+    def test_emit_under_a_file_names_the_directory(self, tmp_path):
+        summary = run_campaign(ExperimentConfig(model=GG, K=50, R=2, base_seed=4))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError, match="writing campaign outputs under .*file.out"):
+            emit_outputs(summary, blocker / "out")
+
     def test_qq_quantiles_match_norm_ppf(self):
         # ndtri is scipy.stats.norm.ppf at loc 0, scale 1, so qq_*.csv bytes are unchanged
         from scipy.stats import norm
@@ -355,10 +367,17 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         return str(path)
 
-    def test_usage_error_exit_1(self):
+    def test_usage_error_exit_1(self, tmp_path):
         assert self._run().returncode == 1
         assert self._run("frobnicate").returncode == 1
         assert self._run("campaign", "--out", "x").returncode == 1  # no --config
+        # simulate takes its observable from the config alone, as estimate does
+        cfg = self._write_cfg(tmp_path, {"on": {"kind": "geometric", "p": 0.3},
+                                         "off": {"kind": "geometric", "p": 0.8}, "n": 10})
+        out = tmp_path / "t.csv"
+        res = self._run("simulate", "--config", cfg, "--k", "20", "--out", str(out),
+                        "--kind", "edges")
+        assert res.returncode == 1 and "--kind" in res.stderr and not out.exists()
 
     def test_compute_error_exit_2(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {
@@ -754,6 +773,8 @@ class TestCli:
         ({"on": "geometric"}, 1, CONFIG_COMMANDS),
         ({"on": None}, 1, CONFIG_COMMANDS),
         ({"on": {"kind": "geometric"}}, 1, CONFIG_COMMANDS),
+        ({"on": {"kind": ["geometric"], "p": 0.3}}, 2, CONFIG_COMMANDS),
+        ({"on": {"kind": "zipf", "s": 2.0}}, 2, CONFIG_COMMANDS),
         ({"on": {"kind": "geometric", "p": [0.3]}}, 2, CONFIG_COMMANDS),
         ({"on": {"kind": "geometric", "p": None}}, 2, CONFIG_COMMANDS),
         ({"on": {"kind": "geometric", "p": "0.3"}}, 2, CONFIG_COMMANDS),
@@ -768,12 +789,13 @@ class TestCli:
         ({"on": {"kind": "weibull", "lambda": True, "alpha": 1.0}}, 2, CONFIG_COMMANDS),
         ({"n": 10**400}, 2, CONFIG_COMMANDS),
         ({"n": -1}, 2, CONFIG_COMMANDS),
+        ({"n": 0}, 2, CONFIG_COMMANDS),
         ({"kind": ["edges"]}, 2, ["simulate", "campaign", "estimate"]),
         ({"family": ["geometric_geometric"]}, 2, ["campaign", "estimate"])],
-        ids=["list", "text", "on_text", "on_null", "p_missing", "p_list", "p_null", "p_text",
-             "p_huge", "C_nan", "alpha_nan", "C_inf", "C_true", "C_negative", "lambda_inf",
-             "weibull_alpha_inf", "lambda_true", "n_huge", "n_negative", "kind_list",
-             "family_list"])
+        ids=["list", "text", "on_text", "on_null", "p_missing", "law_kind_list", "law_kind_unknown",
+             "p_list", "p_null", "p_text", "p_huge", "C_nan", "alpha_nan", "C_inf", "C_true",
+             "C_negative", "lambda_inf", "weibull_alpha_inf", "lambda_true", "n_huge",
+             "n_negative", "n_zero", "kind_list", "family_list"])
     def test_malformed_config_is_refused(self, tmp_path, capsys, cfg, code, commands):
         # no traceback: exit 1 as a bad config, or exit 2 with a JSON body
         good = {"on": {"kind": "geometric", "p": 0.3},

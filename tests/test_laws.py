@@ -20,6 +20,7 @@ from onoffgraph.laws import (
     Pareto,
     ResidualLaw,
     Weibull,
+    LAW_KINDS,
     law_from_config,
     _bracket,
     _climb,
@@ -112,6 +113,11 @@ class TestSurvival:
     def test_survival_at_one_is_one(self):
         for law in ALL_LAWS:
             assert law.survival(1) == 1.0
+
+    def test_index_below_one_refused(self):
+        for i in (0, np.array([1, 0]), -3):
+            with pytest.raises(ValueError, match=">= 1"):
+                Geometric(0.3).survival(i)
 
     def test_monotone(self):
         i = np.arange(1, 200)
@@ -616,7 +622,7 @@ class TestInversion:
             Weibull(1.0, a)
         # mu0 = mu1 = 2e-130 with n = 2: fbar1 = mu0 / 2, so the chi target is
         # 1e130, whose alpha (0.0102) lies below the Weibull refusal at 0.0118
-        m = MomentSet(mu=np.array([2e-130, 2e-130]), n=2, K=1000)
+        m = MomentSet(mu=np.array([2e-130, 2e-130]), n=2)
         with pytest.raises(ParameterError, match="weibull"):
             fit(m, "weibull_geometric")
 
@@ -932,5 +938,60 @@ class TestConfig:
         assert law_from_config(cfg) == Weibull(1.0, 0.05)
 
     def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            law_from_config({"kind": "zipf", "s": 2.0})
+        for kind in ("zipf", None, ["geometric"], {"geometric": 1}, 3, "Geometric"):
+            with pytest.raises(ParameterError, match="unknown law kind"):
+                law_from_config({"kind": kind, "p": 0.3, "s": 2.0})
+        with pytest.raises(ParameterError, match="unknown law kind"):
+            law_from_config({"p": 0.3})
+
+    def test_missing_key_named_in_config_order(self):
+        for cfg, key in [({"kind": "geometric"}, "'p'"), ({"kind": "weibull"}, "'lambda'"),
+                         ({"kind": "weibull", "alpha": 0.5}, "'lambda'"),
+                         ({"kind": "weibull", "lambda": 1.0}, "'alpha'"),
+                         ({"kind": "pareto", "alpha": 3.0}, "'C'")]:
+            with pytest.raises(KeyError, match=f"{cfg['kind']} law needs key {key}"):
+                law_from_config(cfg)
+        # a missing key is named before a bad value of a later one is refused
+        with pytest.raises(KeyError, match="'lambda'"):
+            law_from_config({"kind": "weibull", "alpha": "half"})
+
+    def test_config_table(self):
+        # LAW_KINDS lists each kind once; to_config writes its keys in table order
+        assert {cls for cls, _ in LAW_KINDS.values()} == {Geometric, Weibull, Pareto}
+        for law in ALL_LAWS:
+            cfg = law.to_config()
+            cls, keys = LAW_KINDS[cfg["kind"]]
+            assert type(law) is cls and list(cfg) == ["kind", *keys]
+        assert Weibull(2.0, 0.5).to_config() == {"kind": "weibull", "lambda": 2.0, "alpha": 0.5}
+        with pytest.raises(NotImplementedError):
+            Pareto(1.0, 3.0).residual().to_config()
+
+    def test_one_config_writer(self):
+        # laws.py defines to_config once, on DurationLaw, and law_from_config
+        # names no kind: both read LAW_KINDS
+        tree = ast.parse(Path(laws.__file__).read_text())
+        owners = [(cls.name, node.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if getattr(node, "name", None) == "to_config"]
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "to_config"]
+        assert owners == [("DurationLaw", "to_config")] and len(defs) == 1
+        (reader,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "law_from_config"]
+        texts = {node.value for node in ast.walk(reader) if isinstance(node, ast.Constant)}
+        assert not texts & set(LAW_KINDS)
+
+
+class TestTailIndex:
+    def test_values(self):
+        for law in ALL_LAWS:
+            assert law.tail_index == (law.alpha if isinstance(law, Pareto) else math.inf)
+        assert Pareto(2.0, 3.5).residual().tail_index == 2.5
+        assert Weibull(1.0, 0.5).residual().tail_index == math.inf
+
+    def test_survival_exponent(self):
+        # a Pareto survival falls as i^-tail_index: its log slope over a doubling far out
+        for law in ALL_LAWS + [Pareto(1e6, 1.0001), Pareto(0.5, 8.0)]:
+            if law.tail_index < math.inf:
+                i = 1e9 * (1.0 + law.C)
+                slope = math.log(law.survival(2 * i) / law.survival(i)) / math.log(2.0)
+                assert slope == pytest.approx(-law.tail_index, rel=1e-3)

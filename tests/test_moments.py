@@ -155,20 +155,20 @@ class TestEdgeEstimators:
     def test_gg_matches_displayed_formula(self):
         # no hidden renormalization: exactly the closed-form expressions
         mu = np.array([60.0, 3650.0])
-        m = MomentSet(mu=mu, n=100, K=1000)
+        m = MomentSet(mu=mu, n=100)
         D = mu[0] - mu[1] + (1 - 1 / 100) * mu[0] ** 2
         r = fit(m, "geometric_geometric")
         assert r.params["p"] == D / mu[0]
         assert r.params["q"] == D / (100 - mu[0])
 
     def test_gg_boundary(self):
-        m = MomentSet(mu=np.array([100.0, 10000.0]), n=100, K=10)
+        m = MomentSet(mu=np.array([100.0, 10000.0]), n=100)
         with pytest.raises(IncompatibleMomentsError):
             fit(m, "geometric_geometric")
 
     def test_gg_range_flag(self):
         # crafted moments driving q_hat above 1: estimate still reported
-        m = MomentSet(mu=np.array([99.0, 9700.0]), n=100, K=10)
+        m = MomentSet(mu=np.array([99.0, 9700.0]), n=100)
         r = fit(m, "geometric_geometric")
         assert "q_out_of_range" in r.flags
         assert "q" in r.params
@@ -189,7 +189,7 @@ class TestEdgeEstimators:
 
     def test_parpar_bad_target(self):
         # zeta-sum target below 1 is impossible for the family
-        m = MomentSet(mu=np.array([50.0, 50.0 - 45.0 + 0.99 * 2500.0]), n=100, K=10)
+        m = MomentSet(mu=np.array([50.0, 50.0 - 45.0 + 0.99 * 2500.0]), n=100)
         # engineered so D/mu0 > 1, i.e. mean sum < 1
         m.mu[1] = m.mu[0] + (1 - 1 / 100) * m.mu[0] ** 2 - 60.0
         with pytest.raises(IncompatibleMomentsError):
@@ -341,6 +341,12 @@ class TestSubgraphMoments:
 
 
 class TestSubgraphEstimation:
+    def test_vertex_count_needed(self):
+        m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
+        mu = theoretical_moment_set(m, 2, "triangles").mu
+        with pytest.raises(ValueError, match="vertex count N"):
+            fit(MomentSet(mu=mu, n=m.n, kind="triangles"), "geometric_geometric")
+
     def test_round_trips(self):
         m = ModelSpec(on_law=Geometric(0.3), off_law=Geometric(0.8), N=20)
         for kind in ("triangles", "wedges"):
@@ -367,7 +373,7 @@ class TestSubgraphEstimation:
         # rho = 1e-20 gives q_hat = 5e-21 in (0, 1), but 1 - q_hat rounds to 1
         N, rho = 10, 1e-20
         ms = MomentSet(mu=np.array([math.comb(N, 3) * rho**3, _triangle_pair(N, rho, 0.5)]),
-                       n=45, K=1000, kind="triangles", N=N)
+                       n=45, kind="triangles", N=N)
         with pytest.raises(ParameterError, match="geometric"):
             fit(ms, "geometric_geometric")
 
@@ -384,7 +390,7 @@ class TestSubgraphEstimation:
             estimate_from_subgraph(ms)
 
     def test_validation(self):
-        ms = MomentSet(mu=np.array([1.0, 1.0]), n=100, K=0, kind="edges", N=None)
+        ms = MomentSet(mu=np.array([1.0, 1.0]), n=100, kind="edges", N=None)
         with pytest.raises(ValueError):
             estimate_from_subgraph(ms)
 

@@ -452,6 +452,10 @@ class TestAutocovariance:
             # P(on at 1 + d | on at 1) lies in [0, 1]
             assert np.all((gamma >= -rho * rho) & (gamma <= rho * (1 - rho)))
 
+    def test_no_lag_refused(self):
+        with pytest.raises(ValueError, match="k_max"):
+            autocovariance(GG, 0)
+
     @pytest.mark.parametrize("k_max", [1, 2, 3, 50, 2048])
     def test_matches_loop(self, k_max):
         for model in ALL_MODELS:

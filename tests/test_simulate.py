@@ -402,6 +402,12 @@ class TestGraphCounts:
         assert triangle_counts(empty, N)[0] == 0
         assert wedge_counts(empty, N)[0] == 0
 
+    def test_two_vertices_count_zero(self):
+        # one vertex pair closes no triangle and makes no wedge, on or off
+        one_edge = np.array([[True, False, True]])
+        for counts in (triangle_counts(one_edge, 2), wedge_counts(one_edge, 2)):
+            assert counts.tolist() == [0, 0, 0] and counts.dtype == np.int64
+
     def test_complete_graph_is_exact(self):
         # exact where float32 adjacency products would round: N(N-1)(N-2) > 2^24
         N = 300
