@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy
 
-from .laws import Geometric, Pareto
+from .laws import Geometric
 from .moments import FAMILIES, rate_jacobian
 from .renewal import autocovariance
 from .simulate import ModelSpec
@@ -186,18 +186,17 @@ _GEO_AGREE = 1e-3  # the relative agreement in 1 - r that a geometric tail needs
 def _tail_exponents(model: ModelSpec, k_end: int) -> list[float]:
     """Decay exponents of the cross-edge increments that a tail fit at k_end can use.
 
-    A Pareto(C, a) law's tables approach their limits as k^-(a-1), with
+    The tables of a law of tail index a approach their limits as k^-(a-1), with
     corrections in k^-a, k^-(a+1) and k^-2(a-1); an increment is a product of
     two entries. Only the sums within 4 of the least are kept: over the fit
     window a steeper power falls by 256^4, and each further column worsens
     the fit (with every sum 11 of 252 models of index 2.1 to 8 stayed
-    unconverged; with the cut, none of 864). A law with C >= k_end adds
-    none: below its scale its survival (1 + k/C)^-a still decays like
-    exp(-a k / C), as a light tail does. Powers with k_end^gamma out of
-    float range go too: such a law sits below the rounding floor by k_end.
+    unconverged; with the cut, none of 864). A law whose tail_scale C is at
+    least k_end adds none: below it, survival (1 + k/C)^-a decays like
+    exp(-a k / C), as a light tail (of scale inf) does. Powers with k_end^gamma
+    out of float range go too: such a law sits below the rounding floor by k_end.
     """
-    alphas = [law.alpha for law in (model.on_law, model.off_law)
-              if isinstance(law, Pareto) and law.C < k_end]
+    alphas = [law.tail_index for law in (model.on_law, model.off_law) if law.tail_scale < k_end]
     single = sorted({g for a in alphas for g in (a - 1.0, a, a + 1.0, 2.0 * (a - 1.0))})
     sums = {g + h for g in single for h in single if g + h <= 2.0 * single[0] + 4.0}
     return sorted(g for g in sums if g * math.log(k_end) < 700.0)
@@ -248,30 +247,30 @@ def general_moment_cov(model: ModelSpec, n: int, k_cap: int = K_CAP) -> MomentCo
     """Moment covariance matrix for any on/off laws: renewal-reward limits and one series.
 
     The one-edge matrix is exact (_reward_cov). The rest of v1, entry [1, 1],
-    the cross-edge series, is summed on one set of renewal tables to k0,
-    which starts at min(K0, k_cap) and doubles, up to k_cap, until the series
+    the cross-edge series, is summed on one set of renewal tables to k0, which
+    starts at min(K0, k_cap) and doubles, up to k_cap, until the series
     converges. A finite model with no tail exponent at that start tries
-    k0 = _K0_MIN first, and goes on from min(K0, k_cap) only if that table
-    does not converge: light tails mixing fast reach the floor within a few
-    dozen lags. For Pareto laws its increments decay as powers of k; a
-    least-squares fit over the largest lags gives their sum beyond k0 in
-    closed form (tail_correction, whose v0 and c01 entries are 0). A law with
-    C >= k0 still decays geometrically there and adds no tail exponent, nor
-    does one whose exponents pass float range. tail_error is the series' move
-    between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|): it bounds the
-    truncation only, not the rounding in the renewal tables. On 72 of 188 GG
-    grid models the error against geometric_moment_cov exceeds it, by up to
-    499 times, at most 5.3e-9 relative. converged means tail_error <= _TOL *
-    scale, scale the largest of 1, |v0|, |v1| and |c01|. With no tail exponent
-    that move can understate what is left of a slowly decaying series, so k0
-    also doubles until the increments reach the floor by k0 / 2; at k_cap,
-    converged rests on tail_error alone, and where it fails that table tries a
-    geometric tail (GG with |1 - p - q| within 2e-6 of 1 converges so, to
-    7.5e-11 of v1). k_used is the final k0. _TOL sits far above the relative
-    tail errors measured on 864 Pareto models with indices from 2.05 to 20 (at
-    most 1.5e-9). Where finiteness_check fails, a DivergenceWarning is issued,
-    the variances are infinite and so are v0 and v1, converged is False and k0
-    is not doubled.
+    k0 = _K0_MIN first, and goes on from min(K0, k_cap) only if that table does
+    not converge: light tails mixing fast reach the floor within a few dozen
+    lags. For Pareto laws its increments decay as powers of k; a least-squares
+    fit over the largest lags gives their sum beyond k0 in closed form
+    (tail_correction, whose v0 and c01 entries are 0). A law whose tail_scale
+    is at least k0 still decays geometrically there and adds no tail exponent,
+    nor does one whose exponents pass float range. tail_error is the series'
+    move between k0 / 2 and k0 plus its rounding floor (_FLOOR |v1|), blind to
+    the increments dropped past the floor lag: on 76 of test_asymp's 196 GG
+    grid models (74 fed the exact gamma) the error against geometric_moment_cov
+    exceeds it, by up to 499 times, at most 5.3e-9 relative. converged means
+    tail_error <= _TOL * scale, scale the largest of 1, |v0|, |v1| and |c01|.
+    With no tail exponent that move can understate what is left of a slowly
+    decaying series, so k0 also doubles until the increments reach the floor by
+    k0 / 2; at k_cap, converged rests on tail_error alone, and where it fails
+    that table tries a geometric tail (GG with |1 - p - q| within 2e-6 of 1
+    converges so, to 7.5e-11 of v1). k_used is the final k0. _TOL sits far
+    above the relative tail errors measured on 864 Pareto models with indices
+    from 2.05 to 20 (at most 1.5e-9). Where finiteness_check fails, a
+    DivergenceWarning is issued, the variances are infinite and so are v0 and
+    v1, converged is False and k0 is not doubled.
     """
     if k_cap < _K0_MIN:
         raise ValueError(f"k_cap must be >= {_K0_MIN}, got {k_cap}")

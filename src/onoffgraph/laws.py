@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import ConvergenceError, InfiniteMeanError, OutOfRangeError, ParameterError
+from .errors import (ConvergenceError, IncompatibleMomentsError, InfiniteMeanError,
+                     OutOfRangeError, ParameterError)
 
 # Draws beyond int64 range (possible as Pareto alpha -> 1 or C -> inf) are returned as this cap.
 RESIDUAL_CAP = 2**62
@@ -58,6 +59,7 @@ class DurationLaw:
 
     UNIT_SCALE = {}  # the scale at which a family that fits only the shape holds the law
     tail_index = math.inf  # survival(i) decays faster than any power of i
+    tail_scale = math.inf  # the i past which survival(i) falls as i^-tail_index
 
     def survival(self, i):
         """P(Z >= i) for integer i >= 1 (scalar or array)."""
@@ -76,6 +78,16 @@ class DurationLaw:
         Both terms are moments of Z - 1, so a law near Z = 1 cancels nothing.
         """
         raise NotImplementedError
+
+    @classmethod
+    def param_for_rate(cls, rate):
+        """(whether rate lies in (0, 1), solver), solver() the free parameter at which
+        1/E[Z] = rate. A shape law solves by shape_for_mean(1/rate) and refuses 1/rate <= 1
+        first, so that a fit refuses every law's target before it solves for any."""
+        if rate <= 0 or 1.0 / rate <= 1.0:
+            raise IncompatibleMomentsError(f"{cls.__name__.lower()} mean target must exceed 1, "
+                                           f"got {1.0 / rate if rate > 0 else rate}")
+        return True, functools.partial(cls.shape_for_mean, 1.0 / rate)
 
     def _quantile(self, u):
         """The real x with survival(x + 1) = u, so the bracket of u is floor(x) + 1, as a new array."""
@@ -198,6 +210,7 @@ class Geometric(DurationLaw):
     p: float
 
     _head = None  # no head test in sample(): the one-log quantile costs less than the split
+    param_for_rate = classmethod(lambda cls, rate: (0.0 < rate < 1.0, lambda: rate))  # p = rate
 
     def __post_init__(self):
         # 1 - p must round below 1, or survival is 1 everywhere
@@ -337,6 +350,7 @@ class Pareto(DurationLaw):
 
     UNIT_SCALE = {"C": 1.0}
     tail_index = property(lambda self: self.alpha)  # survival(i) falls as i^-alpha
+    tail_scale = property(lambda self: self.C)
 
     def __post_init__(self):
         if not (0.0 < self.C < math.inf and 0.0 < self.alpha < math.inf):  # NaN fails too
@@ -375,6 +389,40 @@ class Pareto(DurationLaw):
         return _climb(lambda a: (_pareto_tail(scale, a, scale), _pareto_slope(scale, a)),
                       target, start, miss=1e-6)
 
+    @classmethod
+    def params_for_mean(cls, target, ratio):
+        """(C, alpha) with mean() = target and survival(2) = ratio, target above 1 / (1 - ratio).
+
+        Eliminating C = t/(1-t), t = ratio^(1/alpha), leaves a mean P(C(alpha), alpha) that
+        decreases toward 1 / (1 - ratio). Its terms r^alpha, r = C / (C + j), are convex in j
+        and the first is ratio, so P exceeds 1 + ratio/2 + ratio (C + 1)/(alpha - 1) and
+        alpha -> 1 + K / (1 - t), K = ratio / (target - 1 - ratio/2), rises from 1 toward the
+        root without passing it. _climb starts where that levels off, with the slope
+        dP/dalpha + dP/dC C'(alpha); dP/dC = (alpha / C) C^alpha (zeta(alpha, C + 1) -
+        C zeta(alpha + 1, C + 1)) forms no C^(alpha + 1), which can overflow where P does not.
+        """
+        def c_of(alpha):  # a Python float, so that C^alpha past float range is refused
+            t = float(ratio) ** (1.0 / alpha)
+            return t / (1.0 - t)
+
+        def mean_sum(alpha):
+            C, zeta = c_of(alpha), scipy.special.zeta
+            scale, z = _pareto_scale(C, alpha), zeta(alpha, C + 1.0)
+            # dP/dC C'(alpha), C'(alpha) = -C (1 + C) ln ratio / alpha^2, with alpha / C cancelled
+            chain = scale * (z - C * zeta(alpha + 1.0, C + 1.0)) * (1.0 + C) * -math.log(ratio) / alpha
+            return 1.0 + scale * z, _pareto_slope(C, alpha) + chain
+
+        alpha, K = 1.0, ratio / (target - 1.0 - ratio / 2.0)
+        for _ in range(64):
+            step = 1.0 + K / -math.expm1(math.log(ratio) / alpha) - alpha
+            if not step > 1e-3 * (alpha - 1.0):
+                break
+            alpha += step
+        if alpha <= 1.0:
+            raise OutOfRangeError(f"mean-sum target {target} needs an alpha within rounding of 1")
+        alpha = _climb(mean_sum, target, alpha, limit=1.0 / (1.0 - ratio))
+        return c_of(alpha), alpha
+
     def tail_sum(self, k):
         return _pareto_tail(self.C, self.alpha, self.C + _as_index(k) - 1.0)
 
@@ -408,6 +456,7 @@ class ResidualLaw(DurationLaw):
 
     _head = None  # no quantile to spare past survival(2): every draw is searched
     tail_index = property(lambda self: self.law.tail_index - 1.0)  # T(k) falls one power slower
+    tail_scale = property(lambda self: self.law.tail_scale)
 
     def __init__(self, law: DurationLaw):
         self.law = law

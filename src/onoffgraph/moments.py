@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
-from .errors import IncompatibleMomentsError, OutOfRangeError
-from .laws import Geometric, Pareto, Weibull, _climb, _pareto_scale, _pareto_slope
+from .errors import IncompatibleMomentsError
+from .laws import Geometric, Pareto, Weibull
 from .renewal import autocovariance
 from .simulate import CountTrace, ModelSpec
 
@@ -132,17 +131,8 @@ def rate_jacobian(model: ModelSpec) -> np.ndarray:
 def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
     """(C_hat, alpha_hat, q_hat) for Pareto(C, alpha) on-times, geometric off-times.
 
-    Needs mu_hat(2). The system is
-        zeta(C, alpha) = mu_hat(0) / D        (mean sum)
-        (C/(C+1))^alpha = q_hat - (mu_hat(2) - mu_hat(1)) / D
-    and is solved by eliminating C = t/(1-t) with t = T2^(1/alpha), leaving a
-    mean P(C(alpha), alpha) that decreases toward 1 / (1 - T2). Its terms
-    r^alpha, r = C / (C + j), are convex in j and the first is T2, so P exceeds
-    1 + T2/2 + T2 (C + 1)/(alpha - 1) and alpha -> 1 + K / (1 - t), K = T2 / (T1 - 1 - T2/2),
-    rises from alpha = 1 toward the root without passing it. The climb starts
-    where that levels off, with the slope dP/dalpha + dP/dC C'(alpha), where
-    dP/dC = (alpha / C) C^alpha (zeta(alpha, C + 1) - C zeta(alpha + 1, C + 1))
-    forms no C^(alpha + 1), which can overflow where P does not.
+    Needs mu_hat(2): Pareto.params_for_mean solves zeta(C, alpha) = mu_hat(0) / D
+    (the mean sum) with (C/(C+1))^alpha = q_hat - (mu_hat(2) - mu_hat(1)) / D.
     """
     if m.L < 3:
         raise ValueError("pareto/geometric estimation needs moments up to lag 2")
@@ -163,28 +153,7 @@ def estimate_pareto_geo(m: MomentSet) -> EstimateReport:
     if T1 <= limit * (1.0 + rounding):
         raise IncompatibleMomentsError(
             f"mean-sum target {T1} unreachable for survival ratio {T2}, whose limit is {limit}")
-
-    def c_of(alpha):  # a Python float, so that C^alpha past float range is refused
-        t = float(T2) ** (1.0 / alpha)
-        return t / (1.0 - t)
-
-    def mean_sum(alpha):
-        C, zeta = c_of(alpha), scipy.special.zeta
-        scale, z = _pareto_scale(C, alpha), zeta(alpha, C + 1.0)
-        # dP/dC C'(alpha), with C'(alpha) = -C (1 + C) ln T2 / alpha^2 and alpha / C cancelled
-        chain = scale * (z - C * zeta(alpha + 1.0, C + 1.0)) * (1.0 + C) * -math.log(T2) / alpha
-        return 1.0 + scale * z, _pareto_slope(C, alpha) + chain
-
-    alpha, K = 1.0, T2 / (T1 - 1.0 - T2 / 2.0)
-    for _ in range(64):
-        step = 1.0 + K / -math.expm1(math.log(T2) / alpha) - alpha
-        if not step > 1e-3 * (alpha - 1.0):
-            break
-        alpha += step
-    if alpha <= 1.0:
-        raise OutOfRangeError(f"mean-sum target {T1} needs an alpha within rounding of 1")
-    alpha = _climb(mean_sum, T1, alpha, limit=limit)
-    C = c_of(alpha)
+    C, alpha = Pareto.params_for_mean(T1, T2)
     flags = [] if 0.0 < q_hat < 1.0 else ["q_out_of_range"]
     return _report(m, "pareto_geometric", {"C": C, "alpha": alpha, "q": q_hat}, flags,
                    {"mean_sum_target": T1, "survival_ratio_target": T2})
@@ -207,26 +176,22 @@ def _report(m, family, params, flags, diagnostics) -> EstimateReport:
 
 
 def _share_coeffs(N: int):
-    """a0..a3: ordered triple pairs sharing 0 vertices or an edge/no edge/all."""
+    """C(N, 3) and the ordered triple pairs sharing at most one vertex, then one edge."""
     c3 = math.comb(N, 3)
-    a1 = 3 * math.comb(N - 3, 2)  # one shared vertex
-    a2 = 3 * (N - 3)              # one shared edge
-    a3 = 1                        # identical triple
-    a0 = c3 - a1 - a2 - a3        # disjoint vertex sets
-    return c3, a0, a1, a2, a3
+    a2 = 3 * (N - 3)
+    return c3, c3 - a2 - 1, a2  # the one pair left is a triple with itself
 
 
 def _triangle_pair(N, rho, u):
     """E[T(k) T(k+1)] given rho and the edge persistence u = 1 - fbar_1."""
-    c3, a0, a1, a2, a3 = _share_coeffs(N)
-    return c3 * (a0 * rho**6 + a1 * rho**6 + a2 * rho**5 * u + a3 * rho**3 * u**3)
+    c3, a01, a2 = _share_coeffs(N)
+    return c3 * (a01 * rho**6 + a2 * rho**5 * u + rho**3 * u**3)
 
 
 def _wedge_pair(N, rho, u):
-    c3, a0, a1, a2, a3 = _share_coeffs(N)
-    return c3 * (9 * a0 * rho**4 + 9 * a1 * rho**4 + 5 * a2 * rho**4
-                 + 4 * a2 * rho**3 * u + 3 * a3 * rho**2 * u * u
-                 + 6 * a3 * rho**3 * u)
+    c3, a01, a2 = _share_coeffs(N)
+    return c3 * (9 * a01 * rho**4 + 5 * a2 * rho**4 + 4 * a2 * rho**3 * u
+                 + 3 * rho**2 * u * u + 6 * rho**3 * u)
 
 
 # observable -> copies per vertex triple, edges per copy, rho from the mean
@@ -258,13 +223,13 @@ def _subgraph_rate_targets(m: MomentSet):
     if pair(m.N, rho, 0.0) > mu1 or pair(m.N, rho, 1.0) < mu1:
         raise IncompatibleMomentsError(
             "lag-1 product moment incompatible with any persistence in [0, 1]")
-    c3, a0, a1, a2, _ = _share_coeffs(m.N)  # a3 = 1
+    c3, a01, a2 = _share_coeffs(m.N)
     if m.kind == "triangles":
-        p, q = a2 * rho**2, (mu1 / c3 - (a0 + a1) * rho**6) / rho**3
+        p, q = a2 * rho**2, (mu1 / c3 - a01 * rho**6) / rho**3
         w = np.cbrt(q / 2.0 + np.sqrt(q * q / 4.0 + p**3 / 27.0))
         u = q / (w * w + p / 3.0 + (p / (3.0 * w)) ** 2) if q > 0.0 else 0.0
     else:
-        B, R = (4 * a2 + 6) * rho, (mu1 / c3 - (9 * a0 + 9 * a1 + 5 * a2) * rho**4) / rho**2
+        B, R = (4 * a2 + 6) * rho, (mu1 / c3 - (9 * a01 + 5 * a2) * rho**4) / rho**2
         u = 2.0 * R / (B + np.sqrt(B * B + 12.0 * R))
     fbar1 = 1.0 - min(max(u, 0.0), 1.0)
     return (fbar1, rho * fbar1 / (1.0 - rho)), {"rho": rho, "observable": m.kind}
@@ -320,23 +285,17 @@ def _fit_two_lag(m: MomentSet, family: str) -> EstimateReport:
     """A two-lag family's parameters from the rate targets (1/E[X], 1/E[Y]).
 
     Edge moments give (D / mu_hat(0), D / (n - mu_hat(0))), triangle and
-    wedge moments _subgraph_rate_targets. A geometric law's parameter is its
-    rate, flagged outside (0, 1); a Pareto or Weibull law's shape is its
-    class's shape_for_mean at the mean target, which must exceed 1.
+    wedge moments _subgraph_rate_targets. Each law class turns its target
+    into its parameter (param_for_rate), flagged where it lies outside (0, 1).
     """
     entry = FAMILIES[family]
     if m.kind == "edges":
         rates, diagnostics = _first_lag_targets(m)[:2], {}
     else:
         rates, diagnostics = _subgraph_rate_targets(m)
-    for law, rate in zip(entry.laws, rates):
-        if law is not Geometric and (rate <= 0 or 1.0 / rate <= 1.0):
-            raise IncompatibleMomentsError(f"{law.__name__.lower()} mean target must exceed 1, "
-                                           f"got {1.0 / rate if rate > 0 else rate}")
-    params = {name: rate if law is Geometric else law.shape_for_mean(1.0 / rate)
-              for name, law, rate in zip(entry.params, entry.laws, rates)}
-    flags = [f"{name}_out_of_range" for name, law, rate in zip(entry.params, entry.laws, rates)
-             if law is Geometric and not 0.0 < rate < 1.0]
+    steps = [law.param_for_rate(rate) for law, rate in zip(entry.laws, rates)]  # refusals first
+    params = {name: solve() for name, (_, solve) in zip(entry.params, steps)}
+    flags = [f"{name}_out_of_range" for name, (ok, _) in zip(entry.params, steps) if not ok]
     return _report(m, family, params, flags, diagnostics)
 
 

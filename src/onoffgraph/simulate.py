@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfiniteMeanError, ParameterError, TraceMismatchError
-from .laws import DurationLaw, law_from_config
+from .laws import LAW_KINDS, DurationLaw, law_from_config
 
 
 def whole_number(name, v) -> int:
@@ -43,6 +43,9 @@ class ModelSpec:
     N: int | None = None
 
     def __post_init__(self):
+        for law in (self.on_law, self.off_law):
+            if type(law) not in (cls for cls, _ in LAW_KINDS.values()):
+                raise ParameterError(f"{type(law).__name__} is of no law kind in {list(LAW_KINDS)}")
         for name in ("n", "N"):
             v = getattr(self, name)
             if v is not None:

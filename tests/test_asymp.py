@@ -943,7 +943,7 @@ class TestFiniteness:
 
     def test_no_law_class_listed(self):
         # laws own their tail index: finiteness_check tests no class, and asymp
-        # imports no law class but those it builds or whose scale it reads
+        # imports no law class but the one geometric_moment_cov builds
         tree = ast.parse(Path(asymp.__file__).read_text())
         (check,) = [node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "finiteness_check"]
@@ -951,4 +951,4 @@ class TestFiniteness:
         assert "isinstance" not in calls
         imported = [alias.name for node in tree.body
                     if isinstance(node, ast.ImportFrom) and node.module == "laws" for alias in node.names]
-        assert imported == ["Geometric", "Pareto"]
+        assert imported == ["Geometric"]

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import multiprocessing
 import os
@@ -114,6 +115,73 @@ class TestConfig:
             assert ExperimentConfig.from_json(config).workers == 1
 
 
+# a campaign per estimator family on edges, and GG on triangles and wedges
+_G3, _G8, _P3 = ({"kind": "geometric", "p": 0.3}, {"kind": "geometric", "p": 0.8},
+                 {"kind": "pareto", "C": 1.0, "alpha": 3.0})
+PINNED_CAMPAIGNS = {
+    "gg": {"on": _G3, "off": _G8, "n": 100},
+    "pp": {"on": _P3, "off": {"kind": "pareto", "C": 1.0, "alpha": 2.5}, "n": 100},
+    "wg": {"on": {"kind": "weibull", "lambda": 1.0, "alpha": 0.5},
+           "off": {"kind": "geometric", "p": 0.7}, "n": 100},
+    "pg": {"on": _P3, "off": {"kind": "geometric", "p": 0.5}, "n": 100},
+    "triangles": {"on": _G3, "off": _G8, "N": 12, "kind": "triangles"},
+    "wedges": {"on": _G3, "off": _G8, "N": 12, "kind": "wedges"},
+}
+# sha256 of each output file of those campaigns at K = 1000, 6 reps, seed 1
+CAMPAIGN_DIGESTS = {
+    "gg": {
+        "estimates.csv": "0dd47dcbf90ffebdb82d1b60f67e4afc2075c3ced7c67e2a8fa1fbde0da77ab8",
+        "hist_p.csv": "738e529f0c3228698c2576599f398ad9accd4999c5e65d18383dc705eb78393c",
+        "hist_q.csv": "445ecb6951a6c6a3b60ba548c46f6fe5890672f25e332344711c163e34275d75",
+        "qq_p.csv": "508921e5a1fc0771c82025cbb621e0aa1105d10729e482e18e0588319409ae34",
+        "qq_q.csv": "8b9d57006f18d1fb9957224a85337137fdf57fc93dcc42f728342a0ad65314e9",
+        "summary.json": "48c5d1f6d47a52edbafc7e1980ed980e6b535e9f5617460017413f3fc53ff516",
+    },
+    "pp": {
+        "estimates.csv": "d2cb769ae1705c4636db76e6882696e98260a62c1c77297a20a0e5a8c7539016",
+        "hist_alpha.csv": "788392726e64c58eeab03d5b849f2362f876e355d914d2f29508fac6f4df11a6",
+        "hist_beta.csv": "509ef5b65c117d5dc5efc073e4d06b24bcad69df0aee9a097205be1df4169ef5",
+        "qq_alpha.csv": "4d99118787145b7f533ac17e0770302d69395384d50b547907f8d723b20c2472",
+        "qq_beta.csv": "9a359137a7b30aeb408867234f154fe7c04a6599835dd813f39929ae0eaf15b9",
+        "summary.json": "df17c33ac7aaecd245f66b8337a03ce81bb189bed89156b52453d2355748ccf6",
+    },
+    "wg": {
+        "estimates.csv": "a62b913f2a5cee4e7facb2aee6e295beca47a6118a8370efab273efa38fde9f7",
+        "hist_alpha.csv": "f4315f482b4922e9140c5a88bea6eff9634638858a8a13c5145625662ff94b9b",
+        "hist_q.csv": "d74baa08b3dd5b287295553e2c053557cde1fd8f74bccc5986612da67643f9ab",
+        "qq_alpha.csv": "947b783f9a59e8fc9fb37bf2c278560dcbf2017f3e36a89169e8711ea14783d1",
+        "qq_q.csv": "516b6831f1c681c5a98bd6ef4d197bc575f888d736a6b9b92b32cf2b95289655",
+        "summary.json": "7f25431551f5b83fdd26e4fd524baba2fbaccf76d414ed8fa91ecdcc58b01ae5",
+    },
+    "pg": {
+        "estimates.csv": "9ba8cf6e85196887e6edf715275efe0cd8f7715e722e822c4a3a787ce5c82ad6",
+        "hist_C.csv": "201a7d94fa7e69d6c6598f7981ef063e4ff8c10c5496ade96b2aaa4d77bb5b27",
+        "hist_alpha.csv": "3d2761b7bf76309527c8b26ddb71cea0ecb668b25925d6d3f82a92875b4e92db",
+        "hist_q.csv": "6ee570993b9386ba268aa140f1130c73812f407929a0db4e1fe135d0dcc55014",
+        "qq_C.csv": "93ef12e5a9f1e0c9c4c38e10405246989830ae856ff0f3ac74294671cf80d46d",
+        "qq_alpha.csv": "3628ea9fd5fe13e68c2f6e1fdd1e947edc3476c675bf2412a59ab489a14d53c3",
+        "qq_q.csv": "4aa7c78b999f4214003b9ec0a7d4ff96f1adf2455880d53934d2535ac3d325f8",
+        "summary.json": "71abc4c558d0712856094d8e056c26042254311514e69489305f9ec55c6acf98",
+    },
+    "triangles": {
+        "estimates.csv": "9a02bbe56f9cf73a0970ebeea79fe8bb1bab445c87d968ebf5e7d6c976783162",
+        "hist_p.csv": "96f87058abc41fb33c2dba0077727b970013a0844a0567a5ace5cbe9acdd308a",
+        "hist_q.csv": "d077f15f1deeac4c47682c20fe355982f3199c0e94c52aa08f845a8d1820c040",
+        "qq_p.csv": "1d36056503fe8813eb8470f9f318067b73104ad7aa1a6bcae4bfc3a570133953",
+        "qq_q.csv": "2e08717871da80d83b4ae18ea1c7ae5b6fc8de3974f87a57b887ea7a01e9415a",
+        "summary.json": "0b140b9517b0f3bb79bcee436245af253458b6989bff2c4a052658f27eee72f9",
+    },
+    "wedges": {
+        "estimates.csv": "6e6535fea562b896cb201a79845c4c163132a92f0b2e02114b244897857919db",
+        "hist_p.csv": "ddb2c5364938de4addec3fde728714bf863beca0f4f7af557317a810b03e92d6",
+        "hist_q.csv": "39bfe19dc1f3f8cb0cd07a0dd576bb08f9e18b18b2c63c29d22a97373971b88c",
+        "qq_p.csv": "bbb6487ac8fc99293d750b86fb95ce18fea871cde680800ca52855489fd97b0c",
+        "qq_q.csv": "ddc0378f00d7b16ed108b6a773fc771ea970235e48f8b8a2d1df3111c2511314",
+        "summary.json": "43f40e9b47d76ca7b2cc68bdc27878f7991d53cbeb786e7c019a7b89498185b7",
+    },
+}
+
+
 class TestCampaign:
     def test_single_replication(self):
         cfg = ExperimentConfig(model=GG, K=200, R=1, base_seed=5)
@@ -167,6 +235,20 @@ class TestCampaign:
             cfg = ExperimentConfig(model=GG, K=300, R=6, base_seed=11, workers=workers)
             emit_outputs(run_campaign(cfg), tmp_path / d)
         assert _dirs_equal(tmp_path / "w1", tmp_path / "w2")
+
+    def test_outputs_are_pinned(self, tmp_path, started):
+        # literal digests: a change to any output byte (a fit's last bit, a
+        # flag's text, the summary) shows here, at 1 worker and at 2
+        for name, cfg in PINNED_CAMPAIGNS.items():
+            for workers in (1, 2):
+                started.clear()
+                out = tmp_path / f"{name}-{workers}"
+                emit_outputs(run_campaign(ExperimentConfig.from_json(
+                    {**cfg, "K": 1000, "reps": 6, "seed": 1, "workers": workers})), out)
+                assert len(started) == workers - 1
+                digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                           for path in out.iterdir()}
+                assert digests == CAMPAIGN_DIGESTS[name], (name, workers)
 
     def test_summary_json_shape(self):
         cfg = ExperimentConfig(model=GG, K=400, R=5, base_seed=2)
@@ -643,8 +725,8 @@ class TestCli:
         args = (["simulate", "--k", "50", "--out", str(tmp_path / "t.csv")]
                 if command == "simulate" else ["cov"])
         assert cli.main([*args, "--config", cfg]) == code
-        if code == 2:
-            assert json.loads(capsys.readouterr().out)["error"] == "ParameterError"
+        body = json.loads(capsys.readouterr().out)  # read on success too: nothing reaches the log
+        assert body.get("error") == ("ParameterError" if code == 2 else None)
 
     @pytest.mark.parametrize("command,sizes,code", [
         ("simulate", {"K": 300.0}, 0), ("simulate", {"K": 300.5}, 2),

@@ -11,8 +11,8 @@ from scipy.special import gammaincc, gammaln
 from scipy.special import zeta as scipy_zeta
 
 from onoffgraph import laws
-from onoffgraph.errors import (COMPUTE_ERRORS, ConvergenceError, InfiniteMeanError,
-                               OutOfRangeError, ParameterError)
+from onoffgraph.errors import (COMPUTE_ERRORS, ConvergenceError, IncompatibleMomentsError,
+                               InfiniteMeanError, OutOfRangeError, ParameterError)
 from onoffgraph.laws import (
     RESIDUAL_CAP,
     DurationLaw,
@@ -985,13 +985,62 @@ class TestTailIndex:
     def test_values(self):
         for law in ALL_LAWS:
             assert law.tail_index == (law.alpha if isinstance(law, Pareto) else math.inf)
+            assert law.tail_scale == (law.C if isinstance(law, Pareto) else math.inf)
         assert Pareto(2.0, 3.5).residual().tail_index == 2.5
+        assert Pareto(2.0, 3.5).residual().tail_scale == 2.0
         assert Weibull(1.0, 0.5).residual().tail_index == math.inf
 
     def test_survival_exponent(self):
-        # a Pareto survival falls as i^-tail_index: its log slope over a doubling far out
+        # past its tail_scale a Pareto survival falls as i^-tail_index: its log
+        # slope over a doubling far out
         for law in ALL_LAWS + [Pareto(1e6, 1.0001), Pareto(0.5, 8.0)]:
             if law.tail_index < math.inf:
-                i = 1e9 * (1.0 + law.C)
+                i = 1e9 * (1.0 + law.tail_scale)
                 slope = math.log(law.survival(2 * i) / law.survival(i)) / math.log(2.0)
                 assert slope == pytest.approx(-law.tail_index, rel=1e-3)
+
+
+class TestLawInterface:
+    """The fit, the covariance tail and the model ask a law, never its class."""
+
+    SRC = Path(laws.__file__).parent
+
+    def test_rate_to_parameter(self):
+        # a geometric p is the rate itself, not 1/(1/rate), flagged outside
+        # (0, 1); a shape law refuses a mean target 1/rate <= 1 before it
+        # solves, by shape_for_mean
+        for rate in map(np.float64, (0.3, 1e-300, 0.0, 1.0, -0.5, 2.0)):
+            ok, solve = Geometric.param_for_rate(rate)
+            assert solve() is rate and ok == (0.0 < rate < 1.0)
+        for cls in (Pareto, Weibull):
+            ok, solve = cls.param_for_rate(0.4)
+            assert ok and solve() == cls.shape_for_mean(1.0 / 0.4)
+            for rate, got in ((0.0, "0.0"), (-0.5, "-0.5"), (1.0, "1.0"), (4.0, "0.25")):
+                with pytest.raises(IncompatibleMomentsError,
+                                   match=f"^{cls.__name__.lower()} mean target must exceed 1, got {got}$"):
+                    cls.param_for_rate(rate)
+
+    def test_fit_and_tail_name_no_law_class(self):
+        classes = {"DurationLaw", "Geometric", "Weibull", "Pareto", "ResidualLaw"}
+        for module, name in (("moments", "_fit_two_lag"), ("asymp", "_tail_exponents")):
+            tree = ast.parse((self.SRC / f"{module}.py").read_text())
+            (fn,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == name]
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            attrs = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+            assert not names & classes and not attrs & {"p", "lam", "alpha", "C"}, name
+
+    def test_no_private_name_imported_from_a_sibling(self):
+        for path in self.SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                    assert not private, f"{path.name}:{node.lineno} imports {private}"
+
+    def test_moments_imports_no_scipy(self):
+        tree = ast.parse((self.SRC / "moments.py").read_text())
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and not node.level]
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]

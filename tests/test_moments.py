@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from onoffgraph import moments
+from onoffgraph import laws, moments
 from onoffgraph.asymp import param_cov
 from onoffgraph.errors import COMPUTE_ERRORS, IncompatibleMomentsError, ParameterError
 from onoffgraph.laws import Geometric, Pareto, Weibull
@@ -213,8 +213,8 @@ class TestEdgeEstimators:
         # limit 1/(1 - T2) up to rounding (above it here, by 0.6 to 3.4e6 eps relative):
         # refused before the climb evaluates the map once
         calls = []
-        slope = moments._pareto_slope
-        monkeypatch.setattr(moments, "_pareto_slope", lambda *a: calls.append(a) or slope(*a))
+        slope = laws._pareto_slope
+        monkeypatch.setattr(laws, "_pareto_slope", lambda *a: calls.append(a) or slope(*a))
         for p, q, n in ((0.3, 0.3, 100), (0.8, 0.8, 10), (0.99, 0.5, 100), (0.05, 0.9, 10_000),
                         (0.001, 0.5, 100)):
             m = theoretical_moment_set(ModelSpec(on_law=Geometric(p), off_law=Geometric(q), n=n), L=3)

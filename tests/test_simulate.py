@@ -74,6 +74,14 @@ class TestModelSpec:
             with pytest.raises(ParameterError):
                 ModelSpec(on_law=g, off_law=g, **kw)
 
+    def test_law_of_no_kind_is_refused(self):
+        # a residual law has no config kind, so no table or covariance reads it
+        res = Pareto(1.0, 4.0).residual()
+        for on, off in ((res, Geometric(0.5)), (Geometric(0.5), res)):
+            with pytest.raises(ParameterError, match="ResidualLaw"):
+                ModelSpec(on, off, n=3)
+        assert ModelSpec(Geometric(0.5).residual(), Geometric(0.5), n=3).on_law == Geometric(0.5)
+
     def test_infinite_mean(self):
         m = ModelSpec(on_law=Pareto(1.0, 0.9), off_law=Geometric(0.5), n=3)
         with pytest.raises(InfiniteMeanError):
